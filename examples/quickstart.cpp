@@ -7,8 +7,8 @@
 //   3. Decode results with to_val / to_float.
 //
 // The old free functions bitMM2Int / bitMM2Bit still work (they delegate to
-// a process-wide default session); the context-taking overloads are
-// deprecated in favour of holding a Session per stream/worker.
+// a process-wide default session); a Session per stream/worker is how a
+// caller pins a backend and private counters.
 //
 // Build & run:  ./build/examples/quickstart
 #include <iostream>

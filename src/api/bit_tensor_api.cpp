@@ -111,26 +111,4 @@ BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
   return Session::default_session().mm_bit(a, b, MmOut{bit_c, act}, opt);
 }
 
-MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx, const BmmOptions& opt) {
-  BmmOptions pinned = opt;
-  pinned.ctx = &ctx;
-  return detail::mm_int(a, b, pinned);
-}
-
-MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx, const BmmOptions& opt) {
-  BmmOptions pinned = opt;
-  pinned.ctx = &ctx;
-  return detail::mm_int(a, b, pinned);
-}
-
-BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                    const tcsim::ExecutionContext& ctx, const BmmOptions& opt,
-                    tcsim::Activation act) {
-  BmmOptions pinned = opt;
-  pinned.ctx = &ctx;
-  return detail::mm_bit(a, b, bit_c, act, pinned);
-}
-
 }  // namespace qgtc::api

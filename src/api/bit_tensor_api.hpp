@@ -81,27 +81,4 @@ BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
                     const BmmOptions& opt = {},
                     tcsim::Activation act = tcsim::Activation::kIdentity);
 
-/// Deprecated opt.ctx-overriding overloads, kept as delegating wrappers: the
-/// per-stream handle is now api::Session, which owns the ExecutionContext
-/// instead of threading it through every call site.
-[[deprecated(
-    "construct an api::Session (one per stream/worker) and call "
-    "session.mm_int instead")]]
-MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx,
-                    const BmmOptions& opt = {});
-[[deprecated(
-    "construct an api::Session (one per stream/worker) and call "
-    "session.mm_int instead")]]
-MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx,
-                    const BmmOptions& opt = {});
-[[deprecated(
-    "construct an api::Session (one per stream/worker) and call "
-    "session.mm_bit(a, b, MmOut{bits, act}) instead")]]
-BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                    const tcsim::ExecutionContext& ctx,
-                    const BmmOptions& opt = {},
-                    tcsim::Activation act = tcsim::Activation::kIdentity);
-
 }  // namespace qgtc::api

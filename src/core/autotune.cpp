@@ -90,6 +90,16 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
   t.mode.prepare_threads = static_cast<int>(std::clamp<i64>(
       num_threads() - t.inter_batch_threads, 1,
       std::min<i64>(batches_per_epoch, 8)));
+  // Even depth 1 holds 3 + P + C batches in flight; when that overflows the
+  // budget, cut prepare workers, then compute workers, until it fits.
+  if (t.mode.streaming()) {
+    const auto overflows = [&] {
+      return 3 + t.mode.prepare_threads + t.inter_batch_threads >
+             batches_in_budget;
+    };
+    while (overflows() && t.mode.prepare_threads > 1) --t.mode.prepare_threads;
+    while (overflows() && t.inter_batch_threads > 1) --t.inter_batch_threads;
+  }
   // Queue depth: the peak in-flight window is ~2*depth + prepare_workers +
   // compute_workers + 1 batches (both queues full plus one batch in each
   // stage's hands — see pipeline.hpp). Solve that for the budget.

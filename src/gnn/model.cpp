@@ -20,6 +20,18 @@ i32 max_value(const MatrixI32& m) {
   return mx;
 }
 
+/// Update stages per layer: the gin_mlp update is two GEMMs (w, then w2).
+int updates_per_layer(const GnnConfig& cfg) {
+  return cfg.kind == ModelKind::kBatchedGIN && cfg.gin_mlp ? 2 : 1;
+}
+
+/// Layout of the packed activation a stage consumes: aggregation reads it
+/// as the B side of A x X, an update as the A side of X x W.
+BitLayout operand_layout(StageOp op) {
+  return op == StageOp::kAggregate ? BitLayout::kColMajorK
+                                   : BitLayout::kRowMajorK;
+}
+
 /// The stage plan's epilogue, in kernel form (fused to-bit paths).
 FusedEpilogue epi_of(const EpiloguePlan& p) {
   FusedEpilogue e;
@@ -28,19 +40,38 @@ FusedEpilogue epi_of(const EpiloguePlan& p) {
   return e;
 }
 
-/// The stage plan's epilogue, in substrate form (unfused fallback).
-tcsim::EpilogueSpec spec_of(const EpiloguePlan& p) {
-  return tcsim::EpilogueSpec{p.act, p.rshift,
-                             static_cast<i32>((u32{1} << p.out_bits) - 1)};
-}
-
 /// Standalone requantization of an int32 activation matrix, in place,
 /// through the one shared epilogue definition — bit-identical to what the
 /// fused flush applies tile-by-tile.
 void requant_inplace(MatrixI32& m, const EpiloguePlan& p) {
-  const tcsim::EpilogueSpec spec = spec_of(p);
+  const tcsim::EpilogueSpec spec{p.act, p.rshift,
+                                 static_cast<i32>((u32{1} << p.out_bits) - 1)};
   for (i64 i = 0; i < m.size(); ++i) {
     m.data()[i] = tcsim::apply_epilogue(m.data()[i], spec);
+  }
+}
+
+/// fp32 mirror of a stage's activation. relu/identity are exact
+/// counterparts of the quantized epilogue; relu6/hardswish use the same
+/// quantized-domain constants and are reference-only approximations.
+void activate_fp32(MatrixF& m, tcsim::Activation act) {
+  switch (act) {
+    case tcsim::Activation::kIdentity:
+      break;
+    case tcsim::Activation::kRelu:
+      baselines::relu_inplace(m);
+      break;
+    case tcsim::Activation::kRelu6:
+      for (i64 i = 0; i < m.size(); ++i) {
+        m.data()[i] = std::clamp(m.data()[i], 0.0f, 6.0f);
+      }
+      break;
+    case tcsim::Activation::kHardswish:
+      for (i64 i = 0; i < m.size(); ++i) {
+        const float v = m.data()[i];
+        m.data()[i] = v * std::clamp(v + 3.0f, 0.0f, 6.0f) / 6.0f;
+      }
+      break;
   }
 }
 
@@ -63,161 +94,96 @@ QgtcModel QgtcModel::from_weights(const GnnConfig& cfg,
 }
 
 void QgtcModel::build_plan() {
-  const int n = cfg_.num_layers;
-  agg_plan_.assign(static_cast<std::size_t>(n), {});
-  upd_plan_.assign(static_cast<std::size_t>(n), {});
-  upd2_plan_.assign(static_cast<std::size_t>(n), {});
   const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
-  for (int l = 0; l < n; ++l) {
-    const bool last = (l + 1 == n);
-    EpiloguePlan& ap = agg_plan_[static_cast<std::size_t>(l)];
-    EpiloguePlan& up = upd_plan_[static_cast<std::size_t>(l)];
-    EpiloguePlan& up2 = upd2_plan_[static_cast<std::size_t>(l)];
-    ap.fused = up.fused = up2.fused = cfg_.fused_epilogue;
-    ap.out_bits = up.out_bits = up2.out_bits = cfg_.feat_bits;
-    // Aggregation requantizes without an activation (the nonlinearity sits on
-    // the update stage, as in the paper's GCN/GIN layer definitions). The
-    // update stage that feeds the final logits stays linear.
-    ap.act = tcsim::Activation::kIdentity;
+  stages_.clear();
+  int weight = 0;
+  const auto add = [&](StageOp op, tcsim::Activation act) {
+    const int w = op == StageOp::kUpdate ? weight++ : -1;
+    stages_.push_back({op, w, {0, cfg_.feat_bits, act, cfg_.fused_epilogue}});
+  };
+  // Aggregations never activate (the paper's GCN/GIN layers put the
+  // nonlinearity on the update); the last layer's update stays linear for
+  // the logits, except the first gin_mlp GEMM, which activates on every layer.
+  constexpr auto kAgg = StageOp::kAggregate, kUpd = StageOp::kUpdate;
+  constexpr auto kIdentity = tcsim::Activation::kIdentity;
+  for (int l = 0; l < cfg_.num_layers; ++l) {
+    const tcsim::Activation act =
+        l + 1 == cfg_.num_layers ? kIdentity : cfg_.activation;
     if (gcn) {
-      up.act = last ? tcsim::Activation::kIdentity : cfg_.activation;
-    } else if (cfg_.gin_mlp) {
-      up.act = cfg_.activation;  // between the two MLP stages, every layer
-      up2.act = last ? tcsim::Activation::kIdentity : cfg_.activation;
+      add(kAgg, kIdentity);
+      add(kUpd, act);
     } else {
-      up.act = last ? tcsim::Activation::kIdentity : cfg_.activation;
+      if (updates_per_layer(cfg_) == 2) add(kUpd, cfg_.activation);
+      add(kUpd, act);
+      add(kAgg, kIdentity);
     }
   }
+  stages_.back().last = true;
 }
 
 int QgtcModel::fused_stage_count() const {
-  if (!cfg_.fused_epilogue) return 0;
-  const int n = cfg_.num_layers;
-  // GCN: every layer's aggregation requantizes (the last feeds the logits
-  // MM); updates requantize on hidden layers only. GIN mirrors that with the
-  // roles swapped, and the MLP variant doubles the update stages.
-  if (cfg_.kind == ModelKind::kClusterGCN) return n + (n - 1);
-  return n * (cfg_.gin_mlp ? 2 : 1) + (n - 1);
+  return static_cast<int>(std::count_if(
+      stages_.begin(), stages_.end(),
+      [](const Stage& s) { return !s.last && s.plan.fused; }));
+}
+
+const MatrixF& QgtcModel::fp_weight(int k) const {
+  const int per_layer = updates_per_layer(cfg_);
+  const LayerWeights& lw = fp_weights_[static_cast<std::size_t>(k / per_layer)];
+  return k % per_layer == 1 ? lw.w2 : lw.w;
+}
+
+const EpiloguePlan& QgtcModel::nth_plan(StageOp op, int nth) const {
+  for (const Stage& s : stages_) {
+    if (s.op == op && nth-- == 0) return s.plan;
+  }
+  throw std::out_of_range("QgtcModel: no such stage");
+}
+
+const EpiloguePlan& QgtcModel::agg_plan(int l) const {
+  return nth_plan(StageOp::kAggregate, l);
+}
+
+const EpiloguePlan& QgtcModel::upd_plan(int l, int k) const {
+  return nth_plan(StageOp::kUpdate, l * updates_per_layer(cfg_) + k);
 }
 
 void QgtcModel::quantize_weights() {
-  w_qparams_.clear();
+  // Weights are quantized once and cached as packed planes (§3.2: W is
+  // reused across every subgraph of a layer, so decomposition is
+  // pre-computed). With per_layer_bits the cache keeps only the planes the
+  // stage's actual code range occupies — always lossless, since the codes
+  // are fixed at quantization time.
   w_planes_.clear();
-  w2_planes_.clear();
-  for (const LayerWeights& lw : fp_weights_) {
-    // Weights are quantized once and cached as packed planes (§3.2: W is
-    // reused across every subgraph of a layer, so decomposition is
-    // pre-computed). With per_layer_bits the cache keeps only the planes the
-    // layer's actual code range occupies — always lossless, since the codes
-    // are fixed at quantization time.
-    const QuantParams qp = quant_params_from_data(lw.w, cfg_.weight_bits);
-    w_qparams_.push_back(qp);
-    const MatrixI32 q = quantize_matrix(lw.w, qp);
-    const int wb = cfg_.per_layer_bits
-                       ? std::clamp(bits_needed(max_value(q)), 1, cfg_.weight_bits)
-                       : cfg_.weight_bits;
+  for (const Stage& s : stages_) {
+    if (s.op != StageOp::kUpdate) continue;
+    const MatrixF& w = fp_weight(s.weight);
+    QGTC_CHECK(!w.empty(), "gin_mlp requires a second weight matrix");
+    const MatrixI32 q =
+        quantize_matrix(w, quant_params_from_data(w, cfg_.weight_bits));
+    const int bits = cfg_.per_layer_bits
+                         ? std::clamp(bits_needed(max_value(q)), 1,
+                                      cfg_.weight_bits)
+                         : cfg_.weight_bits;
     w_planes_.push_back(StackedBitTensor::decompose(
-        q, wb, BitLayout::kColMajorK, PadPolicy::kTile8));
-    if (cfg_.gin_mlp) {
-      QGTC_CHECK(!lw.w2.empty(), "gin_mlp requires a second weight matrix");
-      const QuantParams qp2 = quant_params_from_data(lw.w2, cfg_.weight_bits);
-      const MatrixI32 q2 = quantize_matrix(lw.w2, qp2);
-      const int wb2 =
-          cfg_.per_layer_bits
-              ? std::clamp(bits_needed(max_value(q2)), 1, cfg_.weight_bits)
-              : cfg_.weight_bits;
-      w2_planes_.push_back(StackedBitTensor::decompose(
-          q2, wb2, BitLayout::kColMajorK, PadPolicy::kTile8));
-    }
+        q, bits, BitLayout::kColMajorK, PadPolicy::kTile8));
   }
-}
-
-template <typename Adj>
-void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
-  const int s = cfg_.feat_bits;
-  BmmOptions opt;
-  opt.zero_tile_jump = cfg_.zero_tile_jump;
-  opt.allow_overflow = (cfg_.feat_bits > 8 || cfg_.weight_bits > 8);
-
-  const QuantParams xqp = quant_params_from_data(x, s);
-  MatrixI32 xq = quantize_matrix(x, xqp);
-  int cur_bits = s;
-
-  // Completes one stage plan from the raw accumulators: derive the right
-  // shift from the observed maximum, requantize `m` in place through the
-  // shared epilogue, then (per_layer_bits) narrow the stage's plane count to
-  // what the requantized range occupies. The narrowing is exact on the
-  // calibration batch — the dropped high planes are all-zero here — and a
-  // clamp on any batch whose range exceeds it.
-  const auto requant_stage = [&](MatrixI32& m, EpiloguePlan& plan) {
-    plan.rshift = calibrate_rshift(max_value(m), s);
-    plan.out_bits = s;
-    requant_inplace(m, plan);
-    if (cfg_.per_layer_bits) {
-      plan.out_bits = std::clamp(bits_needed(max_value(m)), 1, s);
-    }
-  };
-
-  const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
-  // GCN consumes X on the aggregation B side first; GIN on the update A side.
-  for (int l = 0; l < cfg_.num_layers; ++l) {
-    const std::size_t li = static_cast<std::size_t>(l);
-    const bool last = (l + 1 == cfg_.num_layers);
-    if (gcn) {
-      auto xp = StackedBitTensor::decompose(xq, cur_bits, BitLayout::kColMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 agg = aggregate_1bit(adj, xp, cfg_.reuse, opt);
-      requant_stage(agg, agg_plan_[li]);
-      auto xn = StackedBitTensor::decompose(agg, agg_plan_[li].out_bits,
-                                            BitLayout::kRowMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 upd = bitmm_fused_int(xn, w_planes_[li], {}, opt);
-      if (last) break;
-      requant_stage(upd, upd_plan_[li]);
-      cur_bits = upd_plan_[li].out_bits;
-      xq = std::move(upd);
-    } else {
-      auto xp = StackedBitTensor::decompose(xq, cur_bits, BitLayout::kRowMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 upd = bitmm_fused_int(xp, w_planes_[li], {}, opt);
-      requant_stage(upd, upd_plan_[li]);
-      int ub = upd_plan_[li].out_bits;
-      if (cfg_.gin_mlp) {
-        // Second MLP stage: requantized stage-1 output feeds another GEMM.
-        auto xm = StackedBitTensor::decompose(upd, ub, BitLayout::kRowMajorK,
-                                              PadPolicy::kTile8);
-        MatrixI32 upd2 = bitmm_fused_int(xm, w2_planes_[li], {}, opt);
-        requant_stage(upd2, upd2_plan_[li]);
-        ub = upd2_plan_[li].out_bits;
-        upd = std::move(upd2);
-      }
-      auto xu = StackedBitTensor::decompose(upd, ub, BitLayout::kColMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 agg = aggregate_1bit(adj, xu, cfg_.reuse, opt);
-      if (last) break;
-      requant_stage(agg, agg_plan_[li]);
-      cur_bits = agg_plan_[li].out_bits;
-      xq = std::move(agg);
-    }
-  }
-  calibrated_ = true;
 }
 
 void QgtcModel::calibrate(const BitMatrix& adj, const MatrixF& x) {
-  calibrate_impl(adj, x);
+  run_stages(adj, nullptr, prepare_input(x), nullptr, nullptr, &stages_);
+  calibrated_ = true;
 }
 
 void QgtcModel::calibrate(const TileSparseBitMatrix& adj, const MatrixF& x) {
-  calibrate_impl(adj, x);
+  run_stages(adj, nullptr, prepare_input(x), nullptr, nullptr, &stages_);
+  calibrated_ = true;
 }
 
 StackedBitTensor QgtcModel::prepare_input(const MatrixF& x) const {
   const QuantParams xqp = quant_params_from_data(x, cfg_.feat_bits);
-  const MatrixI32 xq = quantize_matrix(x, xqp);
-  const BitLayout layout = cfg_.kind == ModelKind::kClusterGCN
-                               ? BitLayout::kColMajorK
-                               : BitLayout::kRowMajorK;
-  return StackedBitTensor::decompose(xq, cfg_.feat_bits, layout,
+  return StackedBitTensor::decompose(quantize_matrix(x, xqp), cfg_.feat_bits,
+                                     operand_layout(stages_.front().op),
                                      PadPolicy::kTile8);
 }
 
@@ -228,10 +194,11 @@ MatrixI32 QgtcModel::forward_quantized(const BitMatrix& adj, const MatrixF& x,
 }
 
 template <typename Adj>
-MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
-                                  const StackedBitTensor& x_planes,
-                                  ForwardStats* stats,
-                                  const tcsim::ExecutionContext* ctx) const {
+MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
+                                const StackedBitTensor& x_planes,
+                                ForwardStats* stats,
+                                const tcsim::ExecutionContext* ctx,
+                                std::vector<Stage>* calibrating) const {
   // `opt` drives the update-side MMs (activations x weights); the cached
   // adjacency flag map belongs only to the aggregation-side options — a
   // single-plane (1-bit) activation operand would otherwise be jumped with
@@ -247,112 +214,71 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
   tcsim::Counters before;
   if (stats != nullptr) before = exec.counters();
 
-  const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
-  const i64 nodes = adj.rows();
-  tcsim::Workspace& ws = exec.workspace();
-  // Workspace scratch slots for the unfused fallback's int32 intermediates
-  // (reused across layers and batches — nothing is heap-allocated per stage).
-  constexpr int kAggScratch = 0, kUpdScratch = 1, kUpd2Scratch = 2;
-
-  // `cur` tracks the packed activation between layers without copying the
+  // `cur` tracks the packed activation between stages without copying the
   // caller's input planes. Each requantizing stage either runs its epilogue
   // fused (tile-local requantize + re-pack inside the flush, §4.5) or stages
-  // through an arena int32 matrix and the same epilogue applied standalone —
-  // the plan guarantees the two produce identical planes and tile schedules.
+  // through an int32 matrix and the same epilogue applied standalone — the
+  // plan guarantees the two produce identical planes and tile schedules.
   const StackedBitTensor* cur = &x_planes;
   StackedBitTensor next;
   MatrixI32 logits;
-
-  if (gcn) {
-    for (int l = 0; l < cfg_.num_layers; ++l) {
-      const std::size_t li = static_cast<std::size_t>(l);
-      const bool last = (l + 1 == cfg_.num_layers);
-      const EpiloguePlan& ap = agg_plan_[li];
-      StackedBitTensor xn;
-      if (ap.fused) {
-        xn = aggregate_fused_bit(adj, *cur, ap.out_bits, epi_of(ap), agg_opt,
-                                 PadPolicy::kTile8);
-      } else {
-        MatrixI32& agg = ws.int32_scratch(kAggScratch, nodes, cur->cols());
-        aggregate_1bit_into(adj, *cur, cfg_.reuse, agg, agg_opt);
-        requant_inplace(agg, ap);
-        xn = StackedBitTensor::decompose(agg, ap.out_bits,
-                                         BitLayout::kRowMajorK,
-                                         PadPolicy::kTile8);
-      }
-      if (last) {
-        logits = bitmm_fused_int(xn, w_planes_[li], {}, opt);
-        break;
-      }
-      const EpiloguePlan& up = upd_plan_[li];
-      if (up.fused) {
-        next = bitmm_fused_bit(xn, w_planes_[li], up.out_bits, epi_of(up), opt,
-                               PadPolicy::kTile8, BitLayout::kColMajorK);
-      } else {
-        MatrixI32& upd =
-            ws.int32_scratch(kUpdScratch, nodes, w_planes_[li].cols());
-        bitmm_fused_int_into(xn, w_planes_[li], upd, {}, opt);
-        requant_inplace(upd, up);
-        next = StackedBitTensor::decompose(upd, up.out_bits,
-                                           BitLayout::kColMajorK,
-                                           PadPolicy::kTile8);
-      }
-      cur = &next;
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    const Stage& st = stages_[i];
+    const bool agg = st.op == StageOp::kAggregate;
+    const BmmOptions& o = agg ? agg_opt : opt;
+    const StackedBitTensor* w = agg ? nullptr : &w_planes_[st.weight];
+    if (st.last) {
+      logits = agg ? aggregate_1bit(adj, *cur, cfg_.reuse, o)
+                   : bitmm_fused_int(*cur, *w, {}, o);
+      break;
     }
-  } else {
-    for (int l = 0; l < cfg_.num_layers; ++l) {
-      const std::size_t li = static_cast<std::size_t>(l);
-      const bool last = (l + 1 == cfg_.num_layers);
-      const EpiloguePlan& up = upd_plan_[li];
-      // The first MLP stage hands kRowMajorK planes to the second stage's MM;
-      // a single-stage update feeds the aggregation's B side directly.
-      const BitLayout l1 = cfg_.gin_mlp ? BitLayout::kRowMajorK
-                                        : BitLayout::kColMajorK;
-      StackedBitTensor xu;
-      if (up.fused) {
-        xu = bitmm_fused_bit(*cur, w_planes_[li], up.out_bits, epi_of(up), opt,
-                             PadPolicy::kTile8, l1);
-      } else {
-        MatrixI32& upd =
-            ws.int32_scratch(kUpdScratch, nodes, w_planes_[li].cols());
-        bitmm_fused_int_into(*cur, w_planes_[li], upd, {}, opt);
-        requant_inplace(upd, up);
-        xu = StackedBitTensor::decompose(upd, up.out_bits, l1,
-                                         PadPolicy::kTile8);
-      }
-      if (cfg_.gin_mlp) {
-        const EpiloguePlan& up2 = upd2_plan_[li];
-        if (up2.fused) {
-          xu = bitmm_fused_bit(xu, w2_planes_[li], up2.out_bits, epi_of(up2),
-                               opt, PadPolicy::kTile8, BitLayout::kColMajorK);
-        } else {
-          MatrixI32& upd2 =
-              ws.int32_scratch(kUpd2Scratch, nodes, w2_planes_[li].cols());
-          bitmm_fused_int_into(xu, w2_planes_[li], upd2, {}, opt);
-          requant_inplace(upd2, up2);
-          xu = StackedBitTensor::decompose(upd2, up2.out_bits,
-                                           BitLayout::kColMajorK,
-                                           PadPolicy::kTile8);
-        }
-      }
-      if (last) {
-        logits = aggregate_1bit(adj, xu, cfg_.reuse, agg_opt);
-        break;
-      }
-      const EpiloguePlan& ap = agg_plan_[li];
-      if (ap.fused) {
-        next = aggregate_fused_bit(adj, xu, ap.out_bits, epi_of(ap), agg_opt,
-                                   PadPolicy::kTile8);
-      } else {
-        MatrixI32& agg = ws.int32_scratch(kAggScratch, nodes, xu.cols());
-        aggregate_1bit_into(adj, xu, cfg_.reuse, agg, agg_opt);
-        requant_inplace(agg, ap);
-        next = StackedBitTensor::decompose(agg, ap.out_bits,
-                                           BitLayout::kRowMajorK,
-                                           PadPolicy::kTile8);
-      }
+    // Aggregation always feeds an update, so its fixed kRowMajorK output is
+    // what the layout rule asks for.
+    const BitLayout layout = operand_layout(stages_[i + 1].op);
+    if (st.plan.fused && calibrating == nullptr) {
+      next = agg ? aggregate_fused_bit(adj, *cur, st.plan.out_bits,
+                                       epi_of(st.plan), o, PadPolicy::kTile8)
+                 : bitmm_fused_bit(*cur, *w, st.plan.out_bits,
+                                   epi_of(st.plan), o, PadPolicy::kTile8,
+                                   layout);
       cur = &next;
+      continue;
     }
+    // Unfused: int32 accumulators in a per-stage arena slot (reused across
+    // batches, so nothing is heap-allocated per stage); calibration owns its
+    // one-off matrices instead of growing the arena.
+    MatrixI32 owned;
+    const i64 cols = agg ? cur->cols() : w->cols();
+    MatrixI32& acc =
+        calibrating != nullptr
+            ? (owned = MatrixI32(adj.rows(), cols))
+            : exec.workspace().int32_scratch(static_cast<int>(i), adj.rows(),
+                                             cols);
+    if (agg) {
+      aggregate_1bit_into(adj, *cur, cfg_.reuse, acc, o);
+    } else {
+      bitmm_fused_int_into(*cur, *w, acc, {}, o);
+    }
+    // Calibration derives the shift from the observed maximum and, with
+    // per_layer_bits, narrows the plane count to what the requantized range
+    // occupies: exact on the calibration batch (the dropped high planes are
+    // all-zero here), a clamp on any batch whose range exceeds it.
+    EpiloguePlan plan = st.plan;
+    if (calibrating != nullptr) {
+      plan.rshift = calibrate_rshift(max_value(acc), cfg_.feat_bits);
+      plan.out_bits = cfg_.feat_bits;
+    }
+    requant_inplace(acc, plan);
+    if (calibrating != nullptr) {
+      if (cfg_.per_layer_bits) {
+        plan.out_bits =
+            std::clamp(bits_needed(max_value(acc)), 1, plan.out_bits);
+      }
+      (*calibrating)[i].plan = plan;
+    }
+    next = StackedBitTensor::decompose(acc, plan.out_bits, layout,
+                                       PadPolicy::kTile8);
+    cur = &next;
   }
 
   if (stats != nullptr) {
@@ -370,59 +296,23 @@ MatrixI32 QgtcModel::forward_prepared(const BitMatrix& adj,
                                       const StackedBitTensor& x_planes,
                                       ForwardStats* stats,
                                       const tcsim::ExecutionContext* ctx) const {
-  return forward_impl(adj, tile_map, x_planes, stats, ctx);
+  return run_stages(adj, tile_map, x_planes, stats, ctx, nullptr);
 }
 
 MatrixI32 QgtcModel::forward_prepared(const TileSparseBitMatrix& adj,
                                       const StackedBitTensor& x_planes,
                                       ForwardStats* stats,
                                       const tcsim::ExecutionContext* ctx) const {
-  return forward_impl(adj, /*tile_map=*/nullptr, x_planes, stats, ctx);
+  return run_stages(adj, /*tile_map=*/nullptr, x_planes, stats, ctx, nullptr);
 }
 
 MatrixF QgtcModel::forward_fp32(const CsrGraph& local, const MatrixF& x) const {
-  using baselines::gemm_f32;
-  using baselines::spmm_csr;
-  // fp32 mirror of the configured activation. relu/identity are exact
-  // counterparts of the quantized epilogue; relu6/hardswish use the same
-  // quantized-domain constants and are reference-only approximations.
-  const auto act_inplace = [&](MatrixF& m) {
-    switch (cfg_.activation) {
-      case tcsim::Activation::kIdentity:
-        break;
-      case tcsim::Activation::kRelu:
-        baselines::relu_inplace(m);
-        break;
-      case tcsim::Activation::kRelu6:
-        for (i64 i = 0; i < m.size(); ++i) {
-          m.data()[i] = std::clamp(m.data()[i], 0.0f, 6.0f);
-        }
-        break;
-      case tcsim::Activation::kHardswish:
-        for (i64 i = 0; i < m.size(); ++i) {
-          const float v = m.data()[i];
-          m.data()[i] = v * std::clamp(v + 3.0f, 0.0f, 6.0f) / 6.0f;
-        }
-        break;
-    }
-  };
   MatrixF cur = x;
-  const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
-  for (int l = 0; l < cfg_.num_layers; ++l) {
-    const bool last = (l + 1 == cfg_.num_layers);
-    if (gcn) {
-      MatrixF agg = spmm_csr(local, cur, /*add_self=*/true);
-      cur = gemm_f32(agg, fp_weights_[static_cast<std::size_t>(l)].w);
-      if (!last) act_inplace(cur);
-    } else {
-      MatrixF upd = gemm_f32(cur, fp_weights_[static_cast<std::size_t>(l)].w);
-      if (cfg_.gin_mlp) {
-        act_inplace(upd);
-        upd = gemm_f32(upd, fp_weights_[static_cast<std::size_t>(l)].w2);
-      }
-      if (!last) act_inplace(upd);
-      cur = spmm_csr(local, upd, /*add_self=*/true);
-    }
+  for (const Stage& st : stages_) {
+    cur = st.op == StageOp::kAggregate
+              ? baselines::spmm_csr(local, cur, /*add_self=*/true)
+              : baselines::gemm_f32(cur, fp_weight(st.weight));
+    activate_fp32(cur, st.plan.act);
   }
   return cur;
 }

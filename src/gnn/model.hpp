@@ -1,13 +1,17 @@
 // QGTC model runner: the per-batch quantized forward pass built on the
 // kernel stack, plus the fp32 DGL-substitute path it is benchmarked against.
 //
-// Data layout discipline (paper §4.2's padding rules, applied per §4.5's
-// fused hand-over):
-//   Cluster GCN layer: X (kColMajorK) --agg--> X_new (kRowMajorK)
-//                      --update+ReLU--> X' (kColMajorK, next layer's X)
-//   Batched GIN layer: X (kRowMajorK) --update+ReLU--> Xu (kColMajorK)
-//                      --agg--> X' (kRowMajorK, next layer's X)
-// The final layer emits int32 logits (full precision for softmax, §4.5).
+// The model compiles to one stage list (paper §4.5: every layer is two
+// stages with the requantize -> activate -> re-pack epilogue fused at the
+// boundary between them):
+//   Cluster GCN layer: aggregate, update
+//   Batched GIN layer: update, aggregate   (gin_mlp: update, update, aggregate)
+// Forward, calibration and the fp32 reference all walk that one list. The
+// final stage emits int32 logits (full precision for softmax, §4.5); every
+// other stage emits packed planes in the layout its consumer reads
+// (§4.2's padding rules): kColMajorK when the next stage aggregates (B side
+// of A x X), kRowMajorK when it updates (A side of X x W). prepare_input
+// packs the input by the same rule for stage 0.
 #pragma once
 
 #include "bittensor/stacked.hpp"
@@ -24,15 +28,26 @@ struct ForwardStats {
   i64 int32_bytes_avoided = 0;
 };
 
-/// Per-stage epilogue rewrite decision (one per aggregate/update stage per
-/// layer). Built at construction from the config; rshift and out_bits are
-/// filled in by calibration. The same plan drives the fused epilogue and the
-/// unfused fallback, so the two paths are bit-identical by construction.
+/// Per-stage epilogue rewrite decision. Built at construction from the
+/// config; rshift and out_bits are filled in by calibration. The same plan
+/// drives the fused epilogue and the unfused fallback, so the two paths are
+/// bit-identical by construction.
 struct EpiloguePlan {
   int rshift = 0;
   int out_bits = 8;
   tcsim::Activation act = tcsim::Activation::kIdentity;
   bool fused = true;
+};
+
+/// Neighbour aggregation A x X, or the dense update X x W.
+enum class StageOp { kAggregate, kUpdate };
+
+/// One entry of the compiled stage list.
+struct Stage {
+  StageOp op = StageOp::kAggregate;
+  int weight = -1;  // index into the cached weight planes (updates only)
+  EpiloguePlan plan;
+  bool last = false;  // emits the int32 logits instead of packed planes
 };
 
 class QgtcModel {
@@ -72,7 +87,7 @@ class QgtcModel {
                               const tcsim::ExecutionContext* ctx = nullptr) const;
 
   /// Host-side input packing: quantize to feat_bits and bit-decompose in the
-  /// layout the first layer consumes (kColMajorK for GCN, kRowMajorK for GIN).
+  /// layout the first stage consumes (kColMajorK for GCN, kRowMajorK for GIN).
   [[nodiscard]] StackedBitTensor prepare_input(const MatrixF& x) const;
 
   /// Forward over a pre-packed input. `tile_map` (optional) is the cached
@@ -97,47 +112,45 @@ class QgtcModel {
   /// local CSR. Returns fp32 logits.
   MatrixF forward_fp32(const CsrGraph& local, const MatrixF& x) const;
 
-  /// Requantizing stages the per-layer rewrite pass runs through the fused
-  /// epilogue on each forward pass (0 when fusion is disabled).
+  /// Requantizing stages the forward pass runs through the fused epilogue
+  /// (0 when fusion is disabled).
   [[nodiscard]] int fused_stage_count() const;
 
-  /// Per-layer stage plans (tests and diagnostics).
-  [[nodiscard]] const EpiloguePlan& agg_plan(int l) const {
-    return agg_plan_[static_cast<std::size_t>(l)];
-  }
-  [[nodiscard]] const EpiloguePlan& upd_plan(int l) const {
-    return upd_plan_[static_cast<std::size_t>(l)];
-  }
-  [[nodiscard]] const EpiloguePlan& upd2_plan(int l) const {
-    return upd2_plan_[static_cast<std::size_t>(l)];
-  }
+  /// Per-layer stage plans (tests and diagnostics): layer l's aggregation,
+  /// and its k-th update (k = 1 is the second gin_mlp stage).
+  [[nodiscard]] const EpiloguePlan& agg_plan(int l) const;
+  [[nodiscard]] const EpiloguePlan& upd_plan(int l, int k = 0) const;
 
  private:
   GnnConfig cfg_;
   std::vector<LayerWeights> fp_weights_;
-  std::vector<QuantParams> w_qparams_;
-  std::vector<StackedBitTensor> w_planes_;   // kColMajorK, <= weight_bits planes
-  std::vector<StackedBitTensor> w2_planes_;  // second MLP stage (gin_mlp)
-  std::vector<EpiloguePlan> agg_plan_;       // per layer
-  std::vector<EpiloguePlan> upd_plan_;       // per layer
-  std::vector<EpiloguePlan> upd2_plan_;      // per layer, MLP stage 2
+  std::vector<Stage> stages_;
+  std::vector<StackedBitTensor> w_planes_;  // per update stage, kColMajorK
   bool calibrated_ = false;
 
-  void quantize_weights();
-
-  /// Fills the per-stage activation/fusion decisions from the config (the
-  /// rewrite pass; rshift/out_bits are completed by calibrate()).
+  /// Compiles the stage list from the config (the rewrite pass; rshift and
+  /// out_bits are completed by calibrate()).
   void build_plan();
 
-  /// Shared forward/calibration bodies, generic over the adjacency
-  /// representation (dense BitMatrix or TileSparseBitMatrix — the aggregate
-  /// kernels overload on it). `tile_map` is dense-only; sparse passes null.
+  /// Caches every update stage's weights as packed planes.
+  void quantize_weights();
+
+  /// fp32 master weights of the update stage with weight index `k`.
+  [[nodiscard]] const MatrixF& fp_weight(int k) const;
+
+  /// Plan of the `nth` stage (0-based) whose op is `op`.
+  [[nodiscard]] const EpiloguePlan& nth_plan(StageOp op, int nth) const;
+
+  /// Runs the stage list, generic over the adjacency representation (dense
+  /// BitMatrix or TileSparseBitMatrix — the aggregate kernels overload on
+  /// it). `tile_map` is dense-only; sparse passes null. With `calibrating`
+  /// (the model's own stage list) every stage runs unfused and records the
+  /// rshift/out_bits it observes into that list.
   template <typename Adj>
-  MatrixI32 forward_impl(const Adj& adj, const TileMap* tile_map,
-                         const StackedBitTensor& x_planes, ForwardStats* stats,
-                         const tcsim::ExecutionContext* ctx) const;
-  template <typename Adj>
-  void calibrate_impl(const Adj& adj, const MatrixF& x);
+  MatrixI32 run_stages(const Adj& adj, const TileMap* tile_map,
+                       const StackedBitTensor& x_planes, ForwardStats* stats,
+                       const tcsim::ExecutionContext* ctx,
+                       std::vector<Stage>* calibrating) const;
 };
 
 }  // namespace qgtc::gnn

@@ -38,15 +38,20 @@ MatrixF spmm_sym(const CsrGraph& g, const std::vector<float>& norm,
   return y;
 }
 
-/// C = A^T * B (used for weight gradients).
+/// C = A^T * B (used for weight gradients). The K axis is cut into at most
+/// kChunks fixed chunks whose boundaries depend only on A's shape; each
+/// chunk reduces into its own partial and the partials are summed in chunk
+/// order, so the result is bit-identical for any thread count.
 MatrixF gemm_tn(const MatrixF& a, const MatrixF& b) {
-  MatrixF c(a.cols(), b.cols(), 0.0f);
+  constexpr i64 kChunks = 64;
   const i64 n = b.cols();
-#pragma omp parallel
-  {
-    MatrixF local(a.cols(), n, 0.0f);
-#pragma omp for schedule(static) nowait
-    for (i64 k = 0; k < a.rows(); ++k) {
+  const i64 chunk = std::max<i64>(ceil_div(a.rows(), kChunks), 1);
+  const i64 chunks = ceil_div(a.rows(), chunk);
+  std::vector<MatrixF> partial(static_cast<std::size_t>(chunks));
+  parallel_for_dynamic(0, chunks, 1, [&](i64 ch) {
+    MatrixF& local = partial[static_cast<std::size_t>(ch)];
+    local = MatrixF(a.cols(), n, 0.0f);
+    for (i64 k = ch * chunk; k < std::min(a.rows(), (ch + 1) * chunk); ++k) {
       const float* arow = a.row(k).data();
       const float* brow = b.row(k).data();
       for (i64 i = 0; i < a.cols(); ++i) {
@@ -56,7 +61,9 @@ MatrixF gemm_tn(const MatrixF& a, const MatrixF& b) {
         for (i64 j = 0; j < n; ++j) crow[j] += aki * brow[j];
       }
     }
-#pragma omp critical
+  });
+  MatrixF c(a.cols(), n, 0.0f);
+  for (const MatrixF& local : partial) {
     for (i64 i = 0; i < c.size(); ++i) c.data()[i] += local.data()[i];
   }
   return c;

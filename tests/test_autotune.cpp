@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/autotune.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
 namespace {
@@ -149,16 +150,26 @@ TEST(Autotune, TunedEngineRuns) {
 TEST(Autotune, CacheBudgetFitsInsideDeviceBudget) {
   // Streaming profiles carve the prepared-batch cache out of what the memory
   // budget leaves after the pipeline's in-flight window: cache + footprint
-  // must fit inside the budget slice, and never exceed one epoch.
+  // must fit inside the budget slice, and never exceed one epoch. The worker
+  // counts follow the host's thread count, so check several.
   const DatasetSpec spec = table1_spec("ogbn-arxiv");
   DeviceProfile dev;
   dev.memory_bytes = 64 * 1024 * 1024;  // streaming, with room for a cache
-  const TunedConfig t = generate_runtime_config(spec, model_for(spec), dev);
-  ASSERT_TRUE(t.mode.streaming());
-  EXPECT_GT(t.streaming_footprint_estimate, 0);
-  EXPECT_LE(t.cache_budget_bytes,
-            dev.memory_bytes / 4 - t.streaming_footprint_estimate);
-  EXPECT_LE(t.cache_budget_bytes, t.epoch_bytes_estimate);
+  const int threads_before = num_threads();
+  for (const int threads : {1, 2, 4, 8}) {
+    set_num_threads(threads);
+    const TunedConfig t = generate_runtime_config(spec, model_for(spec), dev);
+    ASSERT_TRUE(t.mode.streaming()) << threads << " threads";
+    EXPECT_GT(t.streaming_footprint_estimate, 0) << threads << " threads";
+    EXPECT_LE(t.streaming_footprint_estimate, dev.memory_bytes / 4)
+        << threads << " threads";
+    EXPECT_LE(t.cache_budget_bytes,
+              dev.memory_bytes / 4 - t.streaming_footprint_estimate)
+        << threads << " threads";
+    EXPECT_LE(t.cache_budget_bytes, t.epoch_bytes_estimate)
+        << threads << " threads";
+  }
+  set_num_threads(threads_before);
 }
 
 TEST(Autotune, TinyBudgetDisablesCache) {

@@ -7,7 +7,7 @@
 
 #include <atomic>
 
-#include "api/bit_tensor_api.hpp"
+#include "api/session.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "kernels/anybit_mm.hpp"
@@ -156,7 +156,7 @@ TEST(Backends, PrivateCountersIsolatedFromGlobal) {
   EXPECT_EQ(ctx.counters().bmma_ops, 0u);
 }
 
-TEST(Backends, ApiCtxOverloadRoutesCounters) {
+TEST(Backends, ApiSessionRoutesCounters) {
   Rng rng(6);
   MatrixF a(12, 100), b(100, 8);
   for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
@@ -164,9 +164,9 @@ TEST(Backends, ApiCtxOverloadRoutesCounters) {
   const auto ta = api::BitTensor::to_bit(a, 4, api::BitTensor::Side::kLeft);
   const auto tb = api::BitTensor::to_bit(b, 4, api::BitTensor::Side::kRight);
 
-  tcsim::ExecutionContext ctx(tcsim::BackendKind::kSimd);
-  const MatrixI32 got = api::bitMM2Int(ta, tb, ctx);
-  EXPECT_GT(ctx.counters().bmma_ops, 0u);
+  const api::Session session(tcsim::BackendKind::kSimd);
+  const MatrixI32 got = session.mm_int(ta, tb);
+  EXPECT_GT(session.counters().bmma_ops, 0u);
   EXPECT_EQ(got, api::bitMM2Int(ta, tb));
 }
 

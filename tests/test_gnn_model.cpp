@@ -1,7 +1,12 @@
 // GNN model tests: shapes, calibration, fused/unfused parity over the full
-// forward pass, reuse-mode parity, determinism, GCN vs GIN wiring, and
-// directional agreement between the quantized and fp32 paths at high bits.
+// forward pass, reuse-mode parity, determinism, GCN vs GIN wiring, the
+// stage order against a hand-walked oracle, and directional agreement
+// between the quantized and fp32 paths at high bits.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <string>
 
 #include "common/rng.hpp"
 #include "gnn/model.hpp"
@@ -210,6 +215,113 @@ TEST(Model, GinMlpWeightShapes) {
   EXPECT_EQ(ws[0].w2.cols(), 6);
   EXPECT_EQ(ws[1].w2.rows(), 3);
   EXPECT_EQ(ws[1].w2.cols(), 3);
+}
+
+/// Weight planes of one fp32 matrix, by the rule the model caches them with.
+StackedBitTensor oracle_weight_planes(const GnnConfig& cfg, const MatrixF& w) {
+  const MatrixI32 q =
+      quantize_matrix(w, quant_params_from_data(w, cfg.weight_bits));
+  int bits = cfg.weight_bits;
+  if (cfg.per_layer_bits) {
+    const i32 mx = std::max(1, *std::max_element(q.data(), q.data() + q.size()));
+    bits = std::min(32 - std::countl_zero(static_cast<u32>(mx)), bits);
+  }
+  return StackedBitTensor::decompose(q, bits, BitLayout::kColMajorK,
+                                     PadPolicy::kTile8);
+}
+
+/// The paper's layer definitions walked by hand from the public kernels,
+/// with the model's calibrated plans: GCN aggregates then updates, GIN
+/// updates (twice with gin_mlp) then aggregates. Always fused — the unfused
+/// model path must land on the same logits and tile schedule.
+MatrixI32 oracle_forward(const QgtcModel& m, const BitMatrix& adj,
+                         const StackedBitTensor& x, const BmmOptions& opt) {
+  const GnnConfig& cfg = m.config();
+  const auto epi = [](const EpiloguePlan& p) {
+    FusedEpilogue e;
+    e.act = p.act;
+    e.rshift = p.rshift;
+    return e;
+  };
+  const auto update = [&](const StackedBitTensor& in, const MatrixF& w,
+                          const EpiloguePlan& p, BitLayout out) {
+    return bitmm_fused_bit(in, oracle_weight_planes(cfg, w), p.out_bits,
+                           epi(p), opt, PadPolicy::kTile8, out);
+  };
+  const auto aggregate = [&](const StackedBitTensor& in, const EpiloguePlan& p) {
+    return aggregate_fused_bit(adj, in, p.out_bits, epi(p), opt,
+                               PadPolicy::kTile8);
+  };
+  StackedBitTensor cur = x;
+  for (int l = 0;; ++l) {
+    const LayerWeights& lw = m.weights()[static_cast<std::size_t>(l)];
+    const bool last = l + 1 == cfg.num_layers;
+    if (cfg.kind == ModelKind::kClusterGCN) {
+      const StackedBitTensor xn = aggregate(cur, m.agg_plan(l));
+      if (last) {
+        return bitmm_fused_int(xn, oracle_weight_planes(cfg, lw.w), {}, opt);
+      }
+      cur = update(xn, lw.w, m.upd_plan(l), BitLayout::kColMajorK);
+    } else {
+      StackedBitTensor xu;
+      if (cfg.gin_mlp) {
+        xu = update(cur, lw.w, m.upd_plan(l), BitLayout::kRowMajorK);
+        xu = update(xu, lw.w2, m.upd_plan(l, 1), BitLayout::kColMajorK);
+      } else {
+        xu = update(cur, lw.w, m.upd_plan(l), BitLayout::kColMajorK);
+      }
+      if (last) return aggregate_1bit(adj, xu, cfg.reuse, opt);
+      cur = aggregate(xu, m.agg_plan(l));
+    }
+  }
+}
+
+// Every other model parity test compares two paths through the model's own
+// stage walk; this one checks the walk's stage order against the paper's.
+TEST(Model, StageOrderMatchesHandWalkedOracle) {
+  Fixture f;
+  struct Case {
+    ModelKind kind;
+    bool mlp;
+  };
+  for (const Case c : {Case{ModelKind::kClusterGCN, false},
+                       Case{ModelKind::kBatchedGIN, false},
+                       Case{ModelKind::kBatchedGIN, true}}) {
+    for (const bool fused : {true, false}) {
+      GnnConfig cfg = f.config(c.kind, 4);
+      cfg.gin_mlp = c.mlp;
+      cfg.fused_epilogue = fused;
+      QgtcModel m = QgtcModel::create(cfg, 43);
+      m.calibrate(f.adj, f.feats);
+      const std::string tag = std::string(model_name(c.kind)) +
+                              (c.mlp ? "/mlp" : "") +
+                              (fused ? "/fused" : "/unfused");
+
+      const StackedBitTensor x = StackedBitTensor::decompose(
+          quantize_matrix(f.feats, quant_params_from_data(f.feats, 4)), 4,
+          c.kind == ModelKind::kClusterGCN ? BitLayout::kColMajorK
+                                           : BitLayout::kRowMajorK,
+          PadPolicy::kTile8);
+      tcsim::ExecutionContext oracle_ctx(tcsim::default_backend());
+      BmmOptions opt;
+      opt.zero_tile_jump = cfg.zero_tile_jump;
+      opt.ctx = &oracle_ctx;
+      const MatrixI32 want = oracle_forward(m, f.adj, x, opt);
+
+      tcsim::ExecutionContext model_ctx(tcsim::default_backend());
+      ForwardStats stats;
+      EXPECT_EQ(m.forward_prepared(f.adj, nullptr, x, &stats, &model_ctx),
+                want)
+          << tag;
+      EXPECT_EQ(stats.bmma_ops,
+                static_cast<i64>(oracle_ctx.counters().bmma_ops))
+          << tag;
+      EXPECT_EQ(stats.tiles_jumped,
+                static_cast<i64>(oracle_ctx.counters().tiles_jumped))
+          << tag;
+      EXPECT_EQ(m.forward_quantized(f.adj, f.feats), want) << tag;
+    }
+  }
 }
 
 TEST(Model, WeightCountMismatchThrows) {

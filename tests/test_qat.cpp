@@ -1,8 +1,10 @@
 // QAT tests: fake-quant semantics and the Table-2 accuracy trend on a small
 // planted-community dataset.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "gnn/qat.hpp"
 
@@ -57,6 +59,25 @@ TEST(Qat, Deterministic) {
   const QatResult b = train_qat_gcn(ds, cfg);
   EXPECT_FLOAT_EQ(a.test_acc, b.test_acc);
   EXPECT_FLOAT_EQ(max_abs_diff(a.weights[0].w, b.weights[0].w), 0.0f);
+
+  // Bit-identical across thread counts, not only run to run.
+  const int threads_before = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const QatResult one = train_qat_gcn(ds, cfg);
+  omp_set_num_threads(4);
+  const QatResult four = train_qat_gcn(ds, cfg);
+  omp_set_num_threads(threads_before);
+  ASSERT_EQ(one.weights.size(), four.weights.size());
+  for (std::size_t l = 0; l < one.weights.size(); ++l) {
+    const MatrixF& w1 = one.weights[l].w;
+    const MatrixF& w4 = four.weights[l].w;
+    ASSERT_EQ(w1.size(), w4.size());
+    EXPECT_EQ(std::memcmp(w1.data(), w4.data(),
+                          sizeof(float) * static_cast<std::size_t>(w1.size())),
+              0)
+        << "layer " << l;
+  }
+  EXPECT_EQ(one.test_acc, four.test_acc);
 }
 
 TEST(Qat, AccuracyTrendAcrossBits) {

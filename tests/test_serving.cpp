@@ -4,7 +4,7 @@
 // epoch path, across every backend x adjacency layout), per-request failure
 // isolation, concurrent-client hammering with a clean mid-flight shutdown
 // (ASan/TSan surface), ego-graph expansion semantics, and the api::Session
-// counter-accounting parity with the deprecated context-taking overloads.
+// counter-accounting parity with the context-pinned free functions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -265,9 +265,9 @@ TEST(ServingConcurrency, HammeringClientsAndMidFlightStopStayClean) {
 
 // ------------------------------------------------- api::Session parity
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(SessionApi, MatchesDeprecatedContextOverloadsIncludingCounters) {
+// A Session and the free functions with opt.ctx pinned to an equivalent
+// private context must agree on results and on counter accounting.
+TEST(SessionApi, MatchesCtxPinnedFreeFunctionsIncludingCounters) {
   Rng rng(23);
   MatrixF a(32, 48), b(48, 24);
   for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
@@ -280,25 +280,26 @@ TEST(SessionApi, MatchesDeprecatedContextOverloadsIncludingCounters) {
         tcsim::BackendKind::kBlocked}) {
     const api::Session session(backend);
     const tcsim::ExecutionContext ctx(backend, /*private_counters=*/true);
+    BmmOptions pinned;
+    pinned.ctx = &ctx;
 
     // mm_int: identical result, identical private-counter accounting.
     const MatrixI32 via_session = session.mm_int(ta, tb);
-    const MatrixI32 via_overload = api::bitMM2Int(ta, tb, ctx);
-    EXPECT_EQ(via_session, via_overload);
+    const MatrixI32 via_free_fn = api::bitMM2Int(ta, tb, pinned);
+    EXPECT_EQ(via_session, via_free_fn);
     EXPECT_EQ(session.counters().bmma_ops, ctx.counters().bmma_ops);
     EXPECT_EQ(session.counters().frag_loads_a, ctx.counters().frag_loads_a);
     EXPECT_EQ(session.counters().frag_stores, ctx.counters().frag_stores);
 
-    // mm_bit: the MmOut{bits, act} spelling against the positional overload.
+    // mm_bit: the MmOut{bits, act} spelling against the positional one.
     const api::BitTensor s_bit = session.mm_bit(
         ta, tb, api::MmOut{4, tcsim::Activation::kRelu});
-    const api::BitTensor o_bit =
-        api::bitMM2Bit(ta, tb, 4, ctx, {}, tcsim::Activation::kRelu);
-    EXPECT_EQ(s_bit.to_val(), o_bit.to_val());
+    const api::BitTensor f_bit =
+        api::bitMM2Bit(ta, tb, 4, pinned, tcsim::Activation::kRelu);
+    EXPECT_EQ(s_bit.to_val(), f_bit.to_val());
     EXPECT_EQ(session.counters().bmma_ops, ctx.counters().bmma_ops);
   }
 }
-#pragma GCC diagnostic pop
 
 TEST(SessionApi, FreeFunctionsRouteThroughDefaultSession) {
   // The plain free functions must keep their legacy global-counter
