@@ -16,9 +16,8 @@ BitLayout layout_for(BitTensor::Side side) {
 BitTensor BitTensor::to_bit(const MatrixF& dense, int nbits, Side side) {
   BitTensor t;
   t.qparams_ = quant_params_from_data(dense, nbits);
-  const MatrixI32 q = quantize_matrix(dense, t.qparams_);
-  t.planes_ = StackedBitTensor::decompose(q, nbits, layout_for(side),
-                                          PadPolicy::kTile8);
+  t.planes_ = StackedBitTensor::quantize(dense, t.qparams_, layout_for(side),
+                                         PadPolicy::kTile8);
   t.from_float_ = true;
   return t;
 }

@@ -1,5 +1,7 @@
 #include "bittensor/bit_matrix.hpp"
 
+#include <algorithm>
+
 #include "parallel/parallel_for.hpp"
 
 namespace qgtc {
@@ -49,42 +51,60 @@ void BitMatrix::set(i64 r, i64 c, bool v) {
   }
 }
 
-namespace {
-
-/// Shared packing driver: predicate(r, c) decides each logical bit.
-template <typename Pred>
-BitMatrix pack_with(const MatrixI32& m, BitLayout layout, PadPolicy pad,
-                    Pred&& pred) {
-  BitMatrix bm(m.rows(), m.cols(), layout, pad);
-  if (layout == BitLayout::kRowMajorK) {
-    parallel_for(0, m.rows(), [&](i64 r) {
-      u32* words = bm.row_words(r);
-      for (i64 c = 0; c < m.cols(); ++c) {
-        if (pred(r, c)) words[c / kWordBits] |= (1u << (c % kWordBits));
+void pack_planes(std::vector<BitMatrix>& planes,
+                 const std::function<void(i64, i32*)>& codes) {
+  const int bits = static_cast<int>(planes.size());
+  const i64 rows = planes.front().rows();
+  const i64 cols = planes.front().cols();
+  const i64 words = ceil_div(cols, kWordBits);
+  const bool row_major = planes.front().layout() == BitLayout::kRowMajorK;
+  // One 32-row block per task. Row j of a block is read once, in memory
+  // order, and its bit b lands at position c % 32 of word (r, c / 32) in
+  // kRowMajorK, or at position j of word (c, block) in kColMajorK (built in
+  // a bits x cols buffer). Shift and OR, never a branch on a bit's value.
+  parallel_for(0, ceil_div(rows, kWordBits), [&](i64 blk) {
+    const i64 r0 = blk * kWordBits;
+    const int n = static_cast<int>(std::min<i64>(kWordBits, rows - r0));
+    std::vector<i32> v(static_cast<std::size_t>(words * kWordBits), 0);
+    std::vector<u32> acc(row_major ? 0 : static_cast<std::size_t>(bits * cols));
+    for (int j = 0; j < n; ++j) {
+      codes(r0 + j, v.data());  // never writes the zero tail past `cols`
+      for (int b = 0; b < bits; ++b) {
+        if (row_major) {
+          u32* out = planes[static_cast<std::size_t>(b)].row_words(r0 + j);
+          for (i64 w = 0; w < words; ++w) {
+            const i32* vw = v.data() + w * kWordBits;
+            u32 word = 0;
+            for (int i = 0; i < kWordBits; ++i) {
+              word |= static_cast<u32>((vw[i] >> b) & 1) << i;
+            }
+            out[w] = word;
+          }
+        } else {
+          u32* a = acc.data() + b * cols;
+          for (i64 c = 0; c < cols; ++c) {
+            a[c] |= static_cast<u32>((v[static_cast<std::size_t>(c)] >> b) & 1)
+                    << j;
+          }
+        }
       }
-    });
-  } else {
-    parallel_for(0, m.cols(), [&](i64 c) {
-      u32* words = bm.col_words(c);
-      for (i64 r = 0; r < m.rows(); ++r) {
-        if (pred(r, c)) words[r / kWordBits] |= (1u << (r % kWordBits));
+    }
+    if (row_major) return;
+    for (int b = 0; b < bits; ++b) {
+      BitMatrix& p = planes[static_cast<std::size_t>(b)];
+      for (i64 c = 0; c < cols; ++c) {
+        p.col_words(c)[blk] = acc[static_cast<std::size_t>(b * cols + c)];
       }
-    });
-  }
-  return bm;
+    }
+  });
 }
-
-}  // namespace
 
 BitMatrix pack_nonzero(const MatrixI32& m, BitLayout layout, PadPolicy pad) {
-  return pack_with(m, layout, pad, [&](i64 r, i64 c) { return m(r, c) != 0; });
-}
-
-BitMatrix pack_bit_plane(const MatrixI32& m, int bit, BitLayout layout,
-                         PadPolicy pad) {
-  QGTC_CHECK(bit >= 0 && bit < 31, "bit-plane index out of range");
-  return pack_with(m, layout, pad,
-                   [&](i64 r, i64 c) { return (m(r, c) >> bit) & 1; });
+  std::vector<BitMatrix> plane{BitMatrix(m.rows(), m.cols(), layout, pad)};
+  pack_planes(plane, [&m](i64 r, i32* out) {
+    for (i64 c = 0; c < m.cols(); ++c) out[c] = m(r, c) != 0 ? 1 : 0;
+  });
+  return std::move(plane.front());
 }
 
 MatrixI32 unpack_bits(const BitMatrix& bm) {

@@ -15,6 +15,9 @@
 // layer's packed operand (128) — paper §4.2's two padding strategies.
 #pragma once
 
+#include <functional>
+#include <vector>
+
 #include "common/defs.hpp"
 #include "common/matrix.hpp"
 
@@ -87,13 +90,17 @@ class BitMatrix {
   AlignedVector<u32> data_;
 };
 
+/// One-pass plane packer (`bitDecompose` of Algorithm 1; the CPU form of a
+/// warp ballot, where 32 lanes' bit b become one word). `planes` are zeroed
+/// and share one shape and layout; `codes(r, out)` writes the cols() codes
+/// of row r to `out`. Each code is produced once, and its bit b goes to
+/// planes[b]; bits at or above planes.size() are dropped.
+void pack_planes(std::vector<BitMatrix>& planes,
+                 const std::function<void(i64, i32*)>& codes);
+
 /// Packs the non-zero pattern of an int32 matrix (value != 0 -> bit 1).
 BitMatrix pack_nonzero(const MatrixI32& m, BitLayout layout,
                        PadPolicy non_k_pad = PadPolicy::kTile8);
-
-/// Packs bit-plane `bit` of a quantized int32 matrix.
-BitMatrix pack_bit_plane(const MatrixI32& m, int bit, BitLayout layout,
-                         PadPolicy non_k_pad = PadPolicy::kTile8);
 
 /// Unpacks to a 0/1 int32 matrix of the logical shape (drops padding).
 MatrixI32 unpack_bits(const BitMatrix& bm);

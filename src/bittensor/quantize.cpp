@@ -10,24 +10,17 @@ namespace qgtc {
 QuantParams quant_params_from_data(const MatrixF& m, int bits) {
   QGTC_CHECK(bits >= 1 && bits <= 31, "quantization bits must be in [1,31]");
   float lo = 0.0f, hi = 0.0f;
-  if (m.size() > 0) {
-    lo = hi = m.data()[0];
-    for (i64 i = 1; i < m.size(); ++i) {
-      lo = std::min(lo, m.data()[i]);
-      hi = std::max(hi, m.data()[i]);
-    }
+  if (m.size() > 0) lo = hi = m.data()[0];
+  for (i64 i = 0; i < m.size(); ++i) {
+    const float v = m.data()[i];
+    // A NaN would slip past the min/max scan and reach quantize_value's
+    // integer cast (UB); an infinity would make the scale infinite.
+    QGTC_CHECK(std::isfinite(v), "quantization input has a NaN or inf value");
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
   }
   if (hi <= lo) hi = lo + 1.0f;  // degenerate range: keep scale positive
   return QuantParams{lo, hi, bits};
-}
-
-i32 quantize_value(float alpha, const QuantParams& p) {
-  // Clamp in double before the integer cast: at 31 bits the unclamped code
-  // can exceed the int32 range, and float->int overflow is UB.
-  const double s = p.scale();
-  const double q = std::floor((static_cast<double>(alpha) - p.alpha_min) / s);
-  const double clamped = std::clamp(q, 0.0, static_cast<double>(p.qmax()));
-  return static_cast<i32>(clamped);
 }
 
 float dequantize_value(i32 q, const QuantParams& p) {

@@ -7,6 +7,9 @@
 // [0, 2^q - 1] so out-of-range inputs saturate instead of wrapping.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/defs.hpp"
 #include "common/matrix.hpp"
 
@@ -26,11 +29,20 @@ struct QuantParams {
 };
 
 /// Derive empirical bounds from the data itself (the "determined by users or
-/// application settings" case defaults to observed min/max).
+/// application settings" case defaults to observed min/max). Throws on a NaN
+/// or infinite value.
 QuantParams quant_params_from_data(const MatrixF& m, int bits);
 
-/// Quantize a single value per Eq. 2 (floor + clamp).
-i32 quantize_value(float alpha, const QuantParams& p);
+/// Quantize a single value per Eq. 2 (floor + clamp). Inline: the packing
+/// loop of StackedBitTensor::quantize calls it once per element.
+inline i32 quantize_value(float alpha, const QuantParams& p) {
+  // Clamp in double before the integer cast: at 31 bits the unclamped code
+  // can exceed the int32 range, and float->int overflow is UB.
+  const double s = p.scale();
+  const double q = std::floor((static_cast<double>(alpha) - p.alpha_min) / s);
+  const double clamped = std::clamp(q, 0.0, static_cast<double>(p.qmax()));
+  return static_cast<i32>(clamped);
+}
 
 /// Dequantize a code back to fp32 (code-midpoint convention, so the
 /// round-trip error of quantize->dequantize is bounded by scale/2 + ulp).

@@ -1,19 +1,28 @@
 #include "bittensor/stacked.hpp"
 
+#include <algorithm>
+
 namespace qgtc {
 
 StackedBitTensor StackedBitTensor::decompose(const MatrixI32& q, int bits,
                                              BitLayout layout,
                                              PadPolicy non_k_pad) {
-  QGTC_CHECK(bits >= 1 && bits <= 31, "stacked bit count must be in [1,31]");
-  StackedBitTensor t;
-  t.rows_ = q.rows();
-  t.cols_ = q.cols();
-  t.layout_ = layout;
-  t.planes_.reserve(static_cast<std::size_t>(bits));
-  for (int b = 0; b < bits; ++b) {
-    t.planes_.push_back(pack_bit_plane(q, b, layout, non_k_pad));
-  }
+  StackedBitTensor t = zeros(q.rows(), q.cols(), bits, layout, non_k_pad);
+  pack_planes(t.planes_, [&q](i64 r, i32* out) {
+    std::copy(q.row(r).begin(), q.row(r).end(), out);
+  });
+  return t;
+}
+
+StackedBitTensor StackedBitTensor::quantize(const MatrixF& x,
+                                            const QuantParams& p,
+                                            BitLayout layout,
+                                            PadPolicy non_k_pad) {
+  StackedBitTensor t = zeros(x.rows(), x.cols(), p.bits, layout, non_k_pad);
+  pack_planes(t.planes_, [&x, &p](i64 r, i32* out) {
+    const float* in = x.row(r).data();
+    for (i64 c = 0; c < x.cols(); ++c) out[c] = quantize_value(in[c], p);
+  });
   return t;
 }
 

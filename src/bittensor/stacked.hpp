@@ -16,10 +16,17 @@ class StackedBitTensor {
   StackedBitTensor() = default;
 
   /// Decompose a quantized int32 matrix (values in [0, 2^bits)) into `bits`
-  /// stacked planes. `bitDecompose` of Algorithm 1.
+  /// stacked planes. `bitDecompose` of Algorithm 1. Bits at or above `bits`
+  /// are dropped.
   static StackedBitTensor decompose(const MatrixI32& q, int bits,
                                     BitLayout layout,
                                     PadPolicy non_k_pad = PadPolicy::kTile8);
+
+  /// Quantize (Eq. 2) and decompose in the same sweep, with no int32
+  /// intermediate: equals decompose(quantize_matrix(x, p), p.bits, ...).
+  static StackedBitTensor quantize(const MatrixF& x, const QuantParams& p,
+                                   BitLayout layout,
+                                   PadPolicy non_k_pad = PadPolicy::kTile8);
 
   /// All-zero planes of the given logical shape (cheap output allocation for
   /// fused kernels — no input matrix is scanned).

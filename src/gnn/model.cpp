@@ -182,9 +182,8 @@ void QgtcModel::calibrate(const TileSparseBitMatrix& adj, const MatrixF& x) {
 
 StackedBitTensor QgtcModel::prepare_input(const MatrixF& x) const {
   const QuantParams xqp = quant_params_from_data(x, cfg_.feat_bits);
-  return StackedBitTensor::decompose(quantize_matrix(x, xqp), cfg_.feat_bits,
-                                     operand_layout(stages_.front().op),
-                                     PadPolicy::kTile8);
+  return StackedBitTensor::quantize(x, xqp, operand_layout(stages_.front().op),
+                                    PadPolicy::kTile8);
 }
 
 MatrixI32 QgtcModel::forward_quantized(const BitMatrix& adj, const MatrixF& x,

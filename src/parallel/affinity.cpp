@@ -26,9 +26,12 @@ std::vector<int> parse_cpulist(const std::string& list) {
       const long v = std::strtol(tok.c_str(), &rest, 10);
       if (rest != tok.c_str() && v >= 0) cpus.push_back(static_cast<int>(v));
     } else {
-      const long lo = std::strtol(tok.substr(0, dash).c_str(), &rest, 10);
+      // Named strings: `rest` must not point into a destroyed temporary.
+      const std::string lo_str = tok.substr(0, dash);
+      const std::string hi_str = tok.substr(dash + 1);
+      const long lo = std::strtol(lo_str.c_str(), &rest, 10);
       const bool lo_ok = rest != nullptr && *rest == '\0';
-      const long hi = std::strtol(tok.substr(dash + 1).c_str(), &rest, 10);
+      const long hi = std::strtol(hi_str.c_str(), &rest, 10);
       const bool hi_ok = rest != nullptr && *rest == '\0';
       if (lo_ok && hi_ok && lo >= 0 && hi >= lo) {
         for (long v = lo; v <= hi; ++v) cpus.push_back(static_cast<int>(v));

@@ -79,30 +79,6 @@ TEST(BitMatrix, PackNonzero) {
   EXPECT_FALSE(bm.get(2, 2));
 }
 
-TEST(BitMatrix, PackBitPlane) {
-  MatrixI32 m(2, 2);
-  m(0, 0) = 0b101;
-  m(0, 1) = 0b010;
-  m(1, 0) = 0b111;
-  m(1, 1) = 0b000;
-  const BitMatrix p0 = pack_bit_plane(m, 0, BitLayout::kRowMajorK);
-  const BitMatrix p1 = pack_bit_plane(m, 1, BitLayout::kRowMajorK);
-  const BitMatrix p2 = pack_bit_plane(m, 2, BitLayout::kRowMajorK);
-  EXPECT_TRUE(p0.get(0, 0));
-  EXPECT_FALSE(p0.get(0, 1));
-  EXPECT_TRUE(p1.get(0, 1));
-  EXPECT_TRUE(p2.get(1, 0));
-  EXPECT_FALSE(p2.get(0, 1));
-}
-
-TEST(BitMatrix, PackBitPlaneRangeCheck) {
-  MatrixI32 m(1, 1, 0);
-  EXPECT_THROW(pack_bit_plane(m, -1, BitLayout::kRowMajorK),
-               std::invalid_argument);
-  EXPECT_THROW(pack_bit_plane(m, 31, BitLayout::kRowMajorK),
-               std::invalid_argument);
-}
-
 /// Property: pack -> unpack round-trips the 0/1 pattern for random matrices
 /// in both layouts.
 class BitMatrixRoundTrip

@@ -2,6 +2,9 @@
 // parameterized sweep over bitwidths.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "bittensor/quantize.hpp"
 #include "common/rng.hpp"
 
@@ -53,6 +56,18 @@ TEST(Quantize, InvalidBitsThrow) {
   MatrixF m(1, 1, 0.0f);
   EXPECT_THROW(quant_params_from_data(m, 0), std::invalid_argument);
   EXPECT_THROW(quant_params_from_data(m, 32), std::invalid_argument);
+}
+
+TEST(Quantize, NonFiniteInputThrows) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::pair<i64, float> bad[] = {{0, nan}, {7, nan}, {9, inf}, {3, -inf}};
+  for (const auto& [at, v] : bad) {
+    MatrixF m(4, 4, 1.0f);
+    m.data()[at] = v;
+    EXPECT_THROW(quant_params_from_data(m, 4), std::invalid_argument)
+        << v << " at index " << at;
+  }
 }
 
 TEST(Quantize, MatrixRoundTripShape) {
