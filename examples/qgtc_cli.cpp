@@ -464,6 +464,7 @@ int main(int argc, char** argv) {
   table.add_row({"int32 MB avoided/epoch",
                  core::TablePrinter::fmt(
                      static_cast<double>(q.int32_bytes_avoided) / 1e6, 2)});
+  table.add_row({"saturated values/epoch", std::to_string(q.saturated)});
   table.add_row({"non-zero tile ratio",
                  core::TablePrinter::fmt_pct(engine.nonzero_tile_ratio(), 1)});
   table.add_row({"adjacency MB shipped",

@@ -266,6 +266,7 @@ EngineStats QgtcEngine::run_quantized_precomputed(
   stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
+  stats.saturated = static_cast<i64>(total.saturated) / rounds;
   stamp_execution(stats, cfg_, workers);
   return stats;
 }
@@ -382,6 +383,7 @@ EngineStats QgtcEngine::run_quantized_streaming(
   stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
+  stats.saturated = static_cast<i64>(total.saturated) / rounds;
   stamp_execution(stats, cfg_, workers);
   return stats;
 }

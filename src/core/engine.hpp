@@ -126,6 +126,10 @@ struct EngineStats {
   // stages never materialised (per epoch, averaged over rounds).
   i64 epilogue_fused_layers = 0;
   i64 int32_bytes_avoided = 0;
+  // Requantized values clamped at a stage's qmax, fused or not (per epoch,
+  // averaged over rounds): nonzero when a batch's range exceeds what
+  // calibration planned for.
+  i64 saturated = 0;
   // Transfer accounting (bytes staged + modelled PCIe seconds). Filled
   // post-hoc by transfer_accounting(); in streaming mode run_quantized also
   // fills them inline, per epoch.

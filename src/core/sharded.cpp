@@ -268,6 +268,7 @@ EngineStats ShardedEngine::run_quantized(int rounds,
     merged.epilogue_fused_layers =
         std::max(merged.epilogue_fused_layers, st.epilogue_fused_layers);
     merged.int32_bytes_avoided += st.int32_bytes_avoided;
+    merged.saturated += st.saturated;
     merged.packed_bytes += st.packed_bytes;
     merged.packed_transfer_seconds += st.packed_transfer_seconds;
     merged.adj_bytes += st.adj_bytes;

@@ -42,13 +42,11 @@ FusedEpilogue epi_of(const EpiloguePlan& p) {
 
 /// Standalone requantization of an int32 activation matrix, in place,
 /// through the one shared epilogue definition — bit-identical to what the
-/// fused flush applies tile-by-tile.
-void requant_inplace(MatrixI32& m, const EpiloguePlan& p) {
+/// fused flush applies tile-by-tile. Returns the saturated-value count.
+u64 requant_inplace(MatrixI32& m, const EpiloguePlan& p) {
   const tcsim::EpilogueSpec spec{p.act, p.rshift,
                                  static_cast<i32>((u32{1} << p.out_bits) - 1)};
-  for (i64 i = 0; i < m.size(); ++i) {
-    m.data()[i] = tcsim::apply_epilogue(m.data()[i], spec);
-  }
+  return tcsim::apply_epilogue_span(m.data(), m.size(), spec);
 }
 
 /// fp32 mirror of a stage's activation. relu/identity are exact
@@ -267,7 +265,9 @@ MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
       plan.rshift = calibrate_rshift(max_value(acc), cfg_.feat_bits);
       plan.out_bits = cfg_.feat_bits;
     }
-    requant_inplace(acc, plan);
+    tcsim::Counters requant;
+    requant.saturated = requant_inplace(acc, plan);
+    exec.note(requant);
     if (calibrating != nullptr) {
       if (cfg_.per_layer_bits) {
         plan.out_bits =
@@ -286,6 +286,7 @@ MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
     stats->bmma_ops += static_cast<i64>(after.bmma_ops - before.bmma_ops);
     stats->int32_bytes_avoided += static_cast<i64>(after.int32_bytes_avoided -
                                                    before.int32_bytes_avoided);
+    stats->saturated += static_cast<i64>(after.saturated - before.saturated);
   }
   return logits;
 }

@@ -26,6 +26,7 @@ struct ForwardStats {
   i64 tiles_jumped = 0;
   i64 bmma_ops = 0;
   i64 int32_bytes_avoided = 0;
+  i64 saturated = 0;  // requantized values clamped at a stage's qmax
 };
 
 /// Per-stage epilogue rewrite decision. Built at construction from the

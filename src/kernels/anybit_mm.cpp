@@ -1,6 +1,7 @@
 #include "kernels/anybit_mm.hpp"
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -142,9 +143,10 @@ class SparseAdjSource {
 /// adjacency), so flag-based and structural zero-tile jumping share this one
 /// sweep. `consume(tm, tn, acc)` receives the finished tile's raw u64
 /// accumulator lanes (backend-opaque layout) and drains them through one of
-/// the backend flush variants — plain, epilogue, or plane-writer — so the
-/// epilogue runs while the lanes are still hot and no intermediate i32 tile
-/// is staged in the sweep itself. Tile ops execute on the context's
+/// the backend flush variants — epilogue or plane-writer — so the epilogue
+/// runs while the lanes are still hot and no intermediate i32 tile is staged
+/// in the sweep itself. It returns the tile's saturated-value count; the
+/// sweep returns their sum. Tile ops execute on the context's
 /// substrate backend; scratch comes from the per-thread workspace arena.
 ///
 /// `parallel_over_n` selects the parallel axis: row-tile blocks when the
@@ -152,7 +154,7 @@ class SparseAdjSource {
 /// column-tile blocks when it writes column-owned data (kColMajorK planes),
 /// so plane words are never shared between threads.
 template <typename Src, typename Consume>
-void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
+u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
                       const BmmOptions& opt, bool parallel_over_n,
                       Consume&& consume) {
   const BitMatrix& b0 = *bp.front();
@@ -175,6 +177,7 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   // across threads when parallelising over N). The list-of-lists lives in
   // the calling thread's arena; inner threads only read it.
   std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
+  std::atomic<u64> saturated{0};
   parallel_for(0, tiles_m, [&](i64 tm) {
     auto& list = k_lists[static_cast<std::size_t>(tm)];
     list.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
@@ -193,6 +196,7 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
       u64* acc = ctx.workspace().acc_lanes(tcsim::kTileAccLanes);
       tcsim::AFragment frag;
       tcsim::Counters delta;
+      u64 sat = 0;
       for (i64 tm = 0; tm < tiles_m; ++tm) {
         std::memset(acc, 0, tcsim::kTileAccLanes * sizeof(u64));
         const auto& k_list = k_lists[static_cast<std::size_t>(tm)];
@@ -207,7 +211,7 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
             }
           }
         }
-        consume(tm, tn, static_cast<const u64*>(acc));
+        sat += consume(tm, tn, static_cast<const u64*>(acc));
         const u64 kt = static_cast<u64>(k_list.size());
         delta.bmma_ops += kt * static_cast<u64>(sa) * static_cast<u64>(sb);
         delta.frag_loads_a += kt * static_cast<u64>(sa);
@@ -215,6 +219,7 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
       }
       // Bulk substrate accounting: one context note per column-tile sweep.
       ctx.note(delta);
+      saturated.fetch_add(sat, std::memory_order_relaxed);
     });
   } else {
     // Cross-tile reduction (§4.4), panel form: a decoded A fragment (one per
@@ -229,6 +234,7 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
       u64* acc = ctx.workspace().acc_lanes(width * tcsim::kTileAccLanes);
       tcsim::AFragment frag;
       i64 a_loads = 0;
+      u64 sat = 0;
       for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width) {
         const i64 nb = std::min<i64>(width, tiles_n - tn0);
         std::memset(acc, 0,
@@ -249,8 +255,8 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
           }
         }
         for (i64 b = 0; b < nb; ++b) {
-          consume(tm, tn0 + b,
-                  static_cast<const u64*>(acc + b * tcsim::kTileAccLanes));
+          sat += consume(tm, tn0 + b,
+                         static_cast<const u64*>(acc + b * tcsim::kTileAccLanes));
         }
       }
       tcsim::Counters delta;
@@ -261,12 +267,14 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
       delta.frag_loads_b =
           kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
       ctx.note(delta);
+      saturated.fetch_add(sat, std::memory_order_relaxed);
     });
   }
+  return saturated.load(std::memory_order_relaxed);
 }
 
 /// Applies the optional per-column batch-norm fold (Eq. 8) to one raw
-/// accumulator value. The activation itself runs in tcsim::apply_epilogue.
+/// accumulator value. The activation itself runs in tcsim::apply_epilogue_tile.
 inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
   if (epi.use_bn && col < static_cast<i64>(epi.bn_scale.size())) {
     const float f = static_cast<float>(v) * epi.bn_scale[static_cast<std::size_t>(col)] +
@@ -279,7 +287,8 @@ inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
 /// Drains one finished accumulator tile into a row-major i32 matrix of
 /// logical extent m x n. Interior tiles (full 8x8, no BN) flush straight into
 /// the output with the backend's fused epilogue; edge and BN tiles stage
-/// through one stack tile. Assigns every covered element.
+/// through one stack tile. Assigns every covered element. Never clamps
+/// (qmax < 0), so there is no saturated count to return.
 inline void drain_int_tile(const tcsim::SubstrateBackend& be, i32* out, i64 m,
                            i64 n, i64 tm, i64 tn, const u64* acc,
                            const FusedEpilogue& epi) {
@@ -291,15 +300,21 @@ inline void drain_int_tile(const tcsim::SubstrateBackend& be, i32* out, i64 m,
     be.flush_epilogue(out + r0 * n + c0, n, acc, spec);
     return;
   }
-  alignas(64) i32 tmp[kTileM * kTileN];
-  be.flush_epilogue(tmp, kTileN, acc, tcsim::EpilogueSpec{});
   const i64 rows_here = std::min<i64>(kTileM, m - r0);
   const i64 cols_here = std::min<i64>(kTileN, n - c0);
-  for (i64 i = 0; i < rows_here; ++i) {
-    for (i64 j = 0; j < cols_here; ++j) {
-      const i32 v = apply_bn(tmp[i * kTileN + j], c0 + j, epi);
-      out[(r0 + i) * n + c0 + j] = tcsim::apply_epilogue(v, spec);
+  alignas(64) i32 tmp[kTileM * kTileN];
+  be.flush_epilogue(tmp, kTileN, acc, epi.use_bn ? tcsim::EpilogueSpec{} : spec);
+  if (epi.use_bn) {
+    for (i64 i = 0; i < rows_here; ++i) {
+      for (i64 j = 0; j < cols_here; ++j) {
+        tmp[i * kTileN + j] = apply_bn(tmp[i * kTileN + j], c0 + j, epi);
+      }
     }
+    tcsim::apply_epilogue_tile(tmp, spec);
+  }
+  for (i64 i = 0; i < rows_here; ++i) {
+    std::memcpy(out + (r0 + i) * n + c0, tmp + i * kTileN,
+                static_cast<std::size_t>(cols_here) * sizeof(i32));
   }
 }
 
@@ -339,6 +354,7 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
                    /*parallel_over_n=*/false,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc, epi);
+                     return u64{0};
                    });
 }
 
@@ -365,11 +381,11 @@ StackedBitTensor fused_bit_output(const Src& src,
   const i64 line_stride = out.plane(0).k_words();
 
   const bool parallel_over_n = (out_layout == BitLayout::kColMajorK);
-  fused_tile_sweep(
+  const u64 saturated = fused_tile_sweep(
       src, bp, opt, parallel_over_n,
       [&](i64 tm, i64 tn, const u64* acc) {
         // Requantize + scatter the 8x8 tile straight from the accumulator
-        // lanes: one word RMW per (line, plane) — an 8-bit lane always sits
+        // lanes: one word OR per (line, plane) — an 8-bit lane always sits
         // inside one u32 word because tile extents divide the 32-bit packing.
         const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
         const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
@@ -398,30 +414,31 @@ StackedBitTensor fused_bit_output(const Src& src,
                   out_bits,  cols_here,
                   rows_here, /*transpose=*/true};
         }
-        if (!epi.use_bn) {
-          be.flush_planes(sink, acc, spec);
-          return;
-        }
-        // BN tiles stage through one stack tile: raw drain, fp32 fold, then
-        // the shared epilogue + scatter.
+        if (!epi.use_bn) return be.flush_planes(sink, acc, spec);
+        // BN tiles stage through one stack tile: raw drain, fp32 fold (the
+        // padding is zeroed so it never counts as saturated), then the
+        // shared tile epilogue + scatter.
         alignas(64) i32 q[kTileM * kTileN];
         be.flush_epilogue(q, kTileN, acc, tcsim::EpilogueSpec{});
-        for (i64 i = 0; i < rows_here; ++i) {
-          for (i64 j = 0; j < cols_here; ++j) {
-            const i32 v = apply_bn(q[i * kTileN + j], tn * kTileN + j, epi);
-            q[i * kTileN + j] = tcsim::apply_epilogue(v, spec);
-          }
+        for (i64 k = 0; k < kTileM * kTileN; ++k) {
+          const i64 i = k / kTileN, j = k % kTileN;
+          q[k] = i < rows_here && j < cols_here
+                     ? apply_bn(q[k], tn * kTileN + j, epi)
+                     : 0;
         }
+        const u64 sat = tcsim::apply_epilogue_tile(q, spec);
         tcsim::scatter_planes(sink, q);
+        return sat;
       });
 
   // The whole epilogue ran tile-local: the m x n int32 activation matrix the
   // unfused path would have materialised (plus re-read for requantize and
-  // decompose) never existed.
-  tcsim::Counters avoided;
-  avoided.int32_bytes_avoided =
+  // decompose) never existed. Both counts are noted once per sweep.
+  tcsim::Counters epilogue;
+  epilogue.int32_bytes_avoided =
       static_cast<u64>(m) * static_cast<u64>(n) * sizeof(i32);
-  ctx.note(avoided);
+  epilogue.saturated = saturated;
+  ctx.note(epilogue);
   return out;
 }
 
@@ -476,6 +493,7 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc,
                                     FusedEpilogue{});
+                     return u64{0};
                    });
 }
 

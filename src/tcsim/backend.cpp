@@ -272,6 +272,68 @@ struct Avx2Kernels {
 
 #endif  // AVX2
 
+/// One plane's 64-bit mask of an 8x8 tile: bit 8i+j is bit `b` of q[i*8+j].
+inline u64 plane_mask(const i32* q, int b) {
+#if defined(__AVX512F__)
+  const __m512i bit = _mm512_set1_epi32(static_cast<i32>(u32{1} << b));
+  u64 m = 0;
+  for (int v = 0; v < 4; ++v) {
+    const __m512i x = _mm512_loadu_si512(q + 16 * v);
+    m |= static_cast<u64>(_mm512_test_epi32_mask(x, bit)) << (16 * v);
+  }
+  return m;
+#elif defined(__AVX2__)
+  // Move bit b into each lane's sign bit, then one movemask per row.
+  const __m128i count = _mm_cvtsi32_si128(31 - b);
+  u64 m = 0;
+  for (int i = 0; i < kTileM; ++i) {
+    const __m256i x = _mm256_sll_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 8 * i)), count);
+    m |= static_cast<u64>(static_cast<u32>(
+             _mm256_movemask_ps(_mm256_castsi256_ps(x))))
+         << (8 * i);
+  }
+  return m;
+#else
+  u64 m = 0;
+  for (int k = 0; k < kTileM * kTileN; ++k) {
+    m |= static_cast<u64>((q[k] >> b) & 1) << k;
+  }
+  return m;
+#endif
+}
+
+/// Transpose an 8x8 bit matrix held as bit 8i+j (three delta swaps).
+constexpr u64 transpose8x8(u64 x) {
+  u64 t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+}  // namespace
+
+void scatter_planes(const PlaneSink& s, const i32* q) {
+  // Lanes past `s.lanes` are cleared in every line's byte.
+  const u64 lane_mask = 0x0101010101010101ULL * ((u64{1} << s.lanes) - 1);
+  for (int b = 0; b < s.out_bits; ++b) {
+    u64 m = plane_mask(q, b);
+    if (s.transpose) m = transpose8x8(m);
+    m &= lane_mask;
+    if (m == 0) continue;
+    u32* plane = s.planes[b];
+    for (i64 l = 0; l < s.lines; ++l) {
+      plane[l * s.line_stride] |= (static_cast<u32>(m >> (8 * l)) & 0xFFu)
+                                  << s.shift;
+    }
+  }
+}
+
+namespace {
+
 // ------------------------------------------------------------------------
 // Registry plumbing
 // ------------------------------------------------------------------------
@@ -296,28 +358,33 @@ class BackendImpl final : public SubstrateBackend {
   void flush(i32* out, i64 out_stride, const u64* acc) const override {
     Kernels::flush(out, out_stride, acc);
   }
-  void flush_epilogue(i32* out, i64 out_stride, const u64* acc,
-                      const EpilogueSpec& spec) const override {
+  u64 flush_epilogue(i32* out, i64 out_stride, const u64* acc,
+                     const EpilogueSpec& spec) const override {
     alignas(64) i32 vals[kTileM * kTileN];
     Kernels::reduce(vals, acc);
-    if (!spec.is_raw()) {
-      for (int k = 0; k < kTileM * kTileN; ++k) {
-        vals[k] = apply_epilogue(vals[k], spec);
-      }
-    }
+    const u64 saturated = spec.is_raw() ? 0 : apply_epilogue_tile(vals, spec);
     for (int i = 0; i < kTileM; ++i) {
       std::memcpy(out + i * out_stride, vals + i * kTileN,
                   kTileN * sizeof(i32));
     }
+    return saturated;
   }
-  void flush_planes(const PlaneSink& sink, const u64* acc,
-                    const EpilogueSpec& spec) const override {
+  u64 flush_planes(const PlaneSink& sink, const u64* acc,
+                   const EpilogueSpec& spec) const override {
     alignas(64) i32 vals[kTileM * kTileN];
     Kernels::reduce(vals, acc);
-    for (int k = 0; k < kTileM * kTileN; ++k) {
-      vals[k] = apply_epilogue(vals[k], spec);
+    if (sink.lines < kTileM || sink.lanes < kTileN) {
+      // Edge tile: zero the padding so it never counts as saturated (the
+      // scatter drops it either way; act(0) = 0 for every activation).
+      const i64 rows = sink.transpose ? sink.lanes : sink.lines;
+      const i64 cols = sink.transpose ? sink.lines : sink.lanes;
+      for (i64 k = 0; k < kTileM * kTileN; ++k) {
+        if (k / kTileN >= rows || k % kTileN >= cols) vals[k] = 0;
+      }
     }
+    const u64 saturated = apply_epilogue_tile(vals, spec);
     scatter_planes(sink, vals);
+    return saturated;
   }
 
  private:
@@ -372,32 +439,6 @@ const SubstrateBackend& simd_impl(BackendKind kind, i64 width) {
 }
 
 }  // namespace
-
-void SubstrateBackend::flush_epilogue(i32* out, i64 out_stride, const u64* acc,
-                                      const EpilogueSpec& spec) const {
-  // Generic drain: zero a scratch tile, add-flush into it (uint32-wrap), then
-  // requantize. BackendImpl overrides skip the zero+add round trip.
-  alignas(64) i32 vals[kTileM * kTileN] = {};
-  flush(vals, kTileN, acc);
-  if (!spec.is_raw()) {
-    for (int k = 0; k < kTileM * kTileN; ++k) {
-      vals[k] = apply_epilogue(vals[k], spec);
-    }
-  }
-  for (int i = 0; i < kTileM; ++i) {
-    std::memcpy(out + i * out_stride, vals + i * kTileN, kTileN * sizeof(i32));
-  }
-}
-
-void SubstrateBackend::flush_planes(const PlaneSink& sink, const u64* acc,
-                                    const EpilogueSpec& spec) const {
-  alignas(64) i32 vals[kTileM * kTileN] = {};
-  flush(vals, kTileN, acc);
-  for (int k = 0; k < kTileM * kTileN; ++k) {
-    vals[k] = apply_epilogue(vals[k], spec);
-  }
-  scatter_planes(sink, vals);
-}
 
 void SubstrateBackend::mma_tile_list(u64* acc, const SparseTileRef* tiles,
                                      i64 n_tiles, i64 a_stride,

@@ -57,31 +57,78 @@ struct EpilogueSpec {
   }
 };
 
-/// THE shared epilogue semantics. Every backend's fused flush and the
-/// standalone (unfused) requantization pass call this one definition, so the
-/// fused and unfused model paths are bit-identical by construction.
-/// ReLU commutes with the arithmetic shift, so this matches the historical
-/// "activate, then shift, then clamp" order exactly.
-[[nodiscard]] constexpr i32 apply_epilogue(i32 v, const EpilogueSpec& spec) {
-  i64 w = static_cast<i64>(v) >> spec.rshift;
+namespace detail {
+
+/// The one per-activation definition, in the i32 domain. Equal to the
+/// textbook i64 form for every i32 input: hardswish(w) = w for w >= 3 (the
+/// gate saturates at 6), and below that only min(w, 3) is multiplied, so the
+/// product never overflows.
+template <Activation A>
+constexpr i32 activate(i32 w) {
+  if constexpr (A == Activation::kRelu) {
+    return w < 0 ? 0 : w;
+  } else if constexpr (A == Activation::kRelu6) {
+    return w < 0 ? 0 : (w > 6 ? 6 : w);
+  } else if constexpr (A == Activation::kHardswish) {
+    const i32 m = w < 3 ? w : 3;
+    const i32 g = m + 3 < 0 ? 0 : m + 3;
+    return w >= 3 ? w : (m * g) / 6;
+  } else {
+    return w;
+  }
+}
+
+/// Branch-free epilogue over n values with the activation fixed at compile
+/// time, so GCC vectorizes it. Returns how many values were clamped at qmax.
+template <Activation A>
+inline u64 epilogue_run(i32* v, i64 n, int sh, i32 qmax) {
+  if (qmax < 0) {
+    for (i64 k = 0; k < n; ++k) v[k] = activate<A>(v[k] >> sh);
+    return 0;
+  }
+  u64 saturated = 0;
+  for (i64 k = 0; k < n; ++k) {
+    const i32 w = activate<A>(v[k] >> sh);
+    saturated += w > qmax ? 1 : 0;
+    v[k] = w < 0 ? 0 : (w > qmax ? qmax : w);
+  }
+  return saturated;
+}
+
+}  // namespace detail
+
+/// THE shared epilogue semantics, applied to `n` values in place: switch on
+/// the activation once, then one branch-free loop. The fused flush (tile
+/// form below) and the unfused requantization pass (whole matrix) both run
+/// it, so they are bit-identical by construction. Shift counts >= 31 leave
+/// only the sign, exactly as in i64. ReLU commutes with the arithmetic
+/// shift, so this matches the historical "activate, then shift, then clamp"
+/// order exactly. Returns how many values were clamped at `spec.qmax` (0
+/// when qmax < 0).
+inline u64 apply_epilogue_span(i32* vals, i64 n, const EpilogueSpec& spec) {
+  const int sh = spec.rshift < 31 ? spec.rshift : 31;
   switch (spec.act) {
     case Activation::kIdentity:
-      break;
+      return detail::epilogue_run<Activation::kIdentity>(vals, n, sh, spec.qmax);
     case Activation::kRelu:
-      if (w < 0) w = 0;
-      break;
+      return detail::epilogue_run<Activation::kRelu>(vals, n, sh, spec.qmax);
     case Activation::kRelu6:
-      w = w < 0 ? 0 : (w > 6 ? 6 : w);
-      break;
-    case Activation::kHardswish: {
-      i64 g = w + 3;
-      g = g < 0 ? 0 : (g > 6 ? 6 : g);
-      w = (w * g) / 6;
-      break;
-    }
+      return detail::epilogue_run<Activation::kRelu6>(vals, n, sh, spec.qmax);
+    case Activation::kHardswish:
+      return detail::epilogue_run<Activation::kHardswish>(vals, n, sh, spec.qmax);
   }
-  if (spec.qmax >= 0) w = w < 0 ? 0 : (w > spec.qmax ? spec.qmax : w);
-  return static_cast<i32>(w);
+  return 0;
+}
+
+/// The tile form every flush runs: one 8x8 tile (row-major i32[64]).
+inline u64 apply_epilogue_tile(i32* vals, const EpilogueSpec& spec) {
+  return apply_epilogue_span(vals, kTileM * kTileN, spec);
+}
+
+/// One value (reference checks and tests).
+[[nodiscard]] inline i32 apply_epilogue(i32 v, const EpilogueSpec& spec) {
+  apply_epilogue_span(&v, 1, spec);
+  return v;
 }
 
 /// Decoded A-operand tile (8 rows x 128 bits) in backend-specific layout.
@@ -126,26 +173,11 @@ struct PlaneSink {
 };
 
 /// Scatter a requantized 8x8 tile (`q`, row-major i32[64], values already in
-/// [0, 2^out_bits)) into packed bit planes — one word RMW per (line, plane).
-/// Shared by every backend's flush_planes and the unfused fallback paths.
-inline void scatter_planes(const PlaneSink& s, const i32* q) {
-  for (i64 l = 0; l < s.lines; ++l) {
-    for (int b = 0; b < s.out_bits; ++b) {
-      u32 lane = 0;
-      if (!s.transpose) {
-        const i32* row = q + l * 8;
-        for (i64 j = 0; j < s.lanes; ++j) {
-          lane |= static_cast<u32>((row[j] >> b) & 1) << j;
-        }
-      } else {
-        for (i64 i = 0; i < s.lanes; ++i) {
-          lane |= static_cast<u32>((q[i * 8 + l] >> b) & 1) << i;
-        }
-      }
-      if (lane != 0) s.planes[b][l * s.line_stride] |= lane << s.shift;
-    }
-  }
-}
+/// [0, 2^out_bits)) into packed bit planes — one word OR per (line, plane).
+/// Per plane it builds one 64-bit mask (bit 8i+j = that bit of q[i*8+j]),
+/// transposes it for transpose sinks and masks it to `lines` x `lanes`.
+/// Shared by every backend's flush_planes and the BN staging path.
+void scatter_planes(const PlaneSink& s, const i32* q);
 
 /// A substrate micro-kernel implementation. Stateless and shared across
 /// threads: all mutable state lives in caller-provided scratch (the
@@ -179,17 +211,18 @@ class SubstrateBackend {
   /// to the flush hook — see DESIGN.md): out[8x8] = apply_epilogue(wrap(acc))
   /// while the accumulator lanes are still hot. Assigns (does not add); the
   /// uint32-wrap truncation precedes the epilogue, preserving the substrate
-  /// contract. The base implementation drains through flush(); BackendImpl
-  /// overrides it with the micro-kernel's fused lane reduction.
-  virtual void flush_epilogue(i32* out, i64 out_stride, const u64* acc,
-                              const EpilogueSpec& spec) const;
+  /// contract. Returns how many values were clamped at `spec.qmax`.
+  virtual u64 flush_epilogue(i32* out, i64 out_stride, const u64* acc,
+                             const EpilogueSpec& spec) const = 0;
 
   /// Plane-writer flush: requantize the tile with `spec` and scatter the
   /// resulting bits straight into packed output planes (`sink`) — the §4.5
   /// re-pack executed inside the flush, so no int32 intermediate is ever
   /// materialised. `spec.qmax` must be >= 0 (values must fit the planes).
-  virtual void flush_planes(const PlaneSink& sink, const u64* acc,
-                            const EpilogueSpec& spec) const;
+  /// Returns how many values inside the sink's `lines` x `lanes` region were
+  /// clamped at `spec.qmax`.
+  virtual u64 flush_planes(const PlaneSink& sink, const u64* acc,
+                           const EpilogueSpec& spec) const = 0;
 
   /// Sparse-schedule execution: sweeps a row block's surviving-tile list
   /// across a panel of `nb` consecutive output-column tiles, keeping each

@@ -72,6 +72,7 @@ void ExecutionContext::note(const Counters& delta) const {
   tiles_jumped_.fetch_add(delta.tiles_jumped, std::memory_order_relaxed);
   int32_bytes_avoided_.fetch_add(delta.int32_bytes_avoided,
                                  std::memory_order_relaxed);
+  saturated_.fetch_add(delta.saturated, std::memory_order_relaxed);
 }
 
 Counters ExecutionContext::counters() const {
@@ -83,6 +84,7 @@ Counters ExecutionContext::counters() const {
   c.frag_stores = frag_stores_.load(std::memory_order_relaxed);
   c.tiles_jumped = tiles_jumped_.load(std::memory_order_relaxed);
   c.int32_bytes_avoided = int32_bytes_avoided_.load(std::memory_order_relaxed);
+  c.saturated = saturated_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -97,6 +99,7 @@ void ExecutionContext::reset_counters() {
   frag_stores_.store(0, std::memory_order_relaxed);
   tiles_jumped_.store(0, std::memory_order_relaxed);
   int32_bytes_avoided_.store(0, std::memory_order_relaxed);
+  saturated_.store(0, std::memory_order_relaxed);
 }
 
 const ExecutionContext& ExecutionContext::default_context() {

@@ -110,6 +110,7 @@ class ExecutionContext {
   mutable std::atomic<u64> frag_stores_{0};
   mutable std::atomic<u64> tiles_jumped_{0};
   mutable std::atomic<u64> int32_bytes_avoided_{0};
+  mutable std::atomic<u64> saturated_{0};
 };
 
 }  // namespace qgtc::tcsim

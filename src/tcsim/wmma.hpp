@@ -54,6 +54,7 @@ struct Counters {
   u64 tiles_jumped = 0;    // tiles skipped by zero-tile jumping
   u64 int32_bytes_avoided = 0;  // int32 intermediate bytes fused epilogues
                                 // never materialised
+  u64 saturated = 0;  // requantized values the epilogue clamped at qmax
 
   Counters& operator+=(const Counters& o) {
     bmma_ops += o.bmma_ops;
@@ -62,6 +63,7 @@ struct Counters {
     frag_stores += o.frag_stores;
     tiles_jumped += o.tiles_jumped;
     int32_bytes_avoided += o.int32_bytes_avoided;
+    saturated += o.saturated;
     return *this;
   }
 };

@@ -5,6 +5,11 @@
 // avoid the int32 intermediate (counter > 0 fused, == 0 unfused).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "gnn/model.hpp"
@@ -55,6 +60,122 @@ TEST(Epilogue, ApplySemantics) {
   }
 }
 
+/// The textbook i64 epilogue the i32 definition replaced.
+i32 reference_epilogue_i64(i32 v, const EpilogueSpec& spec) {
+  i64 w = static_cast<i64>(v) >> spec.rshift;
+  switch (spec.act) {
+    case Activation::kIdentity:
+      break;
+    case Activation::kRelu:
+      w = std::max<i64>(w, 0);
+      break;
+    case Activation::kRelu6:
+      w = std::clamp<i64>(w, 0, 6);
+      break;
+    case Activation::kHardswish:
+      w = w * std::clamp<i64>(w + 3, 0, 6) / 6;
+      break;
+  }
+  if (spec.qmax >= 0) w = std::clamp<i64>(w, 0, spec.qmax);
+  return static_cast<i32>(w);
+}
+
+// apply_epilogue_tile (the vectorized per-tile loop) equals apply_epilogue
+// element by element, and both equal the i64 form, over the i32 extremes,
+// small values around every activation's knees, every rshift a calibration
+// can produce and qmax from "no clamp" to INT32_MAX. The returned count is
+// the number of values the clamp pulled down to qmax.
+TEST(Epilogue, TileMatchesScalar) {
+  const i32 inputs[] = {INT32_MIN, -7, -6, -5, -4, -3, -2, -1, 0, 1,
+                        2,         3,  4,  5,  6,  7,  i32{1} << 29, INT32_MAX};
+  constexpr int kN = static_cast<int>(sizeof(inputs) / sizeof(inputs[0]));
+  for (const Activation act : kActs) {
+    for (const int rshift : {0, 1, 5, 30, 31}) {
+      for (const i32 qmax : {-1, 0, 1, 6, 255, INT32_MAX}) {
+        const EpilogueSpec spec{act, rshift, qmax};
+        const EpilogueSpec unclamped{act, rshift, -1};
+        i32 tile[kTileM * kTileN];
+        for (int k = 0; k < kTileM * kTileN; ++k) tile[k] = inputs[k % kN];
+        u64 expect_saturated = 0;
+        for (int k = 0; k < kTileM * kTileN; ++k) {
+          if (qmax >= 0 && apply_epilogue(tile[k], unclamped) > qmax) {
+            ++expect_saturated;
+          }
+        }
+        i32 out[kTileM * kTileN];
+        std::copy(std::begin(tile), std::end(tile), std::begin(out));
+        const u64 saturated = tcsim::apply_epilogue_tile(out, spec);
+        const std::string tag = std::string(tcsim::activation_name(act)) +
+                                " rshift " + std::to_string(rshift) +
+                                " qmax " + std::to_string(qmax);
+        EXPECT_EQ(saturated, expect_saturated) << tag;
+        for (int k = 0; k < kTileM * kTileN; ++k) {
+          EXPECT_EQ(out[k], apply_epilogue(tile[k], spec))
+              << tag << " v " << tile[k];
+          EXPECT_EQ(out[k], reference_epilogue_i64(tile[k], spec))
+              << tag << " v " << tile[k];
+        }
+      }
+    }
+  }
+}
+
+/// The per-element scatter the mask-based scatter_planes replaced.
+void reference_scatter(const tcsim::PlaneSink& s, const i32* q) {
+  for (i64 l = 0; l < s.lines; ++l) {
+    for (int b = 0; b < s.out_bits; ++b) {
+      u32 lane = 0;
+      for (i64 k = 0; k < s.lanes; ++k) {
+        const i32 v = s.transpose ? q[k * 8 + l] : q[l * 8 + k];
+        lane |= static_cast<u32>((v >> b) & 1) << k;
+      }
+      if (lane != 0) s.planes[b][l * s.line_stride] |= lane << s.shift;
+    }
+  }
+}
+
+// scatter_planes vs the per-element reference on random tiles over every
+// valid region, bit offset, plane count and orientation. The planes start
+// with random bits, so the check also covers OR semantics and that nothing
+// outside the region is written.
+TEST(Epilogue, ScatterMatchesPerElementReference) {
+  Rng rng(107);
+  constexpr i64 kStride = 3;  // words between lines
+  for (const int out_bits : {1, 8, 31}) {
+    for (const bool transpose : {false, true}) {
+      for (const int shift : {0, 8, 16, 24}) {
+        for (i64 lines = 1; lines <= 8; ++lines) {
+          for (i64 lanes = 1; lanes <= 8; ++lanes) {
+            i32 q[kTileM * kTileN];
+            for (i32& v : q) {
+              v = static_cast<i32>(rng.next_below(u64{1} << out_bits));
+            }
+            std::vector<u32> got(static_cast<std::size_t>(out_bits * 8 * kStride));
+            for (u32& w : got) w = static_cast<u32>(rng.next_u64());
+            std::vector<u32> want = got;
+            u32* got_planes[32];
+            u32* want_planes[32];
+            for (int b = 0; b < out_bits; ++b) {
+              got_planes[b] = got.data() + b * 8 * kStride;
+              want_planes[b] = want.data() + b * 8 * kStride;
+            }
+            tcsim::scatter_planes(
+                {got_planes, kStride, shift, out_bits, lines, lanes, transpose},
+                q);
+            reference_scatter(
+                {want_planes, kStride, shift, out_bits, lines, lanes, transpose},
+                q);
+            ASSERT_EQ(got, want)
+                << "bits " << out_bits << " transpose " << transpose
+                << " shift " << shift << " lines " << lines << " lanes "
+                << lanes;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Epilogue, ActivationNames) {
   for (const Activation a : kActs) {
     EXPECT_EQ(tcsim::parse_activation(tcsim::activation_name(a)), a);
@@ -66,10 +187,11 @@ TEST(Epilogue, ActivationNames) {
 // int32 MM followed by elementwise apply_epilogue and a standalone
 // decompose — for every backend, both output layouts (row-major exercises
 // the straight scatter, col-major the transposed one) and ragged edge
-// tiles. Also checks the int32-bytes-avoided accounting.
+// tiles, at 1, 4 and 8 output bits. Also checks the int32-bytes-avoided
+// accounting.
 TEST(Epilogue, FusedBitMatchesManualAcrossBackends) {
   Rng rng(101);
-  const int s = 3, t = 2, out_bits = 4;
+  const int s = 3, t = 2;
   const MatrixI32 a = random_codes(rng, 21, 140, s);  // ragged edge tiles
   const MatrixI32 b = random_codes(rng, 140, 11, t);
   const auto pa = StackedBitTensor::decompose(a, s, BitLayout::kRowMajorK);
@@ -78,27 +200,76 @@ TEST(Epilogue, FusedBitMatchesManualAcrossBackends) {
   i32 mx = 0;
   for (i64 i = 0; i < raw.size(); ++i) mx = std::max(mx, raw.data()[i]);
 
-  for (const auto kind : tcsim::all_backends()) {
-    for (const Activation act : kActs) {
-      FusedEpilogue epi;
-      epi.act = act;
-      epi.rshift = calibrate_rshift(mx, out_bits);
-      const EpilogueSpec spec{act, epi.rshift,
-                              static_cast<i32>((u32{1} << out_bits) - 1)};
-      MatrixI32 expect = raw;
-      for (i64 i = 0; i < expect.size(); ++i) {
-        expect.data()[i] = apply_epilogue(expect.data()[i], spec);
+  for (const int out_bits : {1, 4, 8}) {
+    for (const auto kind : tcsim::all_backends()) {
+      for (const Activation act : kActs) {
+        FusedEpilogue epi;
+        epi.act = act;
+        epi.rshift = calibrate_rshift(mx, out_bits);
+        const EpilogueSpec spec{act, epi.rshift,
+                                static_cast<i32>((u32{1} << out_bits) - 1)};
+        MatrixI32 expect = raw;
+        for (i64 i = 0; i < expect.size(); ++i) {
+          expect.data()[i] = apply_epilogue(expect.data()[i], spec);
+        }
+        for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+          tcsim::ExecutionContext ctx(kind);
+          BmmOptions opt;
+          opt.ctx = &ctx;
+          const StackedBitTensor out = bitmm_fused_bit(
+              pa, pb, out_bits, epi, opt, PadPolicy::kTile8, layout);
+          EXPECT_EQ(out.compose(), expect)
+              << tcsim::backend_name(kind) << "/" << tcsim::activation_name(act)
+              << "/" << out_bits << " bits";
+          EXPECT_EQ(ctx.counters().int32_bytes_avoided,
+                    static_cast<u64>(raw.rows() * raw.cols() * sizeof(i32)));
+        }
       }
-      for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
-        tcsim::ExecutionContext ctx(kind);
-        BmmOptions opt;
-        opt.ctx = &ctx;
-        const StackedBitTensor out = bitmm_fused_bit(
-            pa, pb, out_bits, epi, opt, PadPolicy::kTile8, layout);
-        EXPECT_EQ(out.compose(), expect)
-            << tcsim::backend_name(kind) << "/" << tcsim::activation_name(act);
-        EXPECT_EQ(ctx.counters().int32_bytes_avoided,
-                  static_cast<u64>(raw.rows() * raw.cols() * sizeof(i32)));
+    }
+  }
+}
+
+// The saturation counter: with rshift = 0 and no activation, the fused
+// to-bit flush clamps exactly the raw products above qmax. Ragged edge
+// tiles under the XOR combine (whose padding rows hold nonzero values)
+// check that padding never counts; the BN case (identity fold) checks that
+// the staged path counts the same.
+TEST(Epilogue, SaturationCountsValuesAboveQmax) {
+  Rng rng(109);
+  const MatrixI32 a = random_codes(rng, 21, 140, 2);
+  const MatrixI32 b = random_codes(rng, 140, 11, 2);
+  const auto pa = StackedBitTensor::decompose(a, 2, BitLayout::kRowMajorK);
+  const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
+  for (const auto op : {tcsim::BmmaOp::kAnd, tcsim::BmmaOp::kXor}) {
+    BmmOptions raw_opt;
+    raw_opt.op = op;
+    const MatrixI32 raw = bitmm_to_int(pa, pb, raw_opt);
+    for (const int out_bits : {1, 8}) {
+      const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
+      u64 above = 0;
+      for (i64 i = 0; i < raw.size(); ++i) above += raw.data()[i] > qmax ? 1 : 0;
+      ASSERT_GT(above, 0u);
+      for (const auto kind : tcsim::all_backends()) {
+        for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+          for (const bool bn : {false, true}) {
+            FusedEpilogue epi;
+            if (bn) {
+              epi.use_bn = true;
+              epi.bn_scale.assign(static_cast<std::size_t>(raw.cols()), 1.0f);
+              epi.bn_bias.assign(static_cast<std::size_t>(raw.cols()), 0.0f);
+            }
+            tcsim::ExecutionContext ctx(kind);
+            BmmOptions opt = raw_opt;
+            opt.ctx = &ctx;
+            (void)bitmm_fused_bit(pa, pb, out_bits, epi, opt,
+                                  PadPolicy::kTile8, layout);
+            EXPECT_EQ(ctx.counters().saturated, above)
+                << tcsim::backend_name(kind) << "/" << out_bits << " bits"
+                << (layout == BitLayout::kRowMajorK ? "/row" : "/col")
+                << (op == tcsim::BmmaOp::kXor ? "/xor" : "/and")
+                << (bn ? "/bn" : "");
+          }
+        }
       }
     }
   }
@@ -207,6 +378,7 @@ TEST(Epilogue, ModelParityAcrossBackendsAndLayouts) {
         EXPECT_EQ(fused.logits, unfused.logits) << tag;
         EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
         EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped) << tag;
+        EXPECT_EQ(fused.stats.saturated, unfused.stats.saturated) << tag;
         EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
         EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
       }
@@ -300,7 +472,7 @@ TEST(Epilogue, EngineParityAcrossEpochModes) {
   for (const auto mk :
        {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
     std::vector<MatrixI32> ref_logits;
-    i64 ref_bmma = -1, ref_jumped = -1;
+    i64 ref_bmma = -1, ref_jumped = -1, ref_saturated = -1;
     for (const bool streaming : {false, true}) {
       for (const bool fused : {true, false}) {
         core::QgtcEngine engine(ds, engine_config(mk, fused, streaming));
@@ -313,10 +485,13 @@ TEST(Epilogue, EngineParityAcrossEpochModes) {
           ref_logits = std::move(logits);
           ref_bmma = stats.bmma_ops;
           ref_jumped = stats.tiles_jumped;
+          ref_saturated = stats.saturated;
         } else {
           EXPECT_EQ(logits, ref_logits) << tag;
           EXPECT_EQ(stats.bmma_ops, ref_bmma) << tag;
           EXPECT_EQ(stats.tiles_jumped, ref_jumped) << tag;
+          // Fused and unfused count the same clamps in every epoch mode.
+          EXPECT_EQ(stats.saturated, ref_saturated) << tag;
         }
         if (fused) {
           EXPECT_GT(stats.epilogue_fused_layers, 0) << tag;
