@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     const auto& bd0 = *engine.batch_data().front();
     const tcsim::ExecutionContext scalar_ctx(BackendKind::kScalar);
     const MatrixI32 ref_logits = engine.model().forward_prepared(
-        bd0.adj, &bd0.tile_map, bd0.x_planes, nullptr, &scalar_ctx);
+        bd0.adj_tiles, bd0.x_planes, nullptr, &scalar_ctx);
 
     struct Config {
       BackendKind kind;
@@ -73,9 +73,8 @@ int main(int argc, char** argv) {
                        (s.tiles_jumped == base.tiles_jumped);
       const tcsim::ExecutionContext ctx(c.kind);
       invariant = invariant &&
-                  engine.model().forward_prepared(bd0.adj, &bd0.tile_map,
-                                                  bd0.x_planes, nullptr,
-                                                  &ctx) == ref_logits;
+                  engine.model().forward_prepared(bd0.adj_tiles, bd0.x_planes,
+                                                  nullptr, &ctx) == ref_logits;
       if (!invariant) {
         std::cerr << "INVARIANCE VIOLATION: " << s.backend << " x"
                   << s.inter_batch_threads << " diverged from scalar\n";

@@ -74,8 +74,7 @@ core::EngineConfig fig7a_config() {
   cfg.batch_size = 16;
   // Streaming keeps prepared data O(depth) in BOTH children, so the RSS gap
   // isolates exactly the feature/CSR storage substitution.
-  cfg.mode = core::RunMode::streaming_pipeline(
-      1, 1, core::RunMode::Adjacency::kTileSparse);
+  cfg.mode = core::RunMode::streaming_pipeline(1, 1);
   cfg.inter_batch_threads = 1;
   return cfg;
 }
@@ -163,8 +162,7 @@ core::EngineConfig cache_bench_config(const DatasetSpec& spec) {
   cfg.model.weight_bits = 4;
   cfg.num_partitions = spec.num_clusters;
   cfg.batch_size = 8;
-  cfg.mode = core::RunMode::streaming_pipeline(
-      2, 1, core::RunMode::Adjacency::kTileSparse);
+  cfg.mode = core::RunMode::streaming_pipeline(2, 1);
   cfg.inter_batch_threads = 1;
   return cfg;
 }

@@ -29,18 +29,15 @@ core::EngineConfig serving_engine_config(const Dataset& ds) {
   cfg.model.weight_bits = 4;
   cfg.num_partitions = 128;
   cfg.batch_size = 8;
-  cfg.mode.adjacency = core::RunMode::Adjacency::kTileSparse;
   return cfg;
 }
 
 /// Replays every offline batch membership through the serving pipeline and
 /// compares logits + counters bit-for-bit. Returns true on exact parity.
-bool parity_gate(const Dataset& ds, tcsim::BackendKind backend, bool sparse,
+bool parity_gate(const Dataset& ds, tcsim::BackendKind backend,
                  core::TablePrinter& table) {
   core::EngineConfig cfg = serving_engine_config(ds);
   cfg.backend = backend;
-  cfg.mode.adjacency = sparse ? core::RunMode::Adjacency::kTileSparse
-                              : core::RunMode::Adjacency::kDenseJump;
 
   core::QgtcEngine offline(ds, cfg);
   std::vector<MatrixI32> ref_logits;
@@ -95,7 +92,6 @@ bool parity_gate(const Dataset& ds, tcsim::BackendKind backend, bool sparse,
   const bool ok = logits_ok && counters_ok && st.requests_failed == 0;
 
   table.add_row({std::string(tcsim::backend_name(backend)),
-                 sparse ? "tile-sparse" : "dense",
                  std::to_string(st.requests_completed),
                  std::to_string(ref.bmma_ops), std::to_string(st.bmma_ops),
                  std::to_string(ref.tiles_jumped),
@@ -119,17 +115,14 @@ int run(int argc, char** argv) {
 
   // ------------------------------------------------------- parity phase
   std::cout << "\n-- Phase 1: serving vs offline-epoch parity --\n";
-  core::TablePrinter parity({"backend", "adjacency", "requests", "ref MMAs",
+  core::TablePrinter parity({"backend", "requests", "ref MMAs",
                              "served MMAs", "ref jumped", "served jumped",
                              "verdict"});
   bool parity_ok = true;
   for (const auto backend :
        {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
         tcsim::BackendKind::kBlocked}) {
-    for (const bool sparse : quick() ? std::vector<bool>{true}
-                                     : std::vector<bool>{false, true}) {
-      parity_ok = parity_gate(ds, backend, sparse, parity) && parity_ok;
-    }
+    parity_ok = parity_gate(ds, backend, parity) && parity_ok;
   }
   parity.print(std::cout);
   json.meta("parity", parity_ok ? "bit-identical" : "MISMATCH");
@@ -138,7 +131,7 @@ int run(int argc, char** argv) {
   std::cout << "\n-- Phase 2: open-loop Poisson load --\n";
   core::EngineConfig cfg = serving_engine_config(ds);
   const auto tuned = core::generate_runtime_config(
-      spec, cfg.model, {}, /*sparse_adj=*/true, core::TuneObjective::kLatency);
+      spec, cfg.model, {}, core::TuneObjective::kLatency);
   core::ServingPolicy policy = tuned.serving;
   core::TablePrinter load_table({"offered QPS", "sustained QPS", "p50 ms",
                                  "p99 ms", "p99.9 ms", "req/batch",

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   cfg.model.weight_bits = 4;
   cfg.num_partitions = bench::quick() ? 256 : 1500;
   cfg.batch_size = 16;
-  cfg.mode.adjacency = core::RunMode::Adjacency::kTileSparse;
 
   bench::JsonReport json("sharding", argc, argv);
   json.meta("workload", "sharded epoch scaling + halo accounting");

@@ -4,7 +4,7 @@
 //   qgtc_cli --dataset ogbn-arxiv --model gcn --bits 4 \
 //            [--partitions N | --autotune] [--batch B] [--layers L]
 //            [--hidden H] [--rounds R] [--backend scalar|simd|blocked]
-//            [--threads T] [--sparse-adj|--dense-adj]
+//            [--threads T]
 //            [--streaming] [--pipeline-depth D] [--prepare-threads P]
 //            [--shards S] [--pin-numa]
 //            [--serve] [--qps Q] [--requests N] [--fanout F]
@@ -13,11 +13,12 @@
 //
 // Prints epoch latency for the quantized and fp32 paths, substrate
 // counters, zero-tile stats, transfer accounting (including the per-run
-// nonzero-tile ratio and adjacency bytes, so the tile-sparse path is
-// inspectable end-to-end), and memory accounting (peak prepared bytes +
-// process peak RSS). --autotune enables --sparse-adj automatically and
-// picks streaming/pipeline-depth from the device profile; explicit flags
-// always win.
+// nonzero-tile ratio and the tile-CSR adjacency bytes shipped), and memory
+// accounting (peak prepared bytes + process peak RSS). --autotune picks
+// partitions, batch size and streaming/pipeline-depth from the device
+// profile; explicit flags always win. Numeric flags must parse completely
+// and --model must be gcn or gin; any bad input prints an `error:` line and
+// exits 1.
 //
 // --serve skips the offline epochs and stands up the online serving layer
 // (core::ServingEngine) behind an open-loop Poisson client: --qps offered
@@ -33,9 +34,11 @@
 // counter/gauge/histogram registry (request latency, batch occupancy) on
 // exit. Streaming and serving runs also print per-stage busy/stall rows —
 // the stall attribution that says which stage to staff or deepen.
-#include <cstring>
+#include <charconv>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/mem.hpp"
 #include "core/autotune.hpp"
@@ -60,8 +63,6 @@ struct Args {
   qgtc::i64 hidden = 16;
   int rounds = 2;
   bool autotune = false;
-  bool sparse_adj = false;
-  bool dense_adj = false;
   bool streaming = false;
   int pipeline_depth = 0;   // 0 = unset (engine default, or autotuned)
   int prepare_threads = 0;  // 0 = unset
@@ -90,7 +91,7 @@ struct Args {
 void usage() {
   std::cout << "usage: qgtc_cli [--dataset NAME] [--model gcn|gin]\n"
                "  [--bits B] [--partitions N] [--batch B] [--layers L]\n"
-               "  [--hidden H] [--rounds R] [--autotune] [--sparse-adj|--dense-adj]\n"
+               "  [--hidden H] [--rounds R] [--autotune]\n"
                "  [--streaming] [--pipeline-depth D] [--prepare-threads P]\n"
                "  [--shards S] [--pin-numa]\n"
                "  [--backend scalar|simd|blocked] [--threads T]\n"
@@ -121,50 +122,67 @@ void usage() {
                "slice\n";
 }
 
+/// Parses the whole of `text` as a number of type T, or throws
+/// invalid_argument naming the flag ("--threads expects an integer, got
+/// 'abc'"). Trailing characters and out-of-range values are rejected too.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    const char* what =
+        std::is_integral_v<T> ? " expects an integer" : " expects a number";
+    throw std::invalid_argument(flag + what + ", got '" + text + "'");
+  }
+  return value;
+}
+
 bool parse(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
+    auto next = [&]() -> std::string {
       if (i + 1 >= argc) throw std::invalid_argument("missing value for " + flag);
       return argv[++i];
     };
+    auto next_int = [&] { return parse_number<int>(flag, next()); };
+    auto next_i64 = [&] { return parse_number<qgtc::i64>(flag, next()); };
     if (flag == "--dataset") a.dataset = next();
     else if (flag == "--model") a.model = next();
-    else if (flag == "--bits") a.bits = std::atoi(next());
-    else if (flag == "--partitions") a.partitions = std::atoll(next());
-    else if (flag == "--batch") a.batch = std::atoll(next());
-    else if (flag == "--layers") a.layers = std::atoi(next());
-    else if (flag == "--hidden") a.hidden = std::atoll(next());
-    else if (flag == "--rounds") a.rounds = std::atoi(next());
+    else if (flag == "--bits") a.bits = next_int();
+    else if (flag == "--partitions") a.partitions = next_i64();
+    else if (flag == "--batch") a.batch = next_i64();
+    else if (flag == "--layers") a.layers = next_int();
+    else if (flag == "--hidden") a.hidden = next_i64();
+    else if (flag == "--rounds") a.rounds = next_int();
     else if (flag == "--autotune") a.autotune = true;
-    else if (flag == "--sparse-adj") a.sparse_adj = true;
-    else if (flag == "--dense-adj") a.dense_adj = true;
     else if (flag == "--streaming") a.streaming = true;
-    else if (flag == "--pipeline-depth") a.pipeline_depth = std::atoi(next());
-    else if (flag == "--prepare-threads") a.prepare_threads = std::atoi(next());
-    else if (flag == "--shards") a.shards = std::atoi(next());
+    else if (flag == "--pipeline-depth") a.pipeline_depth = next_int();
+    else if (flag == "--prepare-threads") a.prepare_threads = next_int();
+    else if (flag == "--shards") a.shards = next_int();
     else if (flag == "--pin-numa") a.pin_numa = true;
     else if (flag == "--backend") a.backend = next();
-    else if (flag == "--threads") a.threads = std::atoi(next());
+    else if (flag == "--threads") a.threads = next_int();
     else if (flag == "--fuse-epilogue") a.fuse_epilogue = 1;
     else if (flag == "--no-fuse-epilogue") a.fuse_epilogue = 0;
     else if (flag == "--activation") a.activation = next();
     else if (flag == "--serve") a.serve = true;
     else if (flag == "--trace-out") a.trace_out = next();
     else if (flag == "--metrics") a.metrics = true;
-    else if (flag == "--qps") a.qps = std::atof(next());
-    else if (flag == "--requests") a.requests = std::atoll(next());
-    else if (flag == "--fanout") a.fanout = std::atoi(next());
+    else if (flag == "--qps") a.qps = parse_number<double>(flag, next());
+    else if (flag == "--requests") a.requests = next_i64();
+    else if (flag == "--fanout") a.fanout = next_int();
     else if (flag == "--save-dataset") a.save_path = next();
     else if (flag == "--load-dataset") a.load_path = next();
     else if (flag == "--store") a.store_path = next();
     else if (flag == "--write-store") a.write_store_path = next();
-    else if (flag == "--cache-budget-mb") a.cache_budget_mb = std::atoll(next());
+    else if (flag == "--cache-budget-mb") a.cache_budget_mb = next_i64();
     else if (flag == "--help" || flag == "-h") { usage(); return false; }
     else throw std::invalid_argument("unknown flag: " + flag);
   }
-  if (a.sparse_adj && a.dense_adj) {
-    throw std::invalid_argument("--sparse-adj and --dense-adj are mutually exclusive");
+  if (a.model != "gcn" && a.model != "gin") {
+    throw std::invalid_argument("--model expects gcn or gin, got '" + a.model +
+                                "'");
   }
   return true;
 }
@@ -237,17 +255,14 @@ int main(int argc, char** argv) {
   int tuned_shards = 1;
   bool tuned_pin = false;
   if (args.autotune) {
-    const auto tuned = core::generate_runtime_config(
-        spec, cfg.model, {}, /*sparse_adj=*/!args.dense_adj);
+    const auto tuned = core::generate_runtime_config(spec, cfg.model);
     core::apply(tuned, cfg);
     tuned_shards = tuned.num_shards;
     tuned_pin = tuned.pin_numa;
     std::cout << "Autotuned: " << cfg.num_partitions << " partitions, batch "
               << cfg.batch_size << ", " << cfg.inter_batch_threads
-              << " inter-batch threads, "
-              << (cfg.mode.sparse_adj() ? "tile-sparse" : "dense")
-              << " adjacency (~" << tuned.batch_bytes_estimate / 1000000
-              << " MB/batch), "
+              << " inter-batch threads (~"
+              << tuned.batch_bytes_estimate / 1000000 << " MB/batch), "
               << (cfg.mode.streaming() ? "streaming (depth " +
                                       std::to_string(cfg.mode.pipeline_depth) + ")"
                                 : "precomputed")
@@ -256,10 +271,7 @@ int main(int argc, char** argv) {
               << (tuned.num_shards == 1 ? "" : "s")
               << (tuned.pin_numa ? " (NUMA-pinned)" : "") << "\n";
   }
-  // Explicit flags beat both the defaults and the autotuner (--dense-adj
-  // forces the dense+flag-jump baseline even under --autotune).
-  if (args.sparse_adj) cfg.mode.adjacency = core::RunMode::Adjacency::kTileSparse;
-  if (args.dense_adj) cfg.mode.adjacency = core::RunMode::Adjacency::kDenseJump;
+  // Explicit flags beat both the defaults and the autotuner.
   if (args.streaming) cfg.mode.epoch = core::RunMode::Epoch::kStreaming;
   if (args.pipeline_depth > 0) cfg.mode.pipeline_depth = args.pipeline_depth;
   if (args.prepare_threads > 0) cfg.mode.prepare_threads = args.prepare_threads;
@@ -292,8 +304,7 @@ int main(int argc, char** argv) {
     core::ServingPolicy policy;
     if (args.autotune) {
       const auto tuned = core::generate_runtime_config(
-          spec, cfg.model, {}, /*sparse_adj=*/!args.dense_adj,
-          core::TuneObjective::kLatency);
+          spec, cfg.model, {}, core::TuneObjective::kLatency);
       policy = tuned.serving;
     }
     if (args.prepare_threads > 0) policy.prepare_workers = args.prepare_threads;
@@ -434,8 +445,6 @@ int main(int argc, char** argv) {
 
   core::TablePrinter table({"metric", "value"});
   table.add_row({"backend", q.backend});
-  table.add_row({"adjacency format",
-                 cfg.mode.sparse_adj() ? "tile-sparse (CSR)" : "dense + jump map"});
   table.add_row({"epilogue",
                  cfg.model.fused_epilogue
                      ? "fused (" +

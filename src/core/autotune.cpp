@@ -9,7 +9,7 @@ namespace qgtc::core {
 
 TunedConfig generate_runtime_config(const DatasetSpec& spec,
                                     const gnn::GnnConfig& model,
-                                    const DeviceProfile& dev, bool sparse_adj,
+                                    const DeviceProfile& dev,
                                     TuneObjective objective) {
   QGTC_CHECK(spec.num_nodes > 0, "dataset spec has no nodes");
   QGTC_CHECK(dev.target_partition_nodes > 0 && dev.parallel_units > 0 &&
@@ -17,8 +17,6 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
              "device profile fields must be positive");
   TunedConfig t;
   t.objective = objective;
-  t.mode.adjacency = sparse_adj ? RunMode::Adjacency::kTileSparse
-                                : RunMode::Adjacency::kDenseJump;
   t.fuse_epilogue = true;
   t.activation = model.activation;
 
@@ -30,26 +28,22 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
   t.num_partitions = std::clamp<i64>(by_size, dev.parallel_units,
                                      std::max<i64>(spec.num_nodes / 8, dev.parallel_units));
 
-  // Batch size: grow until the packed batch (1-bit N_b^2 adjacency + s-bit
-  // activations across the widest layer) would exceed a conservative slice
-  // of device memory, or until a batch spans ~2x the parallel units.
+  // Batch size: grow until the packed batch (1-bit tile-CSR adjacency +
+  // s-bit activations across the widest layer) would exceed a conservative
+  // slice of device memory, or until a batch spans ~2x the parallel units.
   const i64 mem_budget = dev.memory_bytes / 4;  // leave room for weights/etc.
   const i64 avg_part_nodes = ceil_div(spec.num_nodes, t.num_partitions);
   const i64 widest_dim =
       std::max({spec.feature_dim, model.hidden_dim, model.out_dim});
-  // The tile-sparse adjacency's block-diagonal batches store ~one dense
-  // partition block per subgraph instead of the full nb x nb plane — that is
-  // what lets batch sizes grow past the dense layout's memory wall. Batch
-  // sizing must follow whichever layout the run will actually use.
-  const auto adj_bits_estimate = [&](i64 parts_in_batch, i64 nb) {
-    return t.mode.sparse_adj() ? parts_in_batch * pad8(avg_part_nodes) *
-                                     pad128(avg_part_nodes)
-                               : pad8(nb) * pad128(nb);
+  // The tile-CSR of a block-diagonal batch stores ~one dense partition block
+  // per subgraph instead of the full nb x nb plane.
+  const auto adj_bits_estimate = [&](i64 parts_in_batch) {
+    return parts_in_batch * pad8(avg_part_nodes) * pad128(avg_part_nodes);
   };
   i64 batch = 1;
   while (batch < 2 * dev.parallel_units) {
     const i64 nb = avg_part_nodes * (batch + 1);
-    const i64 adj_bits = adj_bits_estimate(batch + 1, nb);
+    const i64 adj_bits = adj_bits_estimate(batch + 1);
     const i64 act_bits = pad8(nb) * pad128(widest_dim) *
                          static_cast<i64>(model.feat_bits);
     const i64 bytes = (adj_bits + act_bits) / 8;
@@ -60,7 +54,7 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
 
   const i64 nb = avg_part_nodes * t.batch_size;
   t.batch_bytes_estimate =
-      (adj_bits_estimate(t.batch_size, nb) +
+      (adj_bits_estimate(t.batch_size) +
        pad8(nb) * pad128(widest_dim) * static_cast<i64>(model.feat_bits)) /
       8;
 

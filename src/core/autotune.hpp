@@ -45,13 +45,9 @@ struct TunedConfig {
   /// to cover the device's parallel units, never more than there are
   /// batches per epoch.
   int inter_batch_threads = 1;
-  /// Epoch discipline + adjacency layout + streaming knobs, as one object —
-  /// the tuner emits the same RunMode every other config constructor uses.
-  /// Tile-sparse adjacency is the default for tuned runs (bit-identical to
-  /// dense and never slower, with adjacency memory at ~the nonzero-tile
-  /// ratio); callers wanting the dense baseline pass sparse_adj=false so
-  /// batch sizing follows the dense memory model. Streaming turns on when
-  /// materialising the whole epoch would blow the precompute budget.
+  /// Epoch discipline + streaming knobs, as one object — the tuner emits the
+  /// same RunMode every other config constructor uses. Streaming turns on
+  /// when materialising the whole epoch would blow the precompute budget.
   RunMode mode;
   /// The objective this config was generated for.
   TuneObjective objective = TuneObjective::kThroughput;
@@ -92,12 +88,10 @@ struct TunedConfig {
 };
 
 /// Deterministically derives engine knobs from dataset shape + profile.
-/// `sparse_adj` selects the adjacency layout the tuned run will use — batch
-/// sizing follows its memory model (dense pays the full nb x nb plane).
+/// Batch sizing follows the tile-CSR adjacency's memory model.
 TunedConfig generate_runtime_config(const DatasetSpec& spec,
                                     const gnn::GnnConfig& model,
                                     const DeviceProfile& dev = {},
-                                    bool sparse_adj = true,
                                     TuneObjective objective =
                                         TuneObjective::kThroughput);
 

@@ -45,7 +45,6 @@ void QgtcEngine::init() {
     fp ^= v;
     fp *= 0x100000001b3ull;
   };
-  mix(static_cast<u64>(cfg_.mode.sparse_adj()));
   mix(cfg_.seed);
   mix(static_cast<u64>(cfg_.model.feat_bits));
   mix(static_cast<u64>(cfg_.model.weight_bits));
@@ -72,11 +71,7 @@ void QgtcEngine::init() {
                          /*build_fp32_csr=*/!cfg_.mode.streaming());
     {
       QGTC_SPAN("engine", "calibrate", {{"nodes", front->batch.size()}});
-      if (cfg_.mode.sparse_adj()) {
-        model_.calibrate(front->adj_tiles, front->features);
-      } else {
-        model_.calibrate(front->adj, front->features);
-      }
+      model_.calibrate(front->adj_tiles, front->features);
     }
 
     // Shard filter: narrow to the listed global batch ids. Applied after
@@ -139,8 +134,7 @@ QgtcEngine::BatchRef QgtcEngine::prepare_subgraph(const SubgraphBatch& batch,
   }
   auto bd = std::make_shared<BatchData>();
   static_cast<PreparedBatch&>(*bd) = prepare_batch_data(
-      graph_, features_, batch, cfg_.mode.sparse_adj(),
-      /*add_self_loops=*/true, build_fp32_csr);
+      graph_, features_, batch, /*add_self_loops=*/true, build_fp32_csr);
   bd->x_planes = model_.prepare_input(bd->features);
   prepare_bytes_read_.fetch_add(
       batch.size() * spec_.feature_dim * static_cast<i64>(sizeof(float)),
@@ -193,12 +187,9 @@ void stamp_execution(EngineStats& stats, const EngineConfig& cfg, int workers) {
 }  // namespace
 
 transfer::PackedSubgraph pack_prepared_batch(const QgtcEngine::BatchData& bd,
-                                             bool sparse_adj,
                                              transfer::StagingBuffer& slot,
                                              const transfer::PcieModel& pcie) {
-  return sparse_adj
-             ? transfer::pack_batch_tiles(bd.adj_tiles, bd.x_planes, slot, pcie)
-             : transfer::pack_batch(bd.adj, bd.x_planes, slot, pcie);
+  return transfer::pack_batch_tiles(bd.adj_tiles, bd.x_planes, slot, pcie);
 }
 
 EngineStats QgtcEngine::run_quantized(int rounds,
@@ -230,12 +221,8 @@ EngineStats QgtcEngine::run_quantized_precomputed(
       QGTC_SPAN("compute", "batch", {{"batch", i}, {"worker", w}});
       const BatchData& bd = *data_[static_cast<std::size_t>(i)];
       tcsim::ExecutionContext& ctx = ctxs[static_cast<std::size_t>(w)];
-      MatrixI32 logits =
-          cfg_.mode.sparse_adj()
-              ? model_.forward_prepared(bd.adj_tiles, bd.x_planes,
-                                        /*stats=*/nullptr, &ctx)
-              : model_.forward_prepared(bd.adj, &bd.tile_map, bd.x_planes,
-                                        /*stats=*/nullptr, &ctx);
+      MatrixI32 logits = model_.forward_prepared(bd.adj_tiles, bd.x_planes,
+                                                 /*stats=*/nullptr, &ctx);
       if (logits_out != nullptr) {
         (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
       }
@@ -319,19 +306,14 @@ EngineStats QgtcEngine::run_quantized_streaming(
         /*ship=*/
         [&](StreamItem& item, transfer::StagingBuffer& slot) {
           if (item.cached) return transfer::resident_reuse();
-          return pack_prepared_batch(*item.bd, cfg_.mode.sparse_adj(), slot,
-                                     pcie);
+          return pack_prepared_batch(*item.bd, slot, pcie);
         },
         /*compute=*/
         [&](const StreamItem& item, i64 i, int w) {
           const BatchData& bd = *item.bd;
           tcsim::ExecutionContext& ctx = ctxs[static_cast<std::size_t>(w)];
-          MatrixI32 logits =
-              cfg_.mode.sparse_adj()
-                  ? model_.forward_prepared(bd.adj_tiles, bd.x_planes,
-                                            /*stats=*/nullptr, &ctx)
-                  : model_.forward_prepared(bd.adj, &bd.tile_map, bd.x_planes,
-                                            /*stats=*/nullptr, &ctx);
+          MatrixI32 logits = model_.forward_prepared(
+              bd.adj_tiles, bd.x_planes, /*stats=*/nullptr, &ctx);
           if (logits_out != nullptr) {
             (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
           }
@@ -510,10 +492,9 @@ EngineStats QgtcEngine::transfer_accounting() const {
   // Packed path: 1-bit adjacency + s-bit embedding planes as one compound
   // object, shipping the *prepared* input planes byte-for-byte (the host
   // quantizes and decomposes exactly once, in prepare_batch — nothing is
-  // re-derived here). Sparse mode ships the tile-CSR instead of the dense
-  // bit plane.
+  // re-derived here).
   const auto account = [&](const BatchData& bd) {
-    const auto packed = pack_prepared_batch(bd, cfg_.mode.sparse_adj(), staging, pcie);
+    const auto packed = pack_prepared_batch(bd, staging, pcie);
     stats.packed_bytes += packed.total_bytes;
     stats.packed_transfer_seconds += packed.modeled_seconds;
     stats.adj_bytes += packed.adjacency_bytes;

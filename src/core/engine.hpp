@@ -6,9 +6,9 @@
 // Two execution modes share one bit-identical per-batch prepare path
 // (`prepare_batch_data` + `QgtcModel::prepare_input`):
 //
-// * **Precomputed** (legacy, default): every batch's adjacency tiles, dense
-//   plane, local CSR, fp32 features and quantized planes are materialised up
-//   front (untimed preprocessing, O(epoch) resident); reported inference
+// * **Precomputed** (legacy, default): every batch's adjacency tiles, local
+//   CSR, fp32 features and quantized planes are materialised up front
+//   (untimed preprocessing, O(epoch) resident); reported inference
 //   time covers the quantized forward pass only, and host->device transfer
 //   is accounted post-hoc via `transfer_accounting()` — the paper's §6
 //   timing protocol.
@@ -17,8 +17,10 @@
 //   bounded queues, so peak memory is O(pipeline_depth) batches and the
 //   PCIe model is charged inline on the timed path, with overlap accounting
 //   (`exposed_transfer_seconds`). Logits, `bmma_ops`, `tiles_jumped` and
-//   `nodes` are bit-identical to precomputed mode in every backend ×
-//   adjacency-layout combination.
+//   `nodes` are bit-identical to precomputed mode on every backend.
+//
+// Every batch adjacency is a tile-CSR of its nonzero 8x128 tiles, so
+// zero-tile jumping (§4.3) is structural in both modes.
 #pragma once
 
 #include <atomic>
@@ -36,8 +38,7 @@ namespace qgtc::core {
 
 /// Run-mode knobs collapsed into one documented object — every constructor
 /// of an engine config (CLI, autotuner, tests, serving layer) picks an epoch
-/// execution discipline and an adjacency layout the same way, instead of the
-/// old `streaming` / `sparse_adj` boolean sprawl.
+/// execution discipline the same way.
 struct RunMode {
   /// Epoch execution discipline.
   enum class Epoch {
@@ -50,18 +51,12 @@ struct RunMode {
     /// config knob, not a crash.
     kStreaming,
   };
-  /// Batch-adjacency storage / scheduling / transfer layout.
-  enum class Adjacency {
-    /// Dense BitMatrix + cached zero-tile jump map (the flag-jump baseline).
-    kDenseJump,
-    /// Tile-CSR holding only nonzero 8x128 tiles: bit-identical results,
-    /// adjacency memory and shipped bytes at ~the nonzero-tile ratio
-    /// (Figure 8). Default off so the dense baseline stays comparable.
-    kTileSparse,
-  };
+  /// Batch-adjacency layout. The tile-CSR (only nonzero 8x128 tiles) is
+  /// the one layout; the enum survives only as the trailing parameter of
+  /// the named constructors below, which existing callers still spell out.
+  enum class Adjacency { kTileSparse };
 
   Epoch epoch = Epoch::kPrecomputed;
-  Adjacency adjacency = Adjacency::kDenseJump;
   /// Streaming only: capacity of each inter-stage queue — the peak-memory
   /// bound is ~(2*depth + workers) live batches.
   int pipeline_depth = 2;
@@ -69,16 +64,13 @@ struct RunMode {
   int prepare_threads = 1;
 
   [[nodiscard]] bool streaming() const { return epoch == Epoch::kStreaming; }
-  [[nodiscard]] bool sparse_adj() const {
-    return adjacency == Adjacency::kTileSparse;
-  }
 
-  static RunMode precomputed(Adjacency adj = Adjacency::kDenseJump) {
-    return RunMode{Epoch::kPrecomputed, adj, 2, 1};
+  static RunMode precomputed(Adjacency = Adjacency::kTileSparse) {
+    return RunMode{Epoch::kPrecomputed, 2, 1};
   }
   static RunMode streaming_pipeline(int depth, int prepare,
-                                    Adjacency adj = Adjacency::kDenseJump) {
-    return RunMode{Epoch::kStreaming, adj, depth, prepare};
+                                    Adjacency = Adjacency::kTileSparse) {
+    return RunMode{Epoch::kStreaming, depth, prepare};
   }
 };
 
@@ -94,7 +86,7 @@ struct EngineConfig {
   /// deterministically). 1 = the sequential legacy schedule. In streaming
   /// mode this is the compute-stage worker count.
   int inter_batch_threads = 1;
-  /// Epoch execution discipline + adjacency layout (see RunMode).
+  /// Epoch execution discipline (see RunMode).
   RunMode mode;
   /// Byte budget of the cross-epoch prepared-batch cache consulted at the
   /// shared prepare entry (prepare_batch / prepare_subgraph). 0 disables
@@ -137,8 +129,7 @@ struct EngineStats {
   double packed_transfer_seconds = 0.0;
   i64 dense_bytes = 0;
   double dense_transfer_seconds = 0.0;
-  // Adjacency share of the packed payload (tile-CSR bytes in sparse mode,
-  // the dense bit plane otherwise).
+  // Adjacency share of the packed payload (tile-CSR bytes).
   i64 adj_bytes = 0;
   // Overlap accounting (streaming mode): modelled wire time NOT hidden
   // behind compute on the two-engine replay (see pipeline.hpp). 0 in
@@ -336,7 +327,7 @@ class QgtcEngine {
   gnn::QgtcModel model_;
   std::vector<SubgraphBatch> batches_;
   std::vector<BatchRef> data_;  // precomputed mode only
-  /// Keyed by membership + this fingerprint (quantization/layout config).
+  /// Keyed by membership + this fingerprint (quantization config).
   u64 cache_fingerprint_ = 0;
   mutable store::BatchCache<BatchData> cache_;
   mutable std::atomic<i64> prepare_bytes_read_{0};
@@ -350,14 +341,13 @@ class QgtcEngine {
 std::vector<SubgraphBatch> make_epoch_batches(const CsrView& g,
                                               const EngineConfig& cfg);
 
-/// Packs an already-prepared batch into `slot` (dense plane or tile-CSR
-/// payload, per `sparse_adj`) — the pack-into-slot dispatch shared by the
-/// streaming ship stage, transfer accounting, and the serving pipeline's
-/// ship stage. Ships the *prepared* input planes as-is: the host quantized
-/// and decomposed the features exactly once, so the bytes on the wire are
-/// byte-for-byte the bytes the device computes on.
+/// Packs an already-prepared batch (tile-CSR adjacency + input planes) into
+/// `slot` — the pack-into-slot step shared by the streaming ship stage,
+/// transfer accounting, and the serving pipeline's ship stage. Ships the
+/// *prepared* input planes as-is: the host quantized and decomposed the
+/// features exactly once, so the bytes on the wire are byte-for-byte the
+/// bytes the device computes on.
 transfer::PackedSubgraph pack_prepared_batch(const QgtcEngine::BatchData& bd,
-                                             bool sparse_adj,
                                              transfer::StagingBuffer& slot,
                                              const transfer::PcieModel& pcie);
 

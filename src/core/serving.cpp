@@ -334,7 +334,6 @@ void ServingEngine::prepare_loop() {
 }
 
 void ServingEngine::ship_loop() {
-  const bool sparse = engine_->config().mode.sparse_adj();
   for (;;) {
     double blocked = 0.0;
     std::optional<MicroBatch> mb = ship_q_->pop(&blocked);
@@ -350,8 +349,7 @@ void ServingEngine::ship_loop() {
       // nothing to pack, nothing on the wire.
       const transfer::PackedSubgraph packed =
           mb->cached ? transfer::resident_reuse()
-                     : pack_prepared_batch(*mb->bd, sparse, ring_.next(),
-                                           pcie_);
+                     : pack_prepared_batch(*mb->bd, ring_.next(), pcie_);
       span.arg("bytes", packed.total_bytes);
       std::lock_guard lock(stats_mu_);
       stats_.packed_bytes += packed.total_bytes;
@@ -375,7 +373,6 @@ void ServingEngine::ship_loop() {
 }
 
 void ServingEngine::compute_loop(std::size_t worker) {
-  const bool sparse = engine_->config().mode.sparse_adj();
   const api::Session& session = sessions_[worker];
   // Client-visible latency distribution, recorded at completion — the
   // `--metrics` dump and the load generator's percentile source.
@@ -396,15 +393,8 @@ void ServingEngine::compute_loop(std::size_t worker) {
                   {{"nodes", mb->batch.size()},
                    {"requests", static_cast<i64>(mb->members.size())},
                    {"worker", static_cast<i64>(worker)}});
-        logits =
-            sparse ? engine_->model().forward_prepared(bd.adj_tiles,
-                                                       bd.x_planes,
-                                                       /*stats=*/nullptr,
-                                                       &session.context())
-                   : engine_->model().forward_prepared(bd.adj, &bd.tile_map,
-                                                       bd.x_planes,
-                                                       /*stats=*/nullptr,
-                                                       &session.context());
+        logits = engine_->model().forward_prepared(
+            bd.adj_tiles, bd.x_planes, /*stats=*/nullptr, &session.context());
       }
       const Clock::time_point done = Clock::now();
       const u64 done_ns = obs::SpanSink::now_ns();

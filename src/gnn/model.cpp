@@ -168,13 +168,8 @@ void QgtcModel::quantize_weights() {
   }
 }
 
-void QgtcModel::calibrate(const BitMatrix& adj, const MatrixF& x) {
-  run_stages(adj, nullptr, prepare_input(x), nullptr, nullptr, &stages_);
-  calibrated_ = true;
-}
-
 void QgtcModel::calibrate(const TileSparseBitMatrix& adj, const MatrixF& x) {
-  run_stages(adj, nullptr, prepare_input(x), nullptr, nullptr, &stages_);
+  run_stages(adj, prepare_input(x), nullptr, nullptr, &stages_);
   calibrated_ = true;
 }
 
@@ -184,28 +179,23 @@ StackedBitTensor QgtcModel::prepare_input(const MatrixF& x) const {
                                     PadPolicy::kTile8);
 }
 
-MatrixI32 QgtcModel::forward_quantized(const BitMatrix& adj, const MatrixF& x,
-                                       ForwardStats* stats,
+MatrixI32 QgtcModel::forward_quantized(const TileSparseBitMatrix& adj,
+                                       const MatrixF& x, ForwardStats* stats,
                                        const tcsim::ExecutionContext* ctx) const {
-  return forward_prepared(adj, nullptr, prepare_input(x), stats, ctx);
+  return forward_prepared(adj, prepare_input(x), stats, ctx);
 }
 
-template <typename Adj>
-MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
+MatrixI32 QgtcModel::run_stages(const TileSparseBitMatrix& adj,
                                 const StackedBitTensor& x_planes,
                                 ForwardStats* stats,
                                 const tcsim::ExecutionContext* ctx,
                                 std::vector<Stage>* calibrating) const {
-  // `opt` drives the update-side MMs (activations x weights); the cached
-  // adjacency flag map belongs only to the aggregation-side options — a
-  // single-plane (1-bit) activation operand would otherwise be jumped with
-  // the adjacency's map, whose tile grid it does not share.
+  // `zero_tile_jump` gates the inline test on the update-side activation
+  // planes; aggregation jumps structurally over the tile-CSR regardless.
   BmmOptions opt;
   opt.zero_tile_jump = cfg_.zero_tile_jump;
   opt.allow_overflow = (cfg_.feat_bits > 8 || cfg_.weight_bits > 8);
   opt.ctx = ctx;
-  BmmOptions agg_opt = opt;
-  agg_opt.tile_map = tile_map;
 
   const tcsim::ExecutionContext& exec = resolve_ctx(opt);
   tcsim::Counters before;
@@ -222,11 +212,10 @@ MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const Stage& st = stages_[i];
     const bool agg = st.op == StageOp::kAggregate;
-    const BmmOptions& o = agg ? agg_opt : opt;
     const StackedBitTensor* w = agg ? nullptr : &w_planes_[st.weight];
     if (st.last) {
-      logits = agg ? aggregate_1bit(adj, *cur, cfg_.reuse, o)
-                   : bitmm_fused_int(*cur, *w, {}, o);
+      logits = agg ? aggregate_1bit(adj, *cur, cfg_.reuse, opt)
+                   : bitmm_fused_int(*cur, *w, {}, opt);
       break;
     }
     // Aggregation always feeds an update, so its fixed kRowMajorK output is
@@ -234,9 +223,9 @@ MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
     const BitLayout layout = operand_layout(stages_[i + 1].op);
     if (st.plan.fused && calibrating == nullptr) {
       next = agg ? aggregate_fused_bit(adj, *cur, st.plan.out_bits,
-                                       epi_of(st.plan), o, PadPolicy::kTile8)
+                                       epi_of(st.plan), opt, PadPolicy::kTile8)
                  : bitmm_fused_bit(*cur, *w, st.plan.out_bits,
-                                   epi_of(st.plan), o, PadPolicy::kTile8,
+                                   epi_of(st.plan), opt, PadPolicy::kTile8,
                                    layout);
       cur = &next;
       continue;
@@ -252,9 +241,9 @@ MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
             : exec.workspace().int32_scratch(static_cast<int>(i), adj.rows(),
                                              cols);
     if (agg) {
-      aggregate_1bit_into(adj, *cur, cfg_.reuse, acc, o);
+      aggregate_1bit_into(adj, *cur, cfg_.reuse, acc, opt);
     } else {
-      bitmm_fused_int_into(*cur, *w, acc, {}, o);
+      bitmm_fused_int_into(*cur, *w, acc, {}, opt);
     }
     // Calibration derives the shift from the observed maximum and, with
     // per_layer_bits, narrows the plane count to what the requantized range
@@ -291,19 +280,11 @@ MatrixI32 QgtcModel::run_stages(const Adj& adj, const TileMap* tile_map,
   return logits;
 }
 
-MatrixI32 QgtcModel::forward_prepared(const BitMatrix& adj,
-                                      const TileMap* tile_map,
-                                      const StackedBitTensor& x_planes,
-                                      ForwardStats* stats,
-                                      const tcsim::ExecutionContext* ctx) const {
-  return run_stages(adj, tile_map, x_planes, stats, ctx, nullptr);
-}
-
 MatrixI32 QgtcModel::forward_prepared(const TileSparseBitMatrix& adj,
                                       const StackedBitTensor& x_planes,
                                       ForwardStats* stats,
                                       const tcsim::ExecutionContext* ctx) const {
-  return run_stages(adj, /*tile_map=*/nullptr, x_planes, stats, ctx, nullptr);
+  return run_stages(adj, x_planes, stats, ctx, nullptr);
 }
 
 MatrixF QgtcModel::forward_fp32(const CsrGraph& local, const MatrixF& x) const {

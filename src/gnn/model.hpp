@@ -70,20 +70,17 @@ class QgtcModel {
   /// One-time requantization calibration (paper's fused epilogue needs the
   /// per-layer right-shift fixed before inference; we derive it from one
   /// representative batch, the standard post-training-calibration recipe).
-  void calibrate(const BitMatrix& adj, const MatrixF& x);
-  /// Calibration over a tile-CSR adjacency (the sparse-adjacency engine mode
-  /// never materialises the dense batch matrix, calibration included).
   void calibrate(const TileSparseBitMatrix& adj, const MatrixF& x);
   [[nodiscard]] bool calibrated() const { return calibrated_; }
 
   /// Quantized QGTC forward for one batch: returns int32 logits
-  /// (batch_nodes x out_dim). `adj` is the batch's binary adjacency
-  /// (kRowMajorK); `x` the gathered fp32 features. Quantizes + packs the
+  /// (batch_nodes x out_dim). `adj` is the batch's tile-CSR binary
+  /// adjacency; `x` the gathered fp32 features. Quantizes + packs the
   /// input inline — convenient, but production callers should pre-pack with
   /// `prepare_input` (the paper packs on the host before transfer, §4.6).
   /// `ctx` selects the substrate backend / counter sink (null = process
   /// default context).
-  MatrixI32 forward_quantized(const BitMatrix& adj, const MatrixF& x,
+  MatrixI32 forward_quantized(const TileSparseBitMatrix& adj, const MatrixF& x,
                               ForwardStats* stats = nullptr,
                               const tcsim::ExecutionContext* ctx = nullptr) const;
 
@@ -91,19 +88,12 @@ class QgtcModel {
   /// layout the first stage consumes (kColMajorK for GCN, kRowMajorK for GIN).
   [[nodiscard]] StackedBitTensor prepare_input(const MatrixF& x) const;
 
-  /// Forward over a pre-packed input. `tile_map` (optional) is the cached
-  /// zero-tile map of `adj`, reused across layers and bit-planes (§3.2).
-  /// Every kernel in the pass runs on `ctx`'s backend and notes its counters
-  /// into `ctx`'s sink; per-worker contexts make concurrent batch streams
-  /// race-free (the engine's inter-batch parallelism).
-  MatrixI32 forward_prepared(const BitMatrix& adj, const TileMap* tile_map,
-                             const StackedBitTensor& x_planes,
-                             ForwardStats* stats = nullptr,
-                             const tcsim::ExecutionContext* ctx = nullptr) const;
-
-  /// Forward over a tile-CSR adjacency: every aggregation consumes the
-  /// stored tiles directly, so zero-tile jumping is structural (no flag map
-  /// to build, cache or test). Bit-identical to the dense path.
+  /// Forward over a pre-packed input. Every aggregation consumes the
+  /// adjacency's stored tiles directly, so zero-tile jumping is structural
+  /// (no flag map to build, cache or test). Every kernel in the pass runs on
+  /// `ctx`'s backend and notes its counters into `ctx`'s sink; per-worker
+  /// contexts make concurrent batch streams race-free (the engine's
+  /// inter-batch parallelism).
   MatrixI32 forward_prepared(const TileSparseBitMatrix& adj,
                              const StackedBitTensor& x_planes,
                              ForwardStats* stats = nullptr,
@@ -142,13 +132,10 @@ class QgtcModel {
   /// Plan of the `nth` stage (0-based) whose op is `op`.
   [[nodiscard]] const EpiloguePlan& nth_plan(StageOp op, int nth) const;
 
-  /// Runs the stage list, generic over the adjacency representation (dense
-  /// BitMatrix or TileSparseBitMatrix — the aggregate kernels overload on
-  /// it). `tile_map` is dense-only; sparse passes null. With `calibrating`
-  /// (the model's own stage list) every stage runs unfused and records the
-  /// rshift/out_bits it observes into that list.
-  template <typename Adj>
-  MatrixI32 run_stages(const Adj& adj, const TileMap* tile_map,
+  /// Runs the stage list. With `calibrating` (the model's own stage list)
+  /// every stage runs unfused and records the rshift/out_bits it observes
+  /// into that list.
+  MatrixI32 run_stages(const TileSparseBitMatrix& adj,
                        const StackedBitTensor& x_planes, ForwardStats* stats,
                        const tcsim::ExecutionContext* ctx,
                        std::vector<Stage>* calibrating) const;

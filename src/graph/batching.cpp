@@ -205,8 +205,6 @@ i64 PreparedBatch::prepared_bytes() const {
   total += static_cast<i64>(batch.nodes.size() * sizeof(i32));
   total += static_cast<i64>(batch.part_bounds.size() * sizeof(i64));
   total += adj_tiles.bytes();
-  total += adj.bytes();
-  total += static_cast<i64>(tile_map.nonzero.size());
   total += static_cast<i64>(local.row_ptr().size() * sizeof(i64));
   total += static_cast<i64>(local.col_idx().size() * sizeof(i32));
   total += features.size() * static_cast<i64>(sizeof(float));
@@ -215,19 +213,12 @@ i64 PreparedBatch::prepared_bytes() const {
 
 PreparedBatch prepare_batch_data(const CsrView& g,
                                  const store::FeatureSource& features,
-                                 const SubgraphBatch& batch, bool sparse_adj,
+                                 const SubgraphBatch& batch,
                                  bool add_self_loops, bool build_fp32_csr) {
   PreparedBatch bd;
   bd.batch = batch;
-  // The tile-CSR adjacency is always built — straight from the global CSR,
-  // never through a dense intermediate. Dense mode derives its plane and
-  // flag map from the tile-CSR (one edge walk total; the flag census is
-  // structural, not a rescan).
+  // Straight from the global CSR, never through a dense intermediate.
   bd.adj_tiles = build_batch_adjacency_tiles(g, batch, add_self_loops);
-  if (!sparse_adj) {
-    bd.adj = bd.adj_tiles.to_bit_matrix();
-    bd.tile_map = build_tile_map(bd.adj_tiles);
-  }
   if (build_fp32_csr) bd.local = build_batch_csr(g, batch, add_self_loops);
   bd.features = features.gather(batch.nodes);
   return bd;

@@ -1,7 +1,8 @@
 // Subgraph batching (paper §4.1): partitions are grouped into batches; a
-// batch is computed as one dense block-diagonal binary adjacency (edges only
+// batch is computed as one block-diagonal binary adjacency (edges only
 // connect nodes of the same partition — the main source of Figure 8's
-// all-zero tiles) over the gathered node features.
+// all-zero tiles), stored as a tile-CSR of its nonzero tiles, over the
+// gathered node features.
 #pragma once
 
 #include <vector>
@@ -12,7 +13,6 @@
 #include "graph/csr.hpp"
 #include "store/feature_store.hpp"
 #include "graph/partitioner.hpp"
-#include "kernels/zerotile.hpp"
 
 namespace qgtc {
 
@@ -41,7 +41,8 @@ std::vector<i32> expand_ego(const CsrView& g, const std::vector<i32>& seeds,
                             int fanout, i64 max_nodes = 0);
 
 /// Builds the batch's dense binary adjacency (kRowMajorK, PAD8 rows) with
-/// only intra-partition edges, plus self-loops when `add_self_loops`.
+/// only intra-partition edges, plus self-loops when `add_self_loops` — the
+/// reference the tile-CSR builder below is tested against.
 BitMatrix build_batch_adjacency(const CsrView& g, const SubgraphBatch& batch,
                                 bool add_self_loops = true);
 
@@ -69,10 +70,8 @@ MatrixF gather_rows(const store::FeatureSource& features,
 /// O(epoch)). The model layer adds its packed input planes on top.
 struct PreparedBatch {
   SubgraphBatch batch;
-  /// Tile-CSR adjacency, always built straight from the global CSR.
+  /// Tile-CSR adjacency, built straight from the global CSR.
   TileSparseBitMatrix adj_tiles;
-  BitMatrix adj;      // dense binary adjacency (empty when sparse_adj)
-  TileMap tile_map;   // cached zero-tile map of adj (dense mode only)
   CsrGraph local;     // same adjacency as CSR (fp32 baseline path)
   MatrixF features;   // gathered fp32 features
 
@@ -90,7 +89,7 @@ struct PreparedBatch {
 /// its edge sort is a large share of the prepare cost).
 PreparedBatch prepare_batch_data(const CsrView& g,
                                  const store::FeatureSource& features,
-                                 const SubgraphBatch& batch, bool sparse_adj,
+                                 const SubgraphBatch& batch,
                                  bool add_self_loops = true,
                                  bool build_fp32_csr = true);
 

@@ -48,12 +48,12 @@ bool tile_zero_all_planes(const std::vector<const BitMatrix*>& ap, i64 tm,
 }
 
 /// Dense A-side tile source: one or more kRowMajorK bit planes whose
-/// surviving tiles come from the §4.3 flag test (precomputed map or inline
-/// OR+ballot). Tile handles are K-tile indices.
+/// surviving tiles come from the inline §4.3 OR+ballot test. Tile handles
+/// are K-tile indices.
 class DensePlanesSource {
  public:
   /// True when absent tiles are structurally skipped regardless of
-  /// opt.zero_tile_jump (dense planes: no — the flag test gates skipping).
+  /// opt.zero_tile_jump (dense planes: no — the inline test gates skipping).
   static constexpr bool kStructural = false;
 
   explicit DensePlanesSource(std::vector<const BitMatrix*> ap)
@@ -75,14 +75,9 @@ class DensePlanesSource {
   i64 survivors(i64 tm, const BmmOptions& opt, std::vector<i64>& list) const {
     i64 jumped = 0;
     for (i64 tk = 0; tk < tiles_k(); ++tk) {
-      if (opt.zero_tile_jump) {
-        const bool nz = (opt.tile_map != nullptr && planes() == 1)
-                            ? opt.tile_map->is_nonzero(tm, tk)
-                            : !tile_zero_all_planes(ap_, tm, tk);
-        if (!nz) {
-          ++jumped;
-          continue;
-        }
+      if (opt.zero_tile_jump && tile_zero_all_planes(ap_, tm, tk)) {
+        ++jumped;
+        continue;
       }
       list.push_back(tk);
     }
@@ -514,13 +509,6 @@ MatrixI32 aggregate_1bit(const TileSparseBitMatrix& a_bin,
   aggregate_1bit_into_impl(a_bin, a_bin.padded_rows(), SparseAdjSource(a_bin),
                            x, mode, out, opt);
   return out;
-}
-
-void aggregate_1bit_into(const BitMatrix& a_bin, const StackedBitTensor& x,
-                         ReuseMode mode, MatrixI32& out,
-                         const BmmOptions& opt) {
-  aggregate_1bit_into_impl(a_bin, pad8(a_bin.rows()),
-                           DensePlanesSource({&a_bin}), x, mode, out, opt);
 }
 
 void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,

@@ -89,11 +89,8 @@ MatrixI32 aggregate_1bit(const TileSparseBitMatrix& a_bin,
                          const StackedBitTensor& x, ReuseMode mode,
                          const BmmOptions& opt = {});
 
-/// In-place aggregation variants writing into caller-provided storage (same
+/// In-place tile-CSR aggregation writing into caller-provided storage (same
 /// contract as bitmm_fused_int_into; used by the unfused fallback path).
-void aggregate_1bit_into(const BitMatrix& a_bin, const StackedBitTensor& x,
-                         ReuseMode mode, MatrixI32& out,
-                         const BmmOptions& opt = {});
 void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
                          const StackedBitTensor& x, ReuseMode mode,
                          MatrixI32& out, const BmmOptions& opt = {});

@@ -24,7 +24,7 @@ namespace {
 // One row block's surviving tiles + panel sweep, shared by the dense
 // (flag-jump) and tile-CSR overloads so the §4.4 panel loop, flush, and
 // substrate accounting have exactly one body — the counter parity the
-// sparse/dense benches assert is structural, not maintained by hand.
+// sparse/dense tests assert is structural, not maintained by hand.
 // `fill_refs(tm, refs)` appends the block's surviving tiles and returns the
 // jumped count; every referenced tile has row stride `a_stride`.
 template <typename FillRefs>
@@ -102,16 +102,11 @@ void bmm_accumulate(const BitMatrix& a, const BitMatrix& b, MatrixI32& c,
                 refs.reserve(static_cast<std::size_t>(tiles_k));
                 const u32* a_block = a.row_words(tm * kTileM);
                 for (i64 tk = 0; tk < tiles_k; ++tk) {
-                  if (opt.zero_tile_jump) {
-                    const bool nz =
-                        opt.tile_map != nullptr
-                            ? opt.tile_map->is_nonzero(tm, tk)
-                            : !tcsim::tile_is_zero(a_block + tk * kTileKWords,
-                                                   a_stride);
-                    if (!nz) {
-                      ++jumped;
-                      continue;
-                    }
+                  if (opt.zero_tile_jump &&
+                      tcsim::tile_is_zero(a_block + tk * kTileKWords,
+                                          a_stride)) {
+                    ++jumped;
+                    continue;
                   }
                   refs.push_back({a_block + tk * kTileKWords, tk});
                 }

@@ -5,19 +5,15 @@
 
 #include "bittensor/bit_matrix.hpp"
 #include "bittensor/tile_sparse.hpp"
-#include "kernels/zerotile.hpp"
 #include "tcsim/exec_context.hpp"
 #include "tcsim/wmma.hpp"
 
 namespace qgtc {
 
 struct BmmOptions {
-  /// Skip all-zero 8x128 A-tiles (paper §4.3). Requires `tile_map` or pays
-  /// an inline OR+ballot test per tile.
+  /// Skip all-zero 8x128 A-tiles (paper §4.3) with an inline OR+ballot test
+  /// per tile. A tile-CSR A operand jumps structurally and ignores this.
   bool zero_tile_jump = false;
-  /// Optional precomputed jump map (reused across layers/bit-planes since the
-  /// adjacency pattern is shared — paper §3.2's caching note).
-  const TileMap* tile_map = nullptr;
   /// Skip the worst-case int32 bound check. High-bit settings (s or t > 8,
   /// as in the paper's 16/32-bit runs) can exceed the bound; accumulation is
   /// performed in unsigned arithmetic so overflow wraps (defined behaviour),
@@ -56,9 +52,8 @@ MatrixI32 bmm(const BitMatrix& a, const BitMatrix& b,
 /// only. Jumping is free — no dense scan, no per-tile flag test; the tiles
 /// the tile-CSR never stored count as `tiles_jumped`, so the substrate
 /// accounting matches the dense path *with zero-tile jumping enabled*
-/// exactly. `opt.zero_tile_jump` and `opt.tile_map` are ignored — the layout
-/// *is* the jump map, and structural jumping cannot be disabled, so a dense
-/// no-jump ablation (zero_tile_jump=false) has no sparse counter analogue.
+/// exactly. `opt.zero_tile_jump` is ignored — the layout *is* the jump map;
+/// a tile-CSR that stores every tile is the no-jump layout.
 /// The XOR combine is rejected, as with flag-based jumping.
 void bmm_accumulate(const TileSparseBitMatrix& a, const BitMatrix& b,
                     MatrixI32& c, int shift = 0, const BmmOptions& opt = {});

@@ -5,18 +5,11 @@
 
 namespace qgtc::transfer {
 
-namespace {
-
-/// Shared pack_batch body: the adjacency representations differ only in the
-/// bytes they stage, so `adj_bytes` + `stage_adjacency(staging)` is the whole
-/// per-representation surface — accounting, embedding staging, timing, and
-/// PCIe modeling exist once.
-template <typename StageAdjacency>
-PackedSubgraph pack_batch_impl(i64 adj_bytes, const StackedBitTensor& embeddings,
-                               StagingBuffer& staging, const PcieModel& pcie,
-                               StageAdjacency&& stage_adjacency) {
+PackedSubgraph pack_batch_tiles(const TileSparseBitMatrix& adjacency,
+                                const StackedBitTensor& embeddings,
+                                StagingBuffer& staging, const PcieModel& pcie) {
   PackedSubgraph out;
-  out.adjacency_bytes = adj_bytes;
+  out.adjacency_bytes = adjacency.bytes();  // payload + u32 indices/offsets
   out.embedding_bytes = embeddings.bytes();
   out.total_bytes = out.adjacency_bytes + out.embedding_bytes;
   out.transfers = 1;
@@ -30,7 +23,11 @@ PackedSubgraph pack_batch_impl(i64 adj_bytes, const StackedBitTensor& embeddings
   Timer t;
   staging.clear();
   staging.reserve(out.total_bytes);
-  stage_adjacency(staging);
+  staging.stage(adjacency.payload_data(), adjacency.payload_bytes());
+  staging.stage(adjacency.col_idx_data(),
+                adjacency.nnz_tiles() * static_cast<i64>(sizeof(u32)));
+  staging.stage(adjacency.row_ptr_data(),
+                (adjacency.tiles_m() + 1) * static_cast<i64>(sizeof(u32)));
   for (int b = 0; b < embeddings.bits(); ++b) {
     staging.stage(embeddings.plane(b).data(), embeddings.plane(b).bytes());
   }
@@ -38,31 +35,6 @@ PackedSubgraph pack_batch_impl(i64 adj_bytes, const StackedBitTensor& embeddings
   out.modeled_seconds = pcie.transfer_seconds(out.total_bytes);
   span.arg("wire_ns", static_cast<i64>(out.modeled_seconds * 1e9));
   return out;
-}
-
-}  // namespace
-
-PackedSubgraph pack_batch(const BitMatrix& adjacency,
-                          const StackedBitTensor& embeddings,
-                          StagingBuffer& staging, const PcieModel& pcie) {
-  return pack_batch_impl(adjacency.bytes(), embeddings, staging, pcie,
-                         [&](StagingBuffer& s) {
-                           s.stage(adjacency.data(), adjacency.bytes());
-                         });
-}
-
-PackedSubgraph pack_batch_tiles(const TileSparseBitMatrix& adjacency,
-                                const StackedBitTensor& embeddings,
-                                StagingBuffer& staging, const PcieModel& pcie) {
-  // adjacency.bytes() = payload + u32 indices/offsets.
-  return pack_batch_impl(
-      adjacency.bytes(), embeddings, staging, pcie, [&](StagingBuffer& s) {
-        s.stage(adjacency.payload_data(), adjacency.payload_bytes());
-        s.stage(adjacency.col_idx_data(),
-                adjacency.nnz_tiles() * static_cast<i64>(sizeof(u32)));
-        s.stage(adjacency.row_ptr_data(),
-                (adjacency.tiles_m() + 1) * static_cast<i64>(sizeof(u32)));
-      });
 }
 
 PackedSubgraph dense_fp32_baseline(i64 num_nodes, i64 feature_dim,

@@ -20,18 +20,14 @@ struct PackedSubgraph {
   double staging_seconds = 0;  // measured memcpy time into the compound object
 };
 
-/// Packs a batch (binary adjacency + quantized embedding planes) into one
-/// compound staging buffer and reports byte/time accounting.
-PackedSubgraph pack_batch(const BitMatrix& adjacency,
-                          const StackedBitTensor& embeddings,
-                          StagingBuffer& staging, const PcieModel& pcie);
-
-/// Tile-sparse variant: ships only the stored tile payloads plus their u32
-/// column indices and row offsets, so `adjacency_bytes` shrinks from the
-/// dense plane (pad8(N) * pad128(N) / 8) to
+/// Packs a batch (tile-CSR binary adjacency + quantized embedding planes)
+/// into one compound staging buffer and reports byte/time accounting. The
+/// adjacency ships only its stored tile payloads plus their u32 column
+/// indices and row offsets, so `adjacency_bytes` is
 ///   nnz_tiles * 128 + (nnz_tiles + tiles_m + 1) * 4
-/// — ~the nonzero-tile ratio of the dense footprint (§4.6 accounting on the
-/// true nonzero working set).
+/// instead of the dense plane's pad8(N) * pad128(N) / 8 — ~the nonzero-tile
+/// ratio of the dense footprint (§4.6 accounting on the true nonzero
+/// working set).
 PackedSubgraph pack_batch_tiles(const TileSparseBitMatrix& adjacency,
                                 const StackedBitTensor& embeddings,
                                 StagingBuffer& staging, const PcieModel& pcie);

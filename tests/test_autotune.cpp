@@ -111,7 +111,7 @@ TEST(Autotune, LatencyObjectiveShapesServingPolicy) {
   const DatasetSpec spec = table1_spec("ogbn-arxiv");
   const TunedConfig t =
       generate_runtime_config(spec, model_for(spec), DeviceProfile{},
-                              /*sparse_adj=*/true, TuneObjective::kLatency);
+                              TuneObjective::kLatency);
   EXPECT_EQ(t.objective, TuneObjective::kLatency);
   // Latency profile: no queue for a request to age in, prepare staffed at
   // least as heavily as compute (prepare dominates the per-request path).

@@ -216,12 +216,12 @@ TEST(Backends, EngineOutputsIdenticalAcrossBackendsAndThreads) {
   for (const auto& bdp : engine.batch_data()) {
     const auto& bd = *bdp;
     const MatrixI32 want = engine.model().forward_prepared(
-        bd.adj, &bd.tile_map, bd.x_planes, nullptr, &scalar);
+        bd.adj_tiles, bd.x_planes, nullptr, &scalar);
     for (const auto kind :
          {tcsim::BackendKind::kSimd, tcsim::BackendKind::kBlocked}) {
       const tcsim::ExecutionContext ctx(kind);
-      EXPECT_EQ(engine.model().forward_prepared(bd.adj, &bd.tile_map,
-                                                bd.x_planes, nullptr, &ctx),
+      EXPECT_EQ(engine.model().forward_prepared(bd.adj_tiles, bd.x_planes,
+                                                nullptr, &ctx),
                 want)
           << tcsim::backend_name(kind);
     }

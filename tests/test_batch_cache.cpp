@@ -1,7 +1,7 @@
 // BatchCache tests: LRU/byte-budget mechanics at the unit level, and the
 // engine-level invariant the whole PR hangs on — logits and substrate
-// counters are bit-identical with the cache on vs off, across backends,
-// adjacency layouts and run modes, including after evictions and under
+// counters are bit-identical with the cache on vs off, across backends and
+// run modes, including after evictions and under
 // concurrent streaming prepare workers (the TSan surface).
 #include <gtest/gtest.h>
 
@@ -120,7 +120,7 @@ Dataset cache_dataset() {
   return generate_dataset(spec);
 }
 
-core::EngineConfig cache_config(bool sparse, bool streaming, int bits = 3) {
+core::EngineConfig cache_config(bool streaming, int bits = 3) {
   core::EngineConfig cfg;
   cfg.model.kind = gnn::ModelKind::kClusterGCN;
   cfg.model.num_layers = 2;
@@ -131,41 +131,36 @@ core::EngineConfig cache_config(bool sparse, bool streaming, int bits = 3) {
   cfg.model.weight_bits = bits;
   cfg.num_partitions = 16;
   cfg.batch_size = 4;
-  cfg.mode.adjacency = sparse ? core::RunMode::Adjacency::kTileSparse
-                              : core::RunMode::Adjacency::kDenseJump;
   cfg.mode.epoch = streaming ? core::RunMode::Epoch::kStreaming
                              : core::RunMode::Epoch::kPrecomputed;
   return cfg;
 }
 
-TEST(BatchCacheEngine, ParityAcrossBackendsLayoutsAndModes) {
+TEST(BatchCacheEngine, ParityAcrossBackendsAndModes) {
   const Dataset ds = cache_dataset();
   for (const auto backend :
        {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
         tcsim::BackendKind::kBlocked}) {
-    for (const bool sparse : {false, true}) {
-      for (const bool streaming : {false, true}) {
-        core::EngineConfig off = cache_config(sparse, streaming);
-        off.backend = backend;
-        core::EngineConfig on = off;
-        on.cache_budget_bytes = i64{256} << 20;
-        core::QgtcEngine engine_off(ds, off);
-        core::QgtcEngine engine_on(ds, on);
-        std::vector<MatrixI32> la, lb;
-        const core::EngineStats sa = engine_off.run_quantized(2, &la);
-        const core::EngineStats sb = engine_on.run_quantized(2, &lb);
-        ASSERT_EQ(la, lb) << "backend=" << static_cast<int>(backend)
-                          << " sparse=" << sparse
-                          << " streaming=" << streaming;
-        EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
-        EXPECT_EQ(sa.tiles_jumped, sb.tiles_jumped);
-        if (streaming) {
-          // Warm epochs (the timed rounds) are all hits: every lookup in the
-          // stats delta hit, and nothing was read from the feature source.
-          EXPECT_EQ(sb.cache_misses, 0);
-          EXPECT_EQ(sb.cache_hits, sb.batches);
-          EXPECT_EQ(sb.prepare_bytes_read, 0);
-        }
+    for (const bool streaming : {false, true}) {
+      core::EngineConfig off = cache_config(streaming);
+      off.backend = backend;
+      core::EngineConfig on = off;
+      on.cache_budget_bytes = i64{256} << 20;
+      core::QgtcEngine engine_off(ds, off);
+      core::QgtcEngine engine_on(ds, on);
+      std::vector<MatrixI32> la, lb;
+      const core::EngineStats sa = engine_off.run_quantized(2, &la);
+      const core::EngineStats sb = engine_on.run_quantized(2, &lb);
+      ASSERT_EQ(la, lb) << "backend=" << static_cast<int>(backend)
+                        << " streaming=" << streaming;
+      EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
+      EXPECT_EQ(sa.tiles_jumped, sb.tiles_jumped);
+      if (streaming) {
+        // Warm epochs (the timed rounds) are all hits: every lookup in the
+        // stats delta hit, and nothing was read from the feature source.
+        EXPECT_EQ(sb.cache_misses, 0);
+        EXPECT_EQ(sb.cache_hits, sb.batches);
+        EXPECT_EQ(sb.prepare_bytes_read, 0);
       }
     }
   }
@@ -173,7 +168,7 @@ TEST(BatchCacheEngine, ParityAcrossBackendsLayoutsAndModes) {
 
 TEST(BatchCacheEngine, ZeroBudgetEngineNeverTouchesCache) {
   const Dataset ds = cache_dataset();
-  core::QgtcEngine engine(ds, cache_config(true, true));  // budget 0
+  core::QgtcEngine engine(ds, cache_config(true));  // budget 0
   (void)engine.run_quantized(2);
   const store::BatchCacheStats s = engine.cache_stats();
   EXPECT_EQ(s.hits + s.misses + s.inserts + s.entries, 0);
@@ -181,10 +176,10 @@ TEST(BatchCacheEngine, ZeroBudgetEngineNeverTouchesCache) {
 
 TEST(BatchCacheEngine, BudgetSmallerThanOneBatchDegradesToPassThrough) {
   const Dataset ds = cache_dataset();
-  core::EngineConfig cfg = cache_config(true, true);
+  core::EngineConfig cfg = cache_config(true);
   cfg.cache_budget_bytes = 8 * 64;  // shard budget 64 bytes < any batch
   core::QgtcEngine tiny(ds, cfg);
-  core::QgtcEngine off(ds, cache_config(true, true));
+  core::QgtcEngine off(ds, cache_config(true));
   std::vector<MatrixI32> la, lb;
   (void)tiny.run_quantized(2, &la);
   (void)off.run_quantized(2, &lb);
@@ -204,7 +199,7 @@ TEST(BatchCacheEngine, EvictionThenRehitKeepsLogitsBitIdentical) {
     return cfg;
   };
   // Measure the epoch's prepared footprint with an uncapped cache...
-  core::EngineConfig probe_cfg = many_batches(cache_config(true, true));
+  core::EngineConfig probe_cfg = many_batches(cache_config(true));
   probe_cfg.cache_budget_bytes = i64{256} << 20;
   core::QgtcEngine probe(ds, probe_cfg);
   (void)probe.run_quantized(1);
@@ -214,10 +209,10 @@ TEST(BatchCacheEngine, EvictionThenRehitKeepsLogitsBitIdentical) {
   // ...then budget each shard ~1.5 average batches: every batch fits, but a
   // shard holding two must evict, so warm epochs keep evicting and
   // re-preparing. Results must not change.
-  core::EngineConfig cfg = many_batches(cache_config(true, true));
+  core::EngineConfig cfg = many_batches(cache_config(true));
   cfg.cache_budget_bytes = epoch_bytes * 3 / 4;
   core::QgtcEngine engine(ds, cfg);
-  core::QgtcEngine off(ds, many_batches(cache_config(true, true)));
+  core::QgtcEngine off(ds, many_batches(cache_config(true)));
   std::vector<MatrixI32> la, lb;
   const core::EngineStats sa = engine.run_quantized(3, &la);
   const core::EngineStats sb = off.run_quantized(3, &lb);
@@ -232,7 +227,7 @@ TEST(BatchCacheEngine, ConcurrentStreamingPrepareWorkersStayBitIdentical) {
   // Multiple prepare workers race lookup/insert on the shared cache while
   // compute workers consume the shared_ptr values — the TSan job runs this.
   const Dataset ds = cache_dataset();
-  core::EngineConfig cfg = cache_config(true, true);
+  core::EngineConfig cfg = cache_config(true);
   cfg.cache_budget_bytes = i64{256} << 20;
   cfg.mode.prepare_threads = 2;
   cfg.inter_batch_threads = 2;

@@ -89,8 +89,8 @@ TEST(Engine, QuantizedLogitsDeterministic) {
   QgtcEngine e2(ds, cfg);
   const auto& bd1 = *e1.batch_data().front();
   const auto& bd2 = *e2.batch_data().front();
-  EXPECT_EQ(e1.model().forward_quantized(bd1.adj, bd1.features),
-            e2.model().forward_quantized(bd2.adj, bd2.features));
+  EXPECT_EQ(e1.model().forward_quantized(bd1.adj_tiles, bd1.features),
+            e2.model().forward_quantized(bd2.adj_tiles, bd2.features));
 }
 
 TEST(TablePrinterTest, FormatsAlignedRows) {

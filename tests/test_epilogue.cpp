@@ -1,7 +1,7 @@
 // Fused quantized epilogue tests: the requantize/activate/re-pack sequence
 // executed inside the tile flush must be bit-identical to the unfused
 // reference (int32 sweep + standalone requantization) across every backend,
-// adjacency layout, epoch mode, activation and bit-width — and must actually
+// epoch mode, activation and bit-width — and must actually
 // avoid the int32 intermediate (counter > 0 fused, == 0 unfused).
 #include <gtest/gtest.h>
 
@@ -305,8 +305,7 @@ TEST(Epilogue, FusedIntActivationAcrossBackends) {
 
 struct ModelFixture {
   Dataset ds;
-  BitMatrix adj;
-  TileSparseBitMatrix sparse_adj;
+  TileSparseBitMatrix adj;
   MatrixF feats;
 
   explicit ModelFixture(i64 nodes = 300) {
@@ -314,8 +313,7 @@ struct ModelFixture {
     ds = generate_dataset(spec);
     PartitionResult parts = partition_graph(ds.graph, 4);
     auto batches = make_batches(parts, 4);  // single batch, whole graph
-    adj = build_batch_adjacency(ds.graph, batches[0]);
-    sparse_adj = TileSparseBitMatrix::from_bit_matrix(adj);
+    adj = build_batch_adjacency_tiles(ds.graph, batches[0]);
     feats = gather_rows(ds.features, batches[0].nodes);
   }
 
@@ -339,49 +337,40 @@ struct ModelRun {
 };
 
 ModelRun run_model(const ModelFixture& f, const gnn::GnnConfig& cfg,
-                   tcsim::BackendKind kind, bool sparse) {
+                   tcsim::BackendKind kind) {
   gnn::QgtcModel m = gnn::QgtcModel::create(cfg, 13);
   ModelRun r;
   tcsim::ExecutionContext ctx(kind);
-  if (sparse) {
-    m.calibrate(f.sparse_adj, f.feats);
-    const StackedBitTensor x = m.prepare_input(f.feats);
-    r.logits = m.forward_prepared(f.sparse_adj, x, &r.stats, &ctx);
-  } else {
-    m.calibrate(f.adj, f.feats);
-    r.logits = m.forward_quantized(f.adj, f.feats, &r.stats, &ctx);
-  }
+  m.calibrate(f.adj, f.feats);
+  r.logits = m.forward_quantized(f.adj, f.feats, &r.stats, &ctx);
   return r;
 }
 
 // The tentpole parity claim: fused and unfused model passes produce
 // bit-identical logits AND the identical tile schedule (bmma_ops,
-// tiles_jumped) on every backend × adjacency layout, while only the fused
-// pass skips int32 intermediates. (frag_loads are deliberately not compared:
+// tiles_jumped) on every backend, while only the fused pass skips int32
+// intermediates. (frag_loads are deliberately not compared:
 // the fused col-major plane writer parallelises over output columns, which
 // re-loads A fragments in a different — but counted — pattern.)
-TEST(Epilogue, ModelParityAcrossBackendsAndLayouts) {
+TEST(Epilogue, ModelParityAcrossBackends) {
   const ModelFixture f;
   for (const auto kind : tcsim::all_backends()) {
     for (const auto mk :
          {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
-      for (const bool sparse : {false, true}) {
-        gnn::GnnConfig fused_cfg = f.config(mk, 4, Activation::kRelu);
-        fused_cfg.fused_epilogue = true;
-        gnn::GnnConfig unfused_cfg = fused_cfg;
-        unfused_cfg.fused_epilogue = false;
-        const ModelRun fused = run_model(f, fused_cfg, kind, sparse);
-        const ModelRun unfused = run_model(f, unfused_cfg, kind, sparse);
-        const std::string tag = std::string(tcsim::backend_name(kind)) + "/" +
-                                gnn::model_name(mk) +
-                                (sparse ? "/sparse" : "/dense");
-        EXPECT_EQ(fused.logits, unfused.logits) << tag;
-        EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
-        EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped) << tag;
-        EXPECT_EQ(fused.stats.saturated, unfused.stats.saturated) << tag;
-        EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
-        EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
-      }
+      gnn::GnnConfig fused_cfg = f.config(mk, 4, Activation::kRelu);
+      fused_cfg.fused_epilogue = true;
+      gnn::GnnConfig unfused_cfg = fused_cfg;
+      unfused_cfg.fused_epilogue = false;
+      const ModelRun fused = run_model(f, fused_cfg, kind);
+      const ModelRun unfused = run_model(f, unfused_cfg, kind);
+      const std::string tag = std::string(tcsim::backend_name(kind)) + "/" +
+                              gnn::model_name(mk);
+      EXPECT_EQ(fused.logits, unfused.logits) << tag;
+      EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
+      EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped) << tag;
+      EXPECT_EQ(fused.stats.saturated, unfused.stats.saturated) << tag;
+      EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
+      EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
     }
   }
 }
@@ -397,8 +386,8 @@ TEST(Epilogue, ModelParityAcrossActivationsAndBits) {
       gnn::GnnConfig unfused_cfg = fused_cfg;
       unfused_cfg.fused_epilogue = false;
       const auto kind = tcsim::default_backend();
-      const ModelRun fused = run_model(f, fused_cfg, kind, false);
-      const ModelRun unfused = run_model(f, unfused_cfg, kind, false);
+      const ModelRun fused = run_model(f, fused_cfg, kind);
+      const ModelRun unfused = run_model(f, unfused_cfg, kind);
       const std::string tag =
           std::string(tcsim::activation_name(act)) + "/" + std::to_string(bits);
       EXPECT_EQ(fused.logits, unfused.logits) << tag;
@@ -436,8 +425,8 @@ TEST(Epilogue, PerLayerBitsExactOnCalibrationBatch) {
   gnn::GnnConfig off_cfg = on_cfg;
   off_cfg.per_layer_bits = false;
   const auto kind = tcsim::default_backend();
-  const ModelRun on = run_model(f, on_cfg, kind, false);
-  const ModelRun off = run_model(f, off_cfg, kind, false);
+  const ModelRun on = run_model(f, on_cfg, kind);
+  const ModelRun off = run_model(f, off_cfg, kind);
   EXPECT_EQ(on.logits, off.logits);
   EXPECT_LE(on.stats.bmma_ops, off.stats.bmma_ops);
 }

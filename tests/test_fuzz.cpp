@@ -83,17 +83,17 @@ TEST_P(PipelineFuzz, AggregationModesAndJumpAgree) {
 
   const BitMatrix pa = pack_nonzero(adj, BitLayout::kRowMajorK);
   const auto px = StackedBitTensor::decompose(x, s, BitLayout::kColMajorK);
-  const TileMap map = build_tile_map(pa);
+  const TileSparseBitMatrix tiles = TileSparseBitMatrix::from_bit_matrix(pa);
 
   for (const bool jump : {false, true}) {
-    for (const bool with_map : {false, true}) {
-      BmmOptions opt;
-      opt.zero_tile_jump = jump;
-      opt.tile_map = with_map ? &map : nullptr;
-      EXPECT_EQ(aggregate_1bit(pa, px, ReuseMode::kCrossBit, opt), expect);
-      EXPECT_EQ(aggregate_1bit(pa, px, ReuseMode::kCrossTile, opt), expect);
-    }
+    BmmOptions opt;
+    opt.zero_tile_jump = jump;
+    EXPECT_EQ(aggregate_1bit(pa, px, ReuseMode::kCrossBit, opt), expect);
+    EXPECT_EQ(aggregate_1bit(pa, px, ReuseMode::kCrossTile, opt), expect);
   }
+  // Structural jumping over the tile-CSR form of the same adjacency.
+  EXPECT_EQ(aggregate_1bit(tiles, px, ReuseMode::kCrossBit), expect);
+  EXPECT_EQ(aggregate_1bit(tiles, px, ReuseMode::kCrossTile), expect);
 }
 
 TEST_P(PipelineFuzz, BinaryXnorMatchesReference) {

@@ -1,11 +1,13 @@
 // GNN model tests: shapes, calibration, fused/unfused parity over the full
 // forward pass, reuse-mode parity, determinism, GCN vs GIN wiring, the
-// stage order against a hand-walked oracle, and directional agreement
+// stage order against a hand-walked oracle (the dense flag-jump kernels, so
+// the tile-CSR model is pinned against them), and directional agreement
 // between the quantized and fp32 paths at high bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <string>
 
 #include "common/rng.hpp"
@@ -17,7 +19,8 @@ namespace {
 
 struct Fixture {
   Dataset ds;
-  BitMatrix adj;
+  BitMatrix adj;                  // dense reference (the oracle's operand)
+  TileSparseBitMatrix adj_tiles;  // what the model runs on
   CsrGraph local;
   MatrixF feats;
 
@@ -27,6 +30,7 @@ struct Fixture {
     PartitionResult parts = partition_graph(ds.graph, 4);
     auto batches = make_batches(parts, 4);  // single batch, whole graph
     adj = build_batch_adjacency(ds.graph, batches[0]);
+    adj_tiles = build_batch_adjacency_tiles(ds.graph, batches[0]);
     local = build_batch_csr(ds.graph, batches[0]);
     feats = gather_rows(ds.features, batches[0].nodes);
   }
@@ -76,8 +80,8 @@ TEST(Model, ForwardShapes) {
   Fixture f;
   for (const auto kind : {ModelKind::kClusterGCN, ModelKind::kBatchedGIN}) {
     QgtcModel m = QgtcModel::create(f.config(kind, 4), 11);
-    m.calibrate(f.adj, f.feats);
-    const MatrixI32 logits = m.forward_quantized(f.adj, f.feats);
+    m.calibrate(f.adj_tiles, f.feats);
+    const MatrixI32 logits = m.forward_quantized(f.adj_tiles, f.feats);
     EXPECT_EQ(logits.rows(), f.adj.rows());
     EXPECT_EQ(logits.cols(), 4);
     const MatrixF ref = m.forward_fp32(f.local, f.feats);
@@ -96,10 +100,10 @@ TEST(Model, FusedMatchesUnfused) {
 
     QgtcModel fused = QgtcModel::create(fused_cfg, 13);
     QgtcModel unfused = QgtcModel::create(unfused_cfg, 13);
-    fused.calibrate(f.adj, f.feats);
-    unfused.calibrate(f.adj, f.feats);
-    EXPECT_EQ(fused.forward_quantized(f.adj, f.feats),
-              unfused.forward_quantized(f.adj, f.feats))
+    fused.calibrate(f.adj_tiles, f.feats);
+    unfused.calibrate(f.adj_tiles, f.feats);
+    EXPECT_EQ(fused.forward_quantized(f.adj_tiles, f.feats),
+              unfused.forward_quantized(f.adj_tiles, f.feats))
         << model_name(kind);
   }
 }
@@ -113,10 +117,29 @@ TEST(Model, ReuseModesIdentical) {
   b_cfg.reuse = ReuseMode::kCrossTile;
   QgtcModel ma = QgtcModel::create(a_cfg, 17);
   QgtcModel mb = QgtcModel::create(b_cfg, 17);
-  ma.calibrate(f.adj, f.feats);
-  mb.calibrate(f.adj, f.feats);
-  EXPECT_EQ(ma.forward_quantized(f.adj, f.feats),
-            mb.forward_quantized(f.adj, f.feats));
+  ma.calibrate(f.adj_tiles, f.feats);
+  mb.calibrate(f.adj_tiles, f.feats);
+  EXPECT_EQ(ma.forward_quantized(f.adj_tiles, f.feats),
+            mb.forward_quantized(f.adj_tiles, f.feats));
+}
+
+/// `a` as a tile-CSR that stores every tile, zero or not: the layout with
+/// zero-tile jumping turned off.
+TileSparseBitMatrix every_tile(const TileSparseBitMatrix& a) {
+  TileSparseBitMatrix out(a.rows(), a.cols());
+  for (i64 tm = 0; tm < a.tiles_m(); ++tm) {
+    i64 t = a.row_begin(tm);
+    for (i64 tk = 0; tk < a.tiles_k(); ++tk) {
+      u32* dst = out.append_tile(tm, tk);
+      if (t < a.row_end(tm) && a.tile_col(t) == tk) {
+        std::memcpy(dst, a.tile_words(t),
+                    TileSparseBitMatrix::kTileWords * sizeof(u32));
+        ++t;
+      }
+    }
+  }
+  out.finalize();
+  return out;
 }
 
 TEST(Model, ZeroTileJumpIdentical) {
@@ -127,12 +150,14 @@ TEST(Model, ZeroTileJumpIdentical) {
   off_cfg.zero_tile_jump = false;
   QgtcModel on = QgtcModel::create(on_cfg, 19);
   QgtcModel off = QgtcModel::create(off_cfg, 19);
-  on.calibrate(f.adj, f.feats);
-  off.calibrate(f.adj, f.feats);
+  const TileSparseBitMatrix all_tiles = every_tile(f.adj_tiles);
+  ASSERT_EQ(all_tiles.nnz_tiles(), all_tiles.total_tiles());
+  on.calibrate(f.adj_tiles, f.feats);
+  off.calibrate(all_tiles, f.feats);
 
   ForwardStats s_on, s_off;
-  EXPECT_EQ(on.forward_quantized(f.adj, f.feats, &s_on),
-            off.forward_quantized(f.adj, f.feats, &s_off));
+  EXPECT_EQ(on.forward_quantized(f.adj_tiles, f.feats, &s_on),
+            off.forward_quantized(all_tiles, f.feats, &s_off));
   EXPECT_GT(s_on.tiles_jumped, 0);
   EXPECT_EQ(s_off.tiles_jumped, 0);
   EXPECT_LT(s_on.bmma_ops, s_off.bmma_ops);
@@ -141,9 +166,9 @@ TEST(Model, ZeroTileJumpIdentical) {
 TEST(Model, Deterministic) {
   Fixture f;
   QgtcModel m = QgtcModel::create(f.config(ModelKind::kClusterGCN, 2), 23);
-  m.calibrate(f.adj, f.feats);
-  EXPECT_EQ(m.forward_quantized(f.adj, f.feats),
-            m.forward_quantized(f.adj, f.feats));
+  m.calibrate(f.adj_tiles, f.feats);
+  EXPECT_EQ(m.forward_quantized(f.adj_tiles, f.feats),
+            m.forward_quantized(f.adj_tiles, f.feats));
 }
 
 TEST(Model, HighBitTracksFp32Ranking) {
@@ -151,8 +176,8 @@ TEST(Model, HighBitTracksFp32Ranking) {
   // majority of nodes (quantization is sign/ranking-preserving in the bulk).
   Fixture f;
   QgtcModel m = QgtcModel::create(f.config(ModelKind::kClusterGCN, 8), 29);
-  m.calibrate(f.adj, f.feats);
-  const MatrixI32 q = m.forward_quantized(f.adj, f.feats);
+  m.calibrate(f.adj_tiles, f.feats);
+  const MatrixI32 q = m.forward_quantized(f.adj_tiles, f.feats);
   const MatrixF r = m.forward_fp32(f.local, f.feats);
   i64 agree = 0;
   for (i64 u = 0; u < q.rows(); ++u) {
@@ -171,8 +196,8 @@ TEST(Model, HighBitsRunWithOverflowOptIn) {
   // throwing; overflow is defined-wrap.
   Fixture f;
   QgtcModel m = QgtcModel::create(f.config(ModelKind::kClusterGCN, 16), 31);
-  m.calibrate(f.adj, f.feats);
-  const MatrixI32 logits = m.forward_quantized(f.adj, f.feats);
+  m.calibrate(f.adj_tiles, f.feats);
+  const MatrixI32 logits = m.forward_quantized(f.adj_tiles, f.feats);
   EXPECT_EQ(logits.cols(), 4);
 }
 
@@ -181,8 +206,8 @@ TEST(Model, GinMlpUpdateRuns) {
   GnnConfig cfg = f.config(ModelKind::kBatchedGIN, 4);
   cfg.gin_mlp = true;
   QgtcModel m = QgtcModel::create(cfg, 37);
-  m.calibrate(f.adj, f.feats);
-  const MatrixI32 logits = m.forward_quantized(f.adj, f.feats);
+  m.calibrate(f.adj_tiles, f.feats);
+  const MatrixI32 logits = m.forward_quantized(f.adj_tiles, f.feats);
   EXPECT_EQ(logits.rows(), f.adj.rows());
   EXPECT_EQ(logits.cols(), 4);
   const MatrixF ref = m.forward_fp32(f.local, f.feats);
@@ -197,10 +222,10 @@ TEST(Model, GinMlpFusedMatchesUnfused) {
   unfused_cfg.fused_epilogue = false;
   QgtcModel fused = QgtcModel::create(fused_cfg, 41);
   QgtcModel unfused = QgtcModel::create(unfused_cfg, 41);
-  fused.calibrate(f.adj, f.feats);
-  unfused.calibrate(f.adj, f.feats);
-  EXPECT_EQ(fused.forward_quantized(f.adj, f.feats),
-            unfused.forward_quantized(f.adj, f.feats));
+  fused.calibrate(f.adj_tiles, f.feats);
+  unfused.calibrate(f.adj_tiles, f.feats);
+  EXPECT_EQ(fused.forward_quantized(f.adj_tiles, f.feats),
+            unfused.forward_quantized(f.adj_tiles, f.feats));
 }
 
 TEST(Model, GinMlpWeightShapes) {
@@ -292,7 +317,7 @@ TEST(Model, StageOrderMatchesHandWalkedOracle) {
       cfg.gin_mlp = c.mlp;
       cfg.fused_epilogue = fused;
       QgtcModel m = QgtcModel::create(cfg, 43);
-      m.calibrate(f.adj, f.feats);
+      m.calibrate(f.adj_tiles, f.feats);
       const std::string tag = std::string(model_name(c.kind)) +
                               (c.mlp ? "/mlp" : "") +
                               (fused ? "/fused" : "/unfused");
@@ -310,8 +335,7 @@ TEST(Model, StageOrderMatchesHandWalkedOracle) {
 
       tcsim::ExecutionContext model_ctx(tcsim::default_backend());
       ForwardStats stats;
-      EXPECT_EQ(m.forward_prepared(f.adj, nullptr, x, &stats, &model_ctx),
-                want)
+      EXPECT_EQ(m.forward_prepared(f.adj_tiles, x, &stats, &model_ctx), want)
           << tag;
       EXPECT_EQ(stats.bmma_ops,
                 static_cast<i64>(oracle_ctx.counters().bmma_ops))
@@ -319,7 +343,7 @@ TEST(Model, StageOrderMatchesHandWalkedOracle) {
       EXPECT_EQ(stats.tiles_jumped,
                 static_cast<i64>(oracle_ctx.counters().tiles_jumped))
           << tag;
-      EXPECT_EQ(m.forward_quantized(f.adj, f.feats), want) << tag;
+      EXPECT_EQ(m.forward_quantized(f.adj_tiles, f.feats), want) << tag;
     }
   }
 }

@@ -1,8 +1,8 @@
 // Streaming-pipeline tests: bounded-queue semantics, overlap accounting,
 // stream-epoch invariants, shutdown-on-exception safety (ASan-clean), and
 // the headline guarantee — streaming and precomputed engines produce
-// bit-identical logits and identical counters for every pipeline depth,
-// backend and adjacency layout.
+// bit-identical logits and identical counters for every pipeline depth and
+// backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -257,41 +257,36 @@ EngineConfig pipeline_config(gnn::ModelKind kind, int bits) {
   return cfg;
 }
 
-TEST(StreamingEngine, BitIdenticalAcrossDepthsBackendsAndLayouts) {
+TEST(StreamingEngine, BitIdenticalAcrossDepthsAndBackends) {
   const Dataset ds = pipeline_dataset();
   for (const auto backend :
        {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
         tcsim::BackendKind::kBlocked}) {
-    for (const bool sparse : {false, true}) {
-      EngineConfig cfg = pipeline_config(gnn::ModelKind::kClusterGCN, 3);
-      cfg.backend = backend;
-      cfg.mode.adjacency = sparse ? RunMode::Adjacency::kTileSparse
-                                  : RunMode::Adjacency::kDenseJump;
-      cfg.inter_batch_threads = 2;
+    EngineConfig cfg = pipeline_config(gnn::ModelKind::kClusterGCN, 3);
+    cfg.backend = backend;
+    cfg.inter_batch_threads = 2;
 
-      QgtcEngine reference(ds, cfg);
-      std::vector<MatrixI32> ref_logits;
-      const EngineStats ref = reference.run_quantized(1, &ref_logits);
-      ASSERT_EQ(static_cast<i64>(ref_logits.size()), reference.num_batches());
+    QgtcEngine reference(ds, cfg);
+    std::vector<MatrixI32> ref_logits;
+    const EngineStats ref = reference.run_quantized(1, &ref_logits);
+    ASSERT_EQ(static_cast<i64>(ref_logits.size()), reference.num_batches());
 
-      for (const int depth : {1, 2, 8}) {
-        EngineConfig scfg = cfg;
-        scfg.mode = RunMode::streaming_pipeline(depth, 2, cfg.mode.adjacency);
-        QgtcEngine streaming(ds, scfg);
-        std::vector<MatrixI32> logits;
-        const EngineStats s = streaming.run_quantized(1, &logits);
+    for (const int depth : {1, 2, 8}) {
+      EngineConfig scfg = cfg;
+      scfg.mode = RunMode::streaming_pipeline(depth, 2);
+      QgtcEngine streaming(ds, scfg);
+      std::vector<MatrixI32> logits;
+      const EngineStats s = streaming.run_quantized(1, &logits);
 
-        EXPECT_EQ(s.nodes, ref.nodes) << "backend=" << tcsim::backend_name(backend)
-                                      << " sparse=" << sparse << " depth=" << depth;
-        EXPECT_EQ(s.bmma_ops, ref.bmma_ops);
-        EXPECT_EQ(s.tiles_jumped, ref.tiles_jumped);
-        ASSERT_EQ(logits.size(), ref_logits.size());
-        for (std::size_t b = 0; b < logits.size(); ++b) {
-          EXPECT_EQ(logits[b], ref_logits[b])
-              << "logits diverged at batch " << b << " (backend="
-              << tcsim::backend_name(backend) << " sparse=" << sparse
-              << " depth=" << depth << ")";
-        }
+      EXPECT_EQ(s.nodes, ref.nodes) << "backend=" << tcsim::backend_name(backend)
+                                    << " depth=" << depth;
+      EXPECT_EQ(s.bmma_ops, ref.bmma_ops);
+      EXPECT_EQ(s.tiles_jumped, ref.tiles_jumped);
+      ASSERT_EQ(logits.size(), ref_logits.size());
+      for (std::size_t b = 0; b < logits.size(); ++b) {
+        EXPECT_EQ(logits[b], ref_logits[b])
+            << "logits diverged at batch " << b << " (backend="
+            << tcsim::backend_name(backend) << " depth=" << depth << ")";
       }
     }
   }
@@ -362,42 +357,36 @@ TEST(TransferParity, PackedTotalsMatchFreshlyQuantizedPlanes) {
   const Dataset ds = pipeline_dataset();
   for (const auto kind :
        {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
-    for (const bool sparse : {false, true}) {
-      EngineConfig cfg = pipeline_config(kind, 4);
-      cfg.mode.adjacency = sparse ? RunMode::Adjacency::kTileSparse
-                                  : RunMode::Adjacency::kDenseJump;
-      QgtcEngine engine(ds, cfg);
-      transfer::PcieModel pcie;
-      transfer::StagingBuffer s1, s2;
-      const auto pack = [&](const QgtcEngine::BatchData& bd,
-                            const StackedBitTensor& planes,
-                            transfer::StagingBuffer& slot) {
-        return sparse
-                   ? transfer::pack_batch_tiles(bd.adj_tiles, planes, slot, pcie)
-                   : transfer::pack_batch(bd.adj, planes, slot, pcie);
-      };
-      for (const auto& bdp : engine.batch_data()) {
-        const auto& bd = *bdp;
-        const auto engine_packed = pack(bd, bd.x_planes, s1);
+    const EngineConfig cfg = pipeline_config(kind, 4);
+    QgtcEngine engine(ds, cfg);
+    transfer::PcieModel pcie;
+    transfer::StagingBuffer s1, s2;
+    const auto pack = [&](const QgtcEngine::BatchData& bd,
+                          const StackedBitTensor& planes,
+                          transfer::StagingBuffer& slot) {
+      return transfer::pack_batch_tiles(bd.adj_tiles, planes, slot, pcie);
+    };
+    for (const auto& bdp : engine.batch_data()) {
+      const auto& bd = *bdp;
+      const auto engine_packed = pack(bd, bd.x_planes, s1);
 
-        const QuantParams qp =
-            quant_params_from_data(bd.features, cfg.model.feat_bits);
-        const MatrixI32 q = quantize_matrix(bd.features, qp);
-        const BitLayout layout = kind == gnn::ModelKind::kClusterGCN
-                                     ? BitLayout::kColMajorK
-                                     : BitLayout::kRowMajorK;
-        const auto fresh = StackedBitTensor::decompose(
-            q, cfg.model.feat_bits, layout, PadPolicy::kTile8);
-        const auto fresh_packed = pack(bd, fresh, s2);
+      const QuantParams qp =
+          quant_params_from_data(bd.features, cfg.model.feat_bits);
+      const MatrixI32 q = quantize_matrix(bd.features, qp);
+      const BitLayout layout = kind == gnn::ModelKind::kClusterGCN
+                                   ? BitLayout::kColMajorK
+                                   : BitLayout::kRowMajorK;
+      const auto fresh = StackedBitTensor::decompose(
+          q, cfg.model.feat_bits, layout, PadPolicy::kTile8);
+      const auto fresh_packed = pack(bd, fresh, s2);
 
-        EXPECT_EQ(engine_packed.total_bytes, fresh_packed.total_bytes);
-        EXPECT_EQ(engine_packed.adjacency_bytes, fresh_packed.adjacency_bytes);
-        EXPECT_EQ(engine_packed.embedding_bytes, fresh_packed.embedding_bytes);
-        ASSERT_EQ(s1.bytes(), s2.bytes());
-        EXPECT_EQ(std::memcmp(s1.data(), s2.data(),
-                              static_cast<std::size_t>(s1.bytes())),
-                  0);
-      }
+      EXPECT_EQ(engine_packed.total_bytes, fresh_packed.total_bytes);
+      EXPECT_EQ(engine_packed.adjacency_bytes, fresh_packed.adjacency_bytes);
+      EXPECT_EQ(engine_packed.embedding_bytes, fresh_packed.embedding_bytes);
+      ASSERT_EQ(s1.bytes(), s2.bytes());
+      EXPECT_EQ(std::memcmp(s1.data(), s2.data(),
+                            static_cast<std::size_t>(s1.bytes())),
+                0);
     }
   }
 }

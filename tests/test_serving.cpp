@@ -1,7 +1,7 @@
 // Serving-layer tests: the headline parity guarantee (a request served
 // through the online micro-batching pipeline is bit-identical — logits AND
 // substrate counters — to the same batch membership run through the offline
-// epoch path, across every backend x adjacency layout), per-request failure
+// epoch path, across every backend), per-request failure
 // isolation, concurrent-client hammering with a clean mid-flight shutdown
 // (ASan/TSan surface), ego-graph expansion semantics, and the api::Session
 // counter-accounting parity with the context-pinned free functions.
@@ -97,83 +97,79 @@ TEST(ExpandEgo, RejectsBadSeeds) {
 // infinite wait, so the batcher reproduces the offline batch membership
 // deterministically — per-batch quantization then guarantees bit-identical
 // logits and identical counter totals.
-TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackendsAndLayouts) {
+TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackends) {
   const Dataset ds = serving_dataset();
   for (const auto backend :
        {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
         tcsim::BackendKind::kBlocked}) {
-    for (const bool sparse : {false, true}) {
-      EngineConfig cfg = serving_config();
-      cfg.backend = backend;
-      cfg.mode.adjacency = sparse ? RunMode::Adjacency::kTileSparse
-                                  : RunMode::Adjacency::kDenseJump;
+    EngineConfig cfg = serving_config();
+    cfg.backend = backend;
 
-      QgtcEngine offline(ds, cfg);
-      std::vector<MatrixI32> ref_logits;
-      const EngineStats ref = offline.run_quantized(1, &ref_logits);
+    QgtcEngine offline(ds, cfg);
+    std::vector<MatrixI32> ref_logits;
+    const EngineStats ref = offline.run_quantized(1, &ref_logits);
 
-      ServingPolicy policy;
-      policy.max_batch_requests = cfg.batch_size;
-      policy.max_batch_nodes = i64{1} << 40;  // only the request count rules
-      policy.max_wait_us = i64{60} * 1000 * 1000;
-      policy.prepare_workers = 2;
-      policy.compute_workers = 2;
-      ServingEngine serving(ds, cfg, policy);
+    ServingPolicy policy;
+    policy.max_batch_requests = cfg.batch_size;
+    policy.max_batch_nodes = i64{1} << 40;  // only the request count rules
+    policy.max_wait_us = i64{60} * 1000 * 1000;
+    policy.prepare_workers = 2;
+    policy.compute_workers = 2;
+    ServingEngine serving(ds, cfg, policy);
 
-      std::vector<std::future<ServingResult>> futures;
-      std::vector<std::pair<i64, i64>> origin;  // (offline batch, partition)
-      for (i64 b = 0; b < offline.num_batches(); ++b) {
-        const SubgraphBatch& batch = offline.batch_data()[
-            static_cast<std::size_t>(b)]->batch;
-        for (i64 p = 0; p < batch.num_parts(); ++p) {
-          ServingRequest req;
-          req.fanout = 0;
-          req.seeds.assign(
-              batch.nodes.begin() + batch.part_bounds[p],
-              batch.nodes.begin() + batch.part_bounds[p + 1]);
-          futures.push_back(serving.submit(std::move(req)));
-          origin.emplace_back(b, p);
-        }
+    std::vector<std::future<ServingResult>> futures;
+    std::vector<std::pair<i64, i64>> origin;  // (offline batch, partition)
+    for (i64 b = 0; b < offline.num_batches(); ++b) {
+      const SubgraphBatch& batch = offline.batch_data()[
+          static_cast<std::size_t>(b)]->batch;
+      for (i64 p = 0; p < batch.num_parts(); ++p) {
+        ServingRequest req;
+        req.fanout = 0;
+        req.seeds.assign(
+            batch.nodes.begin() + batch.part_bounds[p],
+            batch.nodes.begin() + batch.part_bounds[p + 1]);
+        futures.push_back(serving.submit(std::move(req)));
+        origin.emplace_back(b, p);
       }
-      serving.stop();  // flushes any partial trailing micro-batch
-
-      i64 served_nodes = 0;
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        const ServingResult res = futures[i].get();
-        const auto [b, p] = origin[i];
-        const SubgraphBatch& batch = offline.batch_data()[
-            static_cast<std::size_t>(b)]->batch;
-        // The micro-batch reproduced the offline membership exactly.
-        EXPECT_EQ(res.batch_nodes, batch.size());
-        EXPECT_EQ(res.batch_requests, batch.num_parts());
-        const i64 r0 = batch.part_bounds[p];
-        const i64 r1 = batch.part_bounds[p + 1];
-        ASSERT_EQ(static_cast<i64>(res.nodes.size()), r1 - r0);
-        served_nodes += r1 - r0;
-        const MatrixI32& ref_b = ref_logits[static_cast<std::size_t>(b)];
-        ASSERT_EQ(res.logits.cols(), ref_b.cols());
-        for (i64 r = r0; r < r1; ++r) {
-          for (i64 c = 0; c < ref_b.cols(); ++c) {
-            ASSERT_EQ(res.logits(r - r0, c), ref_b(r, c))
-                << "logits diverged (backend=" << tcsim::backend_name(backend)
-                << " sparse=" << sparse << " batch=" << b << " part=" << p
-                << " row=" << r << " col=" << c << ")";
-          }
-        }
-      }
-      EXPECT_EQ(served_nodes, ref.nodes);
-
-      // Counter parity: the compute sessions' totals over exactly one epoch
-      // of membership equal the offline per-epoch totals.
-      const ServingStats st = serving.stats();
-      EXPECT_EQ(st.bmma_ops, ref.bmma_ops)
-          << "backend=" << tcsim::backend_name(backend) << " sparse=" << sparse;
-      EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped);
-      EXPECT_EQ(st.requests_completed, static_cast<i64>(futures.size()));
-      EXPECT_EQ(st.requests_failed, 0);
-      EXPECT_EQ(st.batches_dispatched, offline.num_batches());
-      EXPECT_GT(st.packed_bytes, 0);
     }
+    serving.stop();  // flushes any partial trailing micro-batch
+
+    i64 served_nodes = 0;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const ServingResult res = futures[i].get();
+      const auto [b, p] = origin[i];
+      const SubgraphBatch& batch = offline.batch_data()[
+          static_cast<std::size_t>(b)]->batch;
+      // The micro-batch reproduced the offline membership exactly.
+      EXPECT_EQ(res.batch_nodes, batch.size());
+      EXPECT_EQ(res.batch_requests, batch.num_parts());
+      const i64 r0 = batch.part_bounds[p];
+      const i64 r1 = batch.part_bounds[p + 1];
+      ASSERT_EQ(static_cast<i64>(res.nodes.size()), r1 - r0);
+      served_nodes += r1 - r0;
+      const MatrixI32& ref_b = ref_logits[static_cast<std::size_t>(b)];
+      ASSERT_EQ(res.logits.cols(), ref_b.cols());
+      for (i64 r = r0; r < r1; ++r) {
+        for (i64 c = 0; c < ref_b.cols(); ++c) {
+          ASSERT_EQ(res.logits(r - r0, c), ref_b(r, c))
+              << "logits diverged (backend=" << tcsim::backend_name(backend)
+              << " batch=" << b << " part=" << p
+              << " row=" << r << " col=" << c << ")";
+        }
+      }
+    }
+    EXPECT_EQ(served_nodes, ref.nodes);
+
+    // Counter parity: the compute sessions' totals over exactly one epoch
+    // of membership equal the offline per-epoch totals.
+    const ServingStats st = serving.stats();
+    EXPECT_EQ(st.bmma_ops, ref.bmma_ops)
+        << "backend=" << tcsim::backend_name(backend);
+    EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped);
+    EXPECT_EQ(st.requests_completed, static_cast<i64>(futures.size()));
+    EXPECT_EQ(st.requests_failed, 0);
+    EXPECT_EQ(st.batches_dispatched, offline.num_batches());
+    EXPECT_GT(st.packed_bytes, 0);
   }
 }
 

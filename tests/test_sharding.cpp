@@ -1,6 +1,6 @@
 // Sharded-engine tests: the headline determinism contract — an S-shard run
 // is bit-identical (logits + substrate counters) to the single-engine run
-// across backends, adjacency layouts and epoch modes — plus halo-exchange
+// across backends and epoch modes — plus halo-exchange
 // byte-level correctness, halo accounting, skewed-plan detection, the
 // telemetry-driven rebalancer, and the online pipeline-depth controller.
 #include <gtest/gtest.h>
@@ -135,56 +135,49 @@ TEST(HaloExchangeTest, OneMessagePerRemoteSourceShard) {
 
 // --------------------------------------------------- S-shard == 1-engine
 
-TEST(ShardedEngineParity, BitIdenticalAcrossShardCountsBackendsAndLayouts) {
+TEST(ShardedEngineParity, BitIdenticalAcrossShardCountsAndBackends) {
   const Dataset ds = shard_dataset();
   for (const auto backend :
        {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
         tcsim::BackendKind::kBlocked}) {
-    for (const bool sparse : {false, true}) {
-      for (const bool streaming : {false, true}) {
-        EngineConfig cfg = shard_config();
-        cfg.backend = backend;
-        cfg.mode.adjacency = sparse ? RunMode::Adjacency::kTileSparse
-                                    : RunMode::Adjacency::kDenseJump;
-        if (streaming) {
-          cfg.mode = RunMode::streaming_pipeline(2, 1, cfg.mode.adjacency);
+    for (const bool streaming : {false, true}) {
+      EngineConfig cfg = shard_config();
+      cfg.backend = backend;
+      if (streaming) cfg.mode = RunMode::streaming_pipeline(2, 1);
+
+      QgtcEngine reference(ds, cfg);
+      std::vector<MatrixI32> ref_logits;
+      const EngineStats ref = reference.run_quantized(1, &ref_logits);
+
+      for (const int shards : {1, 2, 4}) {
+        ShardedConfig scfg;
+        scfg.num_shards = shards;
+        ShardedEngine sharded(ds, cfg, scfg);
+        std::vector<MatrixI32> logits;
+        const EngineStats st = sharded.run_quantized(1, &logits);
+
+        const auto ctx = [&] {
+          return std::string(tcsim::backend_name(backend)) +
+                 (streaming ? "/streaming" : "/precomputed") + "/S=" +
+                 std::to_string(shards);
+        };
+        EXPECT_EQ(st.shards, shards) << ctx();
+        EXPECT_EQ(st.batches, ref.batches) << ctx();
+        EXPECT_EQ(st.nodes, ref.nodes) << ctx();
+        EXPECT_EQ(st.bmma_ops, ref.bmma_ops) << ctx();
+        EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped) << ctx();
+        ASSERT_EQ(logits.size(), ref_logits.size()) << ctx();
+        for (std::size_t b = 0; b < logits.size(); ++b) {
+          EXPECT_EQ(logits[b], ref_logits[b])
+              << "logits diverged at batch " << b << " (" << ctx() << ")";
         }
-
-        QgtcEngine reference(ds, cfg);
-        std::vector<MatrixI32> ref_logits;
-        const EngineStats ref = reference.run_quantized(1, &ref_logits);
-
-        for (const int shards : {1, 2, 4}) {
-          ShardedConfig scfg;
-          scfg.num_shards = shards;
-          ShardedEngine sharded(ds, cfg, scfg);
-          std::vector<MatrixI32> logits;
-          const EngineStats st = sharded.run_quantized(1, &logits);
-
-          const auto ctx = [&] {
-            return std::string(tcsim::backend_name(backend)) +
-                   (sparse ? "/sparse" : "/dense") +
-                   (streaming ? "/streaming" : "/precomputed") + "/S=" +
-                   std::to_string(shards);
-          };
-          EXPECT_EQ(st.shards, shards) << ctx();
-          EXPECT_EQ(st.batches, ref.batches) << ctx();
-          EXPECT_EQ(st.nodes, ref.nodes) << ctx();
-          EXPECT_EQ(st.bmma_ops, ref.bmma_ops) << ctx();
-          EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped) << ctx();
-          ASSERT_EQ(logits.size(), ref_logits.size()) << ctx();
-          for (std::size_t b = 0; b < logits.size(); ++b) {
-            EXPECT_EQ(logits[b], ref_logits[b])
-                << "logits diverged at batch " << b << " (" << ctx() << ")";
-          }
-          if (shards == 1) {
-            EXPECT_EQ(st.halo_bytes, 0) << ctx();  // degenerate: no boundary
-            EXPECT_EQ(st.halo_nodes, 0) << ctx();
-          } else {
-            EXPECT_GT(st.halo_bytes, 0) << ctx();
-            EXPECT_GT(st.halo_wire_seconds, 0.0) << ctx();
-            EXPECT_GE(st.halo_wire_seconds, st.exposed_halo_seconds) << ctx();
-          }
+        if (shards == 1) {
+          EXPECT_EQ(st.halo_bytes, 0) << ctx();  // degenerate: no boundary
+          EXPECT_EQ(st.halo_nodes, 0) << ctx();
+        } else {
+          EXPECT_GT(st.halo_bytes, 0) << ctx();
+          EXPECT_GT(st.halo_wire_seconds, 0.0) << ctx();
+          EXPECT_GE(st.halo_wire_seconds, st.exposed_halo_seconds) << ctx();
         }
       }
     }
@@ -337,7 +330,7 @@ TEST(AutotunedSharding, ThroughputDerivesShardsLatencyKeepsOneEngine) {
     EXPECT_GT(affinity::detect_topology().num_nodes(), 1);
   }
   const TunedConfig lat = generate_runtime_config(
-      spec, model, DeviceProfile{}, true, TuneObjective::kLatency);
+      spec, model, DeviceProfile{}, TuneObjective::kLatency);
   EXPECT_EQ(lat.num_shards, 1);
   EXPECT_FALSE(lat.pin_numa);
 }

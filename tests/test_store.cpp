@@ -183,26 +183,22 @@ TEST(DatasetStore, EngineParityWithInCore) {
   write_sharded(dir.path, ds);
   const store::DatasetStore st = store::DatasetStore::open(dir.path);
 
-  for (const bool sparse : {false, true}) {
-    for (const bool streaming : {false, true}) {
-      core::EngineConfig cfg = small_config();
-      cfg.mode.adjacency = sparse ? core::RunMode::Adjacency::kTileSparse
-                                  : core::RunMode::Adjacency::kDenseJump;
-      cfg.mode.epoch = streaming ? core::RunMode::Epoch::kStreaming
-                                 : core::RunMode::Epoch::kPrecomputed;
-      core::QgtcEngine in_core(ds, cfg);
-      core::QgtcEngine out_of_core(st, cfg);
-      std::vector<MatrixI32> logits_a, logits_b;
-      const core::EngineStats sa = in_core.run_quantized(1, &logits_a);
-      const core::EngineStats sb = out_of_core.run_quantized(1, &logits_b);
-      ASSERT_EQ(logits_a, logits_b)
-          << "sparse=" << sparse << " streaming=" << streaming;
-      EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
-      EXPECT_EQ(sa.tiles_jumped, sb.tiles_jumped);
-      EXPECT_EQ(sa.nodes, sb.nodes);
-      EXPECT_EQ(sb.mapped_bytes, st.mapped_bytes());
-      EXPECT_EQ(sa.mapped_bytes, 0);
-    }
+  for (const bool streaming : {false, true}) {
+    core::EngineConfig cfg = small_config();
+    cfg.mode.epoch = streaming ? core::RunMode::Epoch::kStreaming
+                               : core::RunMode::Epoch::kPrecomputed;
+    core::QgtcEngine in_core(ds, cfg);
+    core::QgtcEngine out_of_core(st, cfg);
+    std::vector<MatrixI32> logits_a, logits_b;
+    const core::EngineStats sa = in_core.run_quantized(1, &logits_a);
+    const core::EngineStats sb = out_of_core.run_quantized(1, &logits_b);
+    ASSERT_EQ(logits_a, logits_b)
+        << "streaming=" << streaming;
+    EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
+    EXPECT_EQ(sa.tiles_jumped, sb.tiles_jumped);
+    EXPECT_EQ(sa.nodes, sb.nodes);
+    EXPECT_EQ(sb.mapped_bytes, st.mapped_bytes());
+    EXPECT_EQ(sa.mapped_bytes, 0);
   }
 }
 

@@ -1,7 +1,8 @@
 // Tile-sparse bit tensor tests: tile-CSR layout round-trips, the direct
 // CSR->tile builder, sparse/dense kernel bit-identity across every substrate
-// backend, counter consistency between flag-based and structural zero-tile
-// jumping, and the shrunken transfer accounting.
+// backend, counter consistency between flag-based (the dense kernels' inline
+// §4.3 test) and structural zero-tile jumping, and the shrunken transfer
+// accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,20 @@
 
 namespace qgtc {
 namespace {
+
+/// Tiles of a kRowMajorK matrix the §4.3 OR test finds nonzero.
+i64 nonzero_tiles(const BitMatrix& m) {
+  i64 n = 0;
+  for (i64 tm = 0; tm < m.padded_rows() / kTileM; ++tm) {
+    for (i64 tk = 0; tk < m.padded_cols() / kTileK; ++tk) {
+      n += tcsim::tile_is_zero(m.row_words(tm * kTileM) + tk * kTileKWords,
+                               m.k_words())
+               ? 0
+               : 1;
+    }
+  }
+  return n;
+}
 
 MatrixI32 random_codes(Rng& rng, i64 rows, i64 cols, int bits) {
   MatrixI32 m(rows, cols);
@@ -81,8 +96,7 @@ TEST(TileSparse, FromBitMatrixRoundTrip) {
       dense.set(rng.next_in(0, n - 1), rng.next_in(0, k - 1), true);
     }
     const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(dense);
-    const TileMap map = build_tile_map(dense);
-    EXPECT_EQ(sparse.nnz_tiles(), map.nonzero_tiles());
+    EXPECT_EQ(sparse.nnz_tiles(), nonzero_tiles(dense));
 
     const BitMatrix back = sparse.to_bit_matrix();
     ASSERT_EQ(back.lines(), dense.lines());
@@ -115,7 +129,7 @@ TEST(TileSparse, BatchBuilderMatchesDenseAdjacency) {
     EXPECT_EQ(sparse.rows(), dense.rows());
     EXPECT_EQ(sparse.padded_rows(), dense.padded_rows());
     EXPECT_EQ(sparse.padded_cols(), dense.padded_cols());
-    EXPECT_EQ(sparse.nnz_tiles(), build_tile_map(dense).nonzero_tiles());
+    EXPECT_EQ(sparse.nnz_tiles(), nonzero_tiles(dense));
 
     const BitMatrix back = sparse.to_bit_matrix();
     ASSERT_EQ(back.lines() * back.k_words(), dense.lines() * dense.k_words());
@@ -142,15 +156,13 @@ TEST_P(TileSparseEquivalence, SparseBmmBitIdenticalAllBackends) {
   const BitMatrix pa = pack_nonzero(adj, BitLayout::kRowMajorK);
   const BitMatrix pb = pack_nonzero(b, BitLayout::kColMajorK);
   const TileSparseBitMatrix sa = TileSparseBitMatrix::from_bit_matrix(pa);
-  const TileMap map = build_tile_map(pa);
 
   for (const auto kind : tcsim::all_backends()) {
-    // Flag-based jumping with a precomputed map.
+    // Flag-based jumping with the inline per-tile test.
     const tcsim::ExecutionContext flag_ctx(kind);
     BmmOptions flag_opt;
     flag_opt.ctx = &flag_ctx;
     flag_opt.zero_tile_jump = true;
-    flag_opt.tile_map = &map;
     const MatrixI32 want = bmm(pa, pb, flag_opt);
 
     // Dense, no jumping: zero tiles contribute nothing under AND.
@@ -246,45 +258,6 @@ TEST(TileSparse, ApiSparseBitMM2IntMatchesDense) {
   EXPECT_EQ(api::bitMM2Int(sa, b_t), api::bitMM2Int(a_t, b_t));
 }
 
-TEST(TileSparse, EngineSparseModeMatchesDenseMode) {
-  DatasetSpec spec{"sparse-engine-test", 1500, 10000, 16, 4, 12, 9};
-  const Dataset ds = generate_dataset(spec);
-  core::EngineConfig cfg;
-  cfg.model.num_layers = 2;
-  cfg.model.in_dim = 16;
-  cfg.model.hidden_dim = 16;
-  cfg.model.out_dim = 4;
-  cfg.model.feat_bits = 3;
-  cfg.model.weight_bits = 3;
-  cfg.num_partitions = 12;
-  cfg.batch_size = 4;
-
-  core::QgtcEngine dense_engine(ds, cfg);
-  cfg.mode.adjacency = core::RunMode::Adjacency::kTileSparse;
-  core::QgtcEngine sparse_engine(ds, cfg);
-
-  // Same model seed + same calibration batch (sparse calibrates through the
-  // tile-CSR) => identical logits batch by batch.
-  for (std::size_t i = 0; i < dense_engine.batch_data().size(); ++i) {
-    const auto& db = *dense_engine.batch_data()[i];
-    const auto& sb = *sparse_engine.batch_data()[i];
-    EXPECT_TRUE(sb.adj.data() == nullptr || sb.adj.bytes() == 0);
-    const MatrixI32 dl =
-        dense_engine.model().forward_prepared(db.adj, &db.tile_map, db.x_planes);
-    const MatrixI32 sl =
-        sparse_engine.model().forward_prepared(sb.adj_tiles, sb.x_planes);
-    EXPECT_EQ(sl, dl) << "batch " << i;
-  }
-
-  // Epoch-level substrate accounting matches the flag-based path exactly.
-  const auto dstats = dense_engine.run_quantized(1);
-  const auto sstats = sparse_engine.run_quantized(1);
-  EXPECT_EQ(sstats.bmma_ops, dstats.bmma_ops);
-  EXPECT_EQ(sstats.tiles_jumped, dstats.tiles_jumped);
-  EXPECT_DOUBLE_EQ(sparse_engine.nonzero_tile_ratio(),
-                   dense_engine.nonzero_tile_ratio());
-}
-
 TEST(TileSparse, TransferAccountingShipsNonzeroFootprint) {
   DatasetSpec spec{"sparse-transfer-test", 1500, 10000, 16, 4, 12, 9};
   const Dataset ds = generate_dataset(spec);
@@ -298,19 +271,23 @@ TEST(TileSparse, TransferAccountingShipsNonzeroFootprint) {
   cfg.num_partitions = 12;
   cfg.batch_size = 4;
 
-  core::QgtcEngine dense_engine(ds, cfg);
-  cfg.mode.adjacency = core::RunMode::Adjacency::kTileSparse;
-  core::QgtcEngine sparse_engine(ds, cfg);
+  core::QgtcEngine engine(ds, cfg);
 
-  const auto dt = dense_engine.transfer_accounting();
-  const auto st = sparse_engine.transfer_accounting();
-  EXPECT_LT(st.adj_bytes, dt.adj_bytes);
-  EXPECT_LT(st.packed_bytes, dt.packed_bytes);
+  // The epoch ships the tile-CSRs — less than the dense bit planes the same
+  // batches would occupy.
+  i64 csr_bytes = 0, dense_bytes = 0;
+  for (const auto& b : engine.batch_data()) {
+    csr_bytes += b->adj_tiles.bytes();
+    dense_bytes += b->adj_tiles.padded_rows() * b->adj_tiles.padded_cols() / 8;
+  }
+  const auto st = engine.transfer_accounting();
+  EXPECT_EQ(st.adj_bytes, csr_bytes);
+  EXPECT_LT(st.adj_bytes, dense_bytes);
 
   // Per-batch accounting formula: payload + u32 col indices + row offsets.
   transfer::PcieModel pcie;
   transfer::StagingBuffer staging;
-  const auto& bd = *sparse_engine.batch_data().front();
+  const auto& bd = *engine.batch_data().front();
   const auto packed =
       transfer::pack_batch_tiles(bd.adj_tiles, bd.x_planes, staging, pcie);
   const i64 want = bd.adj_tiles.nnz_tiles() * 128 +
@@ -318,17 +295,6 @@ TEST(TileSparse, TransferAccountingShipsNonzeroFootprint) {
   EXPECT_EQ(packed.adjacency_bytes, want);
   EXPECT_EQ(packed.adjacency_bytes, bd.adj_tiles.bytes());
   EXPECT_EQ(staging.bytes(), packed.total_bytes);
-}
-
-TEST(TileMapCache, NonzeroCountCachedAtBuild) {
-  Rng rng(41);
-  const MatrixI32 adj = random_block_diagonal(rng, 64, 24, 0.3f, 0.001f);
-  const BitMatrix pa = pack_nonzero(adj, BitLayout::kRowMajorK);
-  const TileMap map = build_tile_map(pa);
-  i64 manual = 0;
-  for (const u8 f : map.nonzero) manual += f;
-  EXPECT_EQ(map.nonzero_count, manual);
-  EXPECT_EQ(map.nonzero_tiles(), manual);  // O(1) accessor, no re-sum
 }
 
 }  // namespace

@@ -7,6 +7,13 @@
 namespace qgtc::transfer {
 namespace {
 
+/// An n-node adjacency holding only self-loops, as a tile-CSR.
+TileSparseBitMatrix diagonal_adjacency(i64 n) {
+  BitMatrix adj(n, n, BitLayout::kRowMajorK);
+  for (i64 i = 0; i < n; ++i) adj.set(i, i, true);
+  return TileSparseBitMatrix::from_bit_matrix(adj);
+}
+
 TEST(Pcie, TransferSecondsMath) {
   PcieModel m;
   m.bandwidth_gbps = 32.0;
@@ -34,13 +41,13 @@ TEST(Staging, AppendsAndMeasures) {
 }
 
 TEST(Packing, PackedBytesMatchComponents) {
-  BitMatrix adj(100, 100, BitLayout::kRowMajorK);
+  const TileSparseBitMatrix adj = diagonal_adjacency(100);
   MatrixI32 q(100, 32, 2);
   const auto planes =
       StackedBitTensor::decompose(q, 3, BitLayout::kColMajorK);
   StagingBuffer staging;
   PcieModel pcie;
-  const PackedSubgraph p = pack_batch(adj, planes, staging, pcie);
+  const PackedSubgraph p = pack_batch_tiles(adj, planes, staging, pcie);
   EXPECT_EQ(p.adjacency_bytes, adj.bytes());
   EXPECT_EQ(p.embedding_bytes, planes.bytes());
   EXPECT_EQ(p.total_bytes, adj.bytes() + planes.bytes());
@@ -63,12 +70,12 @@ TEST(Packing, PackedBeatsDense) {
   // The §4.6 claim: packed low-bit payload is far smaller than dense fp32.
   const i64 n = 512, dim = 128;
   const int bits = 4;
-  BitMatrix adj(n, n, BitLayout::kRowMajorK);
+  const TileSparseBitMatrix adj = diagonal_adjacency(n);
   MatrixI32 q(n, dim, 3);
   const auto planes = StackedBitTensor::decompose(q, bits, BitLayout::kColMajorK);
   StagingBuffer staging;
   PcieModel pcie;
-  const PackedSubgraph p = pack_batch(adj, planes, staging, pcie);
+  const PackedSubgraph p = pack_batch_tiles(adj, planes, staging, pcie);
   const PackedSubgraph d = dense_fp32_baseline(n, dim, pcie);
   // Adjacency: 32x smaller (1 bit vs fp32). Embedding: 8x (4 bit vs fp32).
   EXPECT_LT(p.total_bytes * 8, d.total_bytes);

@@ -1,29 +1,31 @@
-// Zero-tile census tests (paper §4.3 / Figure 8 machinery).
+// Zero-tile census tests (paper §4.3 / Figure 8 machinery): the tile-CSR
+// built from a dense matrix stores exactly the tiles the §4.3 OR test finds
+// nonzero, so its stored-tile count is the census.
 #include <gtest/gtest.h>
 
+#include "bittensor/tile_sparse.hpp"
 #include "common/rng.hpp"
-#include "kernels/zerotile.hpp"
 
 namespace qgtc {
 namespace {
 
 TEST(ZeroTile, AllZero) {
   const BitMatrix m(32, 256, BitLayout::kRowMajorK);
-  const TileMap map = build_tile_map(m);
-  EXPECT_EQ(map.tiles_m, 4);
-  EXPECT_EQ(map.tiles_k, 2);
-  EXPECT_EQ(map.nonzero_tiles(), 0);
-  EXPECT_DOUBLE_EQ(map.nonzero_ratio(), 0.0);
+  const TileSparseBitMatrix t = TileSparseBitMatrix::from_bit_matrix(m);
+  EXPECT_EQ(t.tiles_m(), 4);
+  EXPECT_EQ(t.tiles_k(), 2);
+  EXPECT_EQ(t.nnz_tiles(), 0);
+  EXPECT_DOUBLE_EQ(t.nonzero_ratio(), 0.0);
 }
 
 TEST(ZeroTile, SingleBitMarksOneTile) {
   BitMatrix m(32, 256, BitLayout::kRowMajorK);
   m.set(9, 130, true);  // row tile 1, k tile 1
-  const TileMap map = build_tile_map(m);
-  EXPECT_EQ(map.nonzero_tiles(), 1);
-  EXPECT_TRUE(map.is_nonzero(1, 1));
-  EXPECT_FALSE(map.is_nonzero(0, 0));
-  EXPECT_FALSE(map.is_nonzero(1, 0));
+  const TileSparseBitMatrix t = TileSparseBitMatrix::from_bit_matrix(m);
+  EXPECT_EQ(t.nnz_tiles(), 1);
+  EXPECT_EQ(t.row_nnz(0), 0);
+  ASSERT_EQ(t.row_nnz(1), 1);
+  EXPECT_EQ(t.tile_col(t.row_begin(1)), 1);
 }
 
 TEST(ZeroTile, BlockDiagonalPattern) {
@@ -36,15 +38,15 @@ TEST(ZeroTile, BlockDiagonalPattern) {
   for (i64 i = 16; i < 32; ++i) {
     for (i64 j = 128; j < 256; ++j) m.set(i, j, true);
   }
-  const TileMap map = build_tile_map(m);
-  EXPECT_EQ(map.total_tiles(), 8);
-  EXPECT_EQ(map.nonzero_tiles(), 4);
-  EXPECT_DOUBLE_EQ(map.nonzero_ratio(), 0.5);
+  const TileSparseBitMatrix t = TileSparseBitMatrix::from_bit_matrix(m);
+  EXPECT_EQ(t.total_tiles(), 8);
+  EXPECT_EQ(t.nnz_tiles(), 4);
+  EXPECT_DOUBLE_EQ(t.nonzero_ratio(), 0.5);
 }
 
 TEST(ZeroTile, RequiresRowMajorLayout) {
   const BitMatrix m(256, 32, BitLayout::kColMajorK);
-  EXPECT_THROW(build_tile_map(m), std::invalid_argument);
+  EXPECT_THROW(TileSparseBitMatrix::from_bit_matrix(m), std::invalid_argument);
 }
 
 TEST(ZeroTile, PaddingTilesAreZero) {
@@ -53,13 +55,13 @@ TEST(ZeroTile, PaddingTilesAreZero) {
   for (i64 i = 0; i < 9; ++i) {
     for (i64 j = 0; j < 129; ++j) m.set(i, j, true);
   }
-  const TileMap map = build_tile_map(m);
-  EXPECT_EQ(map.tiles_m, 2);
-  EXPECT_EQ(map.tiles_k, 2);
+  const TileSparseBitMatrix t = TileSparseBitMatrix::from_bit_matrix(m);
+  EXPECT_EQ(t.tiles_m(), 2);
+  EXPECT_EQ(t.tiles_k(), 2);
   // All four tiles contain at least one logical bit except... row tile 1
   // covers rows 8..15 (row 8 is logical), k tile 1 covers cols 128..255
   // (col 128 logical) — so all 4 tiles are non-zero here.
-  EXPECT_EQ(map.nonzero_tiles(), 4);
+  EXPECT_EQ(t.nnz_tiles(), 4);
 }
 
 TEST(ZeroTile, DensityTracksRatio) {
@@ -69,10 +71,10 @@ TEST(ZeroTile, DensityTracksRatio) {
   for (int s = 0; s < 24; ++s) {
     m.set(rng.next_in(0, 63), rng.next_in(0, 511), true);
   }
-  const TileMap map = build_tile_map(m);
-  EXPECT_GT(map.nonzero_tiles(), 0);
-  EXPECT_LE(map.nonzero_tiles(), 24);
-  EXPECT_LT(map.nonzero_ratio(), 1.0);
+  const TileSparseBitMatrix t = TileSparseBitMatrix::from_bit_matrix(m);
+  EXPECT_GT(t.nnz_tiles(), 0);
+  EXPECT_LE(t.nnz_tiles(), 24);
+  EXPECT_LT(t.nonzero_ratio(), 1.0);
 }
 
 }  // namespace
