@@ -8,7 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/defs.hpp"
 #include "common/matrix.hpp"
@@ -33,16 +32,19 @@ struct QuantParams {
 /// or infinite value.
 QuantParams quant_params_from_data(const MatrixF& m, int bits);
 
-/// Quantize a single value per Eq. 2 (floor + clamp). Inline: the packing
-/// loop of StackedBitTensor::quantize calls it once per element.
+/// Quantize a single value per Eq. 2 (floor + clamp).
 inline i32 quantize_value(float alpha, const QuantParams& p) {
-  // Clamp in double before the integer cast: at 31 bits the unclamped code
-  // can exceed the int32 range, and float->int overflow is UB.
-  const double s = p.scale();
-  const double q = std::floor((static_cast<double>(alpha) - p.alpha_min) / s);
-  const double clamped = std::clamp(q, 0.0, static_cast<double>(p.qmax()));
-  return static_cast<i32>(clamped);
+  // Clamp y in double before the integer cast: at 31 bits the unclamped code
+  // can exceed the int32 range, and float->int overflow is UB. Once y is
+  // clamped into [0, qmax], truncation toward zero equals floor, and unlike
+  // std::floor (kept scalar under -ftrapping-math) it vectorizes.
+  const double y = (static_cast<double>(alpha) - p.alpha_min) / p.scale();
+  return static_cast<i32>(std::clamp(y, 0.0, static_cast<double>(p.qmax())));
 }
+
+/// quantize_value over n contiguous values: the loop quantize_matrix and
+/// StackedBitTensor::quantize share.
+void quantize_span(const float* in, i64 n, const QuantParams& p, i32* out);
 
 /// Dequantize a code back to fp32 (code-midpoint convention, so the
 /// round-trip error of quantize->dequantize is bounded by scale/2 + ulp).

@@ -20,8 +20,7 @@ StackedBitTensor StackedBitTensor::quantize(const MatrixF& x,
                                             PadPolicy non_k_pad) {
   StackedBitTensor t = zeros(x.rows(), x.cols(), p.bits, layout, non_k_pad);
   pack_planes(t.planes_, [&x, &p](i64 r, i32* out) {
-    const float* in = x.row(r).data();
-    for (i64 c = 0; c < x.cols(); ++c) out[c] = quantize_value(in[c], p);
+    quantize_span(x.row(r).data(), x.cols(), p, out);
   });
   return t;
 }

@@ -62,31 +62,36 @@ std::vector<i32> expand_ego(const CsrView& g, const std::vector<i32>& seeds,
 namespace {
 
 /// Applies fn(local_u, local_v) for every intra-partition edge of the batch
-/// (plus optional self-loops), using a global->local scratch map.
+/// (plus optional self-loops), row by row: the self-loop first, then
+/// neighbour order. Batch nodes are laid out partition by partition, so an
+/// edge stays inside u's partition exactly when its local id falls in that
+/// partition's [lo, hi) — one unsigned compare, which also rejects the -1 of
+/// a node outside the batch. The block-diagonal rule is §4.1's.
 template <typename Fn>
 void for_each_batch_edge(const CsrView& g, const SubgraphBatch& batch,
                          bool add_self_loops, Fn&& fn) {
   std::vector<i32> local_of(static_cast<std::size_t>(g.num_nodes()), -1);
-  std::vector<i32> part_of_local(static_cast<std::size_t>(batch.size()));
-  for (i64 p = 0; p < batch.num_parts(); ++p) {
-    for (i64 i = batch.part_bounds[static_cast<std::size_t>(p)];
-         i < batch.part_bounds[static_cast<std::size_t>(p) + 1]; ++i) {
-      local_of[static_cast<std::size_t>(batch.nodes[static_cast<std::size_t>(i)])] =
-          static_cast<i32>(i);
-      part_of_local[static_cast<std::size_t>(i)] = static_cast<i32>(p);
-    }
+  for (i64 i = 0; i < batch.size(); ++i) {
+    local_of[static_cast<std::size_t>(batch.nodes[static_cast<std::size_t>(i)])] =
+        static_cast<i32>(i);
   }
-  for (i64 lu = 0; lu < batch.size(); ++lu) {
-    const i32 gu = batch.nodes[static_cast<std::size_t>(lu)];
-    if (add_self_loops) fn(lu, lu);
-    for (const i32 gv : g.neighbors(gu)) {
-      const i32 lv = local_of[static_cast<std::size_t>(gv)];
-      // Keep only edges inside the batch AND inside one partition — the
-      // batched adjacency is block-diagonal by construction (§4.1).
-      if (lv >= 0 && part_of_local[static_cast<std::size_t>(lu)] ==
-                         part_of_local[static_cast<std::size_t>(lv)]) {
-        fn(lu, lv);
+  std::vector<i32> kept;  // one row's surviving local neighbours
+  for (i64 p = 0; p < batch.num_parts(); ++p) {
+    const i64 lo = batch.part_bounds[static_cast<std::size_t>(p)];
+    const i64 hi = batch.part_bounds[static_cast<std::size_t>(p) + 1];
+    const u64 span = static_cast<u64>(hi - lo);
+    for (i64 lu = lo; lu < hi; ++lu) {
+      const auto nbrs = g.neighbors(batch.nodes[static_cast<std::size_t>(lu)]);
+      if (kept.size() < nbrs.size()) kept.resize(nbrs.size());
+      // Branch-free compaction: always store, advance only on a keeper.
+      std::size_t k = 0;
+      for (const i32 gv : nbrs) {
+        const i32 lv = local_of[static_cast<std::size_t>(gv)];
+        kept[k] = lv;
+        k += static_cast<u64>(lv - lo) < span;
       }
+      if (add_self_loops) fn(lu, lu);
+      for (std::size_t j = 0; j < k; ++j) fn(lu, static_cast<i64>(kept[j]));
     }
   }
 }
@@ -170,29 +175,10 @@ CsrGraph build_batch_csr(const CsrView& g, const SubgraphBatch& batch,
   for_each_batch_edge(g, batch, add_self_loops, [&](i64 u, i64 v) {
     edges.emplace_back(static_cast<i32>(u), static_cast<i32>(v));
   });
-  // Self-loops were injected by the walker; from_edges drops them, so add
-  // them back as explicit pairs is pointless — instead keep symmetrize off
-  // (the walker already emits both directions) and retain self-loops by
-  // bypassing from_edges' self-loop filter via diagonal sentinel handling.
-  // Simpler: build CSR manually.
-  const i64 n = batch.size();
-  std::vector<u64> keys;
-  keys.reserve(edges.size());
-  for (const auto& [u, v] : edges) {
-    keys.push_back((static_cast<u64>(static_cast<u32>(u)) << 32) |
-                   static_cast<u32>(v));
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<std::pair<i32, i32>> uniq;
-  uniq.reserve(keys.size());
-  for (const u64 k : keys) {
-    uniq.emplace_back(static_cast<i32>(k >> 32),
-                      static_cast<i32>(k & 0xffffffffu));
-  }
-  // from_edges drops self-loops; the fp32 baseline adds the self term
-  // explicitly during SpMM, so symmetry with the bit path is preserved.
-  return CsrGraph::from_edges(n, std::move(uniq), /*symmetrize=*/false);
+  // from_edges sorts, dedups and drops the self-loops; the fp32 SpMM adds
+  // the self term itself, in step with the bit path.
+  return CsrGraph::from_edges(batch.size(), std::move(edges),
+                              /*symmetrize=*/false);
 }
 
 MatrixF gather_rows(const store::FeatureSource& features,

@@ -54,7 +54,9 @@ TileSparseBitMatrix build_batch_adjacency_tiles(const CsrView& g,
                                                 const SubgraphBatch& batch,
                                                 bool add_self_loops = true);
 
-/// Same adjacency in local CSR form, for the fp32 SpMM baseline.
+/// Same adjacency in local CSR form, for the fp32 SpMM baseline. It never
+/// stores self-loops (the SpMM adds the self term), whatever
+/// `add_self_loops` says.
 CsrGraph build_batch_csr(const CsrView& g, const SubgraphBatch& batch,
                          bool add_self_loops = true);
 

@@ -2,6 +2,11 @@
 // consistency, feature gathering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "graph/batching.hpp"
 #include "graph/generator.hpp"
 
@@ -105,6 +110,83 @@ TEST(Batching, AdjacencyMirrorsGlobalEdges) {
         EXPECT_TRUE(f.ds.graph.has_edge(b.nodes[static_cast<std::size_t>(u)],
                                         b.nodes[static_cast<std::size_t>(v)]));
       }
+    }
+  }
+}
+
+TEST(Batching, AdjacencyEqualsBruteForceOracle) {
+  // Partition sizes off multiples of 8, batches spanning more than one
+  // 128-column tile, neighbours outside the batch, and two degree-0 nodes.
+  const std::vector<std::size_t> sizes = {5, 13, 1, 9, 70, 61, 15, 46, 80};
+  const i64 n = 300;
+  Rng rng(31);
+  std::vector<i32> perm(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<i32>(i);
+  for (std::size_t i = perm.size() - 1; i > 0; --i) {
+    std::swap(perm[i], perm[rng.next_below(i + 1)]);
+  }
+  PartitionResult parts;
+  parts.num_parts = static_cast<i64>(sizes.size());
+  parts.part_of.resize(perm.size());
+  auto first = perm.begin();
+  for (std::size_t p = 0; p < sizes.size(); ++p) {
+    std::vector<i32> members(first, first + static_cast<i64>(sizes[p]));
+    first += static_cast<i64>(sizes[p]);
+    std::sort(members.begin(), members.end());
+    for (const i32 v : members) {
+      parts.part_of[static_cast<std::size_t>(v)] = static_cast<i32>(p);
+    }
+    parts.members.push_back(std::move(members));
+  }
+  const auto isolated = [](i32 v) { return v == 7 || v == 150; };
+  std::vector<std::pair<i32, i32>> edges;
+  for (int e = 0; e < 3000; ++e) {
+    const auto u = static_cast<i32>(rng.next_below(static_cast<u64>(n)));
+    auto v = static_cast<i32>(rng.next_below(static_cast<u64>(n)));
+    if (e % 2 == 0) {  // half the edges stay inside u's partition
+      const auto& m = parts.members[static_cast<std::size_t>(
+          parts.part_of[static_cast<std::size_t>(u)])];
+      v = m[rng.next_below(m.size())];
+    }
+    if (!isolated(u) && !isolated(v)) edges.emplace_back(u, v);
+  }
+  const CsrGraph g = CsrGraph::from_edges(n, std::move(edges));
+  ASSERT_EQ(g.degree(7), 0);
+  ASSERT_EQ(g.degree(150), 0);
+
+  const auto batches = make_batches(parts, 3);
+  ASSERT_EQ(batches.size(), 3u);
+  for (const auto& b : batches) {
+    std::vector<i64> part_of_local(static_cast<std::size_t>(b.size()));
+    for (i64 p = 0; p < b.num_parts(); ++p) {
+      for (i64 i = b.part_bounds[static_cast<std::size_t>(p)];
+           i < b.part_bounds[static_cast<std::size_t>(p) + 1]; ++i) {
+        part_of_local[static_cast<std::size_t>(i)] = p;
+      }
+    }
+    for (const bool loops : {true, false}) {
+      const BitMatrix dense = build_batch_adjacency(g, b, loops);
+      const TileSparseBitMatrix tiles =
+          build_batch_adjacency_tiles(g, b, loops);
+      const CsrGraph csr = build_batch_csr(g, b, loops);
+      i64 off_diagonal = 0;
+      for (i64 u = 0; u < b.size(); ++u) {
+        for (i64 v = 0; v < b.size(); ++v) {
+          const bool want =
+              part_of_local[static_cast<std::size_t>(u)] ==
+                  part_of_local[static_cast<std::size_t>(v)] &&
+              (g.has_edge(b.nodes[static_cast<std::size_t>(u)],
+                          b.nodes[static_cast<std::size_t>(v)]) ||
+               (loops && u == v));
+          ASSERT_EQ(dense.get(u, v), want) << "dense " << u << ", " << v;
+          ASSERT_EQ(tiles.get(u, v), want) << "tiles " << u << ", " << v;
+          // The local CSR never stores self-loops: the fp32 SpMM adds them.
+          ASSERT_EQ(csr.has_edge(u, v), want && u != v)
+              << "csr " << u << ", " << v;
+          off_diagonal += want && u != v;
+        }
+      }
+      EXPECT_EQ(csr.num_edges(), off_diagonal);
     }
   }
 }
