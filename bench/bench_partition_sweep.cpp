@@ -2,9 +2,7 @@
 // lead to denser edge connections within each subgraph, which may bring
 // better computation and memory locality", and batch size controls device
 // utilisation. Sweeps partition count and batch size on one dataset and
-// reports intra-edge fraction, non-zero tile ratio, and epoch latency; a
-// second sweep over shard counts reports the scale-out cost surface (edge
-// cut + halo bytes) a sharded deployment pays.
+// reports intra-edge fraction, non-zero tile ratio, and epoch latency.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -21,7 +19,7 @@ int main(int argc, char** argv) {
   const auto spec = table1_spec(bench::quick() ? "Proteins" : "artist");
   const Dataset ds = generate_dataset(spec);
   bench::JsonReport json("partition_sweep", argc, argv);
-  json.meta("workload", "partition/batch granularity + shard-count sweep");
+  json.meta("workload", "partition/batch granularity sweep");
   json.meta("dataset", spec.name);
   json.meta("nodes", static_cast<double>(spec.num_nodes));
   json.meta("edges", static_cast<double>(spec.num_edges));
@@ -64,37 +62,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-
-  // ------------------------------------------------- shard-count cost sweep
-  // The coarse S-way ownership split a ShardedEngine plans over: what a
-  // shard count costs in cross-shard edges and replicated halo features
-  // (halo bytes = the fp32 rows the interconnect must move once per epoch).
-  std::cout << "\nShard-count sweep (scale-out cost: edge cut + halo)\n";
-  TablePrinter shard_table(
-      {"shards", "edge cut", "cut %", "halo nodes", "halo MB"});
-  for (const i64 shards : {2, 4, 8}) {
-    const PartitionResult pr = partition_graph(ds.graph, shards, {});
-    const i64 cut = pr.edge_cut(ds.graph);
-    const double cut_frac =
-        spec.num_edges > 0
-            ? static_cast<double>(cut) / static_cast<double>(spec.num_edges)
-            : 0.0;
-    const i64 halo_nodes = pr.total_halo(ds.graph);
-    const i64 halo_bytes =
-        halo_nodes * spec.feature_dim * static_cast<i64>(sizeof(float));
-    shard_table.add_row(
-        {std::to_string(shards), std::to_string(cut),
-         TablePrinter::fmt_pct(cut_frac, 1), std::to_string(halo_nodes),
-         TablePrinter::fmt(static_cast<double>(halo_bytes) / (1024.0 * 1024.0),
-                           2)});
-    json.add_row({{"kind", "shard"}},
-                 {{"shards", static_cast<double>(shards)},
-                  {"edge_cut", static_cast<double>(cut)},
-                  {"edge_cut_fraction", cut_frac},
-                  {"halo_nodes", static_cast<double>(halo_nodes)},
-                  {"halo_bytes", static_cast<double>(halo_bytes)}});
-  }
-  shard_table.print(std::cout);
   std::cout << "\n(dataset: " << spec.name << ")\n";
   bench::add_memory_meta(json);
   return 0;

@@ -6,7 +6,6 @@
 //            [--hidden H] [--rounds R] [--backend scalar|simd|blocked]
 //            [--threads T]
 //            [--streaming] [--pipeline-depth D] [--prepare-threads P]
-//            [--shards S] [--pin-numa]
 //            [--serve] [--qps Q] [--requests N] [--fanout F]
 //            [--trace-out trace.json] [--metrics]
 //            [--save-dataset file.bin] [--load-dataset file.bin]
@@ -16,9 +15,11 @@
 // nonzero-tile ratio and the tile-CSR adjacency bytes shipped), and memory
 // accounting (peak prepared bytes + process peak RSS). --autotune picks
 // partitions, batch size and streaming/pipeline-depth from the device
-// profile; explicit flags always win. Numeric flags must parse completely
-// and --model must be gcn or gin; any bad input prints an `error:` line and
-// exits 1.
+// profile; explicit flags always win. Numeric flags must parse completely,
+// worker and depth counts must be at least 1, --cache-budget-mb and
+// --fanout at least 0, and --model must be gcn or gin. Bad input, and any
+// error the run itself raises (an unknown dataset, --rounds 0), prints an
+// `error:` line and exits 1.
 //
 // --serve skips the offline epochs and stands up the online serving layer
 // (core::ServingEngine) behind an open-loop Poisson client: --qps offered
@@ -44,7 +45,6 @@
 #include "core/autotune.hpp"
 #include "core/engine.hpp"
 #include "core/serving.hpp"
-#include "core/sharded.hpp"
 #include "core/stats.hpp"
 #include "graph/io.hpp"
 #include "obs/metrics.hpp"
@@ -66,8 +66,6 @@ struct Args {
   bool streaming = false;
   int pipeline_depth = 0;   // 0 = unset (engine default, or autotuned)
   int prepare_threads = 0;  // 0 = unset
-  int shards = 0;           // 0 = unset (1 engine, or autotuned shard count)
-  bool pin_numa = false;    // pin each shard's workers to its NUMA slice
   std::string backend;  // empty = engine default (QGTC_BACKEND or blocked)
   int threads = 0;      // 0 = unset (engine default, or autotuned)
   int fuse_epilogue = -1;   // -1 = unset, 0 = --no-fuse-epilogue, 1 = --fuse-epilogue
@@ -93,7 +91,6 @@ void usage() {
                "  [--bits B] [--partitions N] [--batch B] [--layers L]\n"
                "  [--hidden H] [--rounds R] [--autotune]\n"
                "  [--streaming] [--pipeline-depth D] [--prepare-threads P]\n"
-               "  [--shards S] [--pin-numa]\n"
                "  [--backend scalar|simd|blocked] [--threads T]\n"
                "  [--fuse-epilogue|--no-fuse-epilogue]\n"
                "  [--activation identity|relu|relu6|hardswish]\n"
@@ -113,13 +110,7 @@ void usage() {
                "directory\n"
                "--write-store DIR export the dataset as a store directory\n"
                "--cache-budget-mb N  prepared-batch cache budget "
-               "(0 = disabled)\n"
-               "--shards S        shard the epoch across S engines with halo "
-               "exchange\n"
-               "                  (under --autotune, S comes from the NUMA "
-               "topology)\n"
-               "--pin-numa        pin each shard's workers to its NUMA CPU "
-               "slice\n";
+               "(0 = disabled)\n";
 }
 
 /// Parses the whole of `text` as a number of type T, or throws
@@ -138,6 +129,18 @@ T parse_number(const std::string& flag, const std::string& text) {
   return value;
 }
 
+/// parse_number, then rejects values below `min` ("--threads must be >= 1,
+/// got '0'").
+template <typename T>
+T parse_at_least(const std::string& flag, const std::string& text, T min) {
+  const T value = parse_number<T>(flag, text);
+  if (value < min) {
+    throw std::invalid_argument(flag + " must be >= " + std::to_string(min) +
+                                ", got '" + text + "'");
+  }
+  return value;
+}
+
 bool parse(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -147,6 +150,9 @@ bool parse(int argc, char** argv, Args& a) {
     };
     auto next_int = [&] { return parse_number<int>(flag, next()); };
     auto next_i64 = [&] { return parse_number<qgtc::i64>(flag, next()); };
+    auto next_at_least = [&](auto min) {
+      return parse_at_least(flag, next(), min);
+    };
     if (flag == "--dataset") a.dataset = next();
     else if (flag == "--model") a.model = next();
     else if (flag == "--bits") a.bits = next_int();
@@ -157,12 +163,10 @@ bool parse(int argc, char** argv, Args& a) {
     else if (flag == "--rounds") a.rounds = next_int();
     else if (flag == "--autotune") a.autotune = true;
     else if (flag == "--streaming") a.streaming = true;
-    else if (flag == "--pipeline-depth") a.pipeline_depth = next_int();
-    else if (flag == "--prepare-threads") a.prepare_threads = next_int();
-    else if (flag == "--shards") a.shards = next_int();
-    else if (flag == "--pin-numa") a.pin_numa = true;
+    else if (flag == "--pipeline-depth") a.pipeline_depth = next_at_least(1);
+    else if (flag == "--prepare-threads") a.prepare_threads = next_at_least(1);
     else if (flag == "--backend") a.backend = next();
-    else if (flag == "--threads") a.threads = next_int();
+    else if (flag == "--threads") a.threads = next_at_least(1);
     else if (flag == "--fuse-epilogue") a.fuse_epilogue = 1;
     else if (flag == "--no-fuse-epilogue") a.fuse_epilogue = 0;
     else if (flag == "--activation") a.activation = next();
@@ -171,12 +175,12 @@ bool parse(int argc, char** argv, Args& a) {
     else if (flag == "--metrics") a.metrics = true;
     else if (flag == "--qps") a.qps = parse_number<double>(flag, next());
     else if (flag == "--requests") a.requests = next_i64();
-    else if (flag == "--fanout") a.fanout = next_int();
+    else if (flag == "--fanout") a.fanout = next_at_least(0);
     else if (flag == "--save-dataset") a.save_path = next();
     else if (flag == "--load-dataset") a.load_path = next();
     else if (flag == "--store") a.store_path = next();
     else if (flag == "--write-store") a.write_store_path = next();
-    else if (flag == "--cache-budget-mb") a.cache_budget_mb = next_i64();
+    else if (flag == "--cache-budget-mb") a.cache_budget_mb = next_at_least(qgtc::i64{0});
     else if (flag == "--help" || flag == "-h") { usage(); return false; }
     else throw std::invalid_argument("unknown flag: " + flag);
   }
@@ -187,19 +191,10 @@ bool parse(int argc, char** argv, Args& a) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Everything after argument parsing: load or generate the dataset, then
+/// serve or run the offline epochs and print the tables.
+int run(const Args& args) {
   using namespace qgtc;
-  Args args;
-  try {
-    if (!parse(argc, argv, args)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    usage();
-    return 1;
-  }
-
   // Tracing is enabled before any engine work so calibration and the first
   // epoch land in the trace too; export + metrics dump run after the tables.
   if (!args.trace_out.empty()) obs::SpanSink::instance().enable();
@@ -252,13 +247,9 @@ int main(int argc, char** argv) {
   cfg.model.weight_bits = args.bits;
   cfg.num_partitions = args.partitions;
   cfg.batch_size = args.batch;
-  int tuned_shards = 1;
-  bool tuned_pin = false;
   if (args.autotune) {
     const auto tuned = core::generate_runtime_config(spec, cfg.model);
     core::apply(tuned, cfg);
-    tuned_shards = tuned.num_shards;
-    tuned_pin = tuned.pin_numa;
     std::cout << "Autotuned: " << cfg.num_partitions << " partitions, batch "
               << cfg.batch_size << ", " << cfg.inter_batch_threads
               << " inter-batch threads (~"
@@ -267,9 +258,7 @@ int main(int argc, char** argv) {
                                       std::to_string(cfg.mode.pipeline_depth) + ")"
                                 : "precomputed")
               << " epoch (~" << tuned.epoch_bytes_estimate / 1000000
-              << " MB materialised), " << tuned.num_shards << " shard"
-              << (tuned.num_shards == 1 ? "" : "s")
-              << (tuned.pin_numa ? " (NUMA-pinned)" : "") << "\n";
+              << " MB materialised)\n";
   }
   // Explicit flags beat both the defaults and the autotuner.
   if (args.streaming) cfg.mode.epoch = core::RunMode::Epoch::kStreaming;
@@ -277,21 +266,9 @@ int main(int argc, char** argv) {
   if (args.prepare_threads > 0) cfg.mode.prepare_threads = args.prepare_threads;
   if (args.fuse_epilogue >= 0) cfg.model.fused_epilogue = args.fuse_epilogue != 0;
   if (!args.activation.empty()) {
-    try {
-      cfg.model.activation = tcsim::parse_activation(args.activation);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
+    cfg.model.activation = tcsim::parse_activation(args.activation);
   }
-  if (!args.backend.empty()) {
-    try {
-      cfg.backend = tcsim::parse_backend(args.backend);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
+  if (!args.backend.empty()) cfg.backend = tcsim::parse_backend(args.backend);
   if (args.threads > 0) cfg.inter_batch_threads = args.threads;
   if (args.cache_budget_mb > 0) {
     cfg.cache_budget_bytes = args.cache_budget_mb << 20;
@@ -356,77 +333,6 @@ int main(int argc, char** argv) {
     table.add_row({"prepare busy/stall ms", stage_row(st.prepare_stage)});
     table.add_row({"ship busy/stall ms", stage_row(st.ship_stage)});
     table.add_row({"compute busy/stall ms", stage_row(st.compute_stage)});
-    table.print(std::cout);
-    flush_observability();
-    return 0;
-  }
-
-  // --shards beats the autotuner; with neither, a single engine runs below.
-  const int effective_shards =
-      args.shards > 0 ? args.shards : (args.autotune ? tuned_shards : 1);
-  const bool effective_pin = args.pin_numa || (args.autotune && tuned_pin);
-  if (effective_shards > 1) {
-    if (dstore) {
-      std::cerr << "error: --shards requires an in-core dataset "
-                   "(--store is not supported with sharding)\n";
-      return 1;
-    }
-    std::cout << "Building " << effective_shards << " sharded engines ("
-              << gnn::model_name(cfg.model.kind) << ", " << args.bits
-              << "-bit, " << cfg.num_partitions << " partitions"
-              << (effective_pin ? ", NUMA-pinned" : "") << ")...\n";
-    core::ShardedConfig scfg;
-    scfg.num_shards = effective_shards;
-    scfg.pin_numa = effective_pin;
-    scfg.adapt_depth = cfg.mode.streaming();
-    core::ShardedEngine sharded(ds, cfg, scfg);
-    const auto st = sharded.run_quantized(args.rounds);
-    const core::ImbalanceReport imb = sharded.imbalance();
-
-    core::TablePrinter table({"metric", "value"});
-    table.add_row({"backend", st.backend});
-    table.add_row({"shards", std::to_string(st.shards)});
-    table.add_row({"batches", std::to_string(st.batches)});
-    table.add_row({"nodes/epoch", std::to_string(st.nodes)});
-    table.add_row({"QGTC ms/epoch",
-                   core::TablePrinter::fmt(st.forward_seconds * 1e3, 1)});
-    table.add_row({"tile MMAs/epoch", std::to_string(st.bmma_ops)});
-    table.add_row({"halo nodes/epoch", std::to_string(st.halo_nodes)});
-    table.add_row({"halo MB/epoch",
-                   core::TablePrinter::fmt(
-                       static_cast<double>(st.halo_bytes) / 1e6, 2)});
-    table.add_row({"halo wire ms/epoch",
-                   core::TablePrinter::fmt(st.halo_wire_seconds * 1e3, 2)});
-    table.add_row({"exposed halo ms",
-                   core::TablePrinter::fmt(st.exposed_halo_seconds * 1e3, 2)});
-    for (const core::ShardReport& r : sharded.shard_reports()) {
-      table.add_row(
-          {"shard " + std::to_string(r.shard) + " busy/stall ms",
-           core::TablePrinter::fmt(r.busy_seconds * 1e3, 1) + "/" +
-               core::TablePrinter::fmt(r.stall_seconds * 1e3, 1) + "  (" +
-               std::to_string(r.batches) + " batches, " +
-               std::to_string(r.nodes) + " nodes, halo " +
-               core::TablePrinter::fmt(
-                   static_cast<double>(r.halo_bytes) / 1e6, 2) +
-               " MB" +
-               (r.pinned ? ", pinned to " + std::to_string(r.cpus) + " cpus"
-                         : "") +
-               (r.suggested_depth > 0 && r.suggested_depth != r.pipeline_depth
-                    ? ", depth " + std::to_string(r.pipeline_depth) + "->" +
-                          std::to_string(r.suggested_depth)
-                    : "") +
-               ")"});
-    }
-    table.add_row({"max/mean shard busy",
-                   core::TablePrinter::fmt(imb.max_over_mean, 2) +
-                       (imb.skewed() ? " (skewed, straggler shard " +
-                                           std::to_string(imb.straggler) + ")"
-                                     : "")});
-    table.add_row({"halo-stall share",
-                   core::TablePrinter::fmt_pct(imb.halo_stall_share, 1)});
-    table.add_row({"peak RSS MB",
-                   core::TablePrinter::fmt(
-                       static_cast<double>(vm_hwm_bytes()) / 1e6, 1)});
     table.print(std::cout);
     flush_observability();
     return 0;
@@ -520,4 +426,20 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   flush_observability();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  bool parsed = false;
+  try {
+    if (!parse(argc, argv, args)) return 0;
+    parsed = true;
+    return run(args);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    if (!parsed) usage();
+    return 1;
+  }
 }

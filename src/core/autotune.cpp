@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/affinity.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
@@ -126,25 +125,6 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
     t.serving.max_wait_us = 200;
   }
 
-  // NUMA sharding: throughput epochs split across sockets when the host has
-  // them; a single-node host with enough cores still gets two logical
-  // shards (the coordinator halves each shard's worker budget, so this only
-  // helps when there are cores to split). Latency runs keep one engine —
-  // serving's micro-batches are too small to amortise a shard fan-out.
-  if (objective == TuneObjective::kThroughput) {
-    const affinity::Topology topo = affinity::detect_topology();
-    i64 shards = 1;
-    if (topo.num_nodes() > 1) {
-      shards = topo.num_nodes();
-      t.pin_numa = topo.from_sysfs;
-    } else if (topo.total_cpus() >= 4) {
-      shards = 2;
-    }
-    t.num_shards = static_cast<int>(
-        std::clamp<i64>(shards, 1, batches_per_epoch));
-    if (t.num_shards <= 1) t.pin_numa = false;
-  }
-
   // Prepared-batch cache budget (cross-epoch reuse). Derived AFTER the
   // objective override so the footprint reflects the knobs the run will use.
   t.streaming_footprint_estimate =
@@ -171,26 +151,6 @@ void apply(const TunedConfig& tuned, EngineConfig& cfg) {
   cfg.cache_budget_bytes = tuned.cache_budget_bytes;
   cfg.model.fused_epilogue = tuned.fuse_epilogue;
   cfg.model.activation = tuned.activation;
-}
-
-int recommend_pipeline_depth(const EngineStats::StageBreakdownSet& telemetry,
-                             int current_depth, int max_depth) {
-  QGTC_CHECK(current_depth >= 1, "current depth must be >= 1");
-  QGTC_CHECK(max_depth >= 1, "max depth must be >= 1");
-  // Starved compute + healthy prepare: the queues are too shallow to absorb
-  // prepare jitter — deepen. Blocked prepare + busy compute: the window is
-  // wider than compute can drain — shallower queues stop buying anything but
-  // resident batches. Anything in between holds (a dead band keeps the
-  // controller from oscillating run-to-run on noisy small epochs).
-  const double compute_stall = telemetry.compute.stall_fraction();
-  const double prepare_stall = telemetry.prepare.stall_fraction();
-  if (compute_stall > 0.25 && prepare_stall < 0.10) {
-    return std::min(current_depth * 2, max_depth);
-  }
-  if (prepare_stall > 0.50 && compute_stall < 0.10 && current_depth > 1) {
-    return std::max(current_depth / 2, 1);
-  }
-  return std::clamp(current_depth, 1, max_depth);
 }
 
 }  // namespace qgtc::core

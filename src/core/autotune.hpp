@@ -75,16 +75,6 @@ struct TunedConfig {
   /// resident) and for profiles whose leftover budget cannot hold even one
   /// batch (a smaller cache would thrash, never hit).
   i64 cache_budget_bytes = 0;
-  /// NUMA sharding (ShardedEngine): shard count for throughput runs — one
-  /// shard per NUMA node when sysfs reports several, two logical shards on
-  /// a single-node host with enough cores to split, 1 (no sharding)
-  /// otherwise and always for the latency objective (serving wants one
-  /// engine). Never more shards than batches per epoch.
-  int num_shards = 1;
-  /// Pin each shard's workers to its NUMA node's CPUs — only when the host
-  /// actually reported a multi-node sysfs topology (pinning inside a
-  /// single node just restricts the scheduler for nothing).
-  bool pin_numa = false;
 };
 
 /// Deterministically derives engine knobs from dataset shape + profile.
@@ -97,14 +87,5 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
 
 /// Applies a tuned config onto an EngineConfig.
 void apply(const TunedConfig& tuned, EngineConfig& cfg);
-
-/// Online pipeline-depth controller fed by one run's stage stall telemetry
-/// (the adaptive-depth hook the sharded coordinator drives between runs).
-/// A compute stage starved by queue stalls while prepare keeps up wants
-/// deeper queues (depth doubles, capped); a prepare stage spending most of
-/// its time blocked pushing into a full queue means the depth is buying
-/// nothing — halve it. Telemetry inside the dead band keeps `current_depth`.
-int recommend_pipeline_depth(const EngineStats::StageBreakdownSet& telemetry,
-                             int current_depth, int max_depth = 8);
 
 }  // namespace qgtc::core

@@ -9,6 +9,15 @@
 #include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
+namespace {
+/// The epoch batch list: METIS-substitute partitioning, then partition
+/// batching.
+std::vector<SubgraphBatch> make_epoch_batches(const CsrView& g,
+                                              const EngineConfig& cfg) {
+  const PartitionResult parts = partition_graph(g, cfg.num_partitions, {});
+  return make_batches(parts, cfg.batch_size);
+}
+}  // namespace
 
 QgtcEngine::QgtcEngine(const Dataset& dataset, const EngineConfig& cfg)
     : cfg_(cfg),
@@ -56,16 +65,12 @@ void QgtcEngine::init() {
 
   model_ = gnn::QgtcModel::create(cfg_.model, cfg_.seed);
 
-  // Calibration is hoisted ahead of any epoch pipeline: the representative
-  // batch is prepared first and fixes the requantization shifts (§4.5's
-  // fused epilogue needs them before inference). prepare_batch does not
-  // depend on calibration state, so hoisting preserves bit-identity — and
-  // streaming mode needs the shifts before its first compute stage runs.
+  // Calibration is hoisted ahead of any epoch pipeline: batch 0 is prepared
+  // first and fixes the requantization shifts (§4.5's fused epilogue needs
+  // them before inference). prepare_batch does not depend on calibration
+  // state, so hoisting preserves bit-identity — and streaming mode needs the
+  // shifts before its first compute stage runs.
   if (!batches_.empty()) {
-    // Always calibrate on GLOBAL batch 0, before any shard filter narrows
-    // the batch list: every shard of a sharded run quantizes with the exact
-    // shifts a single-engine run derives, which is what makes S-shard logits
-    // bit-identical to 1-engine logits.
     BatchRef front =
         prepare_subgraph(batches_.front(),
                          /*build_fp32_csr=*/!cfg_.mode.streaming());
@@ -74,43 +79,17 @@ void QgtcEngine::init() {
       model_.calibrate(front->adj_tiles, front->features);
     }
 
-    // Shard filter: narrow to the listed global batch ids. Applied after
-    // calibration so the filter changes only *which* batches run, never how
-    // any batch is prepared or quantized.
-    const bool front_is_batch0 =
-        cfg_.shard_batches.empty() || cfg_.shard_batches.front() == 0;
-    if (!cfg_.shard_batches.empty()) {
-      std::vector<SubgraphBatch> sel;
-      sel.reserve(cfg_.shard_batches.size());
-      for (const i64 gid : cfg_.shard_batches) {
-        QGTC_CHECK(gid >= 0 && gid < num_batches(),
-                   "shard_batches id outside the global epoch batch list");
-        sel.push_back(batches_[static_cast<std::size_t>(gid)]);
-      }
-      batches_ = std::move(sel);
-    }
-
     if (!cfg_.mode.streaming()) {
-      // Precomputed mode materialises the whole (filtered) epoch up front
-      // (untimed preprocessing); the calibration batch is reused when it is
-      // this engine's batch 0. The refs share ownership with the cache when
-      // one is configured.
+      // Precomputed mode materialises the whole epoch up front (untimed
+      // preprocessing), reusing the calibration batch as batch 0. The refs
+      // share ownership with the cache when one is configured.
       data_.reserve(batches_.size());
-      for (i64 i = 0; i < num_batches(); ++i) {
-        if (i == 0 && front_is_batch0) {
-          data_.push_back(front);
-        } else {
-          data_.push_back(prepare_batch(i));
-        }
+      data_.push_back(std::move(front));
+      for (i64 i = 1; i < num_batches(); ++i) {
+        data_.push_back(prepare_batch(i));
       }
     }
   }
-}
-
-std::vector<SubgraphBatch> make_epoch_batches(const CsrView& g,
-                                              const EngineConfig& cfg) {
-  const PartitionResult parts = partition_graph(g, cfg.num_partitions, {});
-  return make_batches(parts, cfg.batch_size);
 }
 
 QgtcEngine::BatchRef QgtcEngine::prepare_batch(i64 i, bool build_fp32_csr,
@@ -163,11 +142,6 @@ void QgtcEngine::set_execution(tcsim::BackendKind backend,
   QGTC_CHECK(inter_batch_threads >= 1, "inter_batch_threads must be >= 1");
   cfg_.backend = backend;
   cfg_.inter_batch_threads = inter_batch_threads;
-}
-
-void QgtcEngine::set_pipeline_depth(int depth) {
-  QGTC_CHECK(depth >= 1, "pipeline_depth must be >= 1");
-  cfg_.mode.pipeline_depth = depth;
 }
 
 namespace {

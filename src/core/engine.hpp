@@ -94,13 +94,6 @@ struct EngineConfig {
   /// zero bytes (device-resident reuse); results stay bit-identical either
   /// way because cached entries ARE the prepared data.
   i64 cache_budget_bytes = 0;
-  /// Shard filter: when non-empty, this engine runs only the listed *global*
-  /// batch ids (indices into the unfiltered epoch batch list). Partitioning,
-  /// batching, model creation and calibration are all computed on the full
-  /// graph first — identical across every shard of a sharded run — so a
-  /// filtered engine's per-batch results are bit-identical to the same
-  /// batches in an unfiltered run. Empty = run every batch (the default).
-  std::vector<i64> shard_batches;
 };
 
 struct EngineStats {
@@ -157,26 +150,15 @@ struct EngineStats {
   i64 mapped_bytes = 0;
   // Streaming mode: per-stage busy/stall decomposition of the pipeline
   // (summed over each stage's workers, averaged over rounds). All zeros in
-  // precomputed mode, which has no inter-stage queues to stall on. This is
-  // the signal the adaptive-depth / worker-resizing roadmap items consume:
-  // a stalling prepare stage wants more depth or fewer preparers; a
-  // stalling compute stage means prepare or ship is the straggler.
+  // precomputed mode, which has no inter-stage queues to stall on. A
+  // stalling prepare stage wants more depth or fewer preparers; a stalling
+  // compute stage means prepare or ship is the straggler.
   struct StageBreakdownSet {
     obs::StageBreakdown prepare;
     obs::StageBreakdown ship;
     obs::StageBreakdown compute;
   };
   StageBreakdownSet stage_breakdown;
-  // Sharded-run accounting (filled by ShardedEngine; single-engine runs keep
-  // the defaults). Halo traffic is the boundary-feature movement between
-  // shards over the modelled interconnect (comm::InterconnectModel), per
-  // epoch; `exposed_halo_seconds` is the share of that wire time NOT hidden
-  // behind shard compute on the two-engine overlap replay.
-  int shards = 1;
-  i64 halo_nodes = 0;
-  i64 halo_bytes = 0;
-  double halo_wire_seconds = 0.0;
-  double exposed_halo_seconds = 0.0;
   // Execution setup the run used (for reporting / JSON bench output).
   const char* backend = "";
   int inter_batch_threads = 1;
@@ -208,12 +190,6 @@ class QgtcEngine {
   /// Re-points subsequent runs at a different backend / worker count without
   /// rebuilding partitions, batches or the model (the backend-sweep bench).
   void set_execution(tcsim::BackendKind backend, int inter_batch_threads);
-
-  /// Retunes the streaming pipeline's queue depth for subsequent runs (the
-  /// online adaptive-depth hook the sharded coordinator drives from stage
-  /// stall telemetry). No effect on results — depth only bounds residency
-  /// and overlap. Precomputed-mode engines accept and ignore it.
-  void set_pipeline_depth(int depth);
 
   /// Quantized QGTC inference over every batch, `rounds` epochs averaged.
   /// When `logits_out` is non-null it receives each batch's int32 logits
@@ -332,14 +308,6 @@ class QgtcEngine {
   mutable store::BatchCache<BatchData> cache_;
   mutable std::atomic<i64> prepare_bytes_read_{0};
 };
-
-/// The global epoch batch list an engine with `cfg` runs before any shard
-/// filter: METIS-substitute partitioning + partition batching, exactly as
-/// QgtcEngine::init computes it. The sharded coordinator plans shard
-/// assignments over this list, so a plan's global batch ids line up with
-/// every shard engine's view by construction.
-std::vector<SubgraphBatch> make_epoch_batches(const CsrView& g,
-                                              const EngineConfig& cfg);
 
 /// Packs an already-prepared batch (tile-CSR adjacency + input planes) into
 /// `slot` — the pack-into-slot step shared by the streaming ship stage,

@@ -438,6 +438,7 @@ LoadReport run_poisson_load(ServingEngine& serving, const LoadSpec& spec) {
   QGTC_CHECK(spec.num_requests >= 1, "load spec needs at least one request");
   QGTC_CHECK(spec.target_qps > 0, "target_qps must be positive");
   QGTC_CHECK(spec.seeds_per_request >= 1, "need at least one seed per request");
+  QGTC_CHECK(spec.fanout >= 0, "fanout must be non-negative");
   const i64 n = serving.engine().graph().num_nodes();
   QGTC_CHECK(n >= spec.seeds_per_request,
              "dataset smaller than seeds_per_request");

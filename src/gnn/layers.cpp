@@ -13,6 +13,8 @@ const char* model_name(ModelKind k) {
 std::vector<LayerWeights> init_weights(const GnnConfig& cfg, u64 seed) {
   QGTC_CHECK(cfg.num_layers >= 1, "model needs at least one layer");
   QGTC_CHECK(cfg.in_dim > 0 && cfg.out_dim > 0, "in/out dims must be set");
+  QGTC_CHECK(cfg.num_layers == 1 || cfg.hidden_dim > 0,
+             "hidden_dim must be positive when num_layers > 1");
   std::vector<LayerWeights> ws;
   ws.reserve(static_cast<std::size_t>(cfg.num_layers));
   Rng rng(seed);

@@ -19,42 +19,6 @@ double PartitionResult::intra_edge_fraction(const CsrView& g) const {
   return static_cast<double>(intra) / static_cast<double>(g.num_edges());
 }
 
-i64 PartitionResult::edge_cut(const CsrView& g) const {
-  i64 cut = 0;
-  for (i64 u = 0; u < g.num_nodes(); ++u) {
-    for (const i32 v : g.neighbors(u)) {
-      if (part_of[static_cast<std::size_t>(u)] !=
-          part_of[static_cast<std::size_t>(v)]) {
-        ++cut;
-      }
-    }
-  }
-  return cut;
-}
-
-std::vector<i32> PartitionResult::halo_of(const CsrView& g, i64 p) const {
-  QGTC_CHECK(p >= 0 && p < num_parts, "partition id out of range");
-  std::vector<i32> halo;
-  for (const i32 u : members[static_cast<std::size_t>(p)]) {
-    for (const i32 v : g.neighbors(u)) {
-      if (part_of[static_cast<std::size_t>(v)] != static_cast<i32>(p)) {
-        halo.push_back(v);
-      }
-    }
-  }
-  std::sort(halo.begin(), halo.end());
-  halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
-  return halo;
-}
-
-i64 PartitionResult::total_halo(const CsrView& g) const {
-  i64 total = 0;
-  for (i64 p = 0; p < num_parts; ++p) {
-    total += static_cast<i64>(halo_of(g, p).size());
-  }
-  return total;
-}
-
 namespace {
 
 /// One refinement sweep: move boundary nodes to the neighbouring partition

@@ -18,21 +18,6 @@ struct PartitionResult {
   /// Fraction of edges whose endpoints share a partition (modularity-style
   /// quality signal; random partitioning scores ~1/num_parts).
   double intra_edge_fraction(const CsrView& g) const;
-
-  /// Directed edges whose endpoints land in different partitions — the edge
-  /// cut a sharded deployment pays in cross-shard traffic.
-  /// edge_cut(g) == num_edges * (1 - intra_edge_fraction(g)).
-  i64 edge_cut(const CsrView& g) const;
-
-  /// Partition p's halo: the distinct remote nodes adjacent to it (neighbours
-  /// owned by another partition), sorted ascending. This is exactly the node
-  /// set whose features a shard hosting p must fetch across the interconnect.
-  std::vector<i32> halo_of(const CsrView& g, i64 p) const;
-
-  /// Total halo size summed over every partition (a node bordering k foreign
-  /// partitions is counted once per bordering partition — it is replicated
-  /// k times in a sharded run).
-  i64 total_halo(const CsrView& g) const;
 };
 
 struct PartitionOptions {

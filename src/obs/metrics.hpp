@@ -111,8 +111,8 @@ class Histogram {
 /// Accumulated busy-vs-stall wall time of one pipeline stage (or one stage
 /// worker): `busy` is time inside the stage body, `stall` is time blocked on
 /// inter-stage queues — the decomposition every stage of the streaming
-/// pipeline and the serving loop reports, and the signal the ROADMAP's
-/// adaptive-depth / shard-rebalancing work consumes.
+/// pipeline and the serving loop reports, and the signal that says which
+/// stage to staff or deepen.
 struct StageBreakdown {
   double busy_seconds = 0;
   double stall_seconds = 0;

@@ -357,5 +357,35 @@ TEST(Model, WeightCountMismatchThrows) {
                std::invalid_argument);
 }
 
+// A multi-layer model with a non-positive hidden_dim is rejected up front,
+// with an error that names hidden_dim.
+void expect_hidden_dim_rejected(ModelKind kind) {
+  Fixture f;
+  for (const i64 hidden : {i64{0}, i64{-1}}) {
+    GnnConfig cfg = f.config(kind, 4);
+    cfg.hidden_dim = hidden;
+    try {
+      (void)QgtcModel::create(cfg, 1);
+      ADD_FAILURE() << "accepted hidden_dim " << hidden;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("hidden_dim"), std::string::npos)
+          << "hidden_dim " << hidden << ": " << e.what();
+    }
+  }
+  // One layer maps in_dim to out_dim directly and never reads hidden_dim.
+  GnnConfig one = f.config(kind, 4);
+  one.num_layers = 1;
+  one.hidden_dim = 0;
+  EXPECT_NO_THROW((void)QgtcModel::create(one, 1));
+}
+
+TEST(Model, GcnNonPositiveHiddenDimThrows) {
+  expect_hidden_dim_rejected(ModelKind::kClusterGCN);
+}
+
+TEST(Model, GinNonPositiveHiddenDimThrows) {
+  expect_hidden_dim_rejected(ModelKind::kBatchedGIN);
+}
+
 }  // namespace
 }  // namespace qgtc::gnn

@@ -205,6 +205,19 @@ TEST(ServingFailure, BadRequestFailsItselfNotTheServer) {
   EXPECT_EQ(st.requests_admitted, 1);  // the two bad ones never got in
 }
 
+TEST(ServingFailure, NegativeLoadFanoutThrowsBeforeAnySubmit) {
+  const Dataset ds = serving_dataset();
+  ServingEngine serving(ds, serving_config(), ServingPolicy{});
+  LoadSpec spec;
+  spec.num_requests = 4;
+  spec.fanout = -1;
+  EXPECT_THROW(run_poisson_load(serving, spec), std::invalid_argument);
+  serving.stop();
+  const ServingStats st = serving.stats();
+  EXPECT_EQ(st.requests_admitted, 0);
+  EXPECT_EQ(st.requests_failed, 0);
+}
+
 TEST(ServingFailure, SubmitAfterStopThrows) {
   const Dataset ds = serving_dataset();
   ServingEngine serving(ds, serving_config(), ServingPolicy{});
