@@ -4,11 +4,15 @@
 // numbers (run with --benchmark_filter=... for a subset).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/dgl_fp32.hpp"
 #include "baselines/int8_gemm.hpp"
 #include "bittensor/stacked.hpp"
 #include "common/rng.hpp"
 #include "kernels/anybit_mm.hpp"
+#include "tcsim/backend.hpp"
 
 namespace {
 
@@ -41,6 +45,59 @@ void BM_Bmm1Bit(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_Bmm1Bit)->Args({1024, 64})->Args({2048, 64})->Args({4096, 128});
+
+/// One SubstrateBackend::mma_panel call, the unit every kernel sweep issues
+/// per panel — the popcount half of a bit-MAC peak probe. Arg 0 is the
+/// BackendKind; arg 1 the shape: 0 = GIN update (8 x 8 planes, one K tile,
+/// 8 output-column tiles), 1 = GCN aggregate (1 x 4 planes, 8 K tiles, 2
+/// output-column tiles). Reports seconds per 8x8x128 bmma op and 1-bit
+/// MAC/s (8192 per bmma op).
+void BM_MmaPanel(benchmark::State& state) {
+  const auto& be = tcsim::backend(static_cast<tcsim::BackendKind>(state.range(0)));
+  const bool gin = state.range(1) == 0;
+  const int sa = gin ? 8 : 1;
+  const int sb = gin ? 8 : 4;
+  const i64 k_tiles = gin ? 1 : 8;
+  const i64 nb = gin ? 8 : 2;
+  const i64 b_stride = k_tiles * kTileKWords;
+
+  Rng rng(13);
+  std::vector<u32> a(static_cast<std::size_t>(k_tiles * sa * kTileM * kTileKWords));
+  std::vector<u32> b(static_cast<std::size_t>(sb * nb * kTileN * b_stride));
+  for (auto& w : a) w = static_cast<u32>(rng.next_u64());
+  for (auto& w : b) w = static_cast<u32>(rng.next_u64());
+  std::vector<tcsim::SparseTileRef> refs;
+  for (i64 t = 0; t < k_tiles; ++t) {
+    for (int ab = 0; ab < sa; ++ab) {
+      refs.push_back({a.data() + (t * sa + ab) * kTileM * kTileKWords, t});
+    }
+  }
+  tcsim::PanelJob job;
+  job.a_tiles = refs.data();
+  job.n_tiles = k_tiles;
+  job.a_planes = sa;
+  job.a_stride = kTileKWords;
+  for (int bb = 0; bb < sb; ++bb) {
+    job.b_cols[bb] = b.data() + bb * nb * kTileN * b_stride;
+  }
+  job.b_planes = sb;
+  job.b_stride = b_stride;
+  job.nb = nb;
+
+  std::vector<u64> acc(static_cast<std::size_t>(nb * tcsim::kTileAccLanes), 0);
+  for (auto _ : state) {
+    be.mma_panel(acc.data(), job);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  const double ops = static_cast<double>(k_tiles * sa * sb * nb);
+  state.counters["s_per_bmma"] = benchmark::Counter(
+      ops, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["bitMAC_per_s"] = benchmark::Counter(
+      ops * 8192.0, benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(std::string(be.name()) + (gin ? " gin_update" : " gcn_aggregate"));
+}
+BENCHMARK(BM_MmaPanel)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_AnyBitComposed(benchmark::State& state) {
   const i64 n = 1024, d = 64;

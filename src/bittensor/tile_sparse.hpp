@@ -9,7 +9,8 @@
 //   payload  (nnz_tiles x 32)   the tile's 8 rows x 4 words, row-major
 //
 // A stored tile's rows are contiguous with stride kTileKWords, so every
-// SubstrateBackend consumes it through the ordinary load_a path. Jumping is
+// SubstrateBackend consumes it through the same panel jobs as a dense tile
+// (a SparseTileRef with a_stride kTileKWords). Jumping is
 // free: kernels iterate stored tiles and never test a flag, and the transfer
 // path ships payload + indices instead of the dense bit plane.
 //

@@ -48,8 +48,7 @@ bool tile_zero_all_planes(const std::vector<const BitMatrix*>& ap, i64 tm,
 }
 
 /// Dense A-side tile source: one or more kRowMajorK bit planes whose
-/// surviving tiles come from the inline §4.3 OR+ballot test. Tile handles
-/// are K-tile indices.
+/// surviving tiles come from the inline §4.3 OR+ballot test.
 class DensePlanesSource {
  public:
   /// True when absent tiles are structurally skipped regardless of
@@ -60,37 +59,36 @@ class DensePlanesSource {
       : ap_(std::move(ap)) {
     QGTC_CHECK(ap_.front()->layout() == BitLayout::kRowMajorK,
                "A planes must be kRowMajorK");
+    for (const BitMatrix* p : ap_) {
+      QGTC_CHECK(p->k_words() == a_stride(), "A planes must share one stride");
+    }
   }
 
   [[nodiscard]] i64 tiles_m() const { return ap_.front()->padded_rows() / kTileM; }
   [[nodiscard]] i64 tiles_k() const { return ap_.front()->padded_cols() / kTileK; }
   [[nodiscard]] i64 padded_k() const { return ap_.front()->padded_cols(); }
   [[nodiscard]] int planes() const { return static_cast<int>(ap_.size()); }
+  [[nodiscard]] i64 a_stride() const { return ap_.front()->k_words(); }
 
-  /// Upper bound on row block tm's survivor count (dense: every K tile may
-  /// survive the flag test).
-  [[nodiscard]] i64 survivor_bound(i64) const { return tiles_k(); }
+  /// Upper bound on row block tm's schedule length (dense: every K tile may
+  /// survive the flag test, once per plane).
+  [[nodiscard]] i64 survivor_bound(i64) const { return tiles_k() * planes(); }
 
-  /// Appends row block tm's surviving tile handles; returns the jump count.
-  i64 survivors(i64 tm, const BmmOptions& opt, std::vector<i64>& list) const {
+  /// Appends row block tm's surviving tiles, plane-minor (one ref per plane
+  /// per surviving K tile); returns the jump count.
+  i64 survivors(i64 tm, const BmmOptions& opt,
+                std::vector<tcsim::SparseTileRef>& refs) const {
     i64 jumped = 0;
     for (i64 tk = 0; tk < tiles_k(); ++tk) {
       if (opt.zero_tile_jump && tile_zero_all_planes(ap_, tm, tk)) {
         ++jumped;
         continue;
       }
-      list.push_back(tk);
+      for (const BitMatrix* p : ap_) {
+        refs.push_back({p->row_words(tm * kTileM) + tk * kTileKWords, tk});
+      }
     }
     return jumped;
-  }
-
-  [[nodiscard]] i64 tile_col(i64 h) const { return h; }
-  [[nodiscard]] const u32* tile_ptr(int plane, i64 tm, i64 h) const {
-    const BitMatrix& p = *ap_[static_cast<std::size_t>(plane)];
-    return p.row_words(tm * kTileM) + h * kTileKWords;
-  }
-  [[nodiscard]] i64 tile_stride(int plane) const {
-    return ap_[static_cast<std::size_t>(plane)]->k_words();
   }
 
  private:
@@ -98,8 +96,8 @@ class DensePlanesSource {
 };
 
 /// Structurally sparse A-side tile source: the tile-CSR adjacency. The
-/// stored-tile range *is* the surviving list (no scan, no flags); handles
-/// are payload indices, always single-plane (the adjacency is 1-bit).
+/// stored-tile range *is* the surviving list (no scan, no flags), always
+/// single-plane (the adjacency is 1-bit).
 class SparseAdjSource {
  public:
   static constexpr bool kStructural = true;
@@ -110,39 +108,37 @@ class SparseAdjSource {
   [[nodiscard]] i64 tiles_k() const { return a_->tiles_k(); }
   [[nodiscard]] i64 padded_k() const { return a_->padded_cols(); }
   [[nodiscard]] int planes() const { return 1; }
+  /// Stored tiles are row-contiguous.
+  [[nodiscard]] i64 a_stride() const { return kTileKWords; }
 
   /// Exact: the tile-CSR already stores each row's schedule length.
   [[nodiscard]] i64 survivor_bound(i64 tm) const { return a_->row_nnz(tm); }
 
-  i64 survivors(i64 tm, const BmmOptions&, std::vector<i64>& list) const {
+  i64 survivors(i64 tm, const BmmOptions&,
+                std::vector<tcsim::SparseTileRef>& refs) const {
     for (i64 t = a_->row_begin(tm); t < a_->row_end(tm); ++t) {
-      list.push_back(t);
+      refs.push_back({a_->tile_words(t), a_->tile_col(t)});
     }
     return a_->tiles_k() - a_->row_nnz(tm);
   }
-
-  [[nodiscard]] i64 tile_col(i64 h) const { return a_->tile_col(h); }
-  [[nodiscard]] const u32* tile_ptr(int, i64, i64 h) const {
-    return a_->tile_words(h);
-  }
-  [[nodiscard]] i64 tile_stride(int) const { return kTileKWords; }
 
  private:
   const TileSparseBitMatrix* a_;
 };
 
 /// Single-pass any-bit tile sweep (the §4.4 cross-tile reduction generalised
-/// to multi-bit A): for each output tile, every surviving K tile is decoded
-/// once per A plane and multiplied against every B plane before moving on.
-/// The A operand comes through a tile source (dense planes or the tile-CSR
-/// adjacency), so flag-based and structural zero-tile jumping share this one
-/// sweep. `consume(tm, tn, acc)` receives the finished tile's raw u64
-/// accumulator lanes (backend-opaque layout) and drains them through one of
-/// the backend flush variants — epilogue or plane-writer — so the epilogue
-/// runs while the lanes are still hot and no intermediate i32 tile is staged
-/// in the sweep itself. It returns the tile's saturated-value count; the
-/// sweep returns their sum. Tile ops execute on the context's
-/// substrate backend; scratch comes from the per-thread workspace arena.
+/// to multi-bit A): for each output tile, every surviving K tile of every A
+/// plane is multiplied against every B plane before moving on. The A operand
+/// comes through a tile source (dense planes or the tile-CSR adjacency), so
+/// flag-based and structural zero-tile jumping share this one sweep, and a
+/// pre-pass turns each row block's survivors into a SparseTileRef schedule.
+/// Each panel is one SubstrateBackend::mma_panel call. `consume(tm, tn, acc)`
+/// receives the finished tile's raw u64 accumulator lanes (backend-opaque
+/// layout) and drains them through one of the backend flush variants —
+/// epilogue or plane-writer — so the epilogue runs while the lanes are still
+/// hot and no intermediate i32 tile is staged in the sweep itself. It
+/// returns the tile's saturated-value count; the sweep returns their sum.
+/// Scratch comes from the per-thread workspace arena.
 ///
 /// `parallel_over_n` selects the parallel axis: row-tile blocks when the
 /// consumer writes row-owned data (int32 rows / kRowMajorK planes), and
@@ -159,6 +155,11 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   QGTC_CHECK(!((opt.zero_tile_jump || Src::kStructural) &&
                opt.op == tcsim::BmmaOp::kXor),
              "zero-tile jumping is incompatible with the XOR combine");
+  QGTC_CHECK(bp.size() <= static_cast<std::size_t>(tcsim::kMaxPanelPlanes),
+             "more B planes than a panel job holds");
+  for (const BitMatrix* p : bp) {
+    QGTC_CHECK(p->k_words() == b0.k_words(), "B planes must share one stride");
+  }
 
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
@@ -166,101 +167,98 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   const i64 tiles_n = b0.padded_cols() / kTileN;
   const int sa = src.planes();
   const int sb = static_cast<int>(bp.size());
-  const bool use_xor = (opt.op == tcsim::BmmaOp::kXor);
+  const u64 plane_pairs = static_cast<u64>(sa) * static_cast<u64>(sb);
 
-  // Surviving tile handles per row block, shared across the N sweep (and
-  // across threads when parallelising over N). The list-of-lists lives in
-  // the calling thread's arena; inner threads only read it.
-  std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
-  std::atomic<u64> saturated{0};
+  // Pre-pass: each row block's surviving tiles become its sparse schedule,
+  // shared across the N sweep (and across threads when parallelising over
+  // N). The list-of-lists lives in the calling thread's arena; inner threads
+  // only read it. The jump count is noted once for the whole sweep.
+  std::vector<std::vector<tcsim::SparseTileRef>>& k_lists =
+      ctx.workspace().k_lists(tiles_m);
+  std::atomic<u64> jumped{0};
   parallel_for(0, tiles_m, [&](i64 tm) {
-    auto& list = k_lists[static_cast<std::size_t>(tm)];
-    list.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
-    const i64 jumped = src.survivors(tm, opt, list);
-    if (jumped > 0) {
-      tcsim::Counters delta;
-      delta.tiles_jumped = static_cast<u64>(jumped);
-      ctx.note(delta);
-    }
+    auto& refs = k_lists[static_cast<std::size_t>(tm)];
+    refs.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
+    const i64 j = src.survivors(tm, opt, refs);
+    if (j > 0) jumped.fetch_add(static_cast<u64>(j), std::memory_order_relaxed);
   });
+  if (const u64 j = jumped.load(std::memory_order_relaxed); j > 0) {
+    tcsim::Counters delta;
+    delta.tiles_jumped = j;
+    ctx.note(delta);
+  }
 
+  // Every panel job shares the planes, strides and combine; per panel only
+  // the schedule, the B column pointers and nb change.
+  tcsim::PanelJob base;
+  base.a_planes = sa;
+  base.a_stride = src.a_stride();
+  base.b_planes = sb;
+  base.b_stride = b0.k_words();
+  base.use_xor = (opt.op == tcsim::BmmaOp::kXor);
+  const auto panel_job = [&](i64 tm, i64 tn0, i64 nb) {
+    const auto& refs = k_lists[static_cast<std::size_t>(tm)];
+    tcsim::PanelJob job = base;
+    job.a_tiles = refs.data();
+    job.n_tiles = static_cast<i64>(refs.size()) / sa;
+    for (int bb = 0; bb < sb; ++bb) {
+      job.b_cols[bb] = bp[static_cast<std::size_t>(bb)]->col_words(tn0 * kTileN);
+    }
+    job.nb = nb;
+    return job;
+  };
+
+  std::atomic<u64> saturated{0};
   if (parallel_over_n) {
     // ColMajorK consumers: parallel over output-column tiles. These products
-    // are small (few column tiles), so the simple per-(tm, tn) path is fine.
+    // are small (few column tiles), so each panel is one (tm, tn) tile.
     parallel_for_dynamic(0, tiles_n, /*chunk=*/1, [&](i64 tn) {
       u64* acc = ctx.workspace().acc_lanes(tcsim::kTileAccLanes);
-      tcsim::AFragment frag;
       tcsim::Counters delta;
       u64 sat = 0;
       for (i64 tm = 0; tm < tiles_m; ++tm) {
         std::memset(acc, 0, tcsim::kTileAccLanes * sizeof(u64));
-        const auto& k_list = k_lists[static_cast<std::size_t>(tm)];
-        for (const i64 h : k_list) {
-          const i64 tk = src.tile_col(h);
-          for (int ab = 0; ab < sa; ++ab) {
-            be.load_a(frag, src.tile_ptr(ab, tm, h), src.tile_stride(ab));
-            for (int bb = 0; bb < sb; ++bb) {
-              const BitMatrix& pb = *bp[static_cast<std::size_t>(bb)];
-              be.mma(acc, frag, pb.col_words(tn * kTileN) + tk * kTileKWords,
-                     pb.k_words(), ab + bb, use_xor);
-            }
-          }
-        }
+        const tcsim::PanelJob job = panel_job(tm, tn, 1);
+        be.mma_panel(acc, job);
         sat += consume(tm, tn, static_cast<const u64*>(acc));
-        const u64 kt = static_cast<u64>(k_list.size());
-        delta.bmma_ops += kt * static_cast<u64>(sa) * static_cast<u64>(sb);
+        const u64 kt = static_cast<u64>(job.n_tiles);
+        delta.bmma_ops += kt * plane_pairs;
         delta.frag_loads_a += kt * static_cast<u64>(sa);
-        delta.frag_loads_b += kt * static_cast<u64>(sa) * static_cast<u64>(sb);
+        delta.frag_loads_b += kt * plane_pairs;
       }
       // Bulk substrate accounting: one context note per column-tile sweep.
       ctx.note(delta);
       saturated.fetch_add(sat, std::memory_order_relaxed);
     });
   } else {
-    // Cross-tile reduction (§4.4), panel form: a decoded A fragment (one per
-    // surviving (tk, plane)) is swept across the backend's panel of
-    // output-column tiles and every B bit-plane before the next A tile is
-    // touched. This both realises the paper's O(1)-loads claim and amortises
-    // per-output-tile bookkeeping over the whole K reduction. The per-tile
-    // backends (panel width 1) degenerate to cross-bit-style reloads.
+    // Cross-tile reduction (§4.4), panel form: the backend sweeps each row
+    // block's schedule across its panel of output-column tiles and every B
+    // bit-plane in one call. This both realises the paper's O(1)-loads claim
+    // and amortises per-output-tile bookkeeping over the whole K reduction.
+    // The per-tile backends (panel width 1) degenerate to cross-bit-style
+    // reloads.
     const i64 width = be.panel_width();
     parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
-      const auto& k_list = k_lists[static_cast<std::size_t>(tm)];
       u64* acc = ctx.workspace().acc_lanes(width * tcsim::kTileAccLanes);
-      tcsim::AFragment frag;
-      i64 a_loads = 0;
       u64 sat = 0;
-      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width) {
+      i64 panels = 0;
+      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width, ++panels) {
         const i64 nb = std::min<i64>(width, tiles_n - tn0);
         std::memset(acc, 0,
                     static_cast<std::size_t>(nb * tcsim::kTileAccLanes) * sizeof(u64));
-        for (const i64 h : k_list) {
-          const i64 tk = src.tile_col(h);
-          for (int ab = 0; ab < sa; ++ab) {
-            be.load_a(frag, src.tile_ptr(ab, tm, h), src.tile_stride(ab));
-            ++a_loads;
-            for (i64 b = 0; b < nb; ++b) {
-              for (int bb = 0; bb < sb; ++bb) {
-                const BitMatrix& pb = *bp[static_cast<std::size_t>(bb)];
-                be.mma(acc + b * tcsim::kTileAccLanes, frag,
-                       pb.col_words((tn0 + b) * kTileN) + tk * kTileKWords,
-                       pb.k_words(), ab + bb, use_xor);
-              }
-            }
-          }
-        }
+        be.mma_panel(acc, panel_job(tm, tn0, nb));
         for (i64 b = 0; b < nb; ++b) {
           sat += consume(tm, tn0 + b,
                          static_cast<const u64*>(acc + b * tcsim::kTileAccLanes));
         }
       }
       tcsim::Counters delta;
-      const u64 kt = static_cast<u64>(k_list.size());
-      delta.bmma_ops =
-          kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
-      delta.frag_loads_a = static_cast<u64>(a_loads);
-      delta.frag_loads_b =
-          kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
+      const u64 kt =
+          static_cast<u64>(k_lists[static_cast<std::size_t>(tm)].size()) /
+          static_cast<u64>(sa);
+      delta.bmma_ops = kt * plane_pairs * static_cast<u64>(tiles_n);
+      delta.frag_loads_a = static_cast<u64>(panels) * kt * static_cast<u64>(sa);
+      delta.frag_loads_b = delta.bmma_ops;
       ctx.note(delta);
       saturated.fetch_add(sat, std::memory_order_relaxed);
     });

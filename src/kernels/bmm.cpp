@@ -44,22 +44,28 @@ void panel_sweep(const tcsim::ExecutionContext& ctx, i64 tiles_m, i64 a_stride,
     std::vector<tcsim::SparseTileRef>& refs = ws.tile_refs();
     const i64 jumped = fill_refs(tm, refs);
 
-    // Panel form: one decoded A fragment serves `width` output-column tiles
-    // before the next A tile is touched (width is the backend's §4.4
-    // blocking factor; 1 for the per-tile backends). The "<< bitIdx"
-    // weighting of Algorithm 1 is folded into the tile accumulator lanes
-    // (u64 => exact uint32 wrap for any shift at flush).
+    // Panel form: one mma_panel call sweeps the block's schedule across
+    // `width` output-column tiles (the backend's §4.4 blocking factor; 1 for
+    // the per-tile backends). The "<< bitIdx" weighting of Algorithm 1 is
+    // folded into the tile accumulator lanes (u64 => exact uint32 wrap for
+    // any shift at flush).
     u64* acc = ws.acc_lanes(width * tcsim::kTileAccLanes);
+    tcsim::PanelJob job;
+    job.a_tiles = refs.data();
+    job.n_tiles = static_cast<i64>(refs.size());
+    job.a_stride = a_stride;
+    job.b_stride = b_stride;
+    job.shift = shift;
+    job.use_xor = use_xor;
     i64 a_loads = 0;
     for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width) {
-      const i64 nb = std::min<i64>(width, tiles_n - tn0);
+      job.nb = std::min<i64>(width, tiles_n - tn0);
+      job.b_cols[0] = b.col_words(tn0 * kTileN);
       std::memset(acc, 0,
-                  static_cast<std::size_t>(nb * tcsim::kTileAccLanes) * sizeof(u64));
-      be.mma_tile_list(acc, refs.data(), static_cast<i64>(refs.size()),
-                       a_stride, b.col_words(tn0 * kTileN), b_stride, nb,
-                       shift, use_xor);
-      a_loads += static_cast<i64>(refs.size());
-      for (i64 blk = 0; blk < nb; ++blk) {
+                  static_cast<std::size_t>(job.nb * tcsim::kTileAccLanes) * sizeof(u64));
+      be.mma_panel(acc, job);
+      a_loads += job.n_tiles;
+      for (i64 blk = 0; blk < job.nb; ++blk) {
         be.flush(c.data() + (tm * kTileM) * c.cols() + (tn0 + blk) * kTileN,
                  c.cols(), acc + blk * tcsim::kTileAccLanes);
       }
@@ -93,8 +99,8 @@ void bmm_accumulate(const BitMatrix& a, const BitMatrix& b, MatrixI32& c,
   const i64 a_stride = a.k_words();
   // Gather each row-block's non-zero K tiles into a sparse schedule once;
   // the list is reused for every N tile (amortises the §4.3 test across the
-  // full row of output) and executed by the backend's tile-list hook — the
-  // same path the tile-CSR operand takes.
+  // full row of output) and executed as panel jobs — the same path the
+  // tile-CSR operand takes.
   panel_sweep(resolve_ctx(opt), pad8(a.rows()) / kTileM, a_stride, b, c, shift,
               /*use_xor=*/opt.op == tcsim::BmmaOp::kXor,
               [&](i64 tm, std::vector<tcsim::SparseTileRef>& refs) {

@@ -1,5 +1,6 @@
 #include "tcsim/backend.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +15,12 @@
 
 namespace qgtc::tcsim {
 namespace {
+
+/// Decoded A-operand tile (8 rows x 128 bits) in kernel-specific layout; row
+/// i starts at lanes[8 * i] (room for a 256-bit broadcast per row).
+struct alignas(64) AFragment {
+  u64 lanes[kTileM * 8];
+};
 
 // ------------------------------------------------------------------------
 // Portable u64 micro-kernels. Accumulator layout: u64[8][8] row-major
@@ -121,43 +128,71 @@ struct U64x4Kernels {
 
 /// AVX-512 VPOPCNTDQ: one 512-bit vector holds four B columns (4 x 128-bit
 /// lanes). Accumulator layout: __m512i[8][2] = 128 u64 per tile, per-lane
-/// partial sums combined at flush (matches detail::TileAcc's AVX-512 path).
+/// partial sums combined at flush.
 struct Avx512Kernels {
-  static void load_a(AFragment& frag, const u32* a, i64 a_stride) {
-    for (int i = 0; i < kTileM; ++i) {
-      const __m512i v = _mm512_broadcast_i32x4(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i * a_stride)));
-      _mm512_store_si512(
-          reinterpret_cast<__m512i*>(&frag.lanes[static_cast<std::size_t>(i) * 8]), v);
+  /// The whole panel in one pass per output tile: its 16 accumulator vectors
+  /// stay in registers across the K-tile x B-plane x A-plane reduction, each
+  /// B tile is decoded once per (K tile, B plane) and reused for every A
+  /// plane, A rows are broadcast straight from memory, and the per-term shift
+  /// is one vpsllvq (counts >= 64 give 0, as the uint32 wrap needs).
+  static void mma_panel(u64* acc, const PanelJob& job) {
+    if (job.use_xor) {
+      panel<true>(acc, job);
+    } else {
+      panel<false>(acc, job);
     }
   }
 
-  static void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                  int shift, bool use_xor) {
-    __m512i bc[2];
-    for (int g = 0; g < 2; ++g) {
-      __m512i v = _mm512_castsi128_si512(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + (4 * g) * b_stride)));
-      v = _mm512_inserti32x4(v, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                                    b + (4 * g + 1) * b_stride)), 1);
-      v = _mm512_inserti32x4(v, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                                    b + (4 * g + 2) * b_stride)), 2);
-      v = _mm512_inserti32x4(v, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                                    b + (4 * g + 3) * b_stride)), 3);
-      bc[g] = v;
-    }
-    for (int i = 0; i < kTileM; ++i) {
-      const __m512i av = _mm512_load_si512(reinterpret_cast<const __m512i*>(
-          &frag.lanes[static_cast<std::size_t>(i) * 8]));
-      for (int g = 0; g < 2; ++g) {
-        __m512i* slot = reinterpret_cast<__m512i*>(acc + (i * 2 + g) * 8);
-        const __m512i mixed =
-            use_xor ? _mm512_xor_si512(av, bc[g]) : _mm512_and_si512(av, bc[g]);
-        const __m512i cnt = _mm512_popcnt_epi64(mixed);
-        _mm512_storeu_si512(
-            slot, _mm512_add_epi64(
-                      _mm512_loadu_si512(slot),
-                      _mm512_slli_epi64(cnt, static_cast<unsigned>(shift))));
+  template <bool kXor>
+  static void panel(u64* acc, const PanelJob& job) {
+    if (job.n_tiles == 0) return;
+    const i64 a_stride = job.a_stride;
+    const i64 b_stride = job.b_stride;
+    for (i64 blk = 0; blk < job.nb; ++blk) {
+      u64* tile_acc = acc + blk * kTileAccLanes;
+      __m512i c[kTileM][2];
+      for (int i = 0; i < kTileM; ++i) {
+        for (int g = 0; g < 2; ++g) {
+          c[i][g] = _mm512_loadu_si512(tile_acc + (i * 2 + g) * 8);
+        }
+      }
+      const i64 blk_off = blk * kTileN * b_stride;
+      for (i64 t = 0; t < job.n_tiles; ++t) {
+        const SparseTileRef* at = job.a_tiles + t * job.a_planes;
+        const i64 b_off = blk_off + at->k_tile * kTileKWords;
+        for (int bb = 0; bb < job.b_planes; ++bb) {
+          const u32* b = job.b_cols[bb] + b_off;
+          __m512i bc[2];
+          for (int g = 0; g < 2; ++g) {
+            const auto col = [&](int j) {
+              return _mm_loadu_si128(
+                  reinterpret_cast<const __m128i*>(b + (4 * g + j) * b_stride));
+            };
+            __m512i v = _mm512_castsi128_si512(col(0));
+            v = _mm512_inserti32x4(v, col(1), 1);
+            v = _mm512_inserti32x4(v, col(2), 2);
+            bc[g] = _mm512_inserti32x4(v, col(3), 3);
+          }
+          for (int ab = 0; ab < job.a_planes; ++ab) {
+            const u32* a = at[ab].a;
+            const __m512i sv = _mm512_set1_epi64(job.shift + ab + bb);
+            for (int i = 0; i < kTileM; ++i) {
+              const __m512i av = _mm512_broadcast_i32x4(_mm_loadu_si128(
+                  reinterpret_cast<const __m128i*>(a + i * a_stride)));
+              for (int g = 0; g < 2; ++g) {
+                const __m512i mixed = kXor ? _mm512_xor_si512(av, bc[g])
+                                           : _mm512_and_si512(av, bc[g]);
+                c[i][g] = _mm512_add_epi64(
+                    c[i][g], _mm512_sllv_epi64(_mm512_popcnt_epi64(mixed), sv));
+              }
+            }
+          }
+        }
+      }
+      for (int i = 0; i < kTileM; ++i) {
+        for (int g = 0; g < 2; ++g) {
+          _mm512_storeu_si512(tile_acc + (i * 2 + g) * 8, c[i][g]);
+        }
       }
     }
   }
@@ -338,6 +373,30 @@ namespace {
 // Registry plumbing
 // ------------------------------------------------------------------------
 
+/// A panel composed from a kernel set's per-tile ops (load_a + mma, both
+/// inlined, the combine fixed at compile time): each A tile is decoded once
+/// and swept across the panel's output-column tiles and B planes. Shifts
+/// past 63 are clamped, which leaves the low 32 bits zero exactly as the
+/// uint32 wrap requires.
+template <typename Kernels, bool kXor>
+void panel_by_tiles(u64* acc, const PanelJob& job) {
+  AFragment frag;
+  for (i64 t = 0; t < job.n_tiles; ++t) {
+    const SparseTileRef* at = job.a_tiles + t * job.a_planes;
+    const i64 k_off = at->k_tile * kTileKWords;
+    for (int ab = 0; ab < job.a_planes; ++ab) {
+      Kernels::load_a(frag, at[ab].a, job.a_stride);
+      for (i64 blk = 0; blk < job.nb; ++blk) {
+        const i64 b_off = blk * kTileN * job.b_stride + k_off;
+        for (int bb = 0; bb < job.b_planes; ++bb) {
+          Kernels::mma(acc + blk * kTileAccLanes, frag, job.b_cols[bb] + b_off,
+                       job.b_stride, std::min(job.shift + ab + bb, 63), kXor);
+        }
+      }
+    }
+  }
+}
+
 template <typename Kernels>
 class BackendImpl final : public SubstrateBackend {
  public:
@@ -348,12 +407,14 @@ class BackendImpl final : public SubstrateBackend {
   [[nodiscard]] const char* name() const override { return name_; }
   [[nodiscard]] i64 panel_width() const override { return width_; }
 
-  void load_a(AFragment& frag, const u32* a, i64 a_stride) const override {
-    Kernels::load_a(frag, a, a_stride);
-  }
-  void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-           int shift, bool use_xor) const override {
-    Kernels::mma(acc, frag, b, b_stride, shift, use_xor);
+  void mma_panel(u64* acc, const PanelJob& job) const override {
+    if constexpr (requires { Kernels::mma_panel(acc, job); }) {
+      Kernels::mma_panel(acc, job);
+    } else if (job.use_xor) {
+      panel_by_tiles<Kernels, true>(acc, job);
+    } else {
+      panel_by_tiles<Kernels, false>(acc, job);
+    }
   }
   void flush(i32* out, i64 out_stride, const u64* acc) const override {
     Kernels::flush(out, out_stride, acc);
@@ -439,21 +500,6 @@ const SubstrateBackend& simd_impl(BackendKind kind, i64 width) {
 }
 
 }  // namespace
-
-void SubstrateBackend::mma_tile_list(u64* acc, const SparseTileRef* tiles,
-                                     i64 n_tiles, i64 a_stride,
-                                     const u32* b_cols, i64 b_stride, i64 nb,
-                                     int shift, bool use_xor) const {
-  AFragment frag;
-  for (i64 t = 0; t < n_tiles; ++t) {
-    load_a(frag, tiles[t].a, a_stride);
-    const u32* bk = b_cols + tiles[t].k_tile * kTileKWords;
-    for (i64 blk = 0; blk < nb; ++blk) {
-      mma(acc + blk * kTileAccLanes, frag, bk + blk * kTileN * b_stride,
-          b_stride, shift, use_xor);
-    }
-  }
-}
 
 const SubstrateBackend& backend(BackendKind k) {
   switch (k) {

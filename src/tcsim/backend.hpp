@@ -7,16 +7,18 @@
 // micro-kernel implementations selected at runtime:
 //
 //   kScalar   the reference path: per-tile u64 AND/XOR + std::popcount,
-//             exactly the semantics of tcsim::dot128. One A-fragment load
-//             per output tile (no cross-tile reuse).
+//             exactly the semantics of tcsim::dot128. Panels of one output
+//             tile (no cross-tile reuse).
 //   kSimd     vectorised AND+popcount over the full 8x8x128 tile (AVX-512
 //             VPOPCNTDQ or AVX2 nibble-LUT when compiled in AND supported by
 //             the running CPU; otherwise an unrolled u64x4 fallback). Same
-//             per-tile A loads as kScalar — it isolates the micro-kernel win.
-//   kBlocked  the same best-available tile micro-kernel, but the panel loop
-//             keeps a decoded A fragment resident across a block of N tiles
-//             (generalising §4.4's cross-tile reuse to every MM in the
-//             stack). This is the default production backend.
+//             one-tile panels as kScalar — it isolates the micro-kernel win.
+//   kBlocked  the same best-available tile micro-kernel over panels of 8
+//             output-column tiles (generalising §4.4's cross-tile reuse to
+//             every MM in the stack). This is the default production backend.
+//
+// Kernels hand the backend one PanelJob per panel; the per-tile ops live
+// inside backend.cpp, so no kernel pays a virtual call per tile.
 //
 // All backends produce bit-identical results: accumulation is exact integer
 // popcount arithmetic in u64 lanes, truncated to the hardware's uint32-wrap
@@ -131,12 +133,6 @@ inline u64 apply_epilogue_tile(i32* vals, const EpilogueSpec& spec) {
   return v;
 }
 
-/// Decoded A-operand tile (8 rows x 128 bits) in backend-specific layout.
-/// Sized for the widest layout (8 rows broadcast to 512-bit vectors).
-struct alignas(64) AFragment {
-  u64 lanes[kTileM * 8];
-};
-
 /// u64 accumulator lanes per output tile. Opaque layout — only the backend
 /// that filled an accumulator block may flush it. Sized for the widest
 /// layout (AVX2/AVX-512 keep per-lane partial sums: 128 u64 per tile).
@@ -151,6 +147,32 @@ inline constexpr i64 kTileAccLanes = 128;
 struct SparseTileRef {
   const u32* a;
   i64 k_tile;
+};
+
+/// Bound on the B bit-planes one panel job carries (the column-pointer array).
+inline constexpr int kMaxPanelPlanes = 32;
+
+/// One backend call's worth of work: a row block's surviving A tiles swept
+/// across `nb` consecutive output-column tiles and every B bit-plane (the
+/// §4.4 cross-tile reduction). Entry (t, ab) of the A schedule is
+/// `a_tiles[t * a_planes + ab]` (plane-minor; every plane of tile t shares
+/// its k_tile). Output-column tile `blk` of B plane `bb` reads the 128-bit
+/// slice b_cols[bb] + blk * kTileN * b_stride + k_tile * kTileKWords of its 8
+/// columns, which sit `b_stride` u32 apart. Each (t, ab, bb) product is
+/// weighted << (shift + ab + bb); terms shifted by 32 or more vanish at the
+/// flush's uint32 wrap. `use_xor` selects the +-1 binary network combine
+/// (BmmaOp::kXor) instead of AND.
+struct PanelJob {
+  const SparseTileRef* a_tiles = nullptr;  // n_tiles * a_planes entries
+  i64 n_tiles = 0;
+  int a_planes = 1;
+  i64 a_stride = 0;  // u32 between the 8 rows of every A tile
+  const u32* b_cols[kMaxPanelPlanes] = {};
+  int b_planes = 1;
+  i64 b_stride = 0;
+  i64 nb = 1;
+  int shift = 0;
+  bool use_xor = false;
 };
 
 /// Destination descriptor for flush_planes: where one 8x8 output tile's
@@ -190,18 +212,17 @@ class SubstrateBackend {
   [[nodiscard]] virtual BackendKind kind() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Output-column tiles the kernel loop should keep resident per decoded
-  /// A fragment (the §4.4 cross-tile blocking factor; 1 = reload A per tile).
+  /// Output-column tiles per panel job (the §4.4 cross-tile blocking
+  /// factor; 1 = one output tile per panel).
   [[nodiscard]] virtual i64 panel_width() const = 0;
 
-  /// Decode one 8x128 A tile (rows `a_stride` u32 apart) into `frag`.
-  virtual void load_a(AFragment& frag, const u32* a, i64 a_stride) const = 0;
-
-  /// acc[kTileAccLanes] += (A_frag x B_tile) << shift — one 8x8x128 tile op.
-  /// B columns are `b_stride` u32 apart. `use_xor` selects the +-1 binary
-  /// network combine (BmmaOp::kXor) instead of AND.
-  virtual void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                   int shift, bool use_xor) const = 0;
+  /// One panel of the sparse schedule: acc[nb * kTileAccLanes] +=
+  /// sum over (t, ab, bb) of (A(t, ab) x B(bb, tile t's K slice)) <<
+  /// (shift + ab + bb), for each of the job's nb output-column tiles. The
+  /// whole K x A-plane x B-plane reduction of the panel runs inside the
+  /// backend, so the kernels make one call per panel. n_tiles == 0 leaves
+  /// `acc` untouched.
+  virtual void mma_panel(u64* acc, const PanelJob& job) const = 0;
 
   /// out[8x8, rows `out_stride` i32 apart] (+)= acc, truncating each element
   /// to the substrate's exact uint32-wrap contract.
@@ -223,21 +244,6 @@ class SubstrateBackend {
   /// clamped at `spec.qmax`.
   virtual u64 flush_planes(const PlaneSink& sink, const u64* acc,
                            const EpilogueSpec& spec) const = 0;
-
-  /// Sparse-schedule execution: sweeps a row block's surviving-tile list
-  /// across a panel of `nb` consecutive output-column tiles, keeping each
-  /// decoded A fragment resident for the whole panel (the §4.4 blocking,
-  /// applied to an explicit tile list instead of a dense K loop). `b_cols`
-  /// points at the first panel column's packed words (columns `b_stride` u32
-  /// apart); entry `t` multiplies against words b_cols + blk*8*b_stride +
-  /// tiles[t].k_tile*kTileKWords. `acc` holds nb * kTileAccLanes lanes.
-  ///
-  /// The base implementation composes load_a + mma, so every backend —
-  /// kScalar, kSimd, kBlocked — consumes the same sparse schedule; overrides
-  /// may fuse further.
-  virtual void mma_tile_list(u64* acc, const SparseTileRef* tiles, i64 n_tiles,
-                             i64 a_stride, const u32* b_cols, i64 b_stride,
-                             i64 nb, int shift, bool use_xor) const;
 };
 
 /// Registry lookup. Instances are process-lifetime singletons; kSimd and

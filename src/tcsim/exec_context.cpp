@@ -20,7 +20,7 @@ MatrixI32& Workspace::int32_scratch(int slot, i64 rows, i64 cols) {
   return m;
 }
 
-std::vector<std::vector<i64>>& Workspace::k_lists(i64 n) {
+std::vector<std::vector<SparseTileRef>>& Workspace::k_lists(i64 n) {
   k_lists_.resize(static_cast<std::size_t>(n));
   for (auto& l : k_lists_) l.clear();
   return k_lists_;
@@ -45,7 +45,7 @@ std::size_t Workspace::footprint_bytes() const {
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }
-  for (const auto& l : k_lists_) b += l.capacity() * sizeof(i64);
+  for (const auto& l : k_lists_) b += l.capacity() * sizeof(SparseTileRef);
   return b;
 }
 

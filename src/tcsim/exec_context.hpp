@@ -43,11 +43,12 @@ class Workspace {
   /// epilogue paths assign every element via flush_epilogue).
   MatrixI32& int32_scratch(int slot, i64 rows, i64 cols);
 
-  /// `n` cleared K-tile lists (one per row block, shared across the N sweep).
-  std::vector<std::vector<i64>>& k_lists(i64 n);
+  /// `n` cleared sparse schedules (one per row block, shared across the N
+  /// sweep) — the A side of SubstrateBackend::mma_panel jobs.
+  std::vector<std::vector<SparseTileRef>>& k_lists(i64 n);
 
-  /// Cleared sparse-schedule entry list (per row block, inside parallel
-  /// loops) — the operand of SubstrateBackend::mma_tile_list.
+  /// Cleared sparse schedule for one row block, filled and consumed inside
+  /// a parallel loop.
   std::vector<SparseTileRef>& tile_refs();
 
   /// Uninitialised, 64-byte-aligned u64 tile-accumulator scratch.
@@ -59,7 +60,7 @@ class Workspace {
  private:
   MatrixI32 padded_acc_;
   std::vector<MatrixI32> int32_scratch_;
-  std::vector<std::vector<i64>> k_lists_;
+  std::vector<std::vector<SparseTileRef>> k_lists_;
   std::vector<SparseTileRef> tile_refs_;
   AlignedVector<u64> acc_lanes_;
 };

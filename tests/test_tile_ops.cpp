@@ -1,11 +1,15 @@
-// Cross-checks every substrate backend's tile ops (load_a / mma / flush —
-// the path the kernels actually run) against the semantic reference
+// Cross-checks every substrate backend's tile ops (mma_panel / flush — the
+// path the kernels actually run) against the semantic reference
 // tcsim::bmma_sync, including shift weighting, uint32 wrap at extreme
-// shifts, XOR mode, strided operands and strided flush.
+// shifts, XOR mode, strided operands, strided flush, and whole multi-plane
+// panels of several K tiles and output-column tiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tcsim/backend.hpp"
@@ -43,15 +47,37 @@ std::array<i32, 64> reference_tile(const TilePair& t, tcsim::BmmaOp op) {
   return r;
 }
 
-/// One backend tile op: reset lanes, decode A, mma, flush into `out`.
+/// A panel job of one 8x8x128 tile op: A tile `ref`, B tile `b`, both with
+/// rows/columns `stride` u32 apart.
+tcsim::PanelJob single_tile_job(const tcsim::SparseTileRef& ref, const u32* b,
+                                i64 stride, int shift, bool use_xor) {
+  tcsim::PanelJob job;
+  job.a_tiles = &ref;
+  job.n_tiles = 1;
+  job.a_stride = stride;
+  job.b_cols[0] = b;
+  job.b_stride = stride;
+  job.shift = shift;
+  job.use_xor = use_xor;
+  return job;
+}
+
+/// Runs one single-tile panel per shift in `shifts` into one accumulator.
+void run_tile_ops(const tcsim::SubstrateBackend& be, u64* acc, const TilePair& t,
+                  std::initializer_list<int> shifts, bool use_xor) {
+  const tcsim::SparseTileRef ref{t.a.data(), 0};
+  for (const int shift : shifts) {
+    be.mma_panel(acc, single_tile_job(ref, t.b.data(), t.stride, shift, use_xor));
+  }
+}
+
+/// One backend tile op: reset lanes, one single-tile panel, flush into `out`.
 std::array<i32, 64> backend_tile(const tcsim::SubstrateBackend& be,
                                  const TilePair& t, int shift, bool use_xor,
                                  i32 out_fill = 0) {
   alignas(64) u64 acc[tcsim::kTileAccLanes];
   std::memset(acc, 0, sizeof(acc));
-  tcsim::AFragment frag;
-  be.load_a(frag, t.a.data(), t.stride);
-  be.mma(acc, frag, t.b.data(), t.stride, shift, use_xor);
+  run_tile_ops(be, acc, t, {shift}, use_xor);
   std::array<i32, 64> out;
   out.fill(out_fill);
   be.flush(out.data(), kTileN, acc);
@@ -92,16 +118,13 @@ TEST_P(TileOpsAllBackends, ShiftWeighting) {
   }
 }
 
-TEST_P(TileOpsAllBackends, AccumulatesAcrossMmaCalls) {
+TEST_P(TileOpsAllBackends, AccumulatesAcrossPanelCalls) {
   const auto& be = tcsim::backend(GetParam());
   const TilePair t = random_tiles(8);
   const auto base = reference_tile(t, tcsim::BmmaOp::kAnd);
   alignas(64) u64 acc[tcsim::kTileAccLanes];
   std::memset(acc, 0, sizeof(acc));
-  tcsim::AFragment frag;
-  be.load_a(frag, t.a.data(), t.stride);
-  be.mma(acc, frag, t.b.data(), t.stride, /*shift=*/0, false);
-  be.mma(acc, frag, t.b.data(), t.stride, /*shift=*/1, false);
+  run_tile_ops(be, acc, t, {0, 1}, false);
   std::array<i32, 64> got{};
   be.flush(got.data(), kTileN, acc);
   for (int e = 0; e < 64; ++e) {
@@ -128,10 +151,7 @@ TEST_P(TileOpsAllBackends, ExtremeShiftContributesZeroMod32) {
   const TilePair t = random_tiles(10);
   alignas(64) u64 acc[tcsim::kTileAccLanes];
   std::memset(acc, 0, sizeof(acc));
-  tcsim::AFragment frag;
-  be.load_a(frag, t.a.data(), t.stride);
-  be.mma(acc, frag, t.b.data(), t.stride, /*shift=*/40, false);
-  be.mma(acc, frag, t.b.data(), t.stride, /*shift=*/60, false);
+  run_tile_ops(be, acc, t, {40, 60}, false);
   std::array<i32, 64> got{};
   be.flush(got.data(), kTileN, acc);
   for (const i32 v : got) EXPECT_EQ(v, 0);
@@ -168,9 +188,7 @@ TEST_P(TileOpsAllBackends, StridedFlush) {
 
   alignas(64) u64 acc[tcsim::kTileAccLanes];
   std::memset(acc, 0, sizeof(acc));
-  tcsim::AFragment frag;
-  be.load_a(frag, t.a.data(), t.stride);
-  be.mma(acc, frag, t.b.data(), t.stride, 0, false);
+  run_tile_ops(be, acc, t, {0}, false);
 
   const i64 out_stride = 13;
   std::vector<i32> out(static_cast<std::size_t>(kTileM * out_stride), -7);
@@ -182,6 +200,161 @@ TEST_P(TileOpsAllBackends, StridedFlush) {
         EXPECT_EQ(v, base[static_cast<std::size_t>(i * kTileN + j)] - 7);
       } else {
         EXPECT_EQ(v, -7) << "flush wrote outside the 8x8 window";
+      }
+    }
+  }
+}
+
+/// Operands of one panel job: `kPanelKTiles` K tiles of A per plane and
+/// `nb` output-column tiles of B per plane, with every (t, ab) tile either
+/// stored contiguously (tile-CSR, stride kTileKWords) or in place in a
+/// wider dense row (stride a_stride), and B columns b_stride > kTileKWords
+/// apart. K tile t of the schedule is (3t + 1) mod kPanelKTiles.
+constexpr i64 kPanelKTiles = 8;
+
+struct PanelCase {
+  int a_planes, b_planes;
+  i64 nb, n_tiles;
+  int shift;
+  bool use_xor, dense;
+};
+
+struct PanelOperands {
+  std::vector<u32> a;  // tile-CSR payload or dense planes
+  std::vector<u32> b;  // b_planes x (nb * 8 columns) x b_stride
+  std::vector<tcsim::SparseTileRef> refs;
+  i64 a_stride, b_stride;
+};
+
+PanelOperands panel_operands(const PanelCase& c, u64 seed) {
+  Rng rng(seed);
+  PanelOperands o;
+  o.b_stride = kPanelKTiles * kTileKWords + 3;
+  o.a_stride = c.dense ? kPanelKTiles * kTileKWords + 5 : kTileKWords;
+  const i64 a_words = c.dense ? c.a_planes * kTileM * o.a_stride
+                              : c.n_tiles * c.a_planes * kTileM * kTileKWords;
+  o.a.resize(static_cast<std::size_t>(a_words));
+  o.b.resize(static_cast<std::size_t>(c.b_planes * c.nb * kTileN * o.b_stride));
+  for (auto& w : o.a) w = static_cast<u32>(rng.next_u64());
+  for (auto& w : o.b) w = static_cast<u32>(rng.next_u64());
+  for (i64 t = 0; t < c.n_tiles; ++t) {
+    const i64 k = (3 * t + 1) % kPanelKTiles;
+    for (int ab = 0; ab < c.a_planes; ++ab) {
+      const u32* tile =
+          c.dense ? o.a.data() + ab * kTileM * o.a_stride + k * kTileKWords
+                  : o.a.data() + (t * c.a_planes + ab) * kTileM * kTileKWords;
+      o.refs.push_back({tile, k});
+    }
+  }
+  return o;
+}
+
+/// Reference for output-column tile `blk`: sum over (t, ab, bb) of
+/// bmma_sync(A(t, ab), B(bb, blk, k_t)) << (shift + ab + bb), uint32 wrap
+/// (terms shifted by 32 or more vanish).
+std::array<u32, 64> panel_reference(const PanelCase& c, const PanelOperands& o,
+                                    i64 blk) {
+  std::array<u32, 64> ref{};
+  const auto op = c.use_xor ? tcsim::BmmaOp::kXor : tcsim::BmmaOp::kAnd;
+  for (i64 t = 0; t < c.n_tiles; ++t) {
+    for (int ab = 0; ab < c.a_planes; ++ab) {
+      const tcsim::SparseTileRef& r =
+          o.refs[static_cast<std::size_t>(t * c.a_planes + ab)];
+      tcsim::FragmentA fa;
+      tcsim::load_matrix_sync(fa, r.a, o.a_stride);
+      for (int bb = 0; bb < c.b_planes; ++bb) {
+        const u32* b = o.b.data() +
+                       (bb * c.nb + blk) * kTileN * o.b_stride +
+                       r.k_tile * kTileKWords;
+        tcsim::FragmentB fb;
+        tcsim::FragmentC zero, out;
+        tcsim::load_matrix_sync(fb, b, o.b_stride);
+        tcsim::bmma_sync(out, fa, fb, zero, op);
+        const int s = c.shift + ab + bb;
+        if (s >= 32) continue;
+        for (int e = 0; e < 64; ++e) {
+          ref[static_cast<std::size_t>(e)] +=
+              static_cast<u32>(out.acc[static_cast<std::size_t>(e)]) << s;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
+  // Every (planes, nb, n_tiles, shift, combine, A layout) combination: the
+  // panel adds the reference into a pre-filled accumulator, never touches
+  // lanes past its nb tiles, and leaves the accumulator alone when the
+  // schedule is empty.
+  const auto& be = tcsim::backend(GetParam());
+  constexpr i64 kSpareTiles = 1;
+  u64 seed = 1000;
+  for (const int sa : {1, 3, 8}) {
+    for (const int sb : {1, 3, 8}) {
+      for (const i64 nb : {1, 5, 8}) {
+        for (const i64 n_tiles : {0, 1, 7}) {
+          for (const int shift : {0, 31, 60}) {
+            for (const bool use_xor : {false, true}) {
+              for (const bool dense : {false, true}) {
+                const PanelCase c{sa, sb, nb, n_tiles, shift, use_xor, dense};
+                const PanelOperands o = panel_operands(c, ++seed);
+                tcsim::PanelJob job;
+                job.a_tiles = o.refs.data();
+                job.n_tiles = n_tiles;
+                job.a_planes = sa;
+                job.a_stride = o.a_stride;
+                for (int bb = 0; bb < sb; ++bb) {
+                  job.b_cols[bb] = o.b.data() + bb * nb * kTileN * o.b_stride;
+                }
+                job.b_planes = sb;
+                job.b_stride = o.b_stride;
+                job.nb = nb;
+                job.shift = shift;
+                job.use_xor = use_xor;
+
+                const std::size_t lanes = static_cast<std::size_t>(
+                    (nb + kSpareTiles) * tcsim::kTileAccLanes);
+                std::vector<u64> acc(lanes);
+                Rng fill(seed * 7);
+                for (auto& l : acc) l = fill.next_u64();
+                const std::vector<u64> before = acc;
+                be.mma_panel(acc.data(), job);
+
+                const std::string where =
+                    std::string(be.name()) + " sa=" + std::to_string(sa) +
+                    " sb=" + std::to_string(sb) + " nb=" + std::to_string(nb) +
+                    " tiles=" + std::to_string(n_tiles) +
+                    " shift=" + std::to_string(shift) +
+                    (use_xor ? " xor" : " and") + (dense ? " dense" : " csr");
+                if (n_tiles == 0) {
+                  ASSERT_EQ(acc, before) << where;
+                  continue;
+                }
+                for (i64 blk = 0; blk < nb; ++blk) {
+                  const std::size_t off =
+                      static_cast<std::size_t>(blk * tcsim::kTileAccLanes);
+                  std::array<i32, 64> base{}, got{};
+                  be.flush(base.data(), kTileN, before.data() + off);
+                  be.flush(got.data(), kTileN, acc.data() + off);
+                  const auto ref = panel_reference(c, o, blk);
+                  for (int e = 0; e < 64; ++e) {
+                    const std::size_t k = static_cast<std::size_t>(e);
+                    ASSERT_EQ(static_cast<u32>(got[k]),
+                              static_cast<u32>(base[k]) + ref[k])
+                        << where << " blk " << blk << " elem " << e;
+                  }
+                }
+                const std::size_t used =
+                    static_cast<std::size_t>(nb * tcsim::kTileAccLanes);
+                ASSERT_TRUE(std::equal(acc.begin() + static_cast<std::ptrdiff_t>(used),
+                                       acc.end(),
+                                       before.begin() + static_cast<std::ptrdiff_t>(used)))
+                    << where << ": lanes past the panel were written";
+              }
+            }
+          }
+        }
       }
     }
   }
