@@ -4,8 +4,13 @@
 // numbers (run with --benchmark_filter=... for a subset).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
+
+#if defined(__AVX2__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "baselines/dgl_fp32.hpp"
 #include "baselines/int8_gemm.hpp"
@@ -48,24 +53,34 @@ BENCHMARK(BM_Bmm1Bit)->Args({1024, 64})->Args({2048, 64})->Args({4096, 128});
 
 /// One SubstrateBackend::mma_panel call, the unit every kernel sweep issues
 /// per panel — the popcount half of a bit-MAC peak probe. Arg 0 is the
-/// BackendKind; arg 1 the shape: 0 = GIN update (8 x 8 planes, one K tile,
-/// 8 output-column tiles), 1 = GCN aggregate (1 x 4 planes, 8 K tiles, 2
-/// output-column tiles). Reports seconds per 8x8x128 bmma op and 1-bit
-/// MAC/s (8192 per bmma op).
+/// BackendKind; arg 1 the shape:
+///   0 = GIN update, K = 128 (8 x 8 planes, one K tile, 8 output-column tiles);
+///   1 = GCN aggregate (1 x 4 planes, 8 K tiles, 2 output-column tiles);
+///   2, 3 = GIN update with K <= 64 (8 x 8 planes, one K tile whose B words
+///          past bit 64 are zero, half_k set), 1 and 8 output-column tiles —
+///          the shape the end-to-end GIN and GCN updates run.
+/// Reports seconds per 8x8x128 bmma op and 1-bit MAC/s (8192 per bmma op,
+/// padding included).
 void BM_MmaPanel(benchmark::State& state) {
   const auto& be = tcsim::backend(static_cast<tcsim::BackendKind>(state.range(0)));
-  const bool gin = state.range(1) == 0;
+  const int shape = static_cast<int>(state.range(1));
+  const bool gin = shape != 1;
+  const bool half_k = shape >= 2;
   const int sa = gin ? 8 : 1;
   const int sb = gin ? 8 : 4;
   const i64 k_tiles = gin ? 1 : 8;
-  const i64 nb = gin ? 8 : 2;
+  const i64 nb = shape == 2 ? 1 : (gin ? 8 : 2);
   const i64 b_stride = k_tiles * kTileKWords;
 
   Rng rng(13);
   std::vector<u32> a(static_cast<std::size_t>(k_tiles * sa * kTileM * kTileKWords));
   std::vector<u32> b(static_cast<std::size_t>(sb * nb * kTileN * b_stride));
   for (auto& w : a) w = static_cast<u32>(rng.next_u64());
-  for (auto& w : b) w = static_cast<u32>(rng.next_u64());
+  for (std::size_t w = 0; w < b.size(); ++w) {
+    // Half-K B columns keep only their first two words (K <= 64).
+    const bool pad = half_k && w % kTileKWords >= 2;
+    b[w] = pad ? 0u : static_cast<u32>(rng.next_u64());
+  }
   std::vector<tcsim::SparseTileRef> refs;
   for (i64 t = 0; t < k_tiles; ++t) {
     for (int ab = 0; ab < sa; ++ab) {
@@ -83,6 +98,7 @@ void BM_MmaPanel(benchmark::State& state) {
   job.b_planes = sb;
   job.b_stride = b_stride;
   job.nb = nb;
+  job.half_k = half_k;
 
   std::vector<u64> acc(static_cast<std::size_t>(nb * tcsim::kTileAccLanes), 0);
   for (auto _ : state) {
@@ -95,9 +111,48 @@ void BM_MmaPanel(benchmark::State& state) {
       ops, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.counters["bitMAC_per_s"] = benchmark::Counter(
       ops * 8192.0, benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel(std::string(be.name()) + (gin ? " gin_update" : " gcn_aggregate"));
+  static const char* const kShapes[] = {" gin_update", " gcn_aggregate",
+                                        " gin_update_k64_nb1",
+                                        " gin_update_k64_nb8"};
+  state.SetLabel(std::string(be.name()) + kShapes[shape]);
 }
-BENCHMARK(BM_MmaPanel)->ArgsProduct({{0, 1, 2}, {0, 1}});
+BENCHMARK(BM_MmaPanel)->ArgsProduct({{0, 1, 2}, {0, 1, 2, 3}});
+
+/// One core's fp32 FMA peak — the other half of the peak probe: independent
+/// FMA chains at the widest vector width compiled in (AVX-512, AVX2+FMA or
+/// scalar std::fma). Reports fp32 MAC/s (one MAC per FMA lane).
+void BM_Fp32FmaPeak(benchmark::State& state) {
+  constexpr int kChains = 12;  // > FMA latency x ports, so the units stay busy
+  constexpr int kSteps = 1024;
+#if defined(__AVX512F__)
+  using Vec = __m512;
+  const auto splat = [](float x) { return _mm512_set1_ps(x); };
+  const auto fma = [](Vec a, Vec b, Vec c) { return _mm512_fmadd_ps(a, b, c); };
+#elif defined(__AVX2__) && defined(__FMA__)
+  using Vec = __m256;
+  const auto splat = [](float x) { return _mm256_set1_ps(x); };
+  const auto fma = [](Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); };
+#else
+  using Vec = float;
+  const auto splat = [](float x) { return x; };
+  const auto fma = [](Vec a, Vec b, Vec c) { return std::fma(a, b, c); };
+#endif
+  constexpr int kLanes = static_cast<int>(sizeof(Vec) / sizeof(float));
+  Vec acc[kChains];
+  for (int c = 0; c < kChains; ++c) acc[c] = splat(static_cast<float>(c));
+  const Vec mul = splat(0.999f), add = splat(1e-3f);
+  for (auto _ : state) {
+    for (int s = 0; s < kSteps; ++s) {
+      for (int c = 0; c < kChains; ++c) acc[c] = fma(acc[c], mul, add);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.counters["fp32MAC_per_s"] = benchmark::Counter(
+      static_cast<double>(kSteps) * kChains * kLanes,
+      benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(std::to_string(kLanes) + " fp32 lanes");
+}
+BENCHMARK(BM_Fp32FmaPeak);
 
 void BM_AnyBitComposed(benchmark::State& state) {
   const i64 n = 1024, d = 64;

@@ -189,13 +189,16 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   }
 
   // Every panel job shares the planes, strides and combine; per panel only
-  // the schedule, the B column pointers and nb change.
+  // the schedule, the B column pointers and nb change. B planes are zero
+  // past their K logical rows (StackedBitTensor's padding invariant), so an
+  // AND product with K <= 64 only ever sees the low word of each K tile.
   tcsim::PanelJob base;
   base.a_planes = sa;
   base.a_stride = src.a_stride();
   base.b_planes = sb;
   base.b_stride = b0.k_words();
   base.use_xor = (opt.op == tcsim::BmmaOp::kXor);
+  base.half_k = !base.use_xor && b0.rows() <= 64;
   const auto panel_job = [&](i64 tm, i64 tn0, i64 nb) {
     const auto& refs = k_lists[static_cast<std::size_t>(tm)];
     tcsim::PanelJob job = base;

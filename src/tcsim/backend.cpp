@@ -128,7 +128,10 @@ struct U64x4Kernels {
 
 /// AVX-512 VPOPCNTDQ: one 512-bit vector holds four B columns (4 x 128-bit
 /// lanes). Accumulator layout: __m512i[8][2] = 128 u64 per tile, per-lane
-/// partial sums combined at flush.
+/// partial sums combined at flush. Intrinsics whose plain form hands GCC an
+/// undefined merge source (broadcast_i32x4, sllv, unpack) are spelled in
+/// their zero-masked form with every lane kept: the same instruction, without
+/// the placeholder that -Wmaybe-uninitialized flags.
 struct Avx512Kernels {
   /// The whole panel in one pass per output tile: its 16 accumulator vectors
   /// stay in registers across the K-tile x B-plane x A-plane reduction, each
@@ -138,8 +141,83 @@ struct Avx512Kernels {
   static void mma_panel(u64* acc, const PanelJob& job) {
     if (job.use_xor) {
       panel<true>(acc, job);
+    } else if (job.half_k) {
+      half_k_panel(acc, job);
     } else {
       panel<false>(acc, job);
+    }
+  }
+
+  /// The K <= 64 sibling of panel(): one vector holds the low 64-bit K word
+  /// of all 8 B columns, so one output row's 8 columns cost one broadcast
+  /// AND, one vpopcntq and one add (8 vectors per 8x8x128 op instead of 16).
+  /// Every B plane of a K tile is decoded up front, and each row sums its
+  /// plane pairs by level L = ab + bb with Horner's rule (double once per
+  /// level, add each pair's popcount). The job shift is applied once per row
+  /// at the end; the sum is exact mod 2^64, so the uint32 wrap is unchanged.
+  static void half_k_panel(u64* acc, const PanelJob& job) {
+    if (job.n_tiles == 0) return;
+    const int levels = job.a_planes + job.b_planes - 1;
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i sv = _mm512_set1_epi64(job.shift);
+    for (i64 blk = 0; blk < job.nb; ++blk) {
+      u64* tile_acc = acc + blk * kTileAccLanes;
+      const i64 blk_off = blk * kTileN * job.b_stride;
+      for (i64 t = 0; t < job.n_tiles; ++t) {
+        const SparseTileRef* at = job.a_tiles + t * job.a_planes;
+        const i64 b_off = blk_off + at->k_tile * kTileKWords;
+        // bq[bb] lane p holds the low K word of column 4 * (p % 2) + p / 2.
+        __m512i bq[kMaxPanelPlanes];
+        for (int bb = 0; bb < job.b_planes; ++bb) {
+          __m512i bc[2];
+          load_b(bc, job.b_cols[bb] + b_off, job.b_stride);
+          bq[bb] = _mm512_maskz_unpacklo_epi64(0xFF, bc[0], bc[1]);
+        }
+        __m512i sum[kTileM];  // row i's 8 columns, in bq's lane order
+        for (int i = 0; i < kTileM; ++i) sum[i] = zero;
+        for (int lvl = levels - 1; lvl >= 0; --lvl) {
+          for (int i = 0; i < kTileM; ++i) sum[i] = _mm512_add_epi64(sum[i], sum[i]);
+          const int ab_end = std::min(lvl, job.a_planes - 1);
+          for (int ab = std::max(0, lvl - job.b_planes + 1); ab <= ab_end; ++ab) {
+            const u32* a = at[ab].a;
+            const __m512i bv = bq[lvl - ab];
+            for (int i = 0; i < kTileM; ++i) {
+              u64 aw;
+              std::memcpy(&aw, a + i * job.a_stride, sizeof aw);
+              sum[i] = _mm512_add_epi64(
+                  sum[i], _mm512_popcnt_epi64(_mm512_and_epi64(
+                              _mm512_set1_epi64(static_cast<long long>(aw)), bv)));
+            }
+          }
+        }
+        // Into the 128-lane layout: lane 2q of group g takes column 4g + q
+        // (vector lane 2q + g), its partner lane 2q + 1 takes zero.
+        for (int i = 0; i < kTileM; ++i) {
+          const __m512i v = _mm512_maskz_sllv_epi64(0xFF, sum[i], sv);
+          const __m512i part[2] = {_mm512_maskz_mov_epi64(0x55, v),
+                                   _mm512_maskz_unpackhi_epi64(0x55, v, v)};
+          for (int g = 0; g < 2; ++g) {
+            u64* slot = tile_acc + (i * 2 + g) * 8;
+            _mm512_storeu_si512(
+                slot, _mm512_add_epi64(_mm512_loadu_si512(slot), part[g]));
+          }
+        }
+      }
+    }
+  }
+
+  /// The 128-bit K slices of 8 B columns (`b_stride` u32 apart): bc[g]
+  /// holds columns 4g .. 4g + 3, one per 128-bit lane.
+  static void load_b(__m512i bc[2], const u32* b, i64 b_stride) {
+    for (int g = 0; g < 2; ++g) {
+      const auto col = [&](int j) {
+        return _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(b + (4 * g + j) * b_stride));
+      };
+      __m512i v = _mm512_zextsi128_si512(col(0));
+      v = _mm512_inserti32x4(v, col(1), 1);
+      v = _mm512_inserti32x4(v, col(2), 2);
+      bc[g] = _mm512_inserti32x4(v, col(3), 3);
     }
   }
 
@@ -161,29 +239,21 @@ struct Avx512Kernels {
         const SparseTileRef* at = job.a_tiles + t * job.a_planes;
         const i64 b_off = blk_off + at->k_tile * kTileKWords;
         for (int bb = 0; bb < job.b_planes; ++bb) {
-          const u32* b = job.b_cols[bb] + b_off;
           __m512i bc[2];
-          for (int g = 0; g < 2; ++g) {
-            const auto col = [&](int j) {
-              return _mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(b + (4 * g + j) * b_stride));
-            };
-            __m512i v = _mm512_castsi128_si512(col(0));
-            v = _mm512_inserti32x4(v, col(1), 1);
-            v = _mm512_inserti32x4(v, col(2), 2);
-            bc[g] = _mm512_inserti32x4(v, col(3), 3);
-          }
+          load_b(bc, job.b_cols[bb] + b_off, b_stride);
           for (int ab = 0; ab < job.a_planes; ++ab) {
             const u32* a = at[ab].a;
             const __m512i sv = _mm512_set1_epi64(job.shift + ab + bb);
             for (int i = 0; i < kTileM; ++i) {
-              const __m512i av = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(a + i * a_stride)));
+              const __m512i av = _mm512_maskz_broadcast_i32x4(
+                  0xFFFF, _mm_loadu_si128(
+                              reinterpret_cast<const __m128i*>(a + i * a_stride)));
               for (int g = 0; g < 2; ++g) {
                 const __m512i mixed = kXor ? _mm512_xor_si512(av, bc[g])
                                            : _mm512_and_si512(av, bc[g]);
                 c[i][g] = _mm512_add_epi64(
-                    c[i][g], _mm512_sllv_epi64(_mm512_popcnt_epi64(mixed), sv));
+                    c[i][g],
+                    _mm512_maskz_sllv_epi64(0xFF, _mm512_popcnt_epi64(mixed), sv));
               }
             }
           }

@@ -162,6 +162,12 @@ inline constexpr int kMaxPanelPlanes = 32;
 /// weighted << (shift + ab + bb); terms shifted by 32 or more vanish at the
 /// flush's uint32 wrap. `use_xor` selects the +-1 binary network combine
 /// (BmmaOp::kXor) instead of AND.
+///
+/// `half_k` states that every B column is zero past the first 64 bits of
+/// each K-tile slice (an AND product with K <= 64). Only the low 64-bit word
+/// of each 128-bit slice can then contribute, so a backend may skip the
+/// upper one; results are identical either way, and backends without a
+/// half-K kernel ignore it. Never set with use_xor (XOR of zero is not zero).
 struct PanelJob {
   const SparseTileRef* a_tiles = nullptr;  // n_tiles * a_planes entries
   i64 n_tiles = 0;
@@ -173,6 +179,7 @@ struct PanelJob {
   i64 nb = 1;
   int shift = 0;
   bool use_xor = false;
+  bool half_k = false;
 };
 
 /// Destination descriptor for flush_planes: where one 8x8 output tile's

@@ -4,6 +4,9 @@
 // cross-bit/cross-tile variants are bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "kernels/anybit_mm.hpp"
 
@@ -197,6 +200,54 @@ TEST(AnyBit, OverflowGuardAndOptOut) {
   BmmOptions opt;
   opt.allow_overflow = true;
   EXPECT_NO_THROW(bitmm_to_int(pa, pb, opt));
+}
+
+TEST(AnyBit, FusedMatchesAcrossKBoundary) {
+  // K <= 64 AND products take the AVX-512 half-K panel; K > 64 the full one.
+  // Every backend, both fused outputs and both plane layouts must equal the
+  // plain integer product on either side of the boundary, saturated count
+  // included. The shapes span a full 8-tile panel plus a ragged edge.
+  const i64 m = 21, n = 70;
+  const int s = 8, t = 8, out_bits = 4;
+  const i32 qmax = (1 << out_bits) - 1;
+  for (const i64 k : {1, 29, 50, 63, 64, 65, 128}) {
+    Rng rng(static_cast<u64>(900 + k));
+    const MatrixI32 a = random_codes(rng, m, k, s);
+    const MatrixI32 b = random_codes(rng, k, n, t);
+    const auto pa = StackedBitTensor::decompose(a, s, BitLayout::kRowMajorK);
+    const auto pb = StackedBitTensor::decompose(b, t, BitLayout::kColMajorK);
+    const MatrixI32 expect = matmul_reference(a, b);
+    i32 mx = 0;
+    for (i64 i = 0; i < expect.size(); ++i) mx = std::max(mx, expect.data()[i]);
+    // One bit short of the calibrated shift, so the clamp fires.
+    FusedEpilogue epi;
+    epi.rshift = std::max(calibrate_rshift(mx, out_bits) - 1, 0);
+    MatrixI32 requant(m, n);
+    u64 saturated = 0;
+    for (i64 i = 0; i < expect.size(); ++i) {
+      const i32 w = expect.data()[i] >> epi.rshift;
+      saturated += w > qmax ? 1 : 0;
+      requant.data()[i] = std::min(w, qmax);
+    }
+    ASSERT_GT(saturated, 0u) << "K=" << k;
+    for (const auto kind : tcsim::all_backends()) {
+      const std::string where =
+          std::string(tcsim::backend_name(kind)) + " K=" + std::to_string(k);
+      BmmOptions opt;
+      const tcsim::ExecutionContext ctx(kind);
+      opt.ctx = &ctx;
+      EXPECT_EQ(bitmm_fused_int(pa, pb, {}, opt), expect) << where;
+      for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+        const tcsim::ExecutionContext bit_ctx(kind);
+        opt.ctx = &bit_ctx;
+        const auto out = bitmm_fused_bit(pa, pb, out_bits, epi, opt,
+                                         PadPolicy::kTile8, layout);
+        const char* side = layout == BitLayout::kRowMajorK ? " row" : " col";
+        EXPECT_EQ(out.compose(), requant) << where << side;
+        EXPECT_EQ(bit_ctx.counters().saturated, saturated) << where << side;
+      }
+    }
+  }
 }
 
 /// THE core property (paper §3.1): for random (s, t) bit pairs, the composed

@@ -1,8 +1,9 @@
 // Cross-checks every substrate backend's tile ops (mma_panel / flush — the
 // path the kernels actually run) against the semantic reference
 // tcsim::bmma_sync, including shift weighting, uint32 wrap at extreme
-// shifts, XOR mode, strided operands, strided flush, and whole multi-plane
-// panels of several K tiles and output-column tiles.
+// shifts, XOR mode, strided operands, strided flush, whole multi-plane
+// panels of several K tiles and output-column tiles, and half-K (K <= 64)
+// panel jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -282,13 +283,72 @@ std::array<u32, 64> panel_reference(const PanelCase& c, const PanelOperands& o,
   return ref;
 }
 
-TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
-  // Every (planes, nb, n_tiles, shift, combine, A layout) combination: the
-  // panel adds the reference into a pre-filled accumulator, never touches
-  // lanes past its nb tiles, and leaves the accumulator alone when the
-  // schedule is empty.
-  const auto& be = tcsim::backend(GetParam());
+/// The panel job over `o` that `c` describes.
+tcsim::PanelJob panel_job(const PanelCase& c, const PanelOperands& o) {
+  tcsim::PanelJob job;
+  job.a_tiles = o.refs.data();
+  job.n_tiles = c.n_tiles;
+  job.a_planes = c.a_planes;
+  job.a_stride = o.a_stride;
+  for (int bb = 0; bb < c.b_planes; ++bb) {
+    job.b_cols[bb] = o.b.data() + bb * c.nb * kTileN * o.b_stride;
+  }
+  job.b_planes = c.b_planes;
+  job.b_stride = o.b_stride;
+  job.nb = c.nb;
+  job.shift = c.shift;
+  job.use_xor = c.use_xor;
+  return job;
+}
+
+/// Runs `job` into an accumulator pre-filled from `seed` and checks that the
+/// panel adds panel_reference into it, never touches lanes past its nb
+/// tiles, and leaves it alone when the schedule is empty.
+void expect_panel_matches(const tcsim::SubstrateBackend& be, const PanelCase& c,
+                          const PanelOperands& o, const tcsim::PanelJob& job,
+                          u64 seed, const std::string& where) {
   constexpr i64 kSpareTiles = 1;
+  const std::size_t lanes =
+      static_cast<std::size_t>((c.nb + kSpareTiles) * tcsim::kTileAccLanes);
+  std::vector<u64> acc(lanes);
+  Rng fill(seed * 7);
+  for (auto& l : acc) l = fill.next_u64();
+  const std::vector<u64> before = acc;
+  be.mma_panel(acc.data(), job);
+
+  if (c.n_tiles == 0) {
+    ASSERT_EQ(acc, before) << where;
+    return;
+  }
+  for (i64 blk = 0; blk < c.nb; ++blk) {
+    const std::size_t off = static_cast<std::size_t>(blk * tcsim::kTileAccLanes);
+    std::array<i32, 64> base{}, got{};
+    be.flush(base.data(), kTileN, before.data() + off);
+    be.flush(got.data(), kTileN, acc.data() + off);
+    const auto ref = panel_reference(c, o, blk);
+    for (int e = 0; e < 64; ++e) {
+      const std::size_t k = static_cast<std::size_t>(e);
+      ASSERT_EQ(static_cast<u32>(got[k]), static_cast<u32>(base[k]) + ref[k])
+          << where << " blk " << blk << " elem " << e;
+    }
+  }
+  const std::size_t used = static_cast<std::size_t>(c.nb * tcsim::kTileAccLanes);
+  ASSERT_TRUE(std::equal(acc.begin() + static_cast<std::ptrdiff_t>(used), acc.end(),
+                         before.begin() + static_cast<std::ptrdiff_t>(used)))
+      << where << ": lanes past the panel were written";
+}
+
+std::string panel_where(const tcsim::SubstrateBackend& be, const PanelCase& c) {
+  return std::string(be.name()) + " sa=" + std::to_string(c.a_planes) +
+         " sb=" + std::to_string(c.b_planes) + " nb=" + std::to_string(c.nb) +
+         " tiles=" + std::to_string(c.n_tiles) +
+         " shift=" + std::to_string(c.shift) + (c.use_xor ? " xor" : " and") +
+         (c.dense ? " dense" : " csr");
+}
+
+TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
+  // Every (planes, nb, n_tiles, shift, combine, A layout) combination.
+  const auto& be = tcsim::backend(GetParam());
   u64 seed = 1000;
   for (const int sa : {1, 3, 8}) {
     for (const int sb : {1, 3, 8}) {
@@ -299,59 +359,40 @@ TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
               for (const bool dense : {false, true}) {
                 const PanelCase c{sa, sb, nb, n_tiles, shift, use_xor, dense};
                 const PanelOperands o = panel_operands(c, ++seed);
-                tcsim::PanelJob job;
-                job.a_tiles = o.refs.data();
-                job.n_tiles = n_tiles;
-                job.a_planes = sa;
-                job.a_stride = o.a_stride;
-                for (int bb = 0; bb < sb; ++bb) {
-                  job.b_cols[bb] = o.b.data() + bb * nb * kTileN * o.b_stride;
-                }
-                job.b_planes = sb;
-                job.b_stride = o.b_stride;
-                job.nb = nb;
-                job.shift = shift;
-                job.use_xor = use_xor;
-
-                const std::size_t lanes = static_cast<std::size_t>(
-                    (nb + kSpareTiles) * tcsim::kTileAccLanes);
-                std::vector<u64> acc(lanes);
-                Rng fill(seed * 7);
-                for (auto& l : acc) l = fill.next_u64();
-                const std::vector<u64> before = acc;
-                be.mma_panel(acc.data(), job);
-
-                const std::string where =
-                    std::string(be.name()) + " sa=" + std::to_string(sa) +
-                    " sb=" + std::to_string(sb) + " nb=" + std::to_string(nb) +
-                    " tiles=" + std::to_string(n_tiles) +
-                    " shift=" + std::to_string(shift) +
-                    (use_xor ? " xor" : " and") + (dense ? " dense" : " csr");
-                if (n_tiles == 0) {
-                  ASSERT_EQ(acc, before) << where;
-                  continue;
-                }
-                for (i64 blk = 0; blk < nb; ++blk) {
-                  const std::size_t off =
-                      static_cast<std::size_t>(blk * tcsim::kTileAccLanes);
-                  std::array<i32, 64> base{}, got{};
-                  be.flush(base.data(), kTileN, before.data() + off);
-                  be.flush(got.data(), kTileN, acc.data() + off);
-                  const auto ref = panel_reference(c, o, blk);
-                  for (int e = 0; e < 64; ++e) {
-                    const std::size_t k = static_cast<std::size_t>(e);
-                    ASSERT_EQ(static_cast<u32>(got[k]),
-                              static_cast<u32>(base[k]) + ref[k])
-                        << where << " blk " << blk << " elem " << e;
-                  }
-                }
-                const std::size_t used =
-                    static_cast<std::size_t>(nb * tcsim::kTileAccLanes);
-                ASSERT_TRUE(std::equal(acc.begin() + static_cast<std::ptrdiff_t>(used),
-                                       acc.end(),
-                                       before.begin() + static_cast<std::ptrdiff_t>(used)))
-                    << where << ": lanes past the panel were written";
+                ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
+                    be, c, o, panel_job(c, o), seed, panel_where(be, c)));
               }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TileOps, HalfKPanelMatchesReference) {
+  // half_k jobs on every backend: B words 2-3 of every K-tile slice are zero
+  // (K <= 64) while A words 2-3 stay random, so only B's zero padding may be
+  // relied on. Two-tile schedules cover accumulation across K tiles.
+  for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+    const auto& be = tcsim::backend(kind);
+    u64 seed = 5000;
+    for (const int sa : {1, 3, 8, 17}) {
+      for (const int sb : {1, 3, 8, 17}) {
+        for (const i64 nb : {1, 5, 8}) {
+          for (const i64 n_tiles : {1, 2}) {
+            for (const int shift : {0, 31, 60}) {
+              const bool dense = seed % 2 == 0;
+              const PanelCase c{sa, sb, nb, n_tiles, shift, false, dense};
+              PanelOperands o = panel_operands(c, ++seed);
+              for (std::size_t w = 0; w < o.b.size(); ++w) {
+                const i64 k_word = static_cast<i64>(w) % o.b_stride;
+                if (k_word % kTileKWords >= 2) o.b[w] = 0;
+              }
+              tcsim::PanelJob job = panel_job(c, o);
+              job.half_k = true;
+              ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
+                  be, c, o, job, seed, panel_where(be, c) + " half_k"));
             }
           }
         }
