@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -100,10 +101,10 @@ void BM_MmaPanel(benchmark::State& state) {
   job.nb = nb;
   job.half_k = half_k;
 
-  std::vector<u64> acc(static_cast<std::size_t>(nb * tcsim::kTileAccLanes), 0);
+  std::vector<u32> tiles(static_cast<std::size_t>(nb * kTileM * kTileN));
   for (auto _ : state) {
-    be.mma_panel(acc.data(), job);
-    benchmark::DoNotOptimize(acc.data());
+    be.mma_panel(tiles.data(), job);
+    benchmark::DoNotOptimize(tiles.data());
     benchmark::ClobberMemory();
   }
   const double ops = static_cast<double>(k_tiles * sa * sb * nb);
@@ -117,6 +118,62 @@ void BM_MmaPanel(benchmark::State& state) {
   state.SetLabel(std::string(be.name()) + kShapes[shape]);
 }
 BENCHMARK(BM_MmaPanel)->ArgsProduct({{0, 1, 2}, {0, 1, 2, 3}});
+
+/// Random wrapped u32 output tiles, the drain benches' input: `n` tiles of
+/// 64 values spread over [-2^15, 2^15) as i32, so every epilogue both
+/// clamps and passes values.
+std::vector<u32> random_tiles(u64 seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<u32> t(n * kTileM * kTileN);
+  for (auto& w : t) {
+    w = static_cast<u32>(static_cast<i32>(rng.next_below(1u << 16)) - (1 << 15));
+  }
+  return t;
+}
+
+constexpr std::size_t kDrainTiles = 256;
+
+/// tcsim::apply_epilogue_tile on one 8x8 tile: the requantize every fused
+/// flush runs. Arg 0 is the Activation; arg 1 the qmax (-1 = no clamp, 15 =
+/// a 4-bit output). Each iteration copies a fresh tile in first, so the
+/// copy (a few ns) is part of the time. Reports ns per tile.
+void BM_EpilogueTile(benchmark::State& state) {
+  const tcsim::EpilogueSpec spec{static_cast<tcsim::Activation>(state.range(0)), 3,
+                                 static_cast<i32>(state.range(1))};
+  const std::vector<u32> src = random_tiles(17, kDrainTiles);
+  alignas(64) i32 vals[kTileM * kTileN];
+  std::size_t t = 0;
+  for (auto _ : state) {
+    std::memcpy(vals, src.data() + t * kTileM * kTileN, sizeof vals);
+    benchmark::DoNotOptimize(tcsim::apply_epilogue_tile(vals, spec));
+    benchmark::ClobberMemory();
+    t = (t + 1) % kDrainTiles;
+  }
+  state.SetLabel(std::string(tcsim::activation_name(spec.act)) +
+                 (spec.qmax < 0 ? " no clamp" : " qmax " + std::to_string(spec.qmax)));
+}
+BENCHMARK(BM_EpilogueTile)->ArgsProduct({{0, 1, 2, 3}, {-1, 15}});
+
+/// tcsim::flush_planes on one 8x8 tile: identity with shift 3, clamp to 4
+/// bits and scatter into 4 kRowMajorK planes — the per-tile drain of every
+/// GCN aggregation stage. Reports ns per tile.
+void BM_FlushPlanes(benchmark::State& state) {
+  constexpr int kBits = 4;
+  const tcsim::EpilogueSpec spec{tcsim::Activation::kIdentity, 3, (1 << kBits) - 1};
+  const std::vector<u32> src = random_tiles(19, kDrainTiles);
+  std::vector<u32> words(kBits * kTileM, 0);
+  u32* planes[kBits];
+  for (int b = 0; b < kBits; ++b) planes[b] = words.data() + b * kTileM;
+  const tcsim::PlaneSink sink{planes, 1, 8, kBits, kTileM, kTileN, false};
+  std::size_t t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tcsim::flush_planes(sink, src.data() + t * kTileM * kTileN, spec));
+    benchmark::ClobberMemory();
+    t = (t + 1) % kDrainTiles;
+  }
+}
+BENCHMARK(BM_FlushPlanes);
 
 /// One core's fp32 FMA peak — the other half of the peak probe: independent
 /// FMA chains at the widest vector width compiled in (AVX-512, AVX2+FMA or

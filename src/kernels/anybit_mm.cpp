@@ -132,13 +132,12 @@ class SparseAdjSource {
 /// comes through a tile source (dense planes or the tile-CSR adjacency), so
 /// flag-based and structural zero-tile jumping share this one sweep, and a
 /// pre-pass turns each row block's survivors into a SparseTileRef schedule.
-/// Each panel is one SubstrateBackend::mma_panel call. `consume(tm, tn, acc)`
-/// receives the finished tile's raw u64 accumulator lanes (backend-opaque
-/// layout) and drains them through one of the backend flush variants —
-/// epilogue or plane-writer — so the epilogue runs while the lanes are still
-/// hot and no intermediate i32 tile is staged in the sweep itself. It
-/// returns the tile's saturated-value count; the sweep returns their sum.
-/// Scratch comes from the per-thread workspace arena.
+/// Each panel is one SubstrateBackend::mma_panel call, which writes its
+/// output tiles as wrapped u32[8][8]. `consume(tm, tn, tile)` receives one
+/// finished tile and drains it through a flush — epilogue or plane-writer —
+/// while it is still hot, so no intermediate i32 matrix is staged in the
+/// sweep itself. It returns the tile's saturated-value count; the sweep
+/// returns their sum. Scratch comes from the per-thread workspace arena.
 ///
 /// `parallel_over_n` selects the parallel axis: row-tile blocks when the
 /// consumer writes row-owned data (int32 rows / kRowMajorK planes), and
@@ -216,14 +215,13 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
     // ColMajorK consumers: parallel over output-column tiles. These products
     // are small (few column tiles), so each panel is one (tm, tn) tile.
     parallel_for_dynamic(0, tiles_n, /*chunk=*/1, [&](i64 tn) {
-      u64* acc = ctx.workspace().acc_lanes(tcsim::kTileAccLanes);
+      u32* tile = ctx.workspace().acc_tiles(1);
       tcsim::Counters delta;
       u64 sat = 0;
       for (i64 tm = 0; tm < tiles_m; ++tm) {
-        std::memset(acc, 0, tcsim::kTileAccLanes * sizeof(u64));
         const tcsim::PanelJob job = panel_job(tm, tn, 1);
-        be.mma_panel(acc, job);
-        sat += consume(tm, tn, static_cast<const u64*>(acc));
+        be.mma_panel(tile, job);
+        sat += consume(tm, tn, tile);
         const u64 kt = static_cast<u64>(job.n_tiles);
         delta.bmma_ops += kt * plane_pairs;
         delta.frag_loads_a += kt * static_cast<u64>(sa);
@@ -242,17 +240,14 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
     // reloads.
     const i64 width = be.panel_width();
     parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
-      u64* acc = ctx.workspace().acc_lanes(width * tcsim::kTileAccLanes);
+      u32* tiles = ctx.workspace().acc_tiles(width);
       u64 sat = 0;
       i64 panels = 0;
       for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width, ++panels) {
         const i64 nb = std::min<i64>(width, tiles_n - tn0);
-        std::memset(acc, 0,
-                    static_cast<std::size_t>(nb * tcsim::kTileAccLanes) * sizeof(u64));
-        be.mma_panel(acc, panel_job(tm, tn0, nb));
+        be.mma_panel(tiles, panel_job(tm, tn0, nb));
         for (i64 b = 0; b < nb; ++b) {
-          sat += consume(tm, tn0 + b,
-                         static_cast<const u64*>(acc + b * tcsim::kTileAccLanes));
+          sat += consume(tm, tn0 + b, tiles + b * kTileM * kTileN);
         }
       }
       tcsim::Counters delta;
@@ -269,37 +264,42 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   return saturated.load(std::memory_order_relaxed);
 }
 
-/// Applies the optional per-column batch-norm fold (Eq. 8) to one raw
-/// accumulator value. The activation itself runs in tcsim::apply_epilogue_tile.
-inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
-  if (epi.use_bn && col < static_cast<i64>(epi.bn_scale.size())) {
-    const float f = static_cast<float>(v) * epi.bn_scale[static_cast<std::size_t>(col)] +
-                    epi.bn_bias[static_cast<std::size_t>(col)];
-    v = static_cast<i32>(std::lround(f));
-  }
-  return v;
+/// Checks that a batch-norm fold, when enabled, has one scale and one bias
+/// per output column.
+void check_bn(const FusedEpilogue& epi, i64 n) {
+  QGTC_CHECK(!epi.use_bn || (static_cast<i64>(epi.bn_scale.size()) == n &&
+                             static_cast<i64>(epi.bn_bias.size()) == n),
+             "use_bn needs bn_scale and bn_bias of one entry per output column");
 }
 
-/// Drains one finished accumulator tile into a row-major i32 matrix of
-/// logical extent m x n. Interior tiles (full 8x8, no BN) flush straight into
-/// the output with the backend's fused epilogue; edge and BN tiles stage
-/// through one stack tile. Assigns every covered element. Never clamps
-/// (qmax < 0), so there is no saturated count to return.
-inline void drain_int_tile(const tcsim::SubstrateBackend& be, i32* out, i64 m,
-                           i64 n, i64 tm, i64 tn, const u64* acc,
-                           const FusedEpilogue& epi) {
+/// Applies the per-column batch-norm fold (Eq. 8) to one raw accumulator
+/// value (check_bn validated the vectors). The activation itself runs in
+/// tcsim::apply_epilogue_tile.
+inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
+  const auto c = static_cast<std::size_t>(col);
+  return static_cast<i32>(
+      std::lround(static_cast<float>(v) * epi.bn_scale[c] + epi.bn_bias[c]));
+}
+
+/// Drains one finished output tile into a row-major i32 matrix of logical
+/// extent m x n. Interior tiles (full 8x8, no BN) flush straight into the
+/// output with the fused epilogue; edge and BN tiles stage through one stack
+/// tile. Assigns every covered element. Never clamps (qmax < 0), so there is
+/// no saturated count to return.
+inline void drain_int_tile(i32* out, i64 m, i64 n, i64 tm, i64 tn,
+                           const u32* tile, const FusedEpilogue& epi) {
   // The int path applies the activation but never requantizes (rshift/clamp
   // stay with the to-bit path), matching the historical epilogue contract.
   const tcsim::EpilogueSpec spec{epi.act, 0, -1};
   const i64 r0 = tm * kTileM, c0 = tn * kTileN;
   if (!epi.use_bn && r0 + kTileM <= m && c0 + kTileN <= n) {
-    be.flush_epilogue(out + r0 * n + c0, n, acc, spec);
+    tcsim::flush_epilogue(out + r0 * n + c0, n, tile, spec);
     return;
   }
   const i64 rows_here = std::min<i64>(kTileM, m - r0);
   const i64 cols_here = std::min<i64>(kTileN, n - c0);
   alignas(64) i32 tmp[kTileM * kTileN];
-  be.flush_epilogue(tmp, kTileN, acc, epi.use_bn ? tcsim::EpilogueSpec{} : spec);
+  tcsim::flush_epilogue(tmp, kTileN, tile, epi.use_bn ? tcsim::EpilogueSpec{} : spec);
   if (epi.use_bn) {
     for (i64 i = 0; i < rows_here; ++i) {
       for (i64 j = 0; j < cols_here; ++j) {
@@ -345,11 +345,11 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
              "bitmm_fused_int_into: output shape mismatch");
   if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
   const i64 m = a.rows(), n = b.cols();
-  const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
+  check_bn(epi, n);
   fused_tile_sweep(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b), opt,
                    /*parallel_over_n=*/false,
-                   [&](i64 tm, i64 tn, const u64* acc) {
-                     drain_int_tile(be, out.data(), m, n, tm, tn, acc, epi);
+                   [&](i64 tm, i64 tn, const u32* tile) {
+                     drain_int_tile(out.data(), m, n, tm, tn, tile, epi);
                      return u64{0};
                    });
 }
@@ -366,6 +366,7 @@ StackedBitTensor fused_bit_output(const Src& src,
                                   const FusedEpilogue& epi,
                                   const BmmOptions& opt, PadPolicy out_pad,
                                   BitLayout out_layout) {
+  check_bn(epi, n);
   // Build output planes directly; bit-decomposition never materialises an
   // int32 matrix in "global memory" (§4.5).
   StackedBitTensor out =
@@ -373,15 +374,14 @@ StackedBitTensor fused_bit_output(const Src& src,
   const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
   const tcsim::EpilogueSpec spec{epi.act, epi.rshift, qmax};
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
-  const tcsim::SubstrateBackend& be = ctx.backend();
   const i64 line_stride = out.plane(0).k_words();
 
   const bool parallel_over_n = (out_layout == BitLayout::kColMajorK);
   const u64 saturated = fused_tile_sweep(
       src, bp, opt, parallel_over_n,
-      [&](i64 tm, i64 tn, const u64* acc) {
-        // Requantize + scatter the 8x8 tile straight from the accumulator
-        // lanes: one word OR per (line, plane) — an 8-bit lane always sits
+      [&](i64 tm, i64 tn, const u32* tile) {
+        // Requantize + scatter the 8x8 tile straight from the panel's
+        // output: one word OR per (line, plane) — an 8-bit lane always sits
         // inside one u32 word because tile extents divide the 32-bit packing.
         const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
         const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
@@ -410,12 +410,12 @@ StackedBitTensor fused_bit_output(const Src& src,
                   out_bits,  cols_here,
                   rows_here, /*transpose=*/true};
         }
-        if (!epi.use_bn) return be.flush_planes(sink, acc, spec);
+        if (!epi.use_bn) return tcsim::flush_planes(sink, tile, spec);
         // BN tiles stage through one stack tile: raw drain, fp32 fold (the
         // padding is zeroed so it never counts as saturated), then the
         // shared tile epilogue + scatter.
         alignas(64) i32 q[kTileM * kTileN];
-        be.flush_epilogue(q, kTileN, acc, tcsim::EpilogueSpec{});
+        tcsim::flush_epilogue(q, kTileN, tile, tcsim::EpilogueSpec{});
         for (i64 k = 0; k < kTileM * kTileN; ++k) {
           const i64 i = k / kTileN, j = k % kTileN;
           q[k] = i < rows_here && j < cols_here
@@ -484,10 +484,9 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
   }
   // Figure 6(b): cross-tile reduction via the fused sweep with a single
   // 1-bit A plane (the stored tiles only, for the tile-CSR source).
-  const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
   fused_tile_sweep(src, plane_ptrs(x), opt, /*parallel_over_n=*/false,
-                   [&](i64 tm, i64 tn, const u64* acc) {
-                     drain_int_tile(be, out.data(), m, n, tm, tn, acc,
+                   [&](i64 tm, i64 tn, const u32* tile) {
+                     drain_int_tile(out.data(), m, n, tm, tn, tile,
                                     FusedEpilogue{});
                      return u64{0};
                    });

@@ -1,7 +1,6 @@
 #include "kernels/bmm.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "parallel/parallel_for.hpp"
 
@@ -46,10 +45,10 @@ void panel_sweep(const tcsim::ExecutionContext& ctx, i64 tiles_m, i64 a_stride,
 
     // Panel form: one mma_panel call sweeps the block's schedule across
     // `width` output-column tiles (the backend's §4.4 blocking factor; 1 for
-    // the per-tile backends). The "<< bitIdx" weighting of Algorithm 1 is
-    // folded into the tile accumulator lanes (u64 => exact uint32 wrap for
-    // any shift at flush).
-    u64* acc = ws.acc_lanes(width * tcsim::kTileAccLanes);
+    // the per-tile backends) and writes them as wrapped u32 tiles. The
+    // "<< bitIdx" weighting of Algorithm 1 is folded into the panel (exact
+    // uint32 wrap for any shift).
+    u32* tiles = ws.acc_tiles(width);
     tcsim::PanelJob job;
     job.a_tiles = refs.data();
     job.n_tiles = static_cast<i64>(refs.size());
@@ -61,13 +60,11 @@ void panel_sweep(const tcsim::ExecutionContext& ctx, i64 tiles_m, i64 a_stride,
     for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width) {
       job.nb = std::min<i64>(width, tiles_n - tn0);
       job.b_cols[0] = b.col_words(tn0 * kTileN);
-      std::memset(acc, 0,
-                  static_cast<std::size_t>(job.nb * tcsim::kTileAccLanes) * sizeof(u64));
-      be.mma_panel(acc, job);
+      be.mma_panel(tiles, job);
       a_loads += job.n_tiles;
       for (i64 blk = 0; blk < job.nb; ++blk) {
-        be.flush(c.data() + (tm * kTileM) * c.cols() + (tn0 + blk) * kTileN,
-                 c.cols(), acc + blk * tcsim::kTileAccLanes);
+        tcsim::flush(c.data() + (tm * kTileM) * c.cols() + (tn0 + blk) * kTileN,
+                     c.cols(), tiles + blk * kTileM * kTileN);
       }
     }
     // Bulk substrate accounting: one context note per row block.

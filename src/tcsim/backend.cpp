@@ -23,11 +23,14 @@ struct alignas(64) AFragment {
 };
 
 // ------------------------------------------------------------------------
-// Portable u64 micro-kernels. Accumulator layout: u64[8][8] row-major
-// (lanes 64..127 unused). These are the semantic reference — dot128 shape.
+// Portable u64 micro-kernels. Accumulator layout: u64[8][8] row-major.
+// These are the semantic reference — dot128 shape.
 // ------------------------------------------------------------------------
 
 struct ScalarKernels {
+  /// u64 accumulator lanes per output tile (panel_by_tiles' scratch).
+  static constexpr i64 kLanes = kTileM * kTileN;
+
   static void load_a(AFragment& frag, const u32* a, i64 a_stride) {
     for (int i = 0; i < kTileM; ++i) {
       std::memcpy(&frag.lanes[static_cast<std::size_t>(i) * 8],
@@ -53,24 +56,9 @@ struct ScalarKernels {
     }
   }
 
-  static void flush(i32* out, i64 out_stride, const u64* acc) {
-    for (int i = 0; i < kTileM; ++i) {
-      i32* row = out + i * out_stride;
-      for (int j = 0; j < kTileN; ++j) {
-        row[j] = static_cast<i32>(
-            static_cast<u32>(row[j]) +
-            static_cast<u32>(acc[static_cast<std::size_t>(i) * kTileN + j]));
-      }
-    }
-  }
-
-  /// Drain the accumulator into a row-major i32[64] tile with the uint32-wrap
-  /// truncation (the lane-combine half of flush, shared by the epilogue
-  /// variants).
-  static void reduce(i32* vals, const u64* acc) {
-    for (int k = 0; k < kTileM * kTileN; ++k) {
-      vals[k] = static_cast<i32>(static_cast<u32>(acc[k]));
-    }
+  /// Narrow the accumulator into a row-major u32[64] tile (the uint32 wrap).
+  static void reduce(u32* tile, const u64* acc) {
+    for (int k = 0; k < kTileM * kTileN; ++k) tile[k] = static_cast<u32>(acc[k]);
   }
 };
 
@@ -78,6 +66,8 @@ struct ScalarKernels {
 /// is decoded once per tile op (u64 x 4 words) and the inner loop is
 /// unrolled over column pairs — the best a portable build can do.
 struct U64x4Kernels {
+  static constexpr i64 kLanes = ScalarKernels::kLanes;
+
   static void load_a(AFragment& frag, const u32* a, i64 a_stride) {
     ScalarKernels::load_a(frag, a, a_stride);
   }
@@ -115,37 +105,40 @@ struct U64x4Kernels {
     }
   }
 
-  static void flush(i32* out, i64 out_stride, const u64* acc) {
-    ScalarKernels::flush(out, out_stride, acc);
-  }
-
-  static void reduce(i32* vals, const u64* acc) {
-    ScalarKernels::reduce(vals, acc);
+  static void reduce(u32* tile, const u64* acc) {
+    ScalarKernels::reduce(tile, acc);
   }
 };
 
 #if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
 
 /// AVX-512 VPOPCNTDQ: one 512-bit vector holds four B columns (4 x 128-bit
-/// lanes). Accumulator layout: __m512i[8][2] = 128 u64 per tile, per-lane
-/// partial sums combined at flush. Intrinsics whose plain form hands GCC an
-/// undefined merge source (broadcast_i32x4, sllv, unpack) are spelled in
-/// their zero-masked form with every lane kept: the same instruction, without
-/// the placeholder that -Wmaybe-uninitialized flags.
+/// lanes). Both panels keep every output tile's accumulators in registers,
+/// starting at zero, and narrow them into the u32 tile once at its end.
+/// Intrinsics whose plain form hands GCC an undefined merge source
+/// (broadcast_i32x4, sllv, unpack, permutexvar, cvtepi64_epi32) are spelled
+/// in their zero-masked form with every lane kept: the same instruction,
+/// without the placeholder that -Wmaybe-uninitialized flags.
 struct Avx512Kernels {
   /// The whole panel in one pass per output tile: its 16 accumulator vectors
   /// stay in registers across the K-tile x B-plane x A-plane reduction, each
   /// B tile is decoded once per (K tile, B plane) and reused for every A
   /// plane, A rows are broadcast straight from memory, and the per-term shift
   /// is one vpsllvq (counts >= 64 give 0, as the uint32 wrap needs).
-  static void mma_panel(u64* acc, const PanelJob& job) {
+  static void mma_panel(u32* tiles, const PanelJob& job) {
     if (job.use_xor) {
-      panel<true>(acc, job);
+      panel<true>(tiles, job);
     } else if (job.half_k) {
-      half_k_panel(acc, job);
+      half_k_panel(tiles, job);
     } else {
-      panel<false>(acc, job);
+      panel<false>(tiles, job);
     }
+  }
+
+  /// Row i of a tile: 8 u64 column sums, in column order, narrowed to u32.
+  static void store_row(u32* tile, int i, __m512i cols) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tile + i * kTileN),
+                        _mm512_maskz_cvtepi64_epi32(0xFF, cols));
   }
 
   /// The K <= 64 sibling of panel(): one vector holds the low 64-bit K word
@@ -153,15 +146,18 @@ struct Avx512Kernels {
   /// AND, one vpopcntq and one add (8 vectors per 8x8x128 op instead of 16).
   /// Every B plane of a K tile is decoded up front, and each row sums its
   /// plane pairs by level L = ab + bb with Horner's rule (double once per
-  /// level, add each pair's popcount). The job shift is applied once per row
-  /// at the end; the sum is exact mod 2^64, so the uint32 wrap is unchanged.
-  static void half_k_panel(u64* acc, const PanelJob& job) {
-    if (job.n_tiles == 0) return;
+  /// level, add each pair's popcount) and adds them into a per-row total.
+  /// The job shift is applied once per row at the end of the tile; the sum
+  /// is exact mod 2^64, so the uint32 wrap is unchanged.
+  static void half_k_panel(u32* tiles, const PanelJob& job) {
     const int levels = job.a_planes + job.b_planes - 1;
     const __m512i zero = _mm512_setzero_si512();
     const __m512i sv = _mm512_set1_epi64(job.shift);
+    // Lane j takes bq lane 2 * (j % 4) + j / 4: back to column order.
+    const __m512i col_order = _mm512_set_epi64(7, 5, 3, 1, 6, 4, 2, 0);
     for (i64 blk = 0; blk < job.nb; ++blk) {
-      u64* tile_acc = acc + blk * kTileAccLanes;
+      __m512i total[kTileM];
+      for (int i = 0; i < kTileM; ++i) total[i] = zero;
       const i64 blk_off = blk * kTileN * job.b_stride;
       for (i64 t = 0; t < job.n_tiles; ++t) {
         const SparseTileRef* at = job.a_tiles + t * job.a_planes;
@@ -190,18 +186,12 @@ struct Avx512Kernels {
             }
           }
         }
-        // Into the 128-lane layout: lane 2q of group g takes column 4g + q
-        // (vector lane 2q + g), its partner lane 2q + 1 takes zero.
-        for (int i = 0; i < kTileM; ++i) {
-          const __m512i v = _mm512_maskz_sllv_epi64(0xFF, sum[i], sv);
-          const __m512i part[2] = {_mm512_maskz_mov_epi64(0x55, v),
-                                   _mm512_maskz_unpackhi_epi64(0x55, v, v)};
-          for (int g = 0; g < 2; ++g) {
-            u64* slot = tile_acc + (i * 2 + g) * 8;
-            _mm512_storeu_si512(
-                slot, _mm512_add_epi64(_mm512_loadu_si512(slot), part[g]));
-          }
-        }
+        for (int i = 0; i < kTileM; ++i) total[i] = _mm512_add_epi64(total[i], sum[i]);
+      }
+      for (int i = 0; i < kTileM; ++i) {
+        store_row(tiles + blk * kTileM * kTileN, i,
+                  _mm512_maskz_permutexvar_epi64(
+                      0xFF, col_order, _mm512_maskz_sllv_epi64(0xFF, total[i], sv)));
       }
     }
   }
@@ -221,18 +211,18 @@ struct Avx512Kernels {
     }
   }
 
+  /// c[i][g] lanes 2q and 2q + 1 hold the low and high K-word partial sums
+  /// of row i, column 4g + q.
   template <bool kXor>
-  static void panel(u64* acc, const PanelJob& job) {
-    if (job.n_tiles == 0) return;
+  static void panel(u32* tiles, const PanelJob& job) {
     const i64 a_stride = job.a_stride;
     const i64 b_stride = job.b_stride;
+    const __m512i lo_words = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i hi_words = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
     for (i64 blk = 0; blk < job.nb; ++blk) {
-      u64* tile_acc = acc + blk * kTileAccLanes;
       __m512i c[kTileM][2];
       for (int i = 0; i < kTileM; ++i) {
-        for (int g = 0; g < 2; ++g) {
-          c[i][g] = _mm512_loadu_si512(tile_acc + (i * 2 + g) * 8);
-        }
+        c[i][0] = c[i][1] = _mm512_setzero_si512();
       }
       const i64 blk_off = blk * kTileN * b_stride;
       for (i64 t = 0; t < job.n_tiles; ++t) {
@@ -260,35 +250,10 @@ struct Avx512Kernels {
         }
       }
       for (int i = 0; i < kTileM; ++i) {
-        for (int g = 0; g < 2; ++g) {
-          _mm512_storeu_si512(tile_acc + (i * 2 + g) * 8, c[i][g]);
-        }
-      }
-    }
-  }
-
-  static void flush(i32* out, i64 out_stride, const u64* acc) {
-    for (int i = 0; i < kTileM; ++i) {
-      i32* row = out + i * out_stride;
-      for (int g = 0; g < 2; ++g) {
-        const u64* tmp = acc + (i * 2 + g) * 8;
-        for (int c = 0; c < 4; ++c) {
-          const int j = 4 * g + c;
-          row[j] = static_cast<i32>(static_cast<u32>(row[j]) +
-                                    static_cast<u32>(tmp[2 * c] + tmp[2 * c + 1]));
-        }
-      }
-    }
-  }
-
-  static void reduce(i32* vals, const u64* acc) {
-    for (int i = 0; i < kTileM; ++i) {
-      for (int g = 0; g < 2; ++g) {
-        const u64* tmp = acc + (i * 2 + g) * 8;
-        for (int c = 0; c < 4; ++c) {
-          vals[i * kTileN + 4 * g + c] =
-              static_cast<i32>(static_cast<u32>(tmp[2 * c] + tmp[2 * c + 1]));
-        }
+        store_row(tiles + blk * kTileM * kTileN, i,
+                  _mm512_add_epi64(
+                      _mm512_permutex2var_epi64(c[i][0], lo_words, c[i][1]),
+                      _mm512_permutex2var_epi64(c[i][0], hi_words, c[i][1])));
       }
     }
   }
@@ -314,6 +279,8 @@ inline __m256i popcount_bytes_256(__m256i v) {
 /// AVX2: one 256-bit vector holds two B columns. Accumulator layout:
 /// __m256i[8][4] = 128 u64 per tile (per-vpsadbw-lane partial sums).
 struct Avx2Kernels {
+  static constexpr i64 kLanes = 128;
+
   static void load_a(AFragment& frag, const u32* a, i64 a_stride) {
     for (int i = 0; i < kTileM; ++i) {
       const __m256i v = _mm256_broadcastsi128_si256(
@@ -349,27 +316,12 @@ struct Avx2Kernels {
     }
   }
 
-  static void flush(i32* out, i64 out_stride, const u64* acc) {
-    for (int i = 0; i < kTileM; ++i) {
-      i32* row = out + i * out_stride;
-      for (int p = 0; p < 4; ++p) {
-        const u64* tmp = acc + (i * 4 + p) * 4;
-        row[2 * p] = static_cast<i32>(static_cast<u32>(row[2 * p]) +
-                                      static_cast<u32>(tmp[0] + tmp[1]));
-        row[2 * p + 1] = static_cast<i32>(static_cast<u32>(row[2 * p + 1]) +
-                                          static_cast<u32>(tmp[2] + tmp[3]));
-      }
-    }
-  }
-
-  static void reduce(i32* vals, const u64* acc) {
+  static void reduce(u32* tile, const u64* acc) {
     for (int i = 0; i < kTileM; ++i) {
       for (int p = 0; p < 4; ++p) {
         const u64* tmp = acc + (i * 4 + p) * 4;
-        vals[i * kTileN + 2 * p] =
-            static_cast<i32>(static_cast<u32>(tmp[0] + tmp[1]));
-        vals[i * kTileN + 2 * p + 1] =
-            static_cast<i32>(static_cast<u32>(tmp[2] + tmp[3]));
+        tile[i * kTileN + 2 * p] = static_cast<u32>(tmp[0] + tmp[1]);
+        tile[i * kTileN + 2 * p + 1] = static_cast<u32>(tmp[2] + tmp[3]);
       }
     }
   }
@@ -443,13 +395,22 @@ namespace {
 // Registry plumbing
 // ------------------------------------------------------------------------
 
+/// §4.4 cross-tile blocking factor used by kBlocked (output-column tiles a
+/// decoded A fragment stays resident for), and the widest panel a job asks
+/// for.
+constexpr i64 kPanelWidth = 8;
+
 /// A panel composed from a kernel set's per-tile ops (load_a + mma, both
 /// inlined, the combine fixed at compile time): each A tile is decoded once
-/// and swept across the panel's output-column tiles and B planes. Shifts
-/// past 63 are clamped, which leaves the low 32 bits zero exactly as the
-/// uint32 wrap requires.
+/// and swept across the panel's output-column tiles and B planes, into u64
+/// lanes local to the call that the set's reduce then narrows into the u32
+/// tiles. Shifts past 63 are clamped, which leaves the low 32 bits zero
+/// exactly as the uint32 wrap requires.
 template <typename Kernels, bool kXor>
-void panel_by_tiles(u64* acc, const PanelJob& job) {
+void panel_by_tiles(u32* tiles, const PanelJob& job) {
+  QGTC_CHECK(job.nb <= kPanelWidth, "a panel job covers at most 8 tiles");
+  alignas(64) u64 acc[kPanelWidth * Kernels::kLanes];
+  std::memset(acc, 0, static_cast<std::size_t>(job.nb * Kernels::kLanes) * sizeof(u64));
   AFragment frag;
   for (i64 t = 0; t < job.n_tiles; ++t) {
     const SparseTileRef* at = job.a_tiles + t * job.a_planes;
@@ -459,11 +420,14 @@ void panel_by_tiles(u64* acc, const PanelJob& job) {
       for (i64 blk = 0; blk < job.nb; ++blk) {
         const i64 b_off = blk * kTileN * job.b_stride + k_off;
         for (int bb = 0; bb < job.b_planes; ++bb) {
-          Kernels::mma(acc + blk * kTileAccLanes, frag, job.b_cols[bb] + b_off,
+          Kernels::mma(acc + blk * Kernels::kLanes, frag, job.b_cols[bb] + b_off,
                        job.b_stride, std::min(job.shift + ab + bb, 63), kXor);
         }
       }
     }
+  }
+  for (i64 blk = 0; blk < job.nb; ++blk) {
+    Kernels::reduce(tiles + blk * kTileM * kTileN, acc + blk * Kernels::kLanes);
   }
 }
 
@@ -477,45 +441,14 @@ class BackendImpl final : public SubstrateBackend {
   [[nodiscard]] const char* name() const override { return name_; }
   [[nodiscard]] i64 panel_width() const override { return width_; }
 
-  void mma_panel(u64* acc, const PanelJob& job) const override {
-    if constexpr (requires { Kernels::mma_panel(acc, job); }) {
-      Kernels::mma_panel(acc, job);
+  void mma_panel(u32* tiles, const PanelJob& job) const override {
+    if constexpr (requires { Kernels::mma_panel(tiles, job); }) {
+      Kernels::mma_panel(tiles, job);
     } else if (job.use_xor) {
-      panel_by_tiles<Kernels, true>(acc, job);
+      panel_by_tiles<Kernels, true>(tiles, job);
     } else {
-      panel_by_tiles<Kernels, false>(acc, job);
+      panel_by_tiles<Kernels, false>(tiles, job);
     }
-  }
-  void flush(i32* out, i64 out_stride, const u64* acc) const override {
-    Kernels::flush(out, out_stride, acc);
-  }
-  u64 flush_epilogue(i32* out, i64 out_stride, const u64* acc,
-                     const EpilogueSpec& spec) const override {
-    alignas(64) i32 vals[kTileM * kTileN];
-    Kernels::reduce(vals, acc);
-    const u64 saturated = spec.is_raw() ? 0 : apply_epilogue_tile(vals, spec);
-    for (int i = 0; i < kTileM; ++i) {
-      std::memcpy(out + i * out_stride, vals + i * kTileN,
-                  kTileN * sizeof(i32));
-    }
-    return saturated;
-  }
-  u64 flush_planes(const PlaneSink& sink, const u64* acc,
-                   const EpilogueSpec& spec) const override {
-    alignas(64) i32 vals[kTileM * kTileN];
-    Kernels::reduce(vals, acc);
-    if (sink.lines < kTileM || sink.lanes < kTileN) {
-      // Edge tile: zero the padding so it never counts as saturated (the
-      // scatter drops it either way; act(0) = 0 for every activation).
-      const i64 rows = sink.transpose ? sink.lanes : sink.lines;
-      const i64 cols = sink.transpose ? sink.lines : sink.lanes;
-      for (i64 k = 0; k < kTileM * kTileN; ++k) {
-        if (k / kTileN >= rows || k % kTileN >= cols) vals[k] = 0;
-      }
-    }
-    const u64 saturated = apply_epilogue_tile(vals, spec);
-    scatter_planes(sink, vals);
-    return saturated;
   }
 
  private:
@@ -523,10 +456,6 @@ class BackendImpl final : public SubstrateBackend {
   const char* name_;
   i64 width_;
 };
-
-/// §4.4 cross-tile blocking factor used by kBlocked (output-column tiles a
-/// decoded A fragment stays resident for).
-constexpr i64 kPanelWidth = 8;
 
 /// True when the vector micro-kernels compiled in are usable on this CPU.
 bool runtime_simd_ok() {

@@ -21,10 +21,12 @@
 // inside backend.cpp, so no kernel pays a virtual call per tile.
 //
 // All backends produce bit-identical results: accumulation is exact integer
-// popcount arithmetic in u64 lanes, truncated to the hardware's uint32-wrap
-// contract at flush.
+// popcount arithmetic in u64 lanes, and mma_panel writes each output tile
+// already truncated to the hardware's uint32-wrap contract, as u32[8][8].
+// The flushes below drain that one layout and are shared by every backend.
 #pragma once
 
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -88,11 +90,14 @@ inline u64 epilogue_run(i32* v, i64 n, int sh, i32 qmax) {
     for (i64 k = 0; k < n; ++k) v[k] = activate<A>(v[k] >> sh);
     return 0;
   }
+  // Clamp high first, then low: the same function for qmax >= 0, but unlike
+  // the nested select GCC 12 vectorizes it for every activation.
   u64 saturated = 0;
   for (i64 k = 0; k < n; ++k) {
-    const i32 w = activate<A>(v[k] >> sh);
+    i32 w = activate<A>(v[k] >> sh);
     saturated += w > qmax ? 1 : 0;
-    v[k] = w < 0 ? 0 : (w > qmax ? qmax : w);
+    w = w > qmax ? qmax : w;
+    v[k] = w < 0 ? 0 : w;
   }
   return saturated;
 }
@@ -133,11 +138,6 @@ inline u64 apply_epilogue_tile(i32* vals, const EpilogueSpec& spec) {
   return v;
 }
 
-/// u64 accumulator lanes per output tile. Opaque layout — only the backend
-/// that filled an accumulator block may flush it. Sized for the widest
-/// layout (AVX2/AVX-512 keep per-lane partial sums: 128 u64 per tile).
-inline constexpr i64 kTileAccLanes = 128;
-
 /// One entry of a sparse A-tile schedule: the stored tile's first word (its
 /// 8 rows sit `a_stride` u32 apart) plus the K-tile index that selects the
 /// matching 128-bit slice of every B column. Both the tile-CSR layout (tiles
@@ -153,14 +153,15 @@ struct SparseTileRef {
 inline constexpr int kMaxPanelPlanes = 32;
 
 /// One backend call's worth of work: a row block's surviving A tiles swept
-/// across `nb` consecutive output-column tiles and every B bit-plane (the
+/// across `nb` (at most 8) consecutive output-column tiles and every B
+/// bit-plane (the
 /// §4.4 cross-tile reduction). Entry (t, ab) of the A schedule is
 /// `a_tiles[t * a_planes + ab]` (plane-minor; every plane of tile t shares
 /// its k_tile). Output-column tile `blk` of B plane `bb` reads the 128-bit
 /// slice b_cols[bb] + blk * kTileN * b_stride + k_tile * kTileKWords of its 8
 /// columns, which sit `b_stride` u32 apart. Each (t, ab, bb) product is
 /// weighted << (shift + ab + bb); terms shifted by 32 or more vanish at the
-/// flush's uint32 wrap. `use_xor` selects the +-1 binary network combine
+/// uint32 wrap. `use_xor` selects the +-1 binary network combine
 /// (BmmaOp::kXor) instead of AND.
 ///
 /// `half_k` states that every B column is zero past the first 64 bits of
@@ -205,8 +206,57 @@ struct PlaneSink {
 /// [0, 2^out_bits)) into packed bit planes — one word OR per (line, plane).
 /// Per plane it builds one 64-bit mask (bit 8i+j = that bit of q[i*8+j]),
 /// transposes it for transpose sinks and masks it to `lines` x `lanes`.
-/// Shared by every backend's flush_planes and the BN staging path.
+/// Shared by flush_planes and the BN staging path.
 void scatter_planes(const PlaneSink& s, const i32* q);
+
+/// out[8x8, rows `out_stride` i32 apart] += tile (a row-major u32[64] that
+/// mma_panel wrote), wrapping mod 2^32.
+inline void flush(i32* out, i64 out_stride, const u32* tile) {
+  for (int i = 0; i < kTileM; ++i) {
+    i32* row = out + i * out_stride;
+    for (int j = 0; j < kTileN; ++j) {
+      row[j] = static_cast<i32>(static_cast<u32>(row[j]) + tile[i * kTileN + j]);
+    }
+  }
+}
+
+/// Epilogue flush (the CUTLASS-style fused epilogue — see DESIGN.md):
+/// out[8x8] = apply_epilogue(tile). Assigns (does not add). Returns how many
+/// values were clamped at `spec.qmax`.
+inline u64 flush_epilogue(i32* out, i64 out_stride, const u32* tile,
+                          const EpilogueSpec& spec) {
+  alignas(64) i32 vals[kTileM * kTileN];
+  std::memcpy(vals, tile, sizeof vals);
+  const u64 saturated = spec.is_raw() ? 0 : apply_epilogue_tile(vals, spec);
+  for (int i = 0; i < kTileM; ++i) {
+    std::memcpy(out + i * out_stride, vals + i * kTileN, kTileN * sizeof(i32));
+  }
+  return saturated;
+}
+
+/// Plane-writer flush: requantize the tile with `spec` and scatter the
+/// resulting bits straight into packed output planes (`sink`) — the §4.5
+/// re-pack executed inside the flush, so no int32 intermediate is ever
+/// materialised. `spec.qmax` must be >= 0 (values must fit the planes).
+/// Returns how many values inside the sink's `lines` x `lanes` region were
+/// clamped at `spec.qmax`.
+inline u64 flush_planes(const PlaneSink& sink, const u32* tile,
+                        const EpilogueSpec& spec) {
+  alignas(64) i32 vals[kTileM * kTileN];
+  std::memcpy(vals, tile, sizeof vals);
+  if (sink.lines < kTileM || sink.lanes < kTileN) {
+    // Edge tile: zero the padding so it never counts as saturated (the
+    // scatter drops it either way; act(0) = 0 for every activation).
+    const i64 rows = sink.transpose ? sink.lanes : sink.lines;
+    const i64 cols = sink.transpose ? sink.lines : sink.lanes;
+    for (i64 k = 0; k < kTileM * kTileN; ++k) {
+      if (k / kTileN >= rows || k % kTileN >= cols) vals[k] = 0;
+    }
+  }
+  const u64 saturated = apply_epilogue_tile(vals, spec);
+  scatter_planes(sink, vals);
+  return saturated;
+}
 
 /// A substrate micro-kernel implementation. Stateless and shared across
 /// threads: all mutable state lives in caller-provided scratch (the
@@ -223,34 +273,13 @@ class SubstrateBackend {
   /// factor; 1 = one output tile per panel).
   [[nodiscard]] virtual i64 panel_width() const = 0;
 
-  /// One panel of the sparse schedule: acc[nb * kTileAccLanes] +=
-  /// sum over (t, ab, bb) of (A(t, ab) x B(bb, tile t's K slice)) <<
-  /// (shift + ab + bb), for each of the job's nb output-column tiles. The
-  /// whole K x A-plane x B-plane reduction of the panel runs inside the
-  /// backend, so the kernels make one call per panel. n_tiles == 0 leaves
-  /// `acc` untouched.
-  virtual void mma_panel(u64* acc, const PanelJob& job) const = 0;
-
-  /// out[8x8, rows `out_stride` i32 apart] (+)= acc, truncating each element
-  /// to the substrate's exact uint32-wrap contract.
-  virtual void flush(i32* out, i64 out_stride, const u64* acc) const = 0;
-
-  /// Epilogue-parameterized flush (the CUTLASS-style fused epilogue, mapped
-  /// to the flush hook — see DESIGN.md): out[8x8] = apply_epilogue(wrap(acc))
-  /// while the accumulator lanes are still hot. Assigns (does not add); the
-  /// uint32-wrap truncation precedes the epilogue, preserving the substrate
-  /// contract. Returns how many values were clamped at `spec.qmax`.
-  virtual u64 flush_epilogue(i32* out, i64 out_stride, const u64* acc,
-                             const EpilogueSpec& spec) const = 0;
-
-  /// Plane-writer flush: requantize the tile with `spec` and scatter the
-  /// resulting bits straight into packed output planes (`sink`) — the §4.5
-  /// re-pack executed inside the flush, so no int32 intermediate is ever
-  /// materialised. `spec.qmax` must be >= 0 (values must fit the planes).
-  /// Returns how many values inside the sink's `lines` x `lanes` region were
-  /// clamped at `spec.qmax`.
-  virtual u64 flush_planes(const PlaneSink& sink, const u64* acc,
-                           const EpilogueSpec& spec) const = 0;
+  /// One panel of the sparse schedule: writes output-column tile `blk` of
+  /// the job at tiles[blk * 64 .. +64), row-major, as the sum over
+  /// (t, ab, bb) of (A(t, ab) x B(bb, tile t's K slice)) << (shift + ab + bb),
+  /// mod 2^32. Assigns every one of the nb tiles (zeros when n_tiles == 0)
+  /// and nothing past them. The whole K x A-plane x B-plane reduction of the
+  /// panel runs inside the backend, so the kernels make one call per panel.
+  virtual void mma_panel(u32* tiles, const PanelJob& job) const = 0;
 };
 
 /// Registry lookup. Instances are process-lifetime singletons; kSimd and

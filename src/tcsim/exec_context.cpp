@@ -31,17 +31,16 @@ std::vector<SparseTileRef>& Workspace::tile_refs() {
   return tile_refs_;
 }
 
-u64* Workspace::acc_lanes(i64 lanes) {
-  if (static_cast<i64>(acc_lanes_.size()) < lanes) {
-    acc_lanes_.resize(static_cast<std::size_t>(lanes));
-  }
-  return acc_lanes_.data();
+u32* Workspace::acc_tiles(i64 n) {
+  const auto words = static_cast<std::size_t>(n * kTileM * kTileN);
+  if (acc_tiles_.size() < words) acc_tiles_.resize(words);
+  return acc_tiles_.data();
 }
 
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
                   tile_refs_.capacity() * sizeof(SparseTileRef) +
-                  acc_lanes_.size() * sizeof(u64);
+                  acc_tiles_.size() * sizeof(u32);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }

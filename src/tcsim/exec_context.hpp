@@ -5,8 +5,8 @@
 //
 //   * the SubstrateBackend that executes 8x8x128 tile ops,
 //   * access to the per-thread workspace arena (padded accumulators,
-//     surviving-K-tile lists, tile accumulator lanes — reused across calls
-//     instead of heap-allocated per kernel),
+//     surviving-K-tile lists, output tiles — reused across calls instead of
+//     heap-allocated per kernel),
 //   * a counter sink: either this context's private counter block (engine
 //     worker contexts, so per-batch-stream accounting merges
 //     deterministically) or the process-wide per-thread tcsim counters
@@ -51,8 +51,9 @@ class Workspace {
   /// a parallel loop.
   std::vector<SparseTileRef>& tile_refs();
 
-  /// Uninitialised, 64-byte-aligned u64 tile-accumulator scratch.
-  u64* acc_lanes(i64 lanes);
+  /// Uninitialised, 64-byte-aligned room for `n` u32[8][8] output tiles
+  /// (what SubstrateBackend::mma_panel writes).
+  u32* acc_tiles(i64 n);
 
   /// Bytes currently retained by this thread's arena.
   [[nodiscard]] std::size_t footprint_bytes() const;
@@ -62,7 +63,7 @@ class Workspace {
   std::vector<MatrixI32> int32_scratch_;
   std::vector<std::vector<SparseTileRef>> k_lists_;
   std::vector<SparseTileRef> tile_refs_;
-  AlignedVector<u64> acc_lanes_;
+  AlignedVector<u32> acc_tiles_;
 };
 
 /// This OS thread's arena (created on first use, lives for the thread).

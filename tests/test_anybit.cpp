@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "kernels/anybit_mm.hpp"
@@ -77,6 +79,35 @@ TEST(AnyBit, FusedReluEpilogue) {
       EXPECT_EQ(c(i, j), expect);
     }
   }
+}
+
+TEST(AnyBit, BatchNormSizesMustMatchOutputColumns) {
+  // A bn_scale or bn_bias that is not one entry per output column throws at
+  // the entry of both fused outputs, instead of reading past bn_bias or
+  // silently skipping the fold on the columns past bn_scale.
+  Rng rng(45);
+  const MatrixI32 a = random_codes(rng, 10, 130, 2);
+  const MatrixI32 b = random_codes(rng, 130, 6, 2);
+  const auto pa = StackedBitTensor::decompose(a, 2, BitLayout::kRowMajorK);
+  const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
+  const auto bn = [](std::size_t scale, std::size_t bias) {
+    FusedEpilogue epi;
+    epi.use_bn = true;
+    epi.bn_scale.assign(scale, 1.0f);
+    epi.bn_bias.assign(bias, 0.0f);
+    return epi;
+  };
+  for (const auto& [scale, bias] :
+       {std::pair<std::size_t, std::size_t>{6, 5}, {5, 6}, {5, 5}, {7, 7}, {0, 0}}) {
+    const FusedEpilogue epi = bn(scale, bias);
+    EXPECT_THROW((void)bitmm_fused_int(pa, pb, epi), std::invalid_argument)
+        << scale << "/" << bias;
+    EXPECT_THROW((void)bitmm_fused_bit(pa, pb, 4, epi), std::invalid_argument)
+        << scale << "/" << bias;
+  }
+  const FusedEpilogue ok = bn(6, 6);
+  EXPECT_EQ(bitmm_fused_int(pa, pb, ok), bitmm_to_int(pa, pb));
+  EXPECT_NO_THROW((void)bitmm_fused_bit(pa, pb, 4, ok));
 }
 
 TEST(AnyBit, FusedBitMatchesManualRequant) {

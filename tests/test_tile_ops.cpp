@@ -1,14 +1,14 @@
-// Cross-checks every substrate backend's tile ops (mma_panel / flush — the
-// path the kernels actually run) against the semantic reference
-// tcsim::bmma_sync, including shift weighting, uint32 wrap at extreme
-// shifts, XOR mode, strided operands, strided flush, whole multi-plane
-// panels of several K tiles and output-column tiles, and half-K (K <= 64)
-// panel jobs.
+// Cross-checks every substrate backend's tile ops (mma_panel, then the
+// shared flush — the path the kernels actually run) against the semantic
+// reference tcsim::bmma_sync, including shift weighting, uint32 wrap at
+// extreme shifts, XOR mode, strided operands, strided flush, whole
+// multi-plane panels of several K tiles and output-column tiles, half-K
+// (K <= 64) panel jobs, and the assign contract (every tile of the panel
+// written, zeros for an empty schedule, nothing past the panel).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -63,25 +63,22 @@ tcsim::PanelJob single_tile_job(const tcsim::SparseTileRef& ref, const u32* b,
   return job;
 }
 
-/// Runs one single-tile panel per shift in `shifts` into one accumulator.
-void run_tile_ops(const tcsim::SubstrateBackend& be, u64* acc, const TilePair& t,
-                  std::initializer_list<int> shifts, bool use_xor) {
+/// One single-tile panel into `tile` (a u32[64]).
+void run_tile_op(const tcsim::SubstrateBackend& be, u32* tile, const TilePair& t,
+                 int shift, bool use_xor) {
   const tcsim::SparseTileRef ref{t.a.data(), 0};
-  for (const int shift : shifts) {
-    be.mma_panel(acc, single_tile_job(ref, t.b.data(), t.stride, shift, use_xor));
-  }
+  be.mma_panel(tile, single_tile_job(ref, t.b.data(), t.stride, shift, use_xor));
 }
 
-/// One backend tile op: reset lanes, one single-tile panel, flush into `out`.
+/// One backend tile op: one single-tile panel, flushed into `out`.
 std::array<i32, 64> backend_tile(const tcsim::SubstrateBackend& be,
                                  const TilePair& t, int shift, bool use_xor,
                                  i32 out_fill = 0) {
-  alignas(64) u64 acc[tcsim::kTileAccLanes];
-  std::memset(acc, 0, sizeof(acc));
-  run_tile_ops(be, acc, t, {shift}, use_xor);
+  alignas(64) u32 tile[kTileM * kTileN];
+  run_tile_op(be, tile, t, shift, use_xor);
   std::array<i32, 64> out;
   out.fill(out_fill);
-  be.flush(out.data(), kTileN, acc);
+  tcsim::flush(out.data(), kTileN, tile);
   return out;
 }
 
@@ -119,21 +116,6 @@ TEST_P(TileOpsAllBackends, ShiftWeighting) {
   }
 }
 
-TEST_P(TileOpsAllBackends, AccumulatesAcrossPanelCalls) {
-  const auto& be = tcsim::backend(GetParam());
-  const TilePair t = random_tiles(8);
-  const auto base = reference_tile(t, tcsim::BmmaOp::kAnd);
-  alignas(64) u64 acc[tcsim::kTileAccLanes];
-  std::memset(acc, 0, sizeof(acc));
-  run_tile_ops(be, acc, t, {0, 1}, false);
-  std::array<i32, 64> got{};
-  be.flush(got.data(), kTileN, acc);
-  for (int e = 0; e < 64; ++e) {
-    EXPECT_EQ(got[static_cast<std::size_t>(e)],
-              base[static_cast<std::size_t>(e)] * 3);
-  }
-}
-
 TEST_P(TileOpsAllBackends, FlushAddsIntoExisting) {
   const auto& be = tcsim::backend(GetParam());
   const TilePair t = random_tiles(9);
@@ -150,12 +132,12 @@ TEST_P(TileOpsAllBackends, ExtremeShiftContributesZeroMod32) {
   // the defined-wrap contract the 31-bit configurations rely on.
   const auto& be = tcsim::backend(GetParam());
   const TilePair t = random_tiles(10);
-  alignas(64) u64 acc[tcsim::kTileAccLanes];
-  std::memset(acc, 0, sizeof(acc));
-  run_tile_ops(be, acc, t, {40, 60}, false);
-  std::array<i32, 64> got{};
-  be.flush(got.data(), kTileN, acc);
-  for (const i32 v : got) EXPECT_EQ(v, 0);
+  for (const int shift : {32, 40, 60, 63}) {
+    alignas(64) u32 tile[kTileM * kTileN];
+    std::fill(std::begin(tile), std::end(tile), 0xDEADBEEFu);
+    run_tile_op(be, tile, t, shift, false);
+    for (const u32 v : tile) EXPECT_EQ(v, 0u) << be.name() << " shift " << shift;
+  }
 }
 
 TEST_P(TileOpsAllBackends, StridedTiles) {
@@ -187,13 +169,12 @@ TEST_P(TileOpsAllBackends, StridedFlush) {
   const TilePair t = random_tiles(12);
   const auto base = reference_tile(t, tcsim::BmmaOp::kAnd);
 
-  alignas(64) u64 acc[tcsim::kTileAccLanes];
-  std::memset(acc, 0, sizeof(acc));
-  run_tile_ops(be, acc, t, {0}, false);
+  alignas(64) u32 tile[kTileM * kTileN];
+  run_tile_op(be, tile, t, 0, false);
 
   const i64 out_stride = 13;
   std::vector<i32> out(static_cast<std::size_t>(kTileM * out_stride), -7);
-  be.flush(out.data(), out_stride, acc);
+  tcsim::flush(out.data(), out_stride, tile);
   for (int i = 0; i < kTileM; ++i) {
     for (i64 j = 0; j < out_stride; ++j) {
       const i32 v = out[static_cast<std::size_t>(i * out_stride + j)];
@@ -250,6 +231,15 @@ PanelOperands panel_operands(const PanelCase& c, u64 seed) {
   return o;
 }
 
+/// B words 2-3 of every K-tile slice set to zero: a K <= 64 B operand, the
+/// precondition of a half_k job.
+void zero_upper_k_words(PanelOperands& o) {
+  for (std::size_t w = 0; w < o.b.size(); ++w) {
+    const i64 k_word = static_cast<i64>(w) % o.b_stride;
+    if (k_word % kTileKWords >= 2) o.b[w] = 0;
+  }
+}
+
 /// Reference for output-column tile `blk`: sum over (t, ab, bb) of
 /// bmma_sync(A(t, ab), B(bb, blk, k_t)) << (shift + ab + bb), uint32 wrap
 /// (terms shifted by 32 or more vanish).
@@ -301,41 +291,32 @@ tcsim::PanelJob panel_job(const PanelCase& c, const PanelOperands& o) {
   return job;
 }
 
-/// Runs `job` into an accumulator pre-filled from `seed` and checks that the
-/// panel adds panel_reference into it, never touches lanes past its nb
-/// tiles, and leaves it alone when the schedule is empty.
+/// Runs `job` into a tile buffer of `buffer_tiles` tiles pre-filled with
+/// garbage from `seed` and checks that the panel assigns panel_reference to
+/// each of its nb tiles (zeros for an empty schedule) and never writes a
+/// word past them.
 void expect_panel_matches(const tcsim::SubstrateBackend& be, const PanelCase& c,
                           const PanelOperands& o, const tcsim::PanelJob& job,
-                          u64 seed, const std::string& where) {
-  constexpr i64 kSpareTiles = 1;
-  const std::size_t lanes =
-      static_cast<std::size_t>((c.nb + kSpareTiles) * tcsim::kTileAccLanes);
-  std::vector<u64> acc(lanes);
+                          u64 seed, const std::string& where,
+                          i64 buffer_tiles = 0) {
+  buffer_tiles = std::max(buffer_tiles, c.nb + 1);
+  std::vector<u32> tiles(static_cast<std::size_t>(buffer_tiles * kTileM * kTileN));
   Rng fill(seed * 7);
-  for (auto& l : acc) l = fill.next_u64();
-  const std::vector<u64> before = acc;
-  be.mma_panel(acc.data(), job);
+  for (auto& w : tiles) w = static_cast<u32>(fill.next_u64());
+  const std::vector<u32> before = tiles;
+  be.mma_panel(tiles.data(), job);
 
-  if (c.n_tiles == 0) {
-    ASSERT_EQ(acc, before) << where;
-    return;
-  }
   for (i64 blk = 0; blk < c.nb; ++blk) {
-    const std::size_t off = static_cast<std::size_t>(blk * tcsim::kTileAccLanes);
-    std::array<i32, 64> base{}, got{};
-    be.flush(base.data(), kTileN, before.data() + off);
-    be.flush(got.data(), kTileN, acc.data() + off);
     const auto ref = panel_reference(c, o, blk);
     for (int e = 0; e < 64; ++e) {
-      const std::size_t k = static_cast<std::size_t>(e);
-      ASSERT_EQ(static_cast<u32>(got[k]), static_cast<u32>(base[k]) + ref[k])
+      ASSERT_EQ(tiles[static_cast<std::size_t>(blk * 64 + e)],
+                ref[static_cast<std::size_t>(e)])
           << where << " blk " << blk << " elem " << e;
     }
   }
-  const std::size_t used = static_cast<std::size_t>(c.nb * tcsim::kTileAccLanes);
-  ASSERT_TRUE(std::equal(acc.begin() + static_cast<std::ptrdiff_t>(used), acc.end(),
-                         before.begin() + static_cast<std::ptrdiff_t>(used)))
-      << where << ": lanes past the panel were written";
+  const auto used = static_cast<std::ptrdiff_t>(c.nb * kTileM * kTileN);
+  ASSERT_TRUE(std::equal(tiles.begin() + used, tiles.end(), before.begin() + used))
+      << where << ": words past the panel were written";
 }
 
 std::string panel_where(const tcsim::SubstrateBackend& be, const PanelCase& c) {
@@ -385,15 +366,41 @@ TEST(TileOps, HalfKPanelMatchesReference) {
               const bool dense = seed % 2 == 0;
               const PanelCase c{sa, sb, nb, n_tiles, shift, false, dense};
               PanelOperands o = panel_operands(c, ++seed);
-              for (std::size_t w = 0; w < o.b.size(); ++w) {
-                const i64 k_word = static_cast<i64>(w) % o.b_stride;
-                if (k_word % kTileKWords >= 2) o.b[w] = 0;
-              }
+              zero_upper_k_words(o);
               tcsim::PanelJob job = panel_job(c, o);
               job.half_k = true;
               ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
                   be, c, o, job, seed, panel_where(be, c) + " half_k"));
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TileOps, PanelAssignsEveryTile) {
+  // The assign contract on every backend, full and half-K: a tile buffer of
+  // 8 (the widest panel) tiles full of garbage, a panel narrower than that,
+  // and schedules of 0, 1 and 7 K tiles. Each of the nb tiles must equal the
+  // reference — zeros for the empty schedule, which aggregation rows with no
+  // stored tile produce — and every word past them must keep its garbage.
+  constexpr i64 kBufferTiles = 8;
+  for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+    const auto& be = tcsim::backend(kind);
+    u64 seed = 9000;
+    for (const bool half_k : {false, true}) {
+      for (const i64 nb : {1, 3}) {
+        for (const i64 n_tiles : {0, 1, 7}) {
+          for (const int sa : {1, 3}) {
+            const PanelCase c{sa, 4, nb, n_tiles, 2, false, seed % 2 == 0};
+            PanelOperands o = panel_operands(c, ++seed);
+            if (half_k) zero_upper_k_words(o);
+            tcsim::PanelJob job = panel_job(c, o);
+            job.half_k = half_k;
+            ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
+                be, c, o, job, seed,
+                panel_where(be, c) + (half_k ? " half_k" : " full"), kBufferTiles));
           }
         }
       }
