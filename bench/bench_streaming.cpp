@@ -29,7 +29,7 @@ struct ModeResult {
   double exposed_ms = 0.0;
   i64 batches = 0;
   // Streaming only: per-stage busy/stall attribution (averaged over rounds).
-  core::EngineStats::StageBreakdownSet stages;
+  core::StageTimes stages;
 };
 
 ModeResult run_mode(const Dataset& ds, core::EngineConfig cfg, int rounds) {

@@ -2,26 +2,14 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "common/mem.hpp"
-#include "common/timer.hpp"
-#include "core/pipeline.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
-namespace {
-/// The epoch batch list: METIS-substitute partitioning, then partition
-/// batching.
-std::vector<SubgraphBatch> make_epoch_batches(const CsrView& g,
-                                              const EngineConfig& cfg) {
-  const PartitionResult parts = partition_graph(g, cfg.num_partitions, {});
-  return make_batches(parts, cfg.batch_size);
-}
-}  // namespace
 
 QgtcEngine::QgtcEngine(const Dataset& dataset, const EngineConfig& cfg)
     : cfg_(cfg),
-      dataset_(&dataset),
       spec_(dataset.spec),
       graph_(dataset.graph),
       features_(dataset.features) {
@@ -61,7 +49,10 @@ void QgtcEngine::init() {
   cache_fingerprint_ = fp;
   cache_.set_budget(cfg_.cache_budget_bytes);
 
-  batches_ = make_epoch_batches(graph_, cfg_);
+  // The epoch batch list: METIS-substitute partitioning, then partition
+  // batching.
+  batches_ = make_batches(partition_graph(graph_, cfg_.num_partitions, {}),
+                          cfg_.batch_size);
 
   model_ = gnn::QgtcModel::create(cfg_.model, cfg_.seed);
 
@@ -145,165 +136,84 @@ void QgtcEngine::set_execution(tcsim::BackendKind backend,
 }
 
 namespace {
-/// Worker count actually usable for an epoch: no more workers than batches.
-int epoch_workers(int requested, i64 batches) {
-  return static_cast<int>(std::clamp<i64>(requested, 1, std::max<i64>(batches, 1)));
+/// The executor layout of one epoch, with no more workers than batches.
+/// Streaming epochs bound their queues by the configured depth. A
+/// precomputed epoch's batches are all resident already, so its queues hold
+/// the whole epoch and compute never waits on a hand-off.
+PipelineConfig epoch_layout(const EngineConfig& cfg, i64 batches) {
+  const auto usable = [&](int requested) {
+    return static_cast<int>(
+        std::clamp<i64>(requested, 1, std::max<i64>(batches, 1)));
+  };
+  PipelineConfig p;
+  p.compute_workers = usable(cfg.inter_batch_threads);
+  if (cfg.mode.streaming()) {
+    p.depth = cfg.mode.pipeline_depth;
+    p.prepare_workers = usable(cfg.mode.prepare_threads);
+  } else {
+    p.depth = static_cast<int>(std::max<i64>(batches, 1));
+  }
+  return p;
 }
 
-/// Execution-setup stamp shared by both run paths.
-void stamp_execution(EngineStats& stats, const EngineConfig& cfg, int workers) {
+/// Epoch shape and execution-setup stamp shared by both forwards.
+void stamp_execution(EngineStats& stats, const EngineConfig& cfg,
+                     const PipelineConfig& p,
+                     const std::vector<SubgraphBatch>& batches) {
+  stats.batches = static_cast<i64>(batches.size());
+  for (const SubgraphBatch& b : batches) stats.nodes += b.size();
   stats.backend = tcsim::backend_name(cfg.backend);
-  stats.inter_batch_threads = workers;
+  stats.inter_batch_threads = p.compute_workers;
   stats.streaming = cfg.mode.streaming();
-  stats.pipeline_depth = cfg.mode.streaming() ? cfg.mode.pipeline_depth : 0;
+  stats.pipeline_depth = cfg.mode.streaming() ? p.depth : 0;
+  stats.prepare_threads = cfg.mode.streaming() ? p.prepare_workers : 0;
   stats.vm_hwm_bytes = vm_hwm_bytes();
 }
-}  // namespace
 
-transfer::PackedSubgraph pack_prepared_batch(const QgtcEngine::BatchData& bd,
-                                             transfer::StagingBuffer& slot,
-                                             const transfer::PcieModel& pcie) {
-  return transfer::pack_batch_tiles(bd.adj_tiles, bd.x_planes, slot, pcie);
-}
+/// A pipeline item: a shared ref to one batch's prepared data. `resident`
+/// marks a payload already on the device — a precomputed batch or a
+/// BatchCache hit — which ships nothing and adds no pipeline residency (the
+/// epoch's or the cache's bytes are reported separately).
+template <typename T>
+struct EpochItem {
+  std::shared_ptr<const T> data;
+  bool resident = false;
+};
 
-EngineStats QgtcEngine::run_quantized(int rounds,
-                                      std::vector<MatrixI32>* logits_out) {
-  QGTC_CHECK(rounds >= 1, "rounds must be >= 1");
-  if (logits_out != nullptr) {
-    logits_out->assign(static_cast<std::size_t>(num_batches()), MatrixI32{});
-  }
-  return cfg_.mode.streaming() ? run_quantized_streaming(rounds, logits_out)
-                        : run_quantized_precomputed(rounds, logits_out);
-}
-
-EngineStats QgtcEngine::run_quantized_precomputed(
-    int rounds, std::vector<MatrixI32>* logits_out) {
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-
-  // One private-counter context per worker. Every batch's substrate
-  // accounting lands in exactly one context; the post-epoch merge is a sum
-  // over contexts, so totals are independent of which worker ran which
-  // batch (and of `workers` itself).
-  std::deque<tcsim::ExecutionContext> ctxs;
-  for (int w = 0; w < workers; ++w) {
-    ctxs.emplace_back(cfg_.backend, /*private_counters=*/true);
-  }
-  const auto epoch = [&] {
-    parallel_for_workers(0, num_batches(), workers, [&](i64 i, int w) {
-      QGTC_SPAN("compute", "batch", {{"batch", i}, {"worker", w}});
-      const BatchData& bd = *data_[static_cast<std::size_t>(i)];
-      tcsim::ExecutionContext& ctx = ctxs[static_cast<std::size_t>(w)];
-      MatrixI32 logits = model_.forward_prepared(bd.adj_tiles, bd.x_planes,
-                                                 /*stats=*/nullptr, &ctx);
-      if (logits_out != nullptr) {
-        (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
-      }
-    });
-  };
-
-  // Warm-up epoch (first-touch allocation, per-worker arena growth).
-  epoch();
-  for (auto& ctx : ctxs) ctx.reset_counters();
-  const store::BatchCacheStats cache0 = cache_.stats();
-  const i64 bytes0 = prepare_bytes_read();
-
-  Timer t;
-  for (int r = 0; r < rounds; ++r) {
-    QGTC_SPAN("engine", "epoch", {{"round", r}, {"batches", stats.batches}});
-    epoch();
-  }
-  stats.forward_seconds = t.seconds() / rounds;
-  stamp_cache_stats(stats, cache0, bytes0, rounds);
-
-  for (const BatchRef& bd : data_) {
-    stats.nodes += bd->batch.size();
-    stats.peak_prepared_bytes += bd->prepared_bytes();  // whole epoch resident
-  }
-  tcsim::Counters total;
-  for (const auto& ctx : ctxs) total += ctx.counters();
-  stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
-  stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
-  stats.epilogue_fused_layers = model_.fused_stage_count();
-  stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
-  stats.saturated = static_cast<i64>(total.saturated) / rounds;
-  stamp_execution(stats, cfg_, workers);
-  return stats;
-}
-
-EngineStats QgtcEngine::run_quantized_streaming(
-    int rounds, std::vector<MatrixI32>* logits_out) {
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-  const int preparers = epoch_workers(cfg_.mode.prepare_threads, num_batches());
-  stats.prepare_threads = preparers;
-
-  std::deque<tcsim::ExecutionContext> ctxs;
-  for (int w = 0; w < workers; ++w) {
-    ctxs.emplace_back(cfg_.backend, /*private_counters=*/true);
-  }
-
-  const transfer::PcieModel pcie;
-  StreamEpochConfig pcfg;
-  pcfg.num_batches = num_batches();
-  pcfg.depth = cfg_.mode.pipeline_depth;
-  pcfg.prepare_workers = preparers;
-  pcfg.compute_workers = workers;
+/// The §6 timing protocol, written once for both forwards: one warm-up
+/// epoch (first-touch allocation, arena growth, staging-slot capacity; with
+/// a cache budget also the fill epoch), then `on_warm()`, then `rounds`
+/// timed epochs on the executor, averaged.
+template <typename T, typename OnWarmFn, typename PrepareFn, typename PackFn,
+          typename ForwardFn>
+EngineStats timed_epochs(i64 batches, const PipelineConfig& layout, int rounds,
+                         OnWarmFn&& on_warm, PrepareFn&& prepare,
+                         PackFn&& pack, ForwardFn&& forward) {
+  using Item = EpochItem<T>;
   // The ring outlives the per-epoch pipeline so the warm-up epoch grows the
   // staging slots once and timed epochs reuse their capacity.
   transfer::StagingRing ring(2);
-
-  // A pipeline item is a shared ref into the cache (or a freshly-built
-  // batch); `cached` steers the ship stage — a hit's payload is already
-  // device-resident, so nothing is packed or charged to the wire.
-  struct StreamItem {
-    BatchRef bd;
-    bool cached = false;
-  };
   const auto epoch = [&] {
-    return run_stream_epoch<StreamItem>(
-        pcfg, ring,
-        /*prepare=*/
-        [&](i64 i) {
-          StreamItem item;
-          item.bd = prepare_batch(i, /*build_fp32_csr=*/false, &item.cached);
-          return item;
-        },
+    return run_stream_epoch<Item>(
+        batches, layout, ring, prepare,
         /*bytes=*/
-        [](const StreamItem& item) {
-          // Cache hits add no pipeline residency beyond the cache itself
-          // (reported separately as cache_resident_bytes).
-          return item.cached ? 0 : item.bd->prepared_bytes();
+        [](const Item& item) {
+          return item.resident ? i64{0} : item.data->prepared_bytes();
         },
         /*ship=*/
-        [&](StreamItem& item, transfer::StagingBuffer& slot) {
-          if (item.cached) return transfer::resident_reuse();
-          return pack_prepared_batch(*item.bd, slot, pcie);
+        [&](Item& item, transfer::StagingBuffer& slot) {
+          return item.resident ? transfer::resident_reuse()
+                               : pack(*item.data, slot);
         },
         /*compute=*/
-        [&](const StreamItem& item, i64 i, int w) {
-          const BatchData& bd = *item.bd;
-          tcsim::ExecutionContext& ctx = ctxs[static_cast<std::size_t>(w)];
-          MatrixI32 logits = model_.forward_prepared(
-              bd.adj_tiles, bd.x_planes, /*stats=*/nullptr, &ctx);
-          if (logits_out != nullptr) {
-            (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
-          }
-        });
+        [&](const Item& item, i64 i, int w) { forward(*item.data, i, w); });
   };
-
-  // Warm-up epoch (arena growth, staging-slot capacity, OS page faults),
-  // mirroring the precomputed timing protocol. With a cache budget this is
-  // also the fill epoch: timed rounds hit whatever it inserted.
   (void)epoch();
-  for (auto& ctx : ctxs) ctx.reset_counters();
-  const store::BatchCacheStats cache0 = cache_.stats();
-  const i64 bytes0 = prepare_bytes_read();
+  on_warm();
 
+  EngineStats stats;
   for (int r = 0; r < rounds; ++r) {
-    QGTC_SPAN("engine", "epoch", {{"round", r}, {"batches", stats.batches}});
+    QGTC_SPAN("engine", "epoch", {{"round", r}, {"batches", batches}});
     const StreamEpochStats es = epoch();
     stats.forward_seconds += es.epoch_seconds;
     stats.packed_bytes += es.packed_bytes;
@@ -312,27 +222,86 @@ EngineStats QgtcEngine::run_quantized_streaming(
     stats.exposed_transfer_seconds += es.exposed_seconds;
     stats.peak_prepared_bytes =
         std::max(stats.peak_prepared_bytes, es.peak_prepared_bytes);
-    stats.staging_capacity_bytes =
-        std::max(stats.staging_capacity_bytes, es.staging_capacity_bytes);
-    stats.stage_breakdown.prepare += es.prepare_stage;
-    stats.stage_breakdown.ship += es.ship_stage;
-    stats.stage_breakdown.compute += es.compute_stage;
+    stats.stage_breakdown.prepare += es.stages.prepare;
+    stats.stage_breakdown.ship += es.stages.ship;
+    stats.stage_breakdown.compute += es.stages.compute;
   }
+  stats.staging_capacity_bytes = ring.capacity_bytes();  // only grows
   stats.forward_seconds /= rounds;
   stats.packed_bytes /= rounds;
   stats.adj_bytes /= rounds;
   stats.packed_transfer_seconds /= rounds;
   stats.exposed_transfer_seconds /= rounds;
-  const auto avg_stage = [&](obs::StageBreakdown& s) {
-    s.busy_seconds /= rounds;
-    s.stall_seconds /= rounds;
-  };
-  avg_stage(stats.stage_breakdown.prepare);
-  avg_stage(stats.stage_breakdown.ship);
-  avg_stage(stats.stage_breakdown.compute);
-  stamp_cache_stats(stats, cache0, bytes0, rounds);
+  for (obs::StageBreakdown* s :
+       {&stats.stage_breakdown.prepare, &stats.stage_breakdown.ship,
+        &stats.stage_breakdown.compute}) {
+    s->busy_seconds /= rounds;
+    s->stall_seconds /= rounds;
+  }
+  return stats;
+}
+}  // namespace
 
-  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
+EngineStats QgtcEngine::run_quantized(int rounds,
+                                      std::vector<MatrixI32>* logits_out) {
+  QGTC_CHECK(rounds >= 1, "rounds must be >= 1");
+  if (logits_out != nullptr) {
+    logits_out->assign(static_cast<std::size_t>(num_batches()), MatrixI32{});
+  }
+  const PipelineConfig layout = epoch_layout(cfg_, num_batches());
+
+  // One private-counter context per compute worker. Every batch's substrate
+  // accounting lands in exactly one context; the post-epoch merge is a sum
+  // over contexts, so totals are independent of which worker ran which
+  // batch (and of the worker count itself).
+  std::deque<tcsim::ExecutionContext> ctxs;
+  for (int w = 0; w < layout.compute_workers; ++w) {
+    ctxs.emplace_back(cfg_.backend, /*private_counters=*/true);
+  }
+  store::BatchCacheStats cache0;
+  i64 bytes0 = 0;
+  const transfer::PcieModel pcie;
+
+  EngineStats stats = timed_epochs<BatchData>(
+      num_batches(), layout, rounds,
+      /*on_warm=*/
+      [&] {
+        for (auto& ctx : ctxs) ctx.reset_counters();
+        cache0 = cache_.stats();
+        bytes0 = prepare_bytes_read();
+      },
+      /*prepare=*/
+      [&](i64 i) {
+        EpochItem<BatchData> item;
+        if (cfg_.mode.streaming()) {
+          item.data =
+              prepare_batch(i, /*build_fp32_csr=*/false, &item.resident);
+        } else {
+          item = {data_[static_cast<std::size_t>(i)], /*resident=*/true};
+        }
+        return item;
+      },
+      /*pack=*/
+      [&](const BatchData& bd, transfer::StagingBuffer& slot) {
+        return bd.pack(slot, pcie);
+      },
+      /*forward=*/
+      [&](const BatchData& bd, i64 i, int w) {
+        MatrixI32 logits = model_.forward_prepared(
+            bd.adj_tiles, bd.x_planes, /*stats=*/nullptr,
+            &ctxs[static_cast<std::size_t>(w)]);
+        if (logits_out != nullptr) {
+          (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
+        }
+      });
+  stamp_cache_stats(stats, cache0, bytes0, rounds);
+  if (!cfg_.mode.streaming()) {
+    // Resident items add nothing to the executor's high-water: the whole
+    // epoch is resident.
+    for (const BatchRef& bd : data_) {
+      stats.peak_prepared_bytes += bd->prepared_bytes();
+    }
+  }
   tcsim::Counters total;
   for (const auto& ctx : ctxs) total += ctx.counters();
   stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
@@ -340,118 +309,50 @@ EngineStats QgtcEngine::run_quantized_streaming(
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
   stats.saturated = static_cast<i64>(total.saturated) / rounds;
-  stamp_execution(stats, cfg_, workers);
+  stamp_execution(stats, cfg_, layout, batches_);
   return stats;
 }
 
 EngineStats QgtcEngine::run_fp32(int rounds) {
+  // The DGL-substitute baseline rides the same executor and timing protocol
+  // as the quantized path, so the comparison stays symmetric: both pay the
+  // pipeline's coordination costs, and streaming epochs charge each one's
+  // transfer model inline. It does NOT consult the BatchCache — prepared-
+  // batch reuse is this system's optimisation, not the baseline's.
   QGTC_CHECK(rounds >= 1, "rounds must be >= 1");
-  if (cfg_.mode.streaming()) return run_fp32_streaming(rounds);
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-  stats.inter_batch_threads = workers;
-  stats.streaming = false;
-  const auto epoch = [&] {
-    parallel_for_workers(0, num_batches(), workers, [&](i64 i, int) {
-      const BatchData& bd = *data_[static_cast<std::size_t>(i)];
-      (void)model_.forward_fp32(bd.local, bd.features);
-    });
-  };
-  epoch();
-  Timer t;
-  for (int r = 0; r < rounds; ++r) epoch();
-  stats.forward_seconds = t.seconds() / rounds;
-  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
-  return stats;
-}
-
-EngineStats QgtcEngine::run_fp32_streaming(int rounds) {
-  // The DGL-substitute baseline rides the SAME staged executor as the
-  // quantized path (prepare workers -> ship -> compute workers over bounded
-  // queues), so the comparison stays symmetric: both pay the pipeline's
-  // coordination costs and both charge their transfer model inline. It does
-  // NOT consult the BatchCache — prepared-batch reuse is this system's
-  // optimisation, not the baseline's.
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-  const int preparers =
-      epoch_workers(cfg_.mode.prepare_threads, num_batches());
-  stats.inter_batch_threads = workers;
-  stats.streaming = true;
-  stats.pipeline_depth = cfg_.mode.pipeline_depth;
-  stats.prepare_threads = preparers;
-
+  const PipelineConfig layout = epoch_layout(cfg_, num_batches());
   const transfer::PcieModel pcie;
-  StreamEpochConfig pcfg;
-  pcfg.num_batches = num_batches();
-  pcfg.depth = cfg_.mode.pipeline_depth;
-  pcfg.prepare_workers = preparers;
-  pcfg.compute_workers = workers;
-  transfer::StagingRing ring(2);
 
-  struct Fp32Item {
-    CsrGraph local;
-    MatrixF features;
-  };
-  const auto epoch = [&] {
-    return run_stream_epoch<Fp32Item>(
-        pcfg, ring,
-        /*prepare=*/
-        [&](i64 i) {
-          const SubgraphBatch& b = batches_[static_cast<std::size_t>(i)];
-          Fp32Item item;
-          item.local = build_batch_csr(graph_, b, /*add_self_loops=*/true);
-          item.features = features_.gather(b.nodes);
-          return item;
-        },
-        /*bytes=*/
-        [](const Fp32Item& item) {
-          return item.features.size() * static_cast<i64>(sizeof(float)) +
-                 static_cast<i64>(item.local.row_ptr().size() * sizeof(i64)) +
-                 static_cast<i64>(item.local.col_idx().size() * sizeof(i32));
-        },
-        /*ship=*/
-        [&](Fp32Item& item, transfer::StagingBuffer&) {
-          // Modelled dense fp32 transfer (adjacency + standalone embedding),
-          // charged inline; no staging copy — the baseline has no compound
-          // packed object to build.
-          return transfer::dense_fp32_baseline(item.features.rows(),
-                                               spec_.feature_dim, pcie);
-        },
-        /*compute=*/
-        [&](const Fp32Item& item, i64, int) {
-          (void)model_.forward_fp32(item.local, item.features);
-        });
-  };
-
-  (void)epoch();  // warm-up, mirroring the quantized timing protocol
-  for (int r = 0; r < rounds; ++r) {
-    const StreamEpochStats es = epoch();
-    stats.forward_seconds += es.epoch_seconds;
-    stats.dense_bytes += es.packed_bytes;
-    stats.dense_transfer_seconds += es.wire_seconds;
-    stats.exposed_transfer_seconds += es.exposed_seconds;
-    stats.peak_prepared_bytes =
-        std::max(stats.peak_prepared_bytes, es.peak_prepared_bytes);
-    stats.stage_breakdown.prepare += es.prepare_stage;
-    stats.stage_breakdown.ship += es.ship_stage;
-    stats.stage_breakdown.compute += es.compute_stage;
-  }
-  stats.forward_seconds /= rounds;
-  stats.dense_bytes /= rounds;
-  stats.dense_transfer_seconds /= rounds;
-  stats.exposed_transfer_seconds /= rounds;
-  const auto avg_stage = [&](obs::StageBreakdown& s) {
-    s.busy_seconds /= rounds;
-    s.stall_seconds /= rounds;
-  };
-  avg_stage(stats.stage_breakdown.prepare);
-  avg_stage(stats.stage_breakdown.ship);
-  avg_stage(stats.stage_breakdown.compute);
-  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
-  stats.vm_hwm_bytes = vm_hwm_bytes();
+  EngineStats stats = timed_epochs<PreparedBatch>(
+      num_batches(), layout, rounds, /*on_warm=*/[] {},
+      /*prepare=*/
+      [&](i64 i) {
+        if (!cfg_.mode.streaming()) {
+          return EpochItem<PreparedBatch>{data_[static_cast<std::size_t>(i)],
+                                          /*resident=*/true};
+        }
+        const SubgraphBatch& b = batches_[static_cast<std::size_t>(i)];
+        auto pb = std::make_shared<PreparedBatch>();
+        pb->local = build_batch_csr(graph_, b, /*add_self_loops=*/true);
+        pb->features = features_.gather(b.nodes);
+        return EpochItem<PreparedBatch>{std::move(pb)};
+      },
+      /*pack=*/
+      [&](const PreparedBatch& pb, transfer::StagingBuffer&) {
+        // Modelled dense fp32 transfer (adjacency + standalone embedding);
+        // no staging copy — the baseline has no compound packed object.
+        return transfer::dense_fp32_baseline(pb.features.rows(),
+                                             spec_.feature_dim, pcie);
+      },
+      /*forward=*/
+      [&](const PreparedBatch& pb, i64, int) {
+        (void)model_.forward_fp32(pb.local, pb.features);
+      });
+  stats.dense_bytes = std::exchange(stats.packed_bytes, 0);
+  stats.dense_transfer_seconds =
+      std::exchange(stats.packed_transfer_seconds, 0.0);
+  stats.adj_bytes = 0;
+  stamp_execution(stats, cfg_, layout, batches_);
   return stats;
 }
 
@@ -468,7 +369,7 @@ EngineStats QgtcEngine::transfer_accounting() const {
   // quantizes and decomposes exactly once, in prepare_batch — nothing is
   // re-derived here).
   const auto account = [&](const BatchData& bd) {
-    const auto packed = pack_prepared_batch(bd, staging, pcie);
+    const auto packed = bd.pack(staging, pcie);
     stats.packed_bytes += packed.total_bytes;
     stats.packed_transfer_seconds += packed.modeled_seconds;
     stats.adj_bytes += packed.adjacency_bytes;

@@ -3,33 +3,34 @@
 // transfer -> per-batch quantized GNN inference on the tensor-core
 // substrate, with the fp32 DGL-substitute path available for comparison.
 //
-// Two execution modes share one bit-identical per-batch prepare path
-// (`prepare_batch_data` + `QgtcModel::prepare_input`):
+// Every epoch runs on the one staged executor (`core/pipeline.hpp`):
+// prepare -> ship -> compute over bounded queues. The epoch mode decides
+// only what prepare and ship do; both modes share one bit-identical
+// per-batch prepare path (`prepare_batch_data` + `QgtcModel::prepare_input`).
 //
-// * **Precomputed** (legacy, default): every batch's adjacency tiles, local
-//   CSR, fp32 features and quantized planes are materialised up front
-//   (untimed preprocessing, O(epoch) resident); reported inference
-//   time covers the quantized forward pass only, and host->device transfer
-//   is accounted post-hoc via `transfer_accounting()` — the paper's §6
-//   timing protocol.
-// * **Streaming** (`EngineConfig::streaming`): one epoch flows through the
-//   three-stage prepare/ship/compute pipeline (`core/pipeline.hpp`) with
-//   bounded queues, so peak memory is O(pipeline_depth) batches and the
-//   PCIe model is charged inline on the timed path, with overlap accounting
-//   (`exposed_transfer_seconds`). Logits, `bmma_ops`, `tiles_jumped` and
-//   `nodes` are bit-identical to precomputed mode on every backend.
+// * **Precomputed** (`RunMode::precomputed`): every batch's adjacency tiles,
+//   local CSR, fp32 features and quantized planes are materialised at
+//   construction (untimed preprocessing, O(epoch) resident). Prepare is a
+//   lookup and ship returns `transfer::resident_reuse()`, so the reported
+//   time covers the forward pass only; host->device transfer is accounted
+//   post-hoc via `transfer_accounting()` — the paper's §6 timing protocol.
+// * **Streaming** (`RunMode::streaming_pipeline`): prepare builds each batch
+//   lazily and ship packs it, so peak memory is O(pipeline_depth) batches
+//   and the PCIe model is charged inline on the timed path, with overlap
+//   accounting (`exposed_transfer_seconds`).
 //
-// Every batch adjacency is a tile-CSR of its nonzero 8x128 tiles, so
-// zero-tile jumping (§4.3) is structural in both modes.
+// Logits, `bmma_ops`, `tiles_jumped` and `nodes` are bit-identical across
+// the two modes on every backend. Every batch adjacency is a tile-CSR of its
+// nonzero 8x128 tiles, so zero-tile jumping (§4.3) is structural.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "gnn/model.hpp"
 #include "graph/generator.hpp"
-#include "obs/metrics.hpp"
 #include "store/batch_cache.hpp"
 #include "store/dataset_store.hpp"
 #include "transfer/packing.hpp"
@@ -81,10 +82,10 @@ struct EngineConfig {
   u64 seed = 3;
   /// Substrate backend every kernel of the forward pass executes on.
   tcsim::BackendKind backend = tcsim::default_backend();
-  /// Partition-batches executed concurrently by run_quantized / run_fp32
-  /// (each worker owns a private ExecutionContext; counters and stats merge
-  /// deterministically). 1 = the sequential legacy schedule. In streaming
-  /// mode this is the compute-stage worker count.
+  /// Compute-stage workers of run_quantized / run_fp32: partition-batches
+  /// executed concurrently (each worker owns a private ExecutionContext;
+  /// counters and stats merge deterministically). With >= 2, each worker
+  /// runs its kernels serially.
   int inter_batch_threads = 1;
   /// Epoch execution discipline (see RunMode).
   RunMode mode;
@@ -97,9 +98,10 @@ struct EngineConfig {
 };
 
 struct EngineStats {
-  // Forward-pass wall time over one full epoch (all batches), seconds. In
-  // streaming mode this is the full pipeline wall time: prepare, packed
-  // transfer and compute, overlapped.
+  // Epoch wall time on the executor (all batches), seconds. In precomputed
+  // mode prepare is a lookup and nothing ships, so this is the forward
+  // pass; in streaming mode it is prepare, packed transfer and compute,
+  // overlapped.
   double forward_seconds = 0.0;
   i64 batches = 0;
   i64 nodes = 0;
@@ -148,17 +150,12 @@ struct EngineStats {
   // Total mmap'd store bytes (feature chunks + CSR shards); 0 for in-core
   // engines.
   i64 mapped_bytes = 0;
-  // Streaming mode: per-stage busy/stall decomposition of the pipeline
-  // (summed over each stage's workers, averaged over rounds). All zeros in
-  // precomputed mode, which has no inter-stage queues to stall on. A
-  // stalling prepare stage wants more depth or fewer preparers; a stalling
+  // Per-stage busy/stall decomposition of the executor (summed over each
+  // stage's workers, averaged over rounds). In precomputed mode prepare and
+  // ship are a lookup and a no-op, so nearly all the time is compute busy.
+  // A stalling prepare stage wants more depth or fewer preparers; a stalling
   // compute stage means prepare or ship is the straggler.
-  struct StageBreakdownSet {
-    obs::StageBreakdown prepare;
-    obs::StageBreakdown ship;
-    obs::StageBreakdown compute;
-  };
-  StageBreakdownSet stage_breakdown;
+  StageTimes stage_breakdown;
   // Execution setup the run used (for reporting / JSON bench output).
   const char* backend = "";
   int inter_batch_threads = 1;
@@ -217,6 +214,14 @@ class QgtcEngine {
     [[nodiscard]] i64 prepared_bytes() const {
       return PreparedBatch::prepared_bytes() + x_planes.bytes();
     }
+    /// Packs the tile-CSR adjacency and the *prepared* input planes into
+    /// `slot` as-is — the step every ship stage and the transfer accounting
+    /// share. The host quantized and decomposed the features exactly once,
+    /// so the bytes on the wire are the bytes the device computes on.
+    [[nodiscard]] transfer::PackedSubgraph pack(
+        transfer::StagingBuffer& slot, const transfer::PcieModel& pcie) const {
+      return transfer::pack_batch_tiles(adj_tiles, x_planes, slot, pcie);
+    }
   };
 
   /// Shared-ownership handle to immutable prepared batch data. The cache,
@@ -242,14 +247,6 @@ class QgtcEngine {
   [[nodiscard]] BatchRef prepare_subgraph(const SubgraphBatch& batch,
                                           bool build_fp32_csr = false,
                                           bool* cache_hit = nullptr) const;
-
-  /// The dataset this engine serves when constructed in-core. Store-backed
-  /// engines have no materialised Dataset — use graph() / spec() instead.
-  [[nodiscard]] const Dataset& dataset() const {
-    QGTC_CHECK(dataset_ != nullptr,
-               "store-backed engine has no in-core Dataset; use graph()");
-    return *dataset_;
-  }
 
   /// The global CSR this engine walks (in-core graph or mmap'd store view —
   /// the serving layer's ego-graph expansion traverses either).
@@ -283,19 +280,12 @@ class QgtcEngine {
  private:
   void init();
 
-  EngineStats run_quantized_precomputed(int rounds,
-                                        std::vector<MatrixI32>* logits_out);
-  EngineStats run_quantized_streaming(int rounds,
-                                      std::vector<MatrixI32>* logits_out);
-  EngineStats run_fp32_streaming(int rounds);
-
   /// Stamps the timed-section cache/store deltas into `stats`.
   void stamp_cache_stats(EngineStats& stats,
                          const store::BatchCacheStats& before, i64 bytes_before,
                          int rounds) const;
 
   EngineConfig cfg_;
-  const Dataset* dataset_ = nullptr;             // in-core engines only
   const store::DatasetStore* dstore_ = nullptr;  // store-backed engines only
   DatasetSpec spec_;
   CsrView graph_;
@@ -308,15 +298,5 @@ class QgtcEngine {
   mutable store::BatchCache<BatchData> cache_;
   mutable std::atomic<i64> prepare_bytes_read_{0};
 };
-
-/// Packs an already-prepared batch (tile-CSR adjacency + input planes) into
-/// `slot` — the pack-into-slot step shared by the streaming ship stage,
-/// transfer accounting, and the serving pipeline's ship stage. Ships the
-/// *prepared* input planes as-is: the host quantized and decomposed the
-/// features exactly once, so the bytes on the wire are byte-for-byte the
-/// bytes the device computes on.
-transfer::PackedSubgraph pack_prepared_batch(const QgtcEngine::BatchData& bd,
-                                             transfer::StagingBuffer& slot,
-                                             const transfer::PcieModel& pcie);
 
 }  // namespace qgtc::core

@@ -1,23 +1,28 @@
-// Staged streaming executor (paper §4.6 / §6 deployed as a pipeline): one
-// epoch flows through three stages connected by bounded queues —
+// The staged executor (paper §4.6 / §6 deployed as a pipeline): the one
+// prepare -> ship -> compute loop behind precomputed epochs, streaming epochs
+// and online serving —
 //
-//   prepare (P workers) --[BoundedQueue, depth]--> ship (1 worker)
+//   source --> prepare (P workers) --[BoundedQueue, depth]--> ship (1 worker)
 //        --[BoundedQueue, depth]--> compute (C workers)
 //
-// *prepare* builds a batch's data lazily from the global CSR + features,
-// *ship* packs it into a double-buffered StagingRing slot and charges the
-// PcieModel inline (on the timed path), *compute* runs the quantized forward
-// pass. Peak resident memory is O(depth) prepared batches instead of
-// O(epoch): a full prep queue blocks the producers until compute drains.
+// The *source* hands out work: a closed queue of batch indices for an epoch
+// (run_stream_epoch), or the serving batcher's micro-batch queue. *prepare*
+// builds an item's data (in precomputed epochs: a lookup of the batch built
+// at construction), *ship* packs it into a double-buffered StagingRing slot
+// and charges the PcieModel inline (or returns transfer::resident_reuse() for
+// a payload already on the device), *compute* runs the quantized forward
+// pass. Peak resident memory is O(depth) prepared items instead of O(epoch):
+// a full queue blocks the producers until compute drains.
 //
 // The GPU analogy (see DESIGN.md substitution table): prepare workers are
 // the host-side DataLoader threads, the ship worker is the copy engine
 // feeding pinned buffers, compute workers are the device streams. Overlap
-// accounting replays the epoch on a two-engine timeline (serial copy engine,
+// accounting replays an epoch on a two-engine timeline (serial copy engine,
 // serial compute engine) to report the modelled wire time that was NOT
 // hidden behind compute (`exposed_transfer_seconds`).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,6 +38,7 @@
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/parallel_for.hpp"
 #include "transfer/packing.hpp"
 
 namespace qgtc::core {
@@ -46,10 +52,8 @@ namespace qgtc::core {
 ///
 /// Every blocking entry point reports the time it actually spent blocked
 /// through an optional `blocked_seconds` out-param (0.0 on the uncontended
-/// fast path, which skips the clock reads entirely). This is the stall half
-/// of every stage's busy-vs-stall decomposition: callers previously could
-/// not tell queue wait from service time without wrapping the queue in
-/// their own timers.
+/// fast path, which skips the clock reads entirely): the stall half of every
+/// stage's busy-vs-stall decomposition.
 template <typename T>
 class BoundedQueue {
  public:
@@ -120,51 +124,24 @@ class BoundedQueue {
   }
 
   /// No more pushes; pending items still drain through pop().
-  void close() {
-    {
-      std::lock_guard lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
+  void close() { shut(/*drop=*/false); }
 
   /// Close and drop pending items (failure shutdown — nothing downstream
-  /// should consume work from a broken epoch).
-  void abort() {
+  /// should consume work from a broken run).
+  void abort() { shut(/*drop=*/true); }
+
+ private:
+  void shut(bool drop) {
     {
       std::lock_guard lock(mu_);
       closed_ = true;
-      items_.clear();
+      if (drop) items_.clear();
     }
     not_full_.notify_all();
     not_empty_.notify_all();
   }
 
-  /// Reopens a closed or aborted queue for reuse, dropping any still-pending
-  /// items. A long-lived server that aborted a poisoned epoch calls this to
-  /// survive: the failure kills that epoch's items, not the queue — without
-  /// it a single bad batch would leave every later push/pop returning
-  /// end-of-stream forever.
-  void reset() {
-    {
-      std::lock_guard lock(mu_);
-      items_.clear();
-      closed_ = false;
-    }
-    // Producers parked in push() re-check the (now open, empty) queue.
-    not_full_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
-
- private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_full_, not_empty_;
   std::deque<T> items_;
   std::size_t cap_;
@@ -182,46 +159,195 @@ class BoundedQueue {
 double exposed_transfer_seconds(std::span<const double> wire_seconds,
                                 std::span<const double> compute_seconds);
 
-/// Stage worker layout of one streaming epoch.
-struct StreamEpochConfig {
-  i64 num_batches = 0;
-  /// Capacity of each inter-stage queue: peak resident prepared batches is
+/// Emits the stall half of a stage's busy/stall split as a trace span: the
+/// interval `blocked` seconds long, ending now.
+inline void stall_span(const char* cat, const char* name, double blocked) {
+  if (blocked > 0.0) {
+    const u64 dur = static_cast<u64>(blocked * 1e9);
+    obs::emit_span(cat, name, obs::SpanSink::now_ns() - dur, dur);
+  }
+}
+
+/// Per-stage busy-vs-stall decomposition, summed over each stage's workers
+/// (so a stage's busy+stall can exceed wall time when it has several
+/// workers). Busy is the stage body; stall is time blocked on the source or
+/// an inter-stage queue. A stalling prepare stage means depth/workers are
+/// undersized, a stalling compute stage means prepare or ship is the
+/// bottleneck.
+struct StageTimes {
+  obs::StageBreakdown prepare;
+  obs::StageBreakdown ship;
+  obs::StageBreakdown compute;
+};
+
+/// What the executor publishes while it runs: every stage's busy/stall time
+/// and the ship stage's transfer totals.
+struct PipelineTotals {
+  StageTimes stages;
+  i64 packed_bytes = 0;
+  i64 adj_bytes = 0;
+  double wire_seconds = 0;  // total modelled PCIe time
+  // Items whose ship stage reported a device-resident payload
+  // (transfer::resident_reuse(): precomputed batches and BatchCache hits
+  // skip pack + wire).
+  i64 resident_reuse_batches = 0;
+};
+
+/// Live PipelineTotals. Each stage adds its share once per item under one
+/// mutex, so a concurrent reader — a server's stats() — sees them mid-run,
+/// not only once the workers exit.
+class PipelineMeter {
+ public:
+  void add(obs::StageBreakdown StageTimes::*stage, double busy, double stall,
+           const transfer::PackedSubgraph* shipped = nullptr) {
+    std::lock_guard lock(mu_);
+    (t_.stages.*stage).busy_seconds += busy;
+    (t_.stages.*stage).stall_seconds += stall;
+    if (shipped != nullptr) {
+      t_.packed_bytes += shipped->total_bytes;
+      t_.adj_bytes += shipped->adjacency_bytes;
+      t_.wire_seconds += shipped->modeled_seconds;
+      if (shipped->transfers == 0) ++t_.resident_reuse_batches;
+    }
+  }
+
+  [[nodiscard]] PipelineTotals snapshot() const {
+    std::lock_guard lock(mu_);
+    return t_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  PipelineTotals t_;
+};
+
+/// Stage staffing of one executor run.
+struct PipelineConfig {
+  /// Capacity of each inter-stage queue: peak resident items is
   /// ~2*depth + workers (both queues full + items held by stage hands).
   int depth = 2;
   int prepare_workers = 1;
   int compute_workers = 1;
 };
 
-/// Per-epoch accounting the pipeline hands back to the engine.
-struct StreamEpochStats {
-  double epoch_seconds = 0;  // wall time, all three stages overlapped
-  // Transfer accounting, charged inline by the ship stage.
-  i64 packed_bytes = 0;
-  i64 adj_bytes = 0;
-  double wire_seconds = 0;     // total modelled PCIe time
+/// Runs every item `source` yields through prepare -> ship -> compute and
+/// returns once the source is exhausted and the last item finished.
+///
+///   source.pop(&blocked)  -> std::optional<Item>   nullopt = end of stream
+///   prepare(item)         -> void               build the item's data
+///   ship(item, slot)      -> PackedSubgraph     pack into a staging slot
+///   compute(item, w)      -> void               forward pass on worker w
+///   finish(item, error)   -> void               must not throw
+///
+/// `finish` sees each item once, after its compute time was published to
+/// `meter`: with a null error, or with the exception its prepare, ship or
+/// compute stage threw. A throw fails only that item and the stages keep
+/// running; an owner that wants a failure to end the run closes or aborts
+/// its source from `finish` (run_stream_epoch does).
+///
+/// Prepare and ship run on threads of their own. The calling thread is
+/// compute worker 0. With C >= 2 compute workers, the workers are an OpenMP
+/// team of min(C, omp_get_max_threads()) and each runs its kernels serially
+/// (team size 1), so C workers never oversubscribe the cores with C full
+/// OpenMP teams, and OMP_NUM_THREADS=1 leaves compute on the calling thread.
+/// Items may complete out of source order.
+template <typename Item, typename Source, typename PrepareFn, typename ShipFn,
+          typename ComputeFn, typename FinishFn>
+void run_pipeline(const PipelineConfig& cfg, Source& source,
+                  transfer::StagingRing& ring, PipelineMeter& meter,
+                  PrepareFn&& prepare, ShipFn&& ship, ComputeFn&& compute,
+                  FinishFn&& finish) {
+  QGTC_CHECK(cfg.depth >= 1, "pipeline depth must be >= 1");
+  QGTC_CHECK(cfg.prepare_workers >= 1 && cfg.compute_workers >= 1,
+             "stage worker counts must be >= 1");
+
+  BoundedQueue<Item> ship_q(static_cast<std::size_t>(cfg.depth));
+  BoundedQueue<Item> compute_q(static_cast<std::size_t>(cfg.depth));
+  std::atomic<int> preparing{cfg.prepare_workers};
+
+  // One worker of a hand-off stage: pops from `in`, runs `body`, pushes to
+  // `out` (nullptr: the item ends here). Busy time is published before the
+  // hand-off, so it is visible by the time the item finishes downstream.
+  const auto run_stage = [&](auto& in, BoundedQueue<Item>* out,
+                             obs::StageBreakdown StageTimes::*stage,
+                             const char* cat, auto&& body) {
+    for (;;) {
+      double stall = 0.0;
+      std::optional<Item> item = in.pop(&stall);
+      stall_span(cat, "stall.pop", stall);
+      if (!item.has_value()) return;
+      const Timer busy;
+      std::exception_ptr err;
+      try {
+        body(*item);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      meter.add(stage, busy.seconds(), stall);
+      if (err != nullptr || out == nullptr) {
+        finish(*item, err);
+        continue;
+      }
+      // Never refused: a stage's output closes only after its producers end.
+      double push_stall = 0.0;
+      (void)out->push(std::move(*item), &push_stall);
+      stall_span(cat, "stall.push", push_stall);
+      meter.add(stage, 0.0, push_stall);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int p = 0; p < cfg.prepare_workers; ++p) {
+    threads.emplace_back([&] {
+      run_stage(source, &ship_q, &StageTimes::prepare, "prepare", prepare);
+      // The last preparer out ends the ship stage's input.
+      if (preparing.fetch_sub(1) == 1) ship_q.close();
+    });
+  }
+  threads.emplace_back([&] {
+    run_stage(ship_q, &compute_q, &StageTimes::ship, "ship", [&](Item& item) {
+      const transfer::PackedSubgraph packed = ship(item, ring.next());
+      meter.add(&StageTimes::ship, 0.0, 0.0, &packed);
+    });
+    compute_q.close();
+  });
+  const auto compute_worker = [&](int w) {
+    run_stage(compute_q, nullptr, &StageTimes::compute, "compute",
+              [&](Item& item) { compute(item, w); });
+  };
+  // An explicit team size overrides OMP_NUM_THREADS, so cap it: TSan runs
+  // rely on OMP_NUM_THREADS=1 to keep libgomp's fork/join, which TSan cannot
+  // see, out of the picture.
+  const int team = std::min(cfg.compute_workers, omp_get_max_threads());
+  if (team <= 1) {
+    compute_worker(0);
+  } else {
+    // The workers are the calling thread's OpenMP team, whose threads
+    // outlive the run, so each keeps its workspace and malloc arena from one
+    // epoch to the next. Each runs its kernels serially.
+#pragma omp parallel num_threads(team)
+    {
+      set_num_threads(1);
+      compute_worker(omp_get_thread_num());
+    }
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+/// Per-epoch accounting the pipeline hands back to the engine: the
+/// executor's totals plus the epoch-only bookkeeping a long-lived server
+/// does not keep.
+struct StreamEpochStats : PipelineTotals {
+  double epoch_seconds = 0;    // wall time, all three stages overlapped
   double exposed_seconds = 0;  // wire time not hidden behind compute
-  double staging_seconds = 0;  // measured pack-into-slot memcpy time
-  // Peak bytes of simultaneously-live prepared batches (the O(depth) bound)
-  // plus the staging-ring allocation high-water.
-  i64 peak_prepared_bytes = 0;
-  i64 staging_capacity_bytes = 0;
-  // Batches whose ship stage reported a device-resident payload
-  // (transfer::resident_reuse() — BatchCache hits skipping pack + wire).
-  i64 resident_reuse_batches = 0;
-  // Per-stage busy-vs-stall decomposition, summed over each stage's workers
-  // (so a stage's busy+stall can exceed epoch wall time when it has several
-  // workers). Stall is time blocked on the inter-stage queues — a stalling
-  // prepare stage means depth/workers are undersized, a stalling compute
-  // stage means prepare or ship is the bottleneck.
-  obs::StageBreakdown prepare_stage;
-  obs::StageBreakdown ship_stage;
-  obs::StageBreakdown compute_stage;
+  i64 peak_prepared_bytes = 0;  // live prepared bytes high-water: O(depth)
 };
 
-/// Runs one epoch through the three-stage pipeline. `ring` is the ship
+/// Runs one epoch — batches 0..num_batches-1, the source a closed queue of
+/// their indices — through run_pipeline. `ring` is the ship
 /// stage's staging-slot ring; the caller owns it so its capacity survives
-/// across epochs (the warm-up epoch grows the slots once, timed epochs
-/// reuse them — the pinned-buffer discipline).
+/// across epochs (the warm-up epoch grows the slots once, timed epochs reuse
+/// them — the pinned-buffer discipline).
 ///
 ///   prepare(i)            -> Item            build batch i's data
 ///   bytes(item)           -> i64             resident size (peak accounting)
@@ -231,180 +357,83 @@ struct StreamEpochStats {
 /// Item indices are handed to prepare in ascending order but may complete —
 /// and therefore ship and compute — out of order; callers must not depend on
 /// batch execution order (the engine's counters and logits are index-keyed).
-/// If any stage throws, both queues abort, every worker unwinds, and the
-/// first exception is rethrown here after all threads joined.
+/// The first stage throw ends the epoch: no further batch is prepared, the
+/// batches already in flight drain without compute, and the exception is
+/// rethrown here after every worker stopped.
 template <typename Item, typename PrepareFn, typename BytesFn,
           typename ShipFn, typename ComputeFn>
-StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
+StreamEpochStats run_stream_epoch(i64 num_batches, const PipelineConfig& cfg,
                                   transfer::StagingRing& ring,
                                   PrepareFn&& prepare, BytesFn&& bytes,
                                   ShipFn&& ship, ComputeFn&& compute) {
-  QGTC_CHECK(cfg.num_batches >= 0, "num_batches must be non-negative");
-  QGTC_CHECK(cfg.depth >= 1, "pipeline depth must be >= 1");
-  QGTC_CHECK(cfg.prepare_workers >= 1 && cfg.compute_workers >= 1,
-             "stage worker counts must be >= 1");
-
+  QGTC_CHECK(num_batches >= 0, "num_batches must be non-negative");
   StreamEpochStats stats;
-  if (cfg.num_batches == 0) return stats;
-  const std::size_t n = static_cast<std::size_t>(cfg.num_batches);
+  if (num_batches == 0) return stats;
 
   struct Slot {
     i64 index = 0;
-    Item item;
+    Item item{};
   };
-  BoundedQueue<Slot> prep_q(static_cast<std::size_t>(cfg.depth));
-  BoundedQueue<Slot> ship_q(static_cast<std::size_t>(cfg.depth));
+  // The source: a closed queue holding every batch index, in order.
+  BoundedQueue<Slot> source(static_cast<std::size_t>(num_batches));
+  for (i64 i = 0; i < num_batches; ++i) source.push(Slot{i, Item{}});
+  source.close();
 
-  std::atomic<i64> next_batch{0};
+  // Epoch-only bookkeeping: per-batch series for the exposed-transfer replay
+  // and the live prepared-bytes high-water.
+  const std::size_t n = static_cast<std::size_t>(num_batches);
+  std::vector<double> wire(n, 0.0), comp(n, 0.0);
   std::atomic<i64> live_bytes{0};
   std::atomic<i64> peak_bytes{0};
-  std::vector<double> wire(n, 0.0), comp(n, 0.0);
+  PipelineMeter meter;
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;  // written once, by the first failure
 
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  const auto fail = [&](std::exception_ptr e) {
-    {
-      std::lock_guard lock(err_mu);
-      if (!first_error) first_error = e;
-    }
-    prep_q.abort();
-    ship_q.abort();
-  };
-
-  // Per-stage busy/stall accumulation: each worker sums locally, merges once
-  // under a mutex at thread end — nothing shared on the per-batch path.
-  std::mutex stage_mu;
-  const auto merge_stage = [&](obs::StageBreakdown& into,
-                               const obs::StageBreakdown& local) {
-    std::lock_guard lock(stage_mu);
-    into += local;
-  };
-  // Emits the stall half of the decomposition as a trace span (the busy half
-  // is the stage-body span): `blocked` seconds ending now.
-  const auto stall_span = [](const char* cat, const char* name,
-                             double blocked) {
-    if (blocked > 0.0) {
-      const u64 dur = static_cast<u64>(blocked * 1e9);
-      obs::emit_span(cat, name, obs::SpanSink::now_ns() - dur, dur);
-    }
-  };
-
-  Timer epoch_timer;
-  std::vector<std::thread> prepare_threads;
-  prepare_threads.reserve(static_cast<std::size_t>(cfg.prepare_workers));
-  for (int p = 0; p < cfg.prepare_workers; ++p) {
-    prepare_threads.emplace_back([&] {
-      obs::StageBreakdown local;
-      try {
-        for (;;) {
-          const i64 i = next_batch.fetch_add(1, std::memory_order_relaxed);
-          if (i >= cfg.num_batches) break;
-          Timer busy;
-          i64 sz = 0;
-          Slot s{i, [&] {
-                   QGTC_SPAN("prepare", "batch", {{"batch", i}});
-                   return prepare(i);
-                 }()};
-          sz = bytes(s.item);
-          local.busy_seconds += busy.seconds();
-          const i64 live = live_bytes.fetch_add(sz, std::memory_order_relaxed) + sz;
-          i64 peak = peak_bytes.load(std::memory_order_relaxed);
-          while (live > peak &&
-                 !peak_bytes.compare_exchange_weak(peak, live,
-                                                   std::memory_order_relaxed)) {
-          }
-          double blocked = 0.0;
-          const bool pushed = prep_q.push(std::move(s), &blocked);
-          local.stall_seconds += blocked;
-          stall_span("prepare", "stall.push", blocked);
-          if (!pushed) break;  // aborted epoch
+  const Timer wall;
+  run_pipeline<Slot>(
+      cfg, source, ring, meter,
+      /*prepare=*/
+      [&](Slot& s) {
+        QGTC_SPAN("prepare", "batch", {{"batch", s.index}});
+        s.item = prepare(s.index);
+        const i64 sz = bytes(s.item);
+        const i64 live =
+            live_bytes.fetch_add(sz, std::memory_order_relaxed) + sz;
+        i64 peak = peak_bytes.load(std::memory_order_relaxed);
+        while (live > peak && !peak_bytes.compare_exchange_weak(
+                                  peak, live, std::memory_order_relaxed)) {
         }
-      } catch (...) {
-        fail(std::current_exception());
-      }
-      merge_stage(stats.prepare_stage, local);
-    });
-  }
-
-  std::thread ship_thread([&] {
-    obs::StageBreakdown local;
-    try {
-      for (;;) {
-        double blocked = 0.0;
-        std::optional<Slot> s = prep_q.pop(&blocked);
-        local.stall_seconds += blocked;
-        stall_span("ship", "stall.pop", blocked);
-        if (!s.has_value()) break;
-        Timer busy;
-        const transfer::PackedSubgraph packed = [&] {
-          QGTC_SPAN("ship", "batch", {{"batch", s->index}});
-          return ship(s->item, ring.next());
-        }();
-        local.busy_seconds += busy.seconds();
-        wire[static_cast<std::size_t>(s->index)] = packed.modeled_seconds;
-        stats.packed_bytes += packed.total_bytes;
-        stats.adj_bytes += packed.adjacency_bytes;
-        stats.wire_seconds += packed.modeled_seconds;
-        stats.staging_seconds += packed.staging_seconds;
-        if (packed.transfers == 0) ++stats.resident_reuse_batches;
-        blocked = 0.0;
-        const bool pushed = ship_q.push(std::move(*s), &blocked);
-        local.stall_seconds += blocked;
-        stall_span("ship", "stall.push", blocked);
-        if (!pushed) break;  // aborted epoch
-      }
-      stats.staging_capacity_bytes = ring.capacity_bytes();
-      ship_q.close();
-    } catch (...) {
-      fail(std::current_exception());
-    }
-    merge_stage(stats.ship_stage, local);
-  });
-
-  std::vector<std::thread> compute_threads;
-  compute_threads.reserve(static_cast<std::size_t>(cfg.compute_workers));
-  for (int w = 0; w < cfg.compute_workers; ++w) {
-    compute_threads.emplace_back([&, w] {
-      obs::StageBreakdown local;
-      try {
-        for (;;) {
-          double blocked = 0.0;
-          std::optional<Slot> s = ship_q.pop(&blocked);
-          local.stall_seconds += blocked;
-          stall_span("compute", "stall.pop", blocked);
-          if (!s.has_value()) break;
-          Timer t;
-          {
-            QGTC_SPAN("compute", "batch",
-                      {{"batch", s->index}, {"worker", w}});
-            compute(s->item, s->index, w);
-          }
-          const double busy = t.seconds();
-          comp[static_cast<std::size_t>(s->index)] = busy;
-          local.busy_seconds += busy;
-          live_bytes.fetch_sub(bytes(s->item), std::memory_order_relaxed);
-          // `s` (and the prepared batch) dies here — O(depth) residency.
+      },
+      /*ship=*/
+      [&](Slot& s, transfer::StagingBuffer& slot) {
+        QGTC_SPAN("ship", "batch", {{"batch", s.index}});
+        transfer::PackedSubgraph packed = ship(s.item, slot);
+        wire[static_cast<std::size_t>(s.index)] = packed.modeled_seconds;
+        return packed;
+      },
+      /*compute=*/
+      [&](Slot& s, int w) {
+        if (failed.load(std::memory_order_relaxed)) return;
+        QGTC_SPAN("compute", "batch", {{"batch", s.index}, {"worker", w}});
+        const Timer t;
+        compute(s.item, s.index, w);
+        comp[static_cast<std::size_t>(s.index)] = t.seconds();
+      },
+      /*finish=*/
+      [&](Slot& s, const std::exception_ptr& err) {
+        if (err == nullptr) {
+          live_bytes.fetch_sub(bytes(s.item), std::memory_order_relaxed);
+        } else if (!failed.exchange(true)) {
+          first_error = err;
+          source.abort();
         }
-      } catch (...) {
-        fail(std::current_exception());
-      }
-      merge_stage(stats.compute_stage, local);
-    });
-  }
+      });
+  if (first_error) std::rethrow_exception(first_error);
+  stats.epoch_seconds = wall.seconds();
 
-  for (std::thread& t : prepare_threads) t.join();
-  prep_q.close();  // producers done: let the ship stage drain and finish
-  ship_thread.join();
-  for (std::thread& t : compute_threads) t.join();
-  stats.epoch_seconds = epoch_timer.seconds();
-
-  {
-    std::lock_guard lock(err_mu);
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
-  stats.peak_prepared_bytes = peak_bytes.load(std::memory_order_relaxed);
+  static_cast<PipelineTotals&>(stats) = meter.snapshot();
   stats.exposed_seconds = exposed_transfer_seconds(wire, comp);
+  stats.peak_prepared_bytes = peak_bytes.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -19,31 +19,11 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// Emits the stall half of a stage's busy/stall split as a trace span (the
-/// interval `blocked` seconds long, ending now).
-void stall_span(const char* cat, const char* name, double blocked) {
-  if (blocked > 0.0) {
-    const u64 dur = static_cast<u64>(blocked * 1e9);
-    obs::emit_span(cat, name, obs::SpanSink::now_ns() - dur, dur);
-  }
-}
-
-/// Folds one busy/stall increment into a stage breakdown under the stats
-/// mutex. Called once per micro-batch / queue operation, never per span.
-void note_stage(std::mutex& mu, obs::StageBreakdown& stage, double busy,
-                double stall) {
-  if (busy <= 0.0 && stall <= 0.0) return;
-  std::lock_guard lock(mu);
-  stage.busy_seconds += busy;
-  stage.stall_seconds += stall;
-}
 }  // namespace
 
 /// One admitted request riding through the pipeline: the expanded ego-graph
 /// node set plus the promise the client is waiting on.
 struct ServingEngine::Pending {
-  ServingRequest req;
   std::vector<i32> nodes;
   std::promise<ServingResult> promise;
   Clock::time_point submitted{};
@@ -60,29 +40,23 @@ struct ServingEngine::MicroBatch {
   /// True when bd came out of the engine's BatchCache — the ship stage then
   /// charges resident reuse (zero bytes) instead of packing.
   bool cached = false;
+  MatrixI32 logits;  // the compute stage's output, split per request
 };
 
 ServingEngine::ServingEngine(const Dataset& dataset, EngineConfig cfg,
                              const ServingPolicy& policy)
     : policy_(policy) {
-  validate_policy();
-  // Streaming mode: the engine calibrates off batch 0 but never materialises
-  // an offline epoch — the server's batches are the dynamic micro-batches.
-  cfg.mode.epoch = RunMode::Epoch::kStreaming;
-  engine_ = std::make_unique<QgtcEngine>(dataset, cfg);
-  start(cfg);
+  start(dataset, std::move(cfg));
 }
 
 ServingEngine::ServingEngine(const store::DatasetStore& dstore,
                              EngineConfig cfg, const ServingPolicy& policy)
     : policy_(policy) {
-  validate_policy();
-  cfg.mode.epoch = RunMode::Epoch::kStreaming;
-  engine_ = std::make_unique<QgtcEngine>(dstore, cfg);
-  start(cfg);
+  start(dstore, std::move(cfg));
 }
 
-void ServingEngine::validate_policy() const {
+template <typename DataSource>
+void ServingEngine::start(const DataSource& data, EngineConfig cfg) {
   QGTC_CHECK(policy_.max_batch_nodes >= 1 && policy_.max_batch_requests >= 1,
              "micro-batch budgets must be >= 1");
   QGTC_CHECK(policy_.max_wait_us >= 0, "max_wait_us must be non-negative");
@@ -90,33 +64,20 @@ void ServingEngine::validate_policy() const {
              "stage worker counts must be >= 1");
   QGTC_CHECK(policy_.admission_capacity >= 1 && policy_.queue_depth >= 1,
              "queue capacities must be >= 1");
-}
+  // Streaming mode: the engine calibrates off batch 0 but never materialises
+  // an offline epoch — the server's batches are the dynamic micro-batches.
+  cfg.mode.epoch = RunMode::Epoch::kStreaming;
+  engine_ = std::make_unique<QgtcEngine>(data, cfg);
 
-void ServingEngine::start(const EngineConfig& cfg) {
   admission_ = std::make_unique<BoundedQueue<Pending>>(
       static_cast<std::size_t>(policy_.admission_capacity));
-  prep_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
+  batches_ = std::make_unique<BoundedQueue<MicroBatch>>(
       static_cast<std::size_t>(policy_.queue_depth));
-  ship_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
-      static_cast<std::size_t>(policy_.queue_depth));
-  compute_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
-      static_cast<std::size_t>(policy_.queue_depth));
-
   for (int w = 0; w < policy_.compute_workers; ++w) {
     sessions_.emplace_back(cfg.backend, /*private_counters=*/true);
   }
-
   batcher_ = std::thread([this] { batcher_loop(); });
-  preparers_.reserve(static_cast<std::size_t>(policy_.prepare_workers));
-  for (int p = 0; p < policy_.prepare_workers; ++p) {
-    preparers_.emplace_back([this] { prepare_loop(); });
-  }
-  shipper_ = std::thread([this] { ship_loop(); });
-  computers_.reserve(static_cast<std::size_t>(policy_.compute_workers));
-  for (int w = 0; w < policy_.compute_workers; ++w) {
-    computers_.emplace_back([this, w] { compute_loop(static_cast<std::size_t>(w)); });
-  }
-  started_ = true;
+  pipeline_ = std::thread([this] { pipeline_loop(); });
 }
 
 ServingEngine::~ServingEngine() { stop(); }
@@ -139,7 +100,6 @@ std::future<ServingResult> ServingEngine::submit(ServingRequest req) {
     p.promise.set_exception(std::current_exception());
     return fut;
   }
-  p.req = std::move(req);
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.requests_admitted;
@@ -159,18 +119,14 @@ ServingResult ServingEngine::infer(ServingRequest req) {
 void ServingEngine::stop() {
   {
     std::lock_guard lock(lifecycle_mu_);
-    if (!started_ || stopped_) return;
+    if (stopped_) return;
     stopped_ = true;
   }
   // Ordered drain: close each queue only after its producers have joined, so
   // every admitted request still flows through to its promise.
   admission_->close();
-  batcher_.join();  // closes prep_q_ after flushing the partial batch
-  for (std::thread& t : preparers_) t.join();
-  ship_q_->close();
-  shipper_.join();
-  compute_q_->close();
-  for (std::thread& t : computers_) t.join();
+  batcher_.join();  // closes batches_ after flushing the partial batch
+  pipeline_.join();  // the executor drains batches_ and its own queues
 }
 
 ServingStats ServingEngine::stats() const {
@@ -179,19 +135,19 @@ ServingStats ServingEngine::stats() const {
     std::lock_guard lock(stats_mu_);
     s = stats_;
   }
+  const PipelineTotals t = meter_.snapshot();
+  s.packed_bytes = t.packed_bytes;
+  s.wire_seconds = t.wire_seconds;
+  s.resident_reuse_batches = t.resident_reuse_batches;
+  s.prepare_stage = t.stages.prepare;
+  s.ship_stage = t.stages.ship;
+  s.compute_stage = t.stages.compute;
   for (const api::Session& session : sessions_) {
     const tcsim::Counters c = session.counters();
     s.bmma_ops += static_cast<i64>(c.bmma_ops);
     s.tiles_jumped += static_cast<i64>(c.tiles_jumped);
   }
   return s;
-}
-
-void ServingEngine::fail_batch(MicroBatch& batch,
-                               const std::exception_ptr& err) {
-  for (Pending& p : batch.members) p.promise.set_exception(err);
-  std::lock_guard lock(stats_mu_);
-  stats_.requests_failed += static_cast<i64>(batch.members.size());
 }
 
 void ServingEngine::dispatch(MicroBatch&& batch, bool timed_out) {
@@ -205,11 +161,22 @@ void ServingEngine::dispatch(MicroBatch&& batch, bool timed_out) {
         static_cast<i64>(batch.batch.nodes.size()));
     p.queue_seconds = std::chrono::duration<double>(now - p.submitted).count();
   }
+  // The coalesce window: first member's submit stamp to dispatch. This is
+  // the batcher's "busy" time — an open micro-batch accumulating members —
+  // and the span the latency dial (max_wait_us) is tuned against.
+  const u64 open_ns = batch.members.front().submit_ns;
+  const u64 now_ns = obs::SpanSink::now_ns();
+  const u64 window_ns = now_ns > open_ns ? now_ns - open_ns : 0;
+  obs::emit_span("batcher", "coalesce", now_ns - window_ns, window_ns,
+                 {{"nodes", batch.batch.size()},
+                  {"requests", static_cast<i64>(batch.members.size())},
+                  {"timed_out", timed_out ? 1 : 0}});
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.batches_dispatched;
     stats_.batch_nodes_total += batch.batch.size();
     ++(timed_out ? stats_.dispatches_timeout : stats_.dispatches_full);
+    stats_.batcher_stage.busy_seconds += static_cast<double>(window_ns) * 1e-9;
   }
   // Batch-occupancy distributions (the coalescing dial's feedback signal).
   static obs::Histogram& batch_req_hist =
@@ -219,12 +186,15 @@ void ServingEngine::dispatch(MicroBatch&& batch, bool timed_out) {
   batch_req_hist.record(static_cast<double>(batch.members.size()));
   batch_nodes_hist.record(static_cast<double>(batch.batch.size()));
   double push_blocked = 0.0;
-  const bool pushed = prep_q_->push(std::move(batch), &push_blocked);
+  const bool pushed = batches_->push(std::move(batch), &push_blocked);
   stall_span("batcher", "stall.push", push_blocked);
-  note_stage(stats_mu_, stats_.batcher_stage, 0.0, push_blocked);
+  {
+    std::lock_guard lock(stats_mu_);
+    stats_.batcher_stage.stall_seconds += push_blocked;
+  }
   if (!pushed) {
-    fail_batch(batch, std::make_exception_ptr(std::runtime_error(
-                          "ServingEngine pipeline shut down mid-dispatch")));
+    finish(batch, std::make_exception_ptr(std::runtime_error(
+                      "ServingEngine pipeline shut down mid-dispatch")));
   }
 }
 
@@ -234,18 +204,6 @@ void ServingEngine::batcher_loop() {
   Clock::time_point oldest{};
   const auto flush = [&](bool timed_out) {
     if (cur.members.empty()) return;
-    // The coalesce window: first member's submit stamp to dispatch. This is
-    // the batcher's "busy" time — an open micro-batch accumulating members —
-    // and the span the latency dial (max_wait_us) is tuned against.
-    const u64 open_ns = cur.members.front().submit_ns;
-    const u64 now_ns = obs::SpanSink::now_ns();
-    const u64 window_ns = now_ns > open_ns ? now_ns - open_ns : 0;
-    obs::emit_span("batcher", "coalesce", now_ns - window_ns, window_ns,
-                   {{"nodes", cur_nodes},
-                    {"requests", static_cast<i64>(cur.members.size())},
-                    {"timed_out", timed_out ? 1 : 0}});
-    note_stage(stats_mu_, stats_.batcher_stage,
-               static_cast<double>(window_ns) * 1e-9, 0.0);
     dispatch(std::move(cur), timed_out);
     cur = MicroBatch{};
     cur_nodes = 0;
@@ -259,7 +217,10 @@ void ServingEngine::batcher_loop() {
       double blocked = 0.0;
       std::optional<Pending> item = admission_->pop(&blocked);
       stall_span("batcher", "stall.pop", blocked);
-      note_stage(stats_mu_, stats_.batcher_stage, 0.0, blocked);
+      {
+        std::lock_guard lock(stats_mu_);
+        stats_.batcher_stage.stall_seconds += blocked;
+      }
       if (!item.has_value()) break;
       p = std::move(*item);
     } else {
@@ -296,141 +257,96 @@ void ServingEngine::batcher_loop() {
     }
   }
   flush(/*timed_out=*/false);  // shutdown: the partial batch still completes
-  prep_q_->close();
+  batches_->close();
 }
 
-void ServingEngine::prepare_loop() {
-  for (;;) {
-    double blocked = 0.0;
-    std::optional<MicroBatch> mb = prep_q_->pop(&blocked);
-    stall_span("prepare", "stall.pop", blocked);
-    note_stage(stats_mu_, stats_.prepare_stage, 0.0, blocked);
-    if (!mb.has_value()) break;
-    Timer body;
-    try {
-      // The offline prepare path, verbatim: prepare_batch_data +
-      // QgtcModel::prepare_input over the dynamic micro-batch.
-      obs::SpanScope span("prepare", "microbatch",
-                          {{"nodes", mb->batch.size()},
-                           {"requests", static_cast<i64>(mb->members.size())}});
-      mb->bd = engine_->prepare_subgraph(mb->batch, /*build_fp32_csr=*/false,
-                                         &mb->cached);
-      span.arg("cache_hit", mb->cached ? 1 : 0);
-    } catch (...) {
-      note_stage(stats_mu_, stats_.prepare_stage, body.seconds(), 0.0);
-      fail_batch(*mb, std::current_exception());
-      continue;
-    }
-    note_stage(stats_mu_, stats_.prepare_stage, body.seconds(), 0.0);
-    double push_blocked = 0.0;
-    const bool pushed = ship_q_->push(std::move(*mb), &push_blocked);
-    stall_span("prepare", "stall.push", push_blocked);
-    note_stage(stats_mu_, stats_.prepare_stage, 0.0, push_blocked);
-    if (!pushed) {
-      fail_batch(*mb, std::make_exception_ptr(std::runtime_error(
-                          "ServingEngine pipeline shut down mid-prepare")));
-    }
+void ServingEngine::pipeline_loop() {
+  const PipelineConfig cfg{.depth = policy_.queue_depth,
+                           .prepare_workers = policy_.prepare_workers,
+                           .compute_workers = policy_.compute_workers};
+  run_pipeline<MicroBatch>(
+      cfg, *batches_, ring_, meter_,
+      /*prepare=*/
+      [&](MicroBatch& mb) {
+        // The offline prepare path, verbatim: prepare_batch_data +
+        // QgtcModel::prepare_input over the dynamic micro-batch.
+        obs::SpanScope span("prepare", "microbatch",
+                            {{"nodes", mb.batch.size()},
+                             {"requests", static_cast<i64>(mb.members.size())}});
+        mb.bd = engine_->prepare_subgraph(mb.batch, /*build_fp32_csr=*/false,
+                                          &mb.cached);
+        span.arg("cache_hit", mb.cached ? 1 : 0);
+      },
+      /*ship=*/
+      [&](MicroBatch& mb, transfer::StagingBuffer& slot) {
+        obs::SpanScope span("ship", "microbatch",
+                            {{"nodes", mb.batch.size()},
+                             {"requests", static_cast<i64>(mb.members.size())}});
+        // A cache hit means the prepared payload is already device-resident:
+        // nothing to pack, nothing on the wire.
+        const transfer::PackedSubgraph packed =
+            mb.cached ? transfer::resident_reuse()
+                      : mb.bd->pack(slot, pcie_);
+        span.arg("bytes", packed.total_bytes);
+        return packed;
+      },
+      /*compute=*/
+      [&](MicroBatch& mb, int w) {
+        QGTC_SPAN("compute", "microbatch",
+                  {{"nodes", mb.batch.size()},
+                   {"requests", static_cast<i64>(mb.members.size())},
+                   {"worker", w}});
+        mb.logits = engine_->model().forward_prepared(
+            mb.bd->adj_tiles, mb.bd->x_planes, /*stats=*/nullptr,
+            &sessions_[static_cast<std::size_t>(w)].context());
+      },
+      /*finish=*/
+      [&](MicroBatch& mb, const std::exception_ptr& err) { finish(mb, err); });
+}
+
+void ServingEngine::finish(MicroBatch& mb, const std::exception_ptr& err) {
+  // Counted before any future resolves, so a client that saw its result
+  // also sees it in stats().
+  {
+    std::lock_guard lock(stats_mu_);
+    (err != nullptr ? stats_.requests_failed : stats_.requests_completed) +=
+        static_cast<i64>(mb.members.size());
   }
-}
-
-void ServingEngine::ship_loop() {
-  for (;;) {
-    double blocked = 0.0;
-    std::optional<MicroBatch> mb = ship_q_->pop(&blocked);
-    stall_span("ship", "stall.pop", blocked);
-    note_stage(stats_mu_, stats_.ship_stage, 0.0, blocked);
-    if (!mb.has_value()) break;
-    Timer body;
-    try {
-      obs::SpanScope span("ship", "microbatch",
-                          {{"nodes", mb->batch.size()},
-                           {"requests", static_cast<i64>(mb->members.size())}});
-      // A cache hit means the prepared payload is already device-resident:
-      // nothing to pack, nothing on the wire.
-      const transfer::PackedSubgraph packed =
-          mb->cached ? transfer::resident_reuse()
-                     : pack_prepared_batch(*mb->bd, ring_.next(), pcie_);
-      span.arg("bytes", packed.total_bytes);
-      std::lock_guard lock(stats_mu_);
-      stats_.packed_bytes += packed.total_bytes;
-      stats_.wire_seconds += packed.modeled_seconds;
-      if (packed.transfers == 0) ++stats_.resident_reuse_batches;
-      stats_.ship_stage.busy_seconds += body.seconds();
-    } catch (...) {
-      note_stage(stats_mu_, stats_.ship_stage, body.seconds(), 0.0);
-      fail_batch(*mb, std::current_exception());
-      continue;
-    }
-    double push_blocked = 0.0;
-    const bool pushed = compute_q_->push(std::move(*mb), &push_blocked);
-    stall_span("ship", "stall.push", push_blocked);
-    note_stage(stats_mu_, stats_.ship_stage, 0.0, push_blocked);
-    if (!pushed) {
-      fail_batch(*mb, std::make_exception_ptr(std::runtime_error(
-                          "ServingEngine pipeline shut down mid-ship")));
-    }
+  if (err != nullptr) {
+    for (Pending& p : mb.members) p.promise.set_exception(err);
+    return;
   }
-}
-
-void ServingEngine::compute_loop(std::size_t worker) {
-  const api::Session& session = sessions_[worker];
   // Client-visible latency distribution, recorded at completion — the
   // `--metrics` dump and the load generator's percentile source.
-  obs::Histogram& latency_ms =
+  static obs::Histogram& latency_ms =
       obs::MetricsRegistry::instance().histogram("serving.request_latency_ms");
-  for (;;) {
-    double blocked = 0.0;
-    std::optional<MicroBatch> mb = compute_q_->pop(&blocked);
-    stall_span("compute", "stall.pop", blocked);
-    note_stage(stats_mu_, stats_.compute_stage, 0.0, blocked);
-    if (!mb.has_value()) break;
-    Timer body;
-    try {
-      const QgtcEngine::BatchData& bd = *mb->bd;
-      MatrixI32 logits;
-      {
-        QGTC_SPAN("compute", "microbatch",
-                  {{"nodes", mb->batch.size()},
-                   {"requests", static_cast<i64>(mb->members.size())},
-                   {"worker", static_cast<i64>(worker)}});
-        logits = engine_->model().forward_prepared(
-            bd.adj_tiles, bd.x_planes, /*stats=*/nullptr, &session.context());
-      }
-      const Clock::time_point done = Clock::now();
-      const u64 done_ns = obs::SpanSink::now_ns();
-      for (std::size_t m = 0; m < mb->members.size(); ++m) {
-        Pending& p = mb->members[m];
-        const i64 r0 = mb->batch.part_bounds[m];
-        const i64 r1 = mb->batch.part_bounds[m + 1];
-        ServingResult res;
-        res.nodes = std::move(p.nodes);
-        res.logits = MatrixI32(r1 - r0, logits.cols());
-        for (i64 r = r0; r < r1; ++r) {
-          const auto src = logits.row(r);
-          std::copy(src.begin(), src.end(), res.logits.row(r - r0).begin());
-        }
-        res.batch_nodes = mb->batch.size();
-        res.batch_requests = static_cast<i64>(mb->members.size());
-        res.timing.queue_seconds = p.queue_seconds;
-        res.timing.total_seconds =
-            std::chrono::duration<double>(done - p.submitted).count();
-        // The request's whole lifecycle — admission through completion — as
-        // one span: the client-latency bar the stage spans decompose.
-        obs::emit_span("request", "lifecycle", p.submit_ns,
-                       done_ns > p.submit_ns ? done_ns - p.submit_ns : 0,
-                       {{"queue_us", static_cast<i64>(p.queue_seconds * 1e6)},
-                        {"batch_nodes", res.batch_nodes},
-                        {"batch_requests", res.batch_requests}});
-        latency_ms.record(res.timing.total_seconds * 1e3);
-        p.promise.set_value(std::move(res));
-      }
-      std::lock_guard lock(stats_mu_);
-      stats_.requests_completed += static_cast<i64>(mb->members.size());
-      stats_.compute_stage.busy_seconds += body.seconds();
-    } catch (...) {
-      note_stage(stats_mu_, stats_.compute_stage, body.seconds(), 0.0);
-      fail_batch(*mb, std::current_exception());
+  const Clock::time_point done = Clock::now();
+  const u64 done_ns = obs::SpanSink::now_ns();
+  for (std::size_t m = 0; m < mb.members.size(); ++m) {
+    Pending& p = mb.members[m];
+    const i64 r0 = mb.batch.part_bounds[m];
+    const i64 r1 = mb.batch.part_bounds[m + 1];
+    ServingResult res;
+    res.nodes = std::move(p.nodes);
+    res.logits = MatrixI32(r1 - r0, mb.logits.cols());
+    for (i64 r = r0; r < r1; ++r) {
+      const auto src = mb.logits.row(r);
+      std::copy(src.begin(), src.end(), res.logits.row(r - r0).begin());
     }
+    res.batch_nodes = mb.batch.size();
+    res.batch_requests = static_cast<i64>(mb.members.size());
+    res.timing.queue_seconds = p.queue_seconds;
+    res.timing.total_seconds =
+        std::chrono::duration<double>(done - p.submitted).count();
+    // The request's whole lifecycle — admission through completion — as
+    // one span: the client-latency bar the stage spans decompose.
+    obs::emit_span("request", "lifecycle", p.submit_ns,
+                   done_ns > p.submit_ns ? done_ns - p.submit_ns : 0,
+                   {{"queue_us", static_cast<i64>(p.queue_seconds * 1e6)},
+                    {"batch_nodes", res.batch_nodes},
+                    {"batch_requests", res.batch_requests}});
+    latency_ms.record(res.timing.total_seconds * 1e3);
+    p.promise.set_value(std::move(res));
   }
 }
 
@@ -439,6 +355,7 @@ LoadReport run_poisson_load(ServingEngine& serving, const LoadSpec& spec) {
   QGTC_CHECK(spec.target_qps > 0, "target_qps must be positive");
   QGTC_CHECK(spec.seeds_per_request >= 1, "need at least one seed per request");
   QGTC_CHECK(spec.fanout >= 0, "fanout must be non-negative");
+  QGTC_CHECK(spec.max_nodes >= 0, "max_nodes must be non-negative");
   const i64 n = serving.engine().graph().num_nodes();
   QGTC_CHECK(n >= spec.seeds_per_request,
              "dataset smaller than seeds_per_request");

@@ -4,25 +4,25 @@
 // fixed offline epochs.
 //
 //   submit() --[admission BoundedQueue]--> batcher (coalesce)
-//       --[BoundedQueue]--> prepare (P workers)
-//       --[BoundedQueue]--> ship (1 worker, StagingRing + PcieModel)
-//       --[BoundedQueue]--> compute (C workers, one api::Session each)
+//       --[BoundedQueue: the executor's source]--> run_pipeline:
+//           prepare (P workers) -> ship (1 worker, StagingRing + PcieModel)
+//           -> compute (C workers, one api::Session each)
 //
 // The batcher coalesces admitted requests into *dynamic micro-batches* under
 // a max_batch_nodes / max_batch_requests / max_wait_us policy: each request's
 // ego-graph becomes one partition of a block-diagonal SubgraphBatch (the
 // intra-partition-edges-only rule keeps requests independent inside the
-// shared adjacency), so the micro-batch rides the exact offline prepare path
+// shared adjacency). The micro-batches then ride the same staged executor
+// as the offline epochs (`core/pipeline.hpp`) and the same prepare path
 // (`QgtcEngine::prepare_subgraph` = `prepare_batch_data` +
-// `QgtcModel::prepare_input`) and the streaming pipeline's ship/compute
-// stages. A request served online is therefore bit-identical to the same
-// batch membership run through the offline epoch path — the serving parity
-// test surface.
+// `QgtcModel::prepare_input`). A request served online is therefore
+// bit-identical to the same batch membership run through the offline epoch
+// path — the serving parity test surface.
 //
 // Failure is per-batch, not per-server: a request whose seeds are invalid
-// fails its own future at admission; a micro-batch whose stage throws fails
-// the futures of exactly its member requests and the pipeline keeps serving
-// (see BoundedQueue::reset for the recovered-abort discipline this builds on).
+// fails its own future at admission; a micro-batch whose stage throws
+// reaches the executor's `finish` with its error, which fails the futures of
+// exactly its member requests, and the pipeline keeps serving.
 #pragma once
 
 #include <deque>
@@ -62,7 +62,8 @@ struct ServingPolicy {
 
 /// One ego-graph inference request: `fanout`-hop BFS neighbourhood around
 /// `seeds` (fanout 0 = exactly the listed nodes — the offline-parity shape).
-/// `max_nodes > 0` truncates the expansion (admission control for hubs).
+/// `max_nodes > 0` truncates the expansion (admission control for hubs); 0
+/// means no cap, and a negative value fails the request at admission.
 struct ServingRequest {
   std::vector<i32> seeds;
   int fanout = 0;
@@ -109,12 +110,14 @@ struct ServingStats {
   i64 bmma_ops = 0;
   i64 tiles_jumped = 0;
   /// Per-stage busy-vs-stall decomposition, summed over each stage's workers
-  /// since server start. `batcher.busy` is time spent with an open micro-
-  /// batch (the coalesce window); `batcher.stall` is idle time waiting for
-  /// the first request of a batch plus downstream backpressure on dispatch
-  /// (the prepare queue refusing the push). For prepare/ship/compute, busy is the
-  /// stage body and stall is time blocked on inter-stage queues — exactly
-  /// the queue-wait vs service-time split the latency tail debugging needs.
+  /// since server start and current at any time (the executor publishes
+  /// each micro-batch's share as it passes). `batcher.busy` is time spent
+  /// with an open micro-batch (the coalesce window); `batcher.stall` is idle
+  /// time waiting for the first request of a batch plus downstream
+  /// backpressure on dispatch (the prepare queue refusing the push). For
+  /// prepare/ship/compute, busy is the stage body and stall is time blocked
+  /// on inter-stage queues — exactly the queue-wait vs service-time split
+  /// the latency tail debugging needs.
   obs::StageBreakdown batcher_stage;
   obs::StageBreakdown prepare_stage;
   obs::StageBreakdown ship_stage;
@@ -123,9 +126,9 @@ struct ServingStats {
 
 /// Long-lived serving engine. Construction builds and calibrates the
 /// underlying QgtcEngine (the epoch mode is forced to streaming so no offline
-/// epoch is materialised) and spins up the pipeline threads; stop() drains
-/// and joins them (idempotent, also run by the destructor). submit() is
-/// thread-safe.
+/// epoch is materialised) and starts the batcher and executor threads; stop()
+/// drains and joins them (idempotent, also run by the destructor). submit()
+/// is thread-safe.
 class ServingEngine {
  public:
   ServingEngine(const Dataset& dataset, EngineConfig cfg,
@@ -160,41 +163,37 @@ class ServingEngine {
   struct Pending;
   struct MicroBatch;
 
-  void validate_policy() const;
-  /// Builds queues, sessions and stage threads around the already-constructed
-  /// engine_ (shared tail of both constructors).
-  void start(const EngineConfig& cfg);
+  /// Shared body of both constructors: validates the policy, builds and
+  /// calibrates the engine over `data`, then the queues, sessions and threads.
+  template <typename DataSource>
+  void start(const DataSource& data, EngineConfig cfg);
   void batcher_loop();
-  void prepare_loop();
-  void ship_loop();
-  void compute_loop(std::size_t worker);
+  /// Runs the staged executor over the batcher's micro-batches until stop().
+  void pipeline_loop();
 
   /// Dispatches `batch` downstream (or fails it if the server is aborting).
   void dispatch(MicroBatch&& batch, bool timed_out);
-  /// Fails every member request of `batch` with `err` and keeps serving —
-  /// per-batch failure isolation, not server death.
-  void fail_batch(MicroBatch& batch, const std::exception_ptr& err);
+  /// Resolves every member request of `batch`: splits its logits per request,
+  /// or fails them all with `err` — per-batch failure isolation, not server
+  /// death.
+  void finish(MicroBatch& batch, const std::exception_ptr& err);
 
   ServingPolicy policy_;
   std::unique_ptr<QgtcEngine> engine_;
 
   std::unique_ptr<BoundedQueue<Pending>> admission_;
-  std::unique_ptr<BoundedQueue<MicroBatch>> prep_q_;
-  std::unique_ptr<BoundedQueue<MicroBatch>> ship_q_;
-  std::unique_ptr<BoundedQueue<MicroBatch>> compute_q_;
+  std::unique_ptr<BoundedQueue<MicroBatch>> batches_;
 
   transfer::StagingRing ring_{2};
   transfer::PcieModel pcie_;
+  PipelineMeter meter_;
 
   /// One context-pinned Session per compute worker — exactly the "one
   /// Session per stream" handle the api redesign introduces.
   std::deque<api::Session> sessions_;
 
   std::thread batcher_;
-  std::vector<std::thread> preparers_;
-  std::thread shipper_;
-  std::vector<std::thread> computers_;
-  bool started_ = false;
+  std::thread pipeline_;
   bool stopped_ = false;
   std::mutex lifecycle_mu_;
 

@@ -29,6 +29,7 @@ std::vector<i32> expand_ego(const CsrView& g, const std::vector<i32>& seeds,
                             int fanout, i64 max_nodes) {
   QGTC_CHECK(!seeds.empty(), "ego-graph expansion needs at least one seed");
   QGTC_CHECK(fanout >= 0, "fanout must be non-negative");
+  QGTC_CHECK(max_nodes >= 0, "max_nodes must be non-negative (0 = no cap)");
   std::vector<u8> visited(static_cast<std::size_t>(g.num_nodes()), 0);
   std::vector<i32> nodes;
   nodes.reserve(seeds.size());

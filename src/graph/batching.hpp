@@ -36,7 +36,8 @@ std::vector<SubgraphBatch> make_batches(const PartitionResult& parts,
 /// (intra-partition by the block-diagonal rule) are exactly the subgraph the
 /// request asked about. `max_nodes > 0` truncates the frontier once the set
 /// reaches that size (admission control for runaway hubs); seeds are always
-/// kept. Throws if any seed is out of range or duplicated.
+/// kept. Throws if any seed is out of range or duplicated, or if `fanout`
+/// or `max_nodes` is negative.
 std::vector<i32> expand_ego(const CsrView& g, const std::vector<i32>& seeds,
                             int fanout, i64 max_nodes = 0);
 

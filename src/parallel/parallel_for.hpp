@@ -55,25 +55,6 @@ void parallel_for_dynamic(i64 begin, i64 end, i64 chunk, Fn&& fn) {
   }
 }
 
-/// Dynamically-scheduled loop over [begin, end) with an explicit worker
-/// count; the body receives (iteration, worker) where worker is in
-/// [0, threads). The engine's inter-batch parallelism: each worker owns a
-/// per-worker ExecutionContext, so worker indices must be dense and bounded.
-/// threads <= 1 runs serially in the caller (worker 0).
-template <typename Fn>
-void parallel_for_workers(i64 begin, i64 end, int threads, Fn&& fn) {
-  // Respect the global OpenMP cap: an explicit num_threads clause would
-  // otherwise override OMP_NUM_THREADS, and e.g. TSan runs rely on
-  // OMP_NUM_THREADS=1 serialising every OpenMP layer.
-  if (threads > omp_get_max_threads()) threads = omp_get_max_threads();
-  if (threads <= 1 || end - begin <= 1) {
-    for (i64 i = begin; i < end; ++i) fn(i, 0);
-    return;
-  }
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (i64 i = begin; i < end; ++i) fn(i, omp_get_thread_num());
-}
-
 /// Parallel sum-reduction of fn(i) over [begin, end).
 template <typename Fn>
 double parallel_reduce_sum(i64 begin, i64 end, Fn&& fn) {

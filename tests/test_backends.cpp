@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "api/session.hpp"
 #include "common/rng.hpp"
@@ -183,16 +184,30 @@ TEST(Backends, EngineStatsInvariantToInterBatchThreads) {
   cfg.num_partitions = 12;
   cfg.batch_size = 2;  // 6 batches
 
-  core::QgtcEngine engine(ds, cfg);
-  engine.set_execution(tcsim::BackendKind::kBlocked, 1);
-  const core::EngineStats serial = engine.run_quantized(1);
-  for (const int threads : {2, 3, 6}) {
-    engine.set_execution(tcsim::BackendKind::kBlocked, threads);
-    const core::EngineStats par = engine.run_quantized(1);
-    EXPECT_EQ(par.bmma_ops, serial.bmma_ops) << threads << " threads";
-    EXPECT_EQ(par.tiles_jumped, serial.tiles_jumped) << threads << " threads";
-    EXPECT_EQ(par.nodes, serial.nodes) << threads << " threads";
-    EXPECT_EQ(par.batches, serial.batches) << threads << " threads";
+  // Both epoch modes run on the one executor; its compute-worker count must
+  // change neither the per-batch logits nor any counter.
+  for (const core::RunMode mode :
+       {core::RunMode::precomputed(), core::RunMode::streaming_pipeline(2, 2)}) {
+    cfg.mode = mode;
+    core::QgtcEngine engine(ds, cfg);
+    engine.set_execution(tcsim::BackendKind::kBlocked, 1);
+    std::vector<MatrixI32> serial_logits;
+    const core::EngineStats serial = engine.run_quantized(1, &serial_logits);
+    for (const int threads : {2, 3, 6}) {
+      engine.set_execution(tcsim::BackendKind::kBlocked, threads);
+      std::vector<MatrixI32> logits;
+      const core::EngineStats par = engine.run_quantized(1, &logits);
+      const std::string where = std::to_string(threads) + " threads, " +
+                                (mode.streaming() ? "streaming" : "precomputed");
+      EXPECT_EQ(par.bmma_ops, serial.bmma_ops) << where;
+      EXPECT_EQ(par.tiles_jumped, serial.tiles_jumped) << where;
+      EXPECT_EQ(par.nodes, serial.nodes) << where;
+      EXPECT_EQ(par.batches, serial.batches) << where;
+      ASSERT_EQ(logits.size(), serial_logits.size()) << where;
+      for (std::size_t b = 0; b < logits.size(); ++b) {
+        EXPECT_EQ(logits[b], serial_logits[b]) << where << ", batch " << b;
+      }
+    }
   }
 }
 
@@ -250,22 +265,6 @@ TEST(ParallelFor, DynamicHandlesEmptyAndNegativeRanges) {
   parallel_for_dynamic(5, 5, 4, [&](i64) { ++calls; });
   parallel_for_dynamic(5, 3, 4, [&](i64) { ++calls; });
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelFor, WorkersCoverRangeWithBoundedWorkerIds) {
-  const i64 n = 64;
-  const int threads = 3;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  std::atomic<int> bad_worker{0};
-  parallel_for_workers(0, n, threads, [&](i64 i, int w) {
-    if (w < 0 || w >= threads) bad_worker.fetch_add(1);
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  EXPECT_EQ(bad_worker.load(), 0);
-  for (i64 i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
-  }
 }
 
 TEST(Workspace, ArenaReusesStorageAcrossCalls) {

@@ -1,5 +1,6 @@
-// Streaming-pipeline tests: bounded-queue semantics, overlap accounting,
-// stream-epoch invariants, shutdown-on-exception safety (ASan-clean), and
+// Staged-executor tests: bounded-queue semantics, overlap accounting,
+// stream-epoch invariants, shutdown-on-exception safety (ASan-clean),
+// per-item failure isolation from a queue source, and
 // the headline guarantee — streaming and precomputed engines produce
 // bit-identical logits and identical counters for every pipeline depth and
 // backend.
@@ -36,49 +37,6 @@ TEST(BoundedQueue, AbortDropsPendingItems) {
   q.abort();
   EXPECT_FALSE(q.pop().has_value());  // pending item was dropped
   EXPECT_FALSE(q.push(8));
-}
-
-TEST(BoundedQueue, ResetReopensAfterAbort) {
-  // Regression: a long-lived server must survive an aborted epoch. Before
-  // reset() existed, one abort left the queue returning end-of-stream
-  // forever — a single poisoned batch killed the whole server.
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  q.abort();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_FALSE(q.pop().has_value());
-
-  q.reset();
-  EXPECT_FALSE(q.closed());
-  EXPECT_TRUE(q.push(3));  // pushes work again
-  EXPECT_TRUE(q.push(4));
-  EXPECT_EQ(q.pop().value(), 3);  // and only post-reset items are visible
-  EXPECT_EQ(q.pop().value(), 4);
-
-  // reset() after a graceful close also drops undrained leftovers.
-  EXPECT_TRUE(q.push(5));
-  q.close();
-  q.reset();
-  int out = 0;
-  EXPECT_EQ(q.pop_for(1000, out), BoundedQueue<int>::PopStatus::kTimeout);
-}
-
-TEST(BoundedQueue, ResetReleasesBlockedProducers) {
-  // A producer parked in push() on a full+open queue must wake when reset()
-  // clears the backlog, not stay wedged against the old capacity.
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));  // full
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    const bool ok = q.push(2);  // blocks until reset clears the queue
-    pushed.store(ok);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  q.reset();
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 2);  // item 1 was dropped by reset
 }
 
 TEST(BoundedQueue, PopForTimesOutOnOpenEmptyQueue) {
@@ -141,9 +99,8 @@ TEST(OverlapAccounting, EmptyEpochAndShapeMismatch) {
 
 // --------------------------------------------------------- stream epoch
 
-StreamEpochConfig small_epoch(i64 batches, int depth) {
-  StreamEpochConfig cfg;
-  cfg.num_batches = batches;
+PipelineConfig small_epoch(int depth) {
+  PipelineConfig cfg;
   cfg.depth = depth;
   cfg.prepare_workers = 2;
   cfg.compute_workers = 2;
@@ -164,7 +121,7 @@ TEST(StreamEpoch, EveryBatchComputedExactlyOnceWithItsOwnData) {
   std::vector<std::atomic<int>> seen(static_cast<std::size_t>(n));
   transfer::StagingRing ring(2);
   const StreamEpochStats stats = run_stream_epoch<i64>(
-      small_epoch(n, 2), ring,
+      n, small_epoch(2), ring,
       [](i64 i) { return i; },
       [](const i64&) { return i64{1000}; },
       fake_pack,
@@ -184,10 +141,10 @@ TEST(StreamEpoch, EveryBatchComputedExactlyOnceWithItsOwnData) {
 TEST(StreamEpoch, PeakResidencyIsBoundedByDepthNotEpoch) {
   const i64 n = 64;
   const i64 item_bytes = 1000;
-  const StreamEpochConfig cfg = small_epoch(n, 2);
+  const PipelineConfig cfg = small_epoch(2);
   transfer::StagingRing ring(2);
   const StreamEpochStats stats = run_stream_epoch<i64>(
-      cfg, ring,
+      n, cfg, ring,
       [](i64 i) { return i; },
       [&](const i64&) { return item_bytes; },
       fake_pack,
@@ -207,7 +164,7 @@ TEST(StreamEpoch, ComputeExceptionShutsDownAllStages) {
   transfer::StagingRing ring(2);
   const auto run = [&] {
     (void)run_stream_epoch<i64>(
-        small_epoch(n, 1), ring,
+        n, small_epoch(1), ring,
         [](i64 i) { return i; },
         [](const i64&) { return i64{8}; },
         fake_pack,
@@ -222,18 +179,82 @@ TEST(StreamEpoch, ComputeExceptionShutsDownAllStages) {
 }
 
 TEST(StreamEpoch, PrepareExceptionPropagates) {
+  // One failing batch, then every batch from 5 on failing (a broken store
+  // read): the first failure ends the epoch, so the preparers stop soon
+  // after it instead of each attempting the rest of the epoch. A good
+  // prepare takes 1 ms, so no preparer races far ahead of the first throw.
+  const i64 n = 64;
+  for (const bool all_after : {false, true}) {
+    SCOPED_TRACE(all_after ? "every batch >= 5 throws" : "batch 5 throws");
+    std::atomic<int> prepares{0};
+    transfer::StagingRing ring(2);
+    const auto run = [&] {
+      (void)run_stream_epoch<i64>(
+          n, small_epoch(2), ring,
+          [&](i64 i) -> i64 {
+            prepares.fetch_add(1);
+            if (i == 5 || (all_after && i > 5)) {
+              throw std::runtime_error("injected prepare failure");
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return i;
+          },
+          [](const i64&) { return i64{8}; },
+          fake_pack, [](const i64&, i64, int) {});
+    };
+    EXPECT_THROW(run(), std::runtime_error);
+    EXPECT_LT(prepares.load(), n / 2);
+  }
+}
+
+// ------------------------------------------------- executor from a source
+
+TEST(Executor, ThrowingItemFailsAlone) {
+  // The serving shape: a queue source fed while the executor runs. One
+  // item's compute throws: only that item reaches finish with an error,
+  // every item is computed exactly once, and no exception escapes
+  // run_pipeline.
+  constexpr int kItems = 40;
+  constexpr int kPoisoned = 17;
+  BoundedQueue<int> source(2);
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) EXPECT_TRUE(source.push(int{i}));
+    source.close();
+  });
+
+  std::vector<std::atomic<int>> computed(kItems), ok(kItems), failed(kItems);
+  PipelineConfig cfg;
+  cfg.depth = 2;
+  cfg.prepare_workers = 2;
+  cfg.compute_workers = 2;
   transfer::StagingRing ring(2);
-  const auto run = [&] {
-    (void)run_stream_epoch<i64>(
-        small_epoch(16, 2), ring,
-        [](i64 i) -> i64 {
-          if (i == 5) throw std::runtime_error("injected prepare failure");
-          return i;
-        },
-        [](const i64&) { return i64{8}; },
-        fake_pack, [](const i64&, i64, int) {});
-  };
-  EXPECT_THROW(run(), std::runtime_error);
+  PipelineMeter meter;
+  EXPECT_NO_THROW(run_pipeline<int>(
+      cfg, source, ring, meter, [](int&) {},
+      [](int& v, transfer::StagingBuffer& slot) {
+        slot.stage(&v, sizeof(v));
+        transfer::PackedSubgraph p;
+        p.total_bytes = sizeof(v);
+        return p;
+      },
+      [&](int& v, int) {
+        computed[static_cast<std::size_t>(v)].fetch_add(1);
+        if (v == kPoisoned) throw std::runtime_error("injected compute failure");
+      },
+      [&](int& v, const std::exception_ptr& err) {
+        (err != nullptr ? failed : ok)[static_cast<std::size_t>(v)].fetch_add(1);
+      }));
+  producer.join();
+
+  for (int i = 0; i < kItems; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    EXPECT_EQ(computed[k].load(), 1) << "item " << i;
+    EXPECT_EQ(failed[k].load(), i == kPoisoned ? 1 : 0) << "item " << i;
+    EXPECT_EQ(ok[k].load(), i == kPoisoned ? 0 : 1) << "item " << i;
+  }
+  const PipelineTotals totals = meter.snapshot();
+  EXPECT_EQ(totals.packed_bytes, kItems * static_cast<i64>(sizeof(int)));
+  EXPECT_GT(totals.stages.compute.busy_seconds, 0.0);
 }
 
 // -------------------------------------- streaming-vs-precomputed identity

@@ -88,6 +88,7 @@ TEST(ExpandEgo, RejectsBadSeeds) {
   EXPECT_THROW(expand_ego(ds.graph, {static_cast<i32>(ds.graph.num_nodes())}, 0),
                std::invalid_argument);
   EXPECT_THROW(expand_ego(ds.graph, {4, 4}, 0), std::invalid_argument);
+  EXPECT_THROW(expand_ego(ds.graph, {4}, 1, -1), std::invalid_argument);
 }
 
 // ------------------------------------------------- offline/online parity
@@ -212,10 +213,30 @@ TEST(ServingFailure, NegativeLoadFanoutThrowsBeforeAnySubmit) {
   spec.num_requests = 4;
   spec.fanout = -1;
   EXPECT_THROW(run_poisson_load(serving, spec), std::invalid_argument);
+  spec.fanout = 1;
+  spec.max_nodes = -1;
+  EXPECT_THROW(run_poisson_load(serving, spec), std::invalid_argument);
   serving.stop();
   const ServingStats st = serving.stats();
   EXPECT_EQ(st.requests_admitted, 0);
   EXPECT_EQ(st.requests_failed, 0);
+}
+
+TEST(ServingStats, StageTimesAreLiveBeforeStop) {
+  // A reader mid-run (a load client between phases) sees the stage time of
+  // every completed request without stopping the server: the executor
+  // publishes compute time before it resolves the request's future.
+  const Dataset ds = serving_dataset();
+  ServingEngine serving(ds, serving_config(), ServingPolicy{});
+  const ServingResult res = serving.infer({{1, 2, 3}, 1, 0});
+  EXPECT_EQ(res.logits.rows(), static_cast<i64>(res.nodes.size()));
+  const ServingStats st = serving.stats();
+  EXPECT_EQ(st.requests_completed, 1);
+  EXPECT_EQ(st.batches_dispatched, 1);
+  EXPECT_GT(st.prepare_stage.busy_seconds, 0.0);
+  EXPECT_GT(st.compute_stage.busy_seconds, 0.0);
+  EXPECT_GT(st.packed_bytes, 0);
+  serving.stop();
 }
 
 TEST(ServingFailure, SubmitAfterStopThrows) {
