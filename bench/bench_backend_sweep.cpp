@@ -1,5 +1,5 @@
 // Backend sweep over the Fig. 7(a) cluster-GCN workload: quantized epoch
-// latency for every substrate backend (scalar vs simd vs blocked) and for
+// latency for every substrate backend (scalar vs blocked) and for
 // single- vs multi-worker inter-batch execution, verifying along the way
 // that op counters and logits are invariant to the execution setup.
 //
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   bench::print_banner(
       "Backend sweep — Fig. 7(a) cluster-GCN workload",
-      "blocked/simd substrate beats scalar; inter-batch workers beat "
+      "blocked substrate beats scalar; inter-batch workers beat "
       "single-threaded epochs at equal op counts");
 
   bench::JsonReport json("backend_sweep", argc, argv);
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
       int workers;
     };
     std::vector<Config> configs = {{BackendKind::kScalar, 1},
-                                   {BackendKind::kSimd, 1},
                                    {BackendKind::kBlocked, 1},
                                    {BackendKind::kBlocked, par_threads}};
     for (const auto& c : configs) {
@@ -99,9 +98,9 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  std::cout << "\n(kSimd isolates the vector micro-kernel; kBlocked adds "
-               "§4.4-style A-fragment reuse across N tiles; the last row "
-               "adds inter-batch workers on top. Op counts and logits are "
-               "asserted identical across all configurations.)\n";
+  std::cout << "\n(kBlocked runs the best vector micro-kernel this CPU "
+               "supports; the last row adds inter-batch workers on top. Op "
+               "counts and logits are asserted identical across all "
+               "configurations.)\n";
   return 0;
 }

@@ -53,8 +53,8 @@ void BM_Bmm1Bit(benchmark::State& state) {
 BENCHMARK(BM_Bmm1Bit)->Args({1024, 64})->Args({2048, 64})->Args({4096, 128});
 
 /// One SubstrateBackend::mma_panel call, the unit every kernel sweep issues
-/// per panel — the popcount half of a bit-MAC peak probe. Arg 0 is the
-/// BackendKind; arg 1 the shape:
+/// per panel — the popcount half of a bit-MAC peak probe. Arg 0 indexes
+/// tcsim::all_backends(); arg 1 is the shape:
 ///   0 = GIN update, K = 128 (8 x 8 planes, one K tile, 8 output-column tiles);
 ///   1 = GCN aggregate (1 x 4 planes, 8 K tiles, 2 output-column tiles);
 ///   2, 3 = GIN update with K <= 64 (8 x 8 planes, one K tile whose B words
@@ -63,7 +63,8 @@ BENCHMARK(BM_Bmm1Bit)->Args({1024, 64})->Args({2048, 64})->Args({4096, 128});
 /// Reports seconds per 8x8x128 bmma op and 1-bit MAC/s (8192 per bmma op,
 /// padding included).
 void BM_MmaPanel(benchmark::State& state) {
-  const auto& be = tcsim::backend(static_cast<tcsim::BackendKind>(state.range(0)));
+  const auto& be = tcsim::backend(
+      tcsim::all_backends()[static_cast<std::size_t>(state.range(0))]);
   const int shape = static_cast<int>(state.range(1));
   const bool gin = shape != 1;
   const bool half_k = shape >= 2;
@@ -117,7 +118,10 @@ void BM_MmaPanel(benchmark::State& state) {
                                         " gin_update_k64_nb8"};
   state.SetLabel(std::string(be.name()) + kShapes[shape]);
 }
-BENCHMARK(BM_MmaPanel)->ArgsProduct({{0, 1, 2}, {0, 1, 2, 3}});
+BENCHMARK(BM_MmaPanel)
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       0, static_cast<int>(tcsim::all_backends().size()) - 1, 1),
+                   {0, 1, 2, 3}});
 
 /// Random wrapped u32 output tiles, the drain benches' input: `n` tiles of
 /// 64 values spread over [-2^15, 2^15) as i32, so every epilogue both

@@ -119,9 +119,7 @@ int run(int argc, char** argv) {
                              "served MMAs", "ref jumped", "served jumped",
                              "verdict"});
   bool parity_ok = true;
-  for (const auto backend :
-       {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
-        tcsim::BackendKind::kBlocked}) {
+  for (const auto backend : tcsim::all_backends()) {
     parity_ok = parity_gate(ds, backend, parity) && parity_ok;
   }
   parity.print(std::cout);

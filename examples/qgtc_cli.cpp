@@ -3,7 +3,7 @@
 //
 //   qgtc_cli --dataset ogbn-arxiv --model gcn --bits 4 \
 //            [--partitions N | --autotune] [--batch B] [--layers L]
-//            [--hidden H] [--rounds R] [--backend scalar|simd|blocked]
+//            [--hidden H] [--rounds R] [--backend scalar|blocked]
 //            [--threads T]
 //            [--streaming] [--pipeline-depth D] [--prepare-threads P]
 //            [--serve] [--qps Q] [--requests N] [--fanout F]
@@ -91,7 +91,7 @@ void usage() {
                "  [--bits B] [--partitions N] [--batch B] [--layers L]\n"
                "  [--hidden H] [--rounds R] [--autotune]\n"
                "  [--streaming] [--pipeline-depth D] [--prepare-threads P]\n"
-               "  [--backend scalar|simd|blocked] [--threads T]\n"
+               "  [--backend scalar|blocked] [--threads T]\n"
                "  [--fuse-epilogue|--no-fuse-epilogue]\n"
                "  [--activation identity|relu|relu6|hardswish]\n"
                "  [--save-dataset F] [--load-dataset F]\n"

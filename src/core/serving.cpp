@@ -74,7 +74,7 @@ void ServingEngine::start(const DataSource& data, EngineConfig cfg) {
   batches_ = std::make_unique<BoundedQueue<MicroBatch>>(
       static_cast<std::size_t>(policy_.queue_depth));
   for (int w = 0; w < policy_.compute_workers; ++w) {
-    sessions_.emplace_back(cfg.backend, /*private_counters=*/true);
+    ctxs_.emplace_back(cfg.backend, /*private_counters=*/true);
   }
   batcher_ = std::thread([this] { batcher_loop(); });
   pipeline_ = std::thread([this] { pipeline_loop(); });
@@ -142,8 +142,8 @@ ServingStats ServingEngine::stats() const {
   s.prepare_stage = t.stages.prepare;
   s.ship_stage = t.stages.ship;
   s.compute_stage = t.stages.compute;
-  for (const api::Session& session : sessions_) {
-    const tcsim::Counters c = session.counters();
+  for (const tcsim::ExecutionContext& ctx : ctxs_) {
+    const tcsim::Counters c = ctx.counters();
     s.bmma_ops += static_cast<i64>(c.bmma_ops);
     s.tiles_jumped += static_cast<i64>(c.tiles_jumped);
   }
@@ -298,7 +298,7 @@ void ServingEngine::pipeline_loop() {
                    {"worker", w}});
         mb.logits = engine_->model().forward_prepared(
             mb.bd->adj_tiles, mb.bd->x_planes, /*stats=*/nullptr,
-            &sessions_[static_cast<std::size_t>(w)].context());
+            &ctxs_[static_cast<std::size_t>(w)]);
       },
       /*finish=*/
       [&](MicroBatch& mb, const std::exception_ptr& err) { finish(mb, err); });

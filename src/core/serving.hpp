@@ -6,7 +6,7 @@
 //   submit() --[admission BoundedQueue]--> batcher (coalesce)
 //       --[BoundedQueue: the executor's source]--> run_pipeline:
 //           prepare (P workers) -> ship (1 worker, StagingRing + PcieModel)
-//           -> compute (C workers, one api::Session each)
+//           -> compute (C workers, one private-counter context each)
 //
 // The batcher coalesces admitted requests into *dynamic micro-batches* under
 // a max_batch_nodes / max_batch_requests / max_wait_us policy: each request's
@@ -31,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/session.hpp"
 #include "core/engine.hpp"
 #include "core/pipeline.hpp"
 
@@ -106,7 +105,7 @@ struct ServingStats {
   /// Micro-batches whose prepared payload was a BatchCache hit: the ship
   /// stage charged zero bytes / zero transfers (transfer::resident_reuse).
   i64 resident_reuse_batches = 0;
-  /// Substrate counters summed over the compute workers' sessions.
+  /// Substrate counters summed over the compute workers' contexts.
   i64 bmma_ops = 0;
   i64 tiles_jumped = 0;
   /// Per-stage busy-vs-stall decomposition, summed over each stage's workers
@@ -164,7 +163,7 @@ class ServingEngine {
   struct MicroBatch;
 
   /// Shared body of both constructors: validates the policy, builds and
-  /// calibrates the engine over `data`, then the queues, sessions and threads.
+  /// calibrates the engine over `data`, then the queues, contexts and threads.
   template <typename DataSource>
   void start(const DataSource& data, EngineConfig cfg);
   void batcher_loop();
@@ -188,9 +187,8 @@ class ServingEngine {
   transfer::PcieModel pcie_;
   PipelineMeter meter_;
 
-  /// One context-pinned Session per compute worker — exactly the "one
-  /// Session per stream" handle the api redesign introduces.
-  std::deque<api::Session> sessions_;
+  /// One private-counter execution context per compute worker.
+  std::deque<tcsim::ExecutionContext> ctxs_;
 
   std::thread batcher_;
   std::thread pipeline_;

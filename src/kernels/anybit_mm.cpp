@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "parallel/parallel_for.hpp"
 
@@ -64,7 +65,9 @@ class DensePlanesSource {
     }
   }
 
-  [[nodiscard]] i64 tiles_m() const { return ap_.front()->padded_rows() / kTileM; }
+  /// Row blocks of the output: pad8(M) / 8, whatever the planes' non-K
+  /// padding (a kOperand128 operand's pad128 rows past pad8(M) are zero).
+  [[nodiscard]] i64 tiles_m() const { return pad8(ap_.front()->rows()) / kTileM; }
   [[nodiscard]] i64 tiles_k() const { return ap_.front()->padded_cols() / kTileK; }
   [[nodiscard]] i64 padded_k() const { return ap_.front()->padded_cols(); }
   [[nodiscard]] int planes() const { return static_cast<int>(ap_.size()); }
@@ -126,15 +129,16 @@ class SparseAdjSource {
   const TileSparseBitMatrix* a_;
 };
 
-/// Single-pass any-bit tile sweep (the §4.4 cross-tile reduction generalised
-/// to multi-bit A): for each output tile, every surviving K tile of every A
-/// plane is multiplied against every B plane before moving on. The A operand
-/// comes through a tile source (dense planes or the tile-CSR adjacency), so
-/// flag-based and structural zero-tile jumping share this one sweep, and a
-/// pre-pass turns each row block's survivors into a SparseTileRef schedule.
+/// The one tile sweep every product runs (the §4.4 cross-tile reduction
+/// generalised to multi-bit A): for each output tile, every surviving K tile
+/// of every A plane is multiplied against every B plane before moving on.
+/// The A operand comes through a tile source (dense planes or the tile-CSR
+/// adjacency), so flag-based and structural zero-tile jumping share this one
+/// sweep, and each row block's survivors become a SparseTileRef schedule.
 /// Each panel is one SubstrateBackend::mma_panel call, which writes its
-/// output tiles as wrapped u32[8][8]. `consume(tm, tn, tile)` receives one
-/// finished tile and drains it through a flush — epilogue or plane-writer —
+/// output tiles as wrapped u32[8][8], every term weighted << (shift + ab +
+/// bb). `consume(tm, tn, tile)` receives one finished tile and drains it
+/// through a flush — a wrapping add, the epilogue or the plane writer —
 /// while it is still hot, so no intermediate i32 matrix is staged in the
 /// sweep itself. It returns the tile's saturated-value count; the sweep
 /// returns their sum. Scratch comes from the per-thread workspace arena.
@@ -145,8 +149,8 @@ class SparseAdjSource {
 /// so plane words are never shared between threads.
 template <typename Src, typename Consume>
 u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
-                      const BmmOptions& opt, bool parallel_over_n,
-                      Consume&& consume) {
+                     const BmmOptions& opt, int shift, bool parallel_over_n,
+                     Consume&& consume) {
   const BitMatrix& b0 = *bp.front();
   QGTC_CHECK(b0.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
   QGTC_CHECK(src.padded_k() == b0.padded_rows(),
@@ -168,38 +172,28 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   const int sb = static_cast<int>(bp.size());
   const u64 plane_pairs = static_cast<u64>(sa) * static_cast<u64>(sb);
 
-  // Pre-pass: each row block's surviving tiles become its sparse schedule,
-  // shared across the N sweep (and across threads when parallelising over
-  // N). The list-of-lists lives in the calling thread's arena; inner threads
-  // only read it. The jump count is noted once for the whole sweep.
-  std::vector<std::vector<tcsim::SparseTileRef>>& k_lists =
-      ctx.workspace().k_lists(tiles_m);
-  std::atomic<u64> jumped{0};
-  parallel_for(0, tiles_m, [&](i64 tm) {
-    auto& refs = k_lists[static_cast<std::size_t>(tm)];
+  // Row block tm's surviving tiles, appended to `refs`, become its sparse
+  // schedule, shared across the N sweep. Returns the jump count.
+  const auto build_schedule = [&](i64 tm, std::vector<tcsim::SparseTileRef>& refs) {
     refs.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
-    const i64 j = src.survivors(tm, opt, refs);
-    if (j > 0) jumped.fetch_add(static_cast<u64>(j), std::memory_order_relaxed);
-  });
-  if (const u64 j = jumped.load(std::memory_order_relaxed); j > 0) {
-    tcsim::Counters delta;
-    delta.tiles_jumped = j;
-    ctx.note(delta);
-  }
+    return static_cast<u64>(src.survivors(tm, opt, refs));
+  };
 
-  // Every panel job shares the planes, strides and combine; per panel only
-  // the schedule, the B column pointers and nb change. B planes are zero
-  // past their K logical rows (StackedBitTensor's padding invariant), so an
-  // AND product with K <= 64 only ever sees the low word of each K tile.
+  // Every panel job shares the planes, strides, shift and combine; per panel
+  // only the schedule, the B column pointers and nb change. B planes are
+  // zero past their K logical rows (StackedBitTensor's padding invariant),
+  // so an AND product with K <= 64 only ever sees the low word of each K
+  // tile.
   tcsim::PanelJob base;
   base.a_planes = sa;
   base.a_stride = src.a_stride();
   base.b_planes = sb;
   base.b_stride = b0.k_words();
+  base.shift = shift;
   base.use_xor = (opt.op == tcsim::BmmaOp::kXor);
   base.half_k = !base.use_xor && b0.rows() <= 64;
-  const auto panel_job = [&](i64 tm, i64 tn0, i64 nb) {
-    const auto& refs = k_lists[static_cast<std::size_t>(tm)];
+  const auto panel_job = [&](const std::vector<tcsim::SparseTileRef>& refs,
+                             i64 tn0, i64 nb) {
     tcsim::PanelJob job = base;
     job.a_tiles = refs.data();
     job.n_tiles = static_cast<i64>(refs.size()) / sa;
@@ -212,14 +206,27 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
 
   std::atomic<u64> saturated{0};
   if (parallel_over_n) {
-    // ColMajorK consumers: parallel over output-column tiles. These products
-    // are small (few column tiles), so each panel is one (tm, tn) tile.
+    // ColMajorK consumers: parallel over output-column tiles, so every
+    // schedule is built first, in the calling thread's arena, and then read
+    // by all threads. These products are small (few column tiles), so each
+    // panel is one (tm, tn) tile.
+    const std::span<std::vector<tcsim::SparseTileRef>> k_lists =
+        ctx.workspace().k_lists(tiles_m);
+    std::atomic<u64> jumped{0};
+    parallel_for(0, tiles_m, [&](i64 tm) {
+      const u64 j = build_schedule(tm, k_lists[static_cast<std::size_t>(tm)]);
+      if (j > 0) jumped.fetch_add(j, std::memory_order_relaxed);
+    });
+    tcsim::Counters jumps;
+    jumps.tiles_jumped = jumped.load(std::memory_order_relaxed);
+    ctx.note(jumps);
     parallel_for_dynamic(0, tiles_n, /*chunk=*/1, [&](i64 tn) {
       u32* tile = ctx.workspace().acc_tiles(1);
       tcsim::Counters delta;
       u64 sat = 0;
       for (i64 tm = 0; tm < tiles_m; ++tm) {
-        const tcsim::PanelJob job = panel_job(tm, tn, 1);
+        const tcsim::PanelJob job =
+            panel_job(k_lists[static_cast<std::size_t>(tm)], tn, 1);
         be.mma_panel(tile, job);
         sat += consume(tm, tn, tile);
         const u64 kt = static_cast<u64>(job.n_tiles);
@@ -229,39 +236,54 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
       }
       // Bulk substrate accounting: one context note per column-tile sweep.
       ctx.note(delta);
-      saturated.fetch_add(sat, std::memory_order_relaxed);
+      if (sat > 0) saturated.fetch_add(sat, std::memory_order_relaxed);
     });
   } else {
-    // Cross-tile reduction (§4.4), panel form: the backend sweeps each row
-    // block's schedule across its panel of output-column tiles and every B
-    // bit-plane in one call. This both realises the paper's O(1)-loads claim
-    // and amortises per-output-tile bookkeeping over the whole K reduction.
-    // The per-tile backends (panel width 1) degenerate to cross-bit-style
-    // reloads.
-    const i64 width = be.panel_width();
+    // Cross-tile reduction (§4.4), panel form: the thread that runs a row
+    // block builds its schedule in its own arena (so no schedule moves
+    // between cores), then the backend sweeps it across a panel of
+    // kPanelWidth output-column tiles and every B bit-plane in one call. This
+    // both realises the paper's O(1)-loads claim and amortises
+    // per-output-tile bookkeeping over the whole K reduction. Dynamic
+    // schedule because zero-tile jumping makes per-block work data-dependent.
     parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
-      u32* tiles = ctx.workspace().acc_tiles(width);
+      tcsim::Workspace& ws = ctx.workspace();
+      std::vector<tcsim::SparseTileRef>& refs = ws.k_lists(1).front();
+      tcsim::Counters delta;
+      delta.tiles_jumped = build_schedule(tm, refs);
+      u32* tiles = ws.acc_tiles(tcsim::kPanelWidth);
       u64 sat = 0;
       i64 panels = 0;
-      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width, ++panels) {
-        const i64 nb = std::min<i64>(width, tiles_n - tn0);
-        be.mma_panel(tiles, panel_job(tm, tn0, nb));
+      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += tcsim::kPanelWidth, ++panels) {
+        const i64 nb = std::min<i64>(tcsim::kPanelWidth, tiles_n - tn0);
+        be.mma_panel(tiles, panel_job(refs, tn0, nb));
         for (i64 b = 0; b < nb; ++b) {
           sat += consume(tm, tn0 + b, tiles + b * kTileM * kTileN);
         }
       }
-      tcsim::Counters delta;
-      const u64 kt =
-          static_cast<u64>(k_lists[static_cast<std::size_t>(tm)].size()) /
-          static_cast<u64>(sa);
+      const u64 kt = static_cast<u64>(refs.size()) / static_cast<u64>(sa);
       delta.bmma_ops = kt * plane_pairs * static_cast<u64>(tiles_n);
       delta.frag_loads_a = static_cast<u64>(panels) * kt * static_cast<u64>(sa);
       delta.frag_loads_b = delta.bmma_ops;
+      // Bulk substrate accounting: one context note per row block.
       ctx.note(delta);
-      saturated.fetch_add(sat, std::memory_order_relaxed);
+      if (sat > 0) saturated.fetch_add(sat, std::memory_order_relaxed);
     });
   }
   return saturated.load(std::memory_order_relaxed);
+}
+
+/// C (+)= (A x B) << shift through the one sweep: each finished tile is
+/// added into C's rows with a wrapping flush (Algorithm 1's cross-bit pass).
+template <typename Src>
+void accumulate_into(const Src& src, const BitMatrix& b, MatrixI32& c,
+                     int shift, const BmmOptions& opt) {
+  fused_tile_sweep(src, {&b}, opt, shift, /*parallel_over_n=*/false,
+                   [&](i64 tm, i64 tn, const u32* tile) {
+                     tcsim::flush(c.data() + tm * kTileM * c.cols() + tn * kTileN,
+                                  c.cols(), tile);
+                     return u64{0};
+                   });
 }
 
 /// Checks that a batch-norm fold, when enabled, has one scale and one bias
@@ -316,6 +338,20 @@ inline void drain_int_tile(i32* out, i64 m, i64 n, i64 tm, i64 tn,
 
 }  // namespace
 
+void bmm_accumulate(const BitMatrix& a, const BitMatrix& b, MatrixI32& c,
+                    int shift, const BmmOptions& opt) {
+  QGTC_CHECK(c.rows() >= pad8(a.rows()) && c.cols() >= b.padded_cols(),
+             "accumulator too small for padded output");
+  accumulate_into(DensePlanesSource({&a}), b, c, shift, opt);
+}
+
+void bmm_accumulate(const TileSparseBitMatrix& a, const BitMatrix& b,
+                    MatrixI32& c, int shift, const BmmOptions& opt) {
+  QGTC_CHECK(c.rows() >= a.padded_rows() && c.cols() >= b.padded_cols(),
+             "accumulator too small for padded output");
+  accumulate_into(SparseAdjSource(a), b, c, shift, opt);
+}
+
 MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
                        const BmmOptions& opt) {
   QGTC_CHECK(a.cols() == b.rows(), "bitmm_to_int: inner dimensions differ");
@@ -347,7 +383,7 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
   const i64 m = a.rows(), n = b.cols();
   check_bn(epi, n);
   fused_tile_sweep(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b), opt,
-                   /*parallel_over_n=*/false,
+                   /*shift=*/0, /*parallel_over_n=*/false,
                    [&](i64 tm, i64 tn, const u32* tile) {
                      drain_int_tile(out.data(), m, n, tm, tn, tile, epi);
                      return u64{0};
@@ -378,7 +414,7 @@ StackedBitTensor fused_bit_output(const Src& src,
 
   const bool parallel_over_n = (out_layout == BitLayout::kColMajorK);
   const u64 saturated = fused_tile_sweep(
-      src, bp, opt, parallel_over_n,
+      src, bp, opt, /*shift=*/0, parallel_over_n,
       [&](i64 tm, i64 tn, const u32* tile) {
         // Requantize + scatter the 8x8 tile straight from the panel's
         // output: one word OR per (line, plane) — an 8-bit lane always sits
@@ -474,7 +510,7 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
     MatrixI32& padded = resolve_ctx(opt).workspace().padded_acc(
         padded_m, x.plane(0).padded_cols());
     for (int b = 0; b < x.bits(); ++b) {
-      bmm_accumulate(a_bin, x.plane(b), padded, b, opt);
+      accumulate_into(src, x.plane(b), padded, b, opt);
     }
     for (i64 r = 0; r < m; ++r) {
       std::memcpy(out.data() + r * n, padded.data() + r * padded.cols(),
@@ -484,7 +520,8 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
   }
   // Figure 6(b): cross-tile reduction via the fused sweep with a single
   // 1-bit A plane (the stored tiles only, for the tile-CSR source).
-  fused_tile_sweep(src, plane_ptrs(x), opt, /*parallel_over_n=*/false,
+  fused_tile_sweep(src, plane_ptrs(x), opt, /*shift=*/0,
+                   /*parallel_over_n=*/false,
                    [&](i64 tm, i64 tn, const u32* tile) {
                      drain_int_tile(out.data(), m, n, tm, tn, tile,
                                     FusedEpilogue{});

@@ -24,7 +24,8 @@ struct alignas(64) AFragment {
 
 // ------------------------------------------------------------------------
 // Portable u64 micro-kernels. Accumulator layout: u64[8][8] row-major.
-// These are the semantic reference — dot128 shape.
+// The semantic reference (dot128 shape), and kBlocked's set when no vector
+// set is compiled in and supported by the running CPU.
 // ------------------------------------------------------------------------
 
 struct ScalarKernels {
@@ -59,54 +60,6 @@ struct ScalarKernels {
   /// Narrow the accumulator into a row-major u32[64] tile (the uint32 wrap).
   static void reduce(u32* tile, const u64* acc) {
     for (int k = 0; k < kTileM * kTileN; ++k) tile[k] = static_cast<u32>(acc[k]);
-  }
-};
-
-/// Compile-time SIMD fallback: same layout as ScalarKernels but the B tile
-/// is decoded once per tile op (u64 x 4 words) and the inner loop is
-/// unrolled over column pairs — the best a portable build can do.
-struct U64x4Kernels {
-  static constexpr i64 kLanes = ScalarKernels::kLanes;
-
-  static void load_a(AFragment& frag, const u32* a, i64 a_stride) {
-    ScalarKernels::load_a(frag, a, a_stride);
-  }
-
-  static void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                  int shift, bool use_xor) {
-    u64 bl[kTileN][2];
-    for (int j = 0; j < kTileN; ++j) {
-      std::memcpy(&bl[j][0], b + j * b_stride, 8);
-      std::memcpy(&bl[j][1], b + j * b_stride + 2, 8);
-    }
-    for (int i = 0; i < kTileM; ++i) {
-      const u64 a0 = frag.lanes[static_cast<std::size_t>(i) * 8];
-      const u64 a1 = frag.lanes[static_cast<std::size_t>(i) * 8 + 1];
-      u64* row = acc + static_cast<std::size_t>(i) * kTileN;
-      if (use_xor) {
-        for (int j = 0; j < kTileN; j += 2) {
-          row[j] += static_cast<u64>(std::popcount(a0 ^ bl[j][0]) +
-                                     std::popcount(a1 ^ bl[j][1]))
-                    << shift;
-          row[j + 1] += static_cast<u64>(std::popcount(a0 ^ bl[j + 1][0]) +
-                                         std::popcount(a1 ^ bl[j + 1][1]))
-                        << shift;
-        }
-      } else {
-        for (int j = 0; j < kTileN; j += 2) {
-          row[j] += static_cast<u64>(std::popcount(a0 & bl[j][0]) +
-                                     std::popcount(a1 & bl[j][1]))
-                    << shift;
-          row[j + 1] += static_cast<u64>(std::popcount(a0 & bl[j + 1][0]) +
-                                         std::popcount(a1 & bl[j + 1][1]))
-                        << shift;
-        }
-      }
-    }
-  }
-
-  static void reduce(u32* tile, const u64* acc) {
-    ScalarKernels::reduce(tile, acc);
   }
 };
 
@@ -395,11 +348,6 @@ namespace {
 // Registry plumbing
 // ------------------------------------------------------------------------
 
-/// §4.4 cross-tile blocking factor used by kBlocked (output-column tiles a
-/// decoded A fragment stays resident for), and the widest panel a job asks
-/// for.
-constexpr i64 kPanelWidth = 8;
-
 /// A panel composed from a kernel set's per-tile ops (load_a + mma, both
 /// inlined, the combine fixed at compile time): each A tile is decoded once
 /// and swept across the panel's output-column tiles and B planes, into u64
@@ -434,12 +382,10 @@ void panel_by_tiles(u32* tiles, const PanelJob& job) {
 template <typename Kernels>
 class BackendImpl final : public SubstrateBackend {
  public:
-  BackendImpl(BackendKind kind, const char* name, i64 width)
-      : kind_(kind), name_(name), width_(width) {}
+  BackendImpl(BackendKind kind, const char* name) : kind_(kind), name_(name) {}
 
   [[nodiscard]] BackendKind kind() const override { return kind_; }
   [[nodiscard]] const char* name() const override { return name_; }
-  [[nodiscard]] i64 panel_width() const override { return width_; }
 
   void mma_panel(u32* tiles, const PanelJob& job) const override {
     if constexpr (requires { Kernels::mma_panel(tiles, job); }) {
@@ -454,7 +400,6 @@ class BackendImpl final : public SubstrateBackend {
  private:
   BackendKind kind_;
   const char* name_;
-  i64 width_;
 };
 
 /// True when the vector micro-kernels compiled in are usable on this CPU.
@@ -469,33 +414,25 @@ bool runtime_simd_ok() {
 #endif
 }
 
-const SubstrateBackend& simd_impl(BackendKind kind, i64 width) {
+/// kBlocked: the best kernel set compiled in and supported by this CPU, or
+/// the scalar set when there is none.
+const SubstrateBackend& blocked_backend() {
 #if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
   if (runtime_simd_ok()) {
-    static const BackendImpl<Avx512Kernels> simd{BackendKind::kSimd,
-                                                 "simd(avx512)", 1};
-    static const BackendImpl<Avx512Kernels> blocked{BackendKind::kBlocked,
-                                                    "blocked(avx512)", kPanelWidth};
-    return kind == BackendKind::kSimd ? static_cast<const SubstrateBackend&>(simd)
-                                      : blocked;
+    static const BackendImpl<Avx512Kernels> be{BackendKind::kBlocked,
+                                               "blocked(avx512)"};
+    return be;
   }
 #elif defined(__AVX2__)
   if (runtime_simd_ok()) {
-    static const BackendImpl<Avx2Kernels> simd{BackendKind::kSimd, "simd(avx2)",
-                                               1};
-    static const BackendImpl<Avx2Kernels> blocked{BackendKind::kBlocked,
-                                                  "blocked(avx2)", kPanelWidth};
-    return kind == BackendKind::kSimd ? static_cast<const SubstrateBackend&>(simd)
-                                      : blocked;
+    static const BackendImpl<Avx2Kernels> be{BackendKind::kBlocked,
+                                             "blocked(avx2)"};
+    return be;
   }
 #endif
-  static const BackendImpl<U64x4Kernels> simd{BackendKind::kSimd, "simd(u64x4)",
-                                              1};
-  static const BackendImpl<U64x4Kernels> blocked{BackendKind::kBlocked,
-                                                 "blocked(u64x4)", kPanelWidth};
-  (void)width;
-  return kind == BackendKind::kSimd ? static_cast<const SubstrateBackend&>(simd)
-                                    : blocked;
+  static const BackendImpl<ScalarKernels> be{BackendKind::kBlocked,
+                                             "blocked(scalar)"};
+  return be;
 }
 
 }  // namespace
@@ -504,13 +441,11 @@ const SubstrateBackend& backend(BackendKind k) {
   switch (k) {
     case BackendKind::kScalar: {
       static const BackendImpl<ScalarKernels> scalar{BackendKind::kScalar,
-                                                     "scalar", 1};
+                                                     "scalar"};
       return scalar;
     }
-    case BackendKind::kSimd:
-      return simd_impl(BackendKind::kSimd, 1);
     case BackendKind::kBlocked:
-      return simd_impl(BackendKind::kBlocked, kPanelWidth);
+      return blocked_backend();
   }
   throw std::invalid_argument("unknown BackendKind");
 }
@@ -519,10 +454,9 @@ const char* backend_name(BackendKind k) { return backend(k).name(); }
 
 BackendKind parse_backend(std::string_view name) {
   if (name == "scalar") return BackendKind::kScalar;
-  if (name == "simd") return BackendKind::kSimd;
   if (name == "blocked") return BackendKind::kBlocked;
   throw std::invalid_argument("unknown backend '" + std::string(name) +
-                              "' (expected scalar|simd|blocked)");
+                              "' (expected scalar|blocked)");
 }
 
 const char* activation_name(Activation a) {
@@ -545,7 +479,7 @@ Activation parse_activation(std::string_view name) {
 }
 
 std::vector<BackendKind> all_backends() {
-  return {BackendKind::kScalar, BackendKind::kSimd, BackendKind::kBlocked};
+  return {BackendKind::kScalar, BackendKind::kBlocked};
 }
 
 bool simd_active() { return runtime_simd_ok(); }

@@ -7,15 +7,15 @@
 // micro-kernel implementations selected at runtime:
 //
 //   kScalar   the reference path: per-tile u64 AND/XOR + std::popcount,
-//             exactly the semantics of tcsim::dot128. Panels of one output
-//             tile (no cross-tile reuse).
-//   kSimd     vectorised AND+popcount over the full 8x8x128 tile (AVX-512
-//             VPOPCNTDQ or AVX2 nibble-LUT when compiled in AND supported by
-//             the running CPU; otherwise an unrolled u64x4 fallback). Same
-//             one-tile panels as kScalar — it isolates the micro-kernel win.
-//   kBlocked  the same best-available tile micro-kernel over panels of 8
-//             output-column tiles (generalising §4.4's cross-tile reuse to
-//             every MM in the stack). This is the default production backend.
+//             exactly the semantics of tcsim::dot128. Tests compare every
+//             other path against it.
+//   kBlocked  the best micro-kernel compiled in AND supported by the running
+//             CPU (AVX-512 VPOPCNTDQ, else AVX2 nibble-LUT; the scalar set
+//             when neither is available). This is the default production
+//             backend.
+//
+// Both sweep panels of kPanelWidth output-column tiles (§4.4's cross-tile
+// reuse, generalised to every MM in the stack).
 //
 // Kernels hand the backend one PanelJob per panel; the per-tile ops live
 // inside backend.cpp, so no kernel pays a virtual call per tile.
@@ -34,7 +34,11 @@
 
 namespace qgtc::tcsim {
 
-enum class BackendKind { kScalar = 0, kSimd = 1, kBlocked = 2 };
+enum class BackendKind { kScalar = 0, kBlocked = 1 };
+
+/// Output-column tiles per panel job: the §4.4 cross-tile blocking factor
+/// every kernel sweep uses, on every backend.
+inline constexpr i64 kPanelWidth = 8;
 
 /// Elementwise activation the fused epilogue applies in the requantized
 /// integer domain (after the arithmetic right-shift, before the clamp).
@@ -153,13 +157,12 @@ struct SparseTileRef {
 inline constexpr int kMaxPanelPlanes = 32;
 
 /// One backend call's worth of work: a row block's surviving A tiles swept
-/// across `nb` (at most 8) consecutive output-column tiles and every B
-/// bit-plane (the
-/// §4.4 cross-tile reduction). Entry (t, ab) of the A schedule is
-/// `a_tiles[t * a_planes + ab]` (plane-minor; every plane of tile t shares
-/// its k_tile). Output-column tile `blk` of B plane `bb` reads the 128-bit
-/// slice b_cols[bb] + blk * kTileN * b_stride + k_tile * kTileKWords of its 8
-/// columns, which sit `b_stride` u32 apart. Each (t, ab, bb) product is
+/// across `nb` (at most kPanelWidth) consecutive output-column tiles and
+/// every B bit-plane (the §4.4 cross-tile reduction). Entry (t, ab) of the A
+/// schedule is `a_tiles[t * a_planes + ab]` (plane-minor; every plane of tile
+/// t shares its k_tile). Output-column tile `blk` of B plane `bb` reads the
+/// 128-bit slice b_cols[bb] + blk * kTileN * b_stride + k_tile * kTileKWords
+/// of its 8 columns, which sit `b_stride` u32 apart. Each (t, ab, bb) product is
 /// weighted << (shift + ab + bb); terms shifted by 32 or more vanish at the
 /// uint32 wrap. `use_xor` selects the +-1 binary network combine
 /// (BmmaOp::kXor) instead of AND.
@@ -269,10 +272,6 @@ class SubstrateBackend {
   [[nodiscard]] virtual BackendKind kind() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Output-column tiles per panel job (the §4.4 cross-tile blocking
-  /// factor; 1 = one output tile per panel).
-  [[nodiscard]] virtual i64 panel_width() const = 0;
-
   /// One panel of the sparse schedule: writes output-column tile `blk` of
   /// the job at tiles[blk * 64 .. +64), row-major, as the sum over
   /// (t, ab, bb) of (A(t, ab) x B(bb, tile t's K slice)) << (shift + ab + bb),
@@ -282,12 +281,12 @@ class SubstrateBackend {
   virtual void mma_panel(u32* tiles, const PanelJob& job) const = 0;
 };
 
-/// Registry lookup. Instances are process-lifetime singletons; kSimd and
-/// kBlocked resolve their micro-kernel once at first use from compile-time
+/// Registry lookup. Instances are process-lifetime singletons; kBlocked
+/// resolves its micro-kernel once at first use from compile-time
 /// availability + runtime CPU feature detection.
 [[nodiscard]] const SubstrateBackend& backend(BackendKind k);
 
-/// Display name ("scalar", "simd", "blocked").
+/// Display name ("scalar", "blocked(avx512)", ...).
 [[nodiscard]] const char* backend_name(BackendKind k);
 
 /// Parse a backend name; throws std::invalid_argument on unknown names.
@@ -302,11 +301,11 @@ class SubstrateBackend {
 /// All registered kinds, in registry order.
 [[nodiscard]] std::vector<BackendKind> all_backends();
 
-/// True when kSimd/kBlocked resolved to vector micro-kernels on this CPU
-/// (false = the portable u64 fallback is active).
+/// True when kBlocked resolved to vector micro-kernels on this CPU (false =
+/// it runs the scalar set).
 [[nodiscard]] bool simd_active();
 
-/// Process default: QGTC_BACKEND env var ("scalar" | "simd" | "blocked") or
+/// Process default: QGTC_BACKEND env var ("scalar" | "blocked") or
 /// kBlocked. Read once.
 [[nodiscard]] BackendKind default_backend();
 

@@ -20,15 +20,11 @@ MatrixI32& Workspace::int32_scratch(int slot, i64 rows, i64 cols) {
   return m;
 }
 
-std::vector<std::vector<SparseTileRef>>& Workspace::k_lists(i64 n) {
-  k_lists_.resize(static_cast<std::size_t>(n));
-  for (auto& l : k_lists_) l.clear();
-  return k_lists_;
-}
-
-std::vector<SparseTileRef>& Workspace::tile_refs() {
-  tile_refs_.clear();
-  return tile_refs_;
+std::span<std::vector<SparseTileRef>> Workspace::k_lists(i64 n) {
+  const auto count = static_cast<std::size_t>(n);
+  if (k_lists_.size() < count) k_lists_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) k_lists_[i].clear();
+  return {k_lists_.data(), count};
 }
 
 u32* Workspace::acc_tiles(i64 n) {
@@ -39,7 +35,6 @@ u32* Workspace::acc_tiles(i64 n) {
 
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
-                  tile_refs_.capacity() * sizeof(SparseTileRef) +
                   acc_tiles_.size() * sizeof(u32);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -43,13 +44,10 @@ class Workspace {
   /// epilogue paths assign every element via flush_epilogue).
   MatrixI32& int32_scratch(int slot, i64 rows, i64 cols);
 
-  /// `n` cleared sparse schedules (one per row block, shared across the N
-  /// sweep) — the A side of SubstrateBackend::mma_panel jobs.
-  std::vector<std::vector<SparseTileRef>>& k_lists(i64 n);
-
-  /// Cleared sparse schedule for one row block, filled and consumed inside
-  /// a parallel loop.
-  std::vector<SparseTileRef>& tile_refs();
+  /// The first `n` of this thread's sparse schedules (the A side of
+  /// SubstrateBackend::mma_panel jobs), cleared. The list only grows, so
+  /// every schedule keeps its capacity across calls of any `n`.
+  std::span<std::vector<SparseTileRef>> k_lists(i64 n);
 
   /// Uninitialised, 64-byte-aligned room for `n` u32[8][8] output tiles
   /// (what SubstrateBackend::mma_panel writes).
@@ -62,7 +60,6 @@ class Workspace {
   MatrixI32 padded_acc_;
   std::vector<MatrixI32> int32_scratch_;
   std::vector<std::vector<SparseTileRef>> k_lists_;
-  std::vector<SparseTileRef> tile_refs_;
   AlignedVector<u32> acc_tiles_;
 };
 

@@ -38,15 +38,9 @@ TEST(Backends, RegistryNamesAndParsing) {
     EXPECT_NE(std::string(tcsim::backend_name(k)), "");
   }
   EXPECT_EQ(tcsim::parse_backend("scalar"), tcsim::BackendKind::kScalar);
-  EXPECT_EQ(tcsim::parse_backend("simd"), tcsim::BackendKind::kSimd);
   EXPECT_EQ(tcsim::parse_backend("blocked"), tcsim::BackendKind::kBlocked);
   EXPECT_THROW((void)tcsim::parse_backend("cuda"), std::invalid_argument);
-}
-
-TEST(Backends, PanelWidths) {
-  EXPECT_EQ(tcsim::backend(tcsim::BackendKind::kScalar).panel_width(), 1);
-  EXPECT_EQ(tcsim::backend(tcsim::BackendKind::kSimd).panel_width(), 1);
-  EXPECT_GT(tcsim::backend(tcsim::BackendKind::kBlocked).panel_width(), 1);
+  EXPECT_THROW((void)tcsim::parse_backend("simd"), std::invalid_argument);
 }
 
 /// Property: every backend's bitmm_to_int / fused / aggregate results are
@@ -71,8 +65,7 @@ TEST_P(BackendEquivalence, RandomAnyBitMms) {
   const MatrixI32 want = bitmm_to_int(pa, pb, sopt);
   EXPECT_EQ(want, matmul_reference(a, b));
 
-  for (const auto kind :
-       {tcsim::BackendKind::kSimd, tcsim::BackendKind::kBlocked}) {
+  for (const auto kind : tcsim::all_backends()) {
     const tcsim::ExecutionContext ctx(kind);
     BmmOptions opt;
     opt.ctx = &ctx;
@@ -103,8 +96,7 @@ TEST_P(BackendEquivalence, RandomAggregations) {
   const MatrixI32 want = aggregate_1bit(pa, px, ReuseMode::kCrossTile, sopt);
   EXPECT_EQ(want, matmul_reference(adj, x));
 
-  for (const auto kind :
-       {tcsim::BackendKind::kSimd, tcsim::BackendKind::kBlocked}) {
+  for (const auto kind : tcsim::all_backends()) {
     const tcsim::ExecutionContext ctx(kind);
     BmmOptions opt;
     opt.ctx = &ctx;
@@ -123,17 +115,54 @@ TEST(Backends, XorCombineMatchesScalarAcrossBackends) {
   const BitMatrix pa = pack_nonzero(a, BitLayout::kRowMajorK);
   const BitMatrix pb = pack_nonzero(b, BitLayout::kColMajorK);
 
-  MatrixI32 results[3];
-  int i = 0;
+  std::vector<MatrixI32> results;
   for (const auto kind : tcsim::all_backends()) {
     const tcsim::ExecutionContext ctx(kind);
     BmmOptions opt;
     opt.ctx = &ctx;
     opt.op = tcsim::BmmaOp::kXor;
-    results[i++] = bmm(pa, pb, opt);
+    results.push_back(bmm(pa, pb, opt));
   }
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
+  ASSERT_GE(results.size(), 2u);
+  for (const MatrixI32& r : results) EXPECT_EQ(r, results.front());
+}
+
+/// An A operand packed with PadPolicy::kOperand128 holds pad128(M) rows, but
+/// a product has only pad8(M) / 8 row blocks: every sweep must stay inside a
+/// pad8(M)-row accumulator and count the same ops as the cross-bit path.
+TEST(Backends, Operand128ASweepsPad8RowBlocks) {
+  Rng rng(31);
+  const i64 m = 24, k = 200, n = 20;
+  const MatrixI32 a1 = random_binary(rng, m, k, 0.5f);
+  const MatrixI32 b1 = random_binary(rng, k, n, 0.5f);
+  const BitMatrix pa1 =
+      pack_nonzero(a1, BitLayout::kRowMajorK, PadPolicy::kOperand128);
+  const BitMatrix pb1 = pack_nonzero(b1, BitLayout::kColMajorK);
+  ASSERT_EQ(pa1.padded_rows(), 128);
+  const MatrixI32 a = random_codes(rng, m, k, 3);
+  const MatrixI32 b = random_codes(rng, k, n, 2);
+  const auto pa = StackedBitTensor::decompose(a, 3, BitLayout::kRowMajorK,
+                                              PadPolicy::kOperand128);
+  const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
+  for (const auto kind : tcsim::all_backends()) {
+    tcsim::ExecutionContext ctx(kind);
+    BmmOptions opt;
+    opt.ctx = &ctx;
+    const std::string where = tcsim::backend_name(kind);
+
+    EXPECT_EQ(bmm(pa1, pb1, opt), matmul_reference(a1, b1)) << where;
+    MatrixI32 c(pad8(m), pb1.padded_cols(), 0);
+    bmm_accumulate(pa1, pb1, c, /*shift=*/0, opt);
+    EXPECT_EQ(slice_logical(c, m, n), matmul_reference(a1, b1)) << where;
+
+    ctx.reset_counters();
+    const MatrixI32 cross_bit = bitmm_to_int(pa, pb, opt);
+    const u64 cross_bit_ops = ctx.counters().bmma_ops;
+    ctx.reset_counters();
+    EXPECT_EQ(bitmm_fused_int(pa, pb, {}, opt), cross_bit) << where;
+    EXPECT_EQ(ctx.counters().bmma_ops, cross_bit_ops) << where;
+    EXPECT_EQ(cross_bit, matmul_reference(a, b)) << where;
+  }
 }
 
 TEST(Backends, PrivateCountersIsolatedFromGlobal) {
@@ -165,7 +194,7 @@ TEST(Backends, ApiSessionRoutesCounters) {
   const auto ta = api::BitTensor::to_bit(a, 4, api::BitTensor::Side::kLeft);
   const auto tb = api::BitTensor::to_bit(b, 4, api::BitTensor::Side::kRight);
 
-  const api::Session session(tcsim::BackendKind::kSimd);
+  const api::Session session(tcsim::BackendKind::kBlocked);
   const MatrixI32 got = session.mm_int(ta, tb);
   EXPECT_GT(session.counters().bmma_ops, 0u);
   EXPECT_EQ(got, api::bitMM2Int(ta, tb));
@@ -232,8 +261,7 @@ TEST(Backends, EngineOutputsIdenticalAcrossBackendsAndThreads) {
     const auto& bd = *bdp;
     const MatrixI32 want = engine.model().forward_prepared(
         bd.adj_tiles, bd.x_planes, nullptr, &scalar);
-    for (const auto kind :
-         {tcsim::BackendKind::kSimd, tcsim::BackendKind::kBlocked}) {
+    for (const auto kind : tcsim::all_backends()) {
       const tcsim::ExecutionContext ctx(kind);
       EXPECT_EQ(engine.model().forward_prepared(bd.adj_tiles, bd.x_planes,
                                                 nullptr, &ctx),

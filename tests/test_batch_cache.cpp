@@ -138,9 +138,7 @@ core::EngineConfig cache_config(bool streaming, int bits = 3) {
 
 TEST(BatchCacheEngine, ParityAcrossBackendsAndModes) {
   const Dataset ds = cache_dataset();
-  for (const auto backend :
-       {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
-        tcsim::BackendKind::kBlocked}) {
+  for (const auto backend : tcsim::all_backends()) {
     for (const bool streaming : {false, true}) {
       core::EngineConfig off = cache_config(streaming);
       off.backend = backend;

@@ -281,9 +281,7 @@ TEST(Tracing, OnVsOffIsBitIdenticalOnEveryBackend) {
   // substrate counters must match bit-for-bit with tracing on and off.
   const Dataset ds = obs_dataset();
   auto& sink = obs::SpanSink::instance();
-  for (const auto backend :
-       {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
-        tcsim::BackendKind::kBlocked}) {
+  for (const auto backend : tcsim::all_backends()) {
     sink.disable();
     sink.clear();
     core::QgtcEngine off_engine(ds, obs_config(backend));

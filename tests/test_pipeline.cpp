@@ -280,9 +280,7 @@ EngineConfig pipeline_config(gnn::ModelKind kind, int bits) {
 
 TEST(StreamingEngine, BitIdenticalAcrossDepthsAndBackends) {
   const Dataset ds = pipeline_dataset();
-  for (const auto backend :
-       {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
-        tcsim::BackendKind::kBlocked}) {
+  for (const auto backend : tcsim::all_backends()) {
     EngineConfig cfg = pipeline_config(gnn::ModelKind::kClusterGCN, 3);
     cfg.backend = backend;
     cfg.inter_batch_threads = 2;

@@ -100,9 +100,7 @@ TEST(ExpandEgo, RejectsBadSeeds) {
 // logits and identical counter totals.
 TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackends) {
   const Dataset ds = serving_dataset();
-  for (const auto backend :
-       {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
-        tcsim::BackendKind::kBlocked}) {
+  for (const auto backend : tcsim::all_backends()) {
     EngineConfig cfg = serving_config();
     cfg.backend = backend;
 
@@ -305,9 +303,7 @@ TEST(SessionApi, MatchesCtxPinnedFreeFunctionsIncludingCounters) {
   const auto ta = api::BitTensor::to_bit(a, 3, api::BitTensor::Side::kLeft);
   const auto tb = api::BitTensor::to_bit(b, 3, api::BitTensor::Side::kRight);
 
-  for (const auto backend :
-       {tcsim::BackendKind::kScalar, tcsim::BackendKind::kSimd,
-        tcsim::BackendKind::kBlocked}) {
+  for (const auto backend : tcsim::all_backends()) {
     const api::Session session(backend);
     const tcsim::ExecutionContext ctx(backend, /*private_counters=*/true);
     BmmOptions pinned;

@@ -409,15 +409,11 @@ TEST(TileOps, PanelAssignsEveryTile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, TileOpsAllBackends,
-                         ::testing::Values(tcsim::BackendKind::kScalar,
-                                           tcsim::BackendKind::kSimd,
-                                           tcsim::BackendKind::kBlocked),
+                         ::testing::ValuesIn(tcsim::all_backends()),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case tcsim::BackendKind::kScalar: return "scalar";
-                             case tcsim::BackendKind::kSimd: return "simd";
-                             default: return "blocked";
-                           }
+                           return info.param == tcsim::BackendKind::kScalar
+                                      ? "scalar"
+                                      : "blocked";
                          });
 
 }  // namespace
