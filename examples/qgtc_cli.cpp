@@ -69,7 +69,6 @@ struct Args {
   std::string backend;  // empty = engine default (QGTC_BACKEND or blocked)
   int threads = 0;      // 0 = unset (engine default, or autotuned)
   int fuse_epilogue = -1;   // -1 = unset, 0 = --no-fuse-epilogue, 1 = --fuse-epilogue
-  std::string activation;   // empty = model default (relu)
   std::string save_path;
   std::string load_path;
   // Out-of-core store + prepared-batch cache.
@@ -93,7 +92,6 @@ void usage() {
                "  [--streaming] [--pipeline-depth D] [--prepare-threads P]\n"
                "  [--backend scalar|blocked] [--threads T]\n"
                "  [--fuse-epilogue|--no-fuse-epilogue]\n"
-               "  [--activation identity|relu|relu6|hardswish]\n"
                "  [--save-dataset F] [--load-dataset F]\n"
                "  [--store DIR] [--write-store DIR] [--cache-budget-mb N]\n"
                "  [--serve] [--qps Q] [--requests N] [--fanout F]\n"
@@ -169,7 +167,6 @@ bool parse(int argc, char** argv, Args& a) {
     else if (flag == "--threads") a.threads = next_at_least(1);
     else if (flag == "--fuse-epilogue") a.fuse_epilogue = 1;
     else if (flag == "--no-fuse-epilogue") a.fuse_epilogue = 0;
-    else if (flag == "--activation") a.activation = next();
     else if (flag == "--serve") a.serve = true;
     else if (flag == "--trace-out") a.trace_out = next();
     else if (flag == "--metrics") a.metrics = true;
@@ -265,9 +262,6 @@ int run(const Args& args) {
   if (args.pipeline_depth > 0) cfg.mode.pipeline_depth = args.pipeline_depth;
   if (args.prepare_threads > 0) cfg.mode.prepare_threads = args.prepare_threads;
   if (args.fuse_epilogue >= 0) cfg.model.fused_epilogue = args.fuse_epilogue != 0;
-  if (!args.activation.empty()) {
-    cfg.model.activation = tcsim::parse_activation(args.activation);
-  }
   if (!args.backend.empty()) cfg.backend = tcsim::parse_backend(args.backend);
   if (args.threads > 0) cfg.inter_batch_threads = args.threads;
   if (args.cache_budget_mb > 0) {
@@ -353,15 +347,9 @@ int run(const Args& args) {
   table.add_row({"backend", q.backend});
   table.add_row({"epilogue",
                  cfg.model.fused_epilogue
-                     ? "fused (" +
-                           std::string(tcsim::activation_name(
-                               cfg.model.activation)) +
-                           ", " + std::to_string(q.epilogue_fused_layers) +
+                     ? "fused (" + std::to_string(q.epilogue_fused_layers) +
                            " stages/pass)"
-                     : "unfused (" +
-                           std::string(tcsim::activation_name(
-                               cfg.model.activation)) +
-                           ")"});
+                     : "unfused"});
   table.add_row({"epoch mode",
                  cfg.mode.streaming()
                      ? "streaming (depth " + std::to_string(cfg.mode.pipeline_depth) +

@@ -16,8 +16,6 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
              "device profile fields must be positive");
   TunedConfig t;
   t.objective = objective;
-  t.fuse_epilogue = true;
-  t.activation = model.activation;
 
   // Partition count: aim for target_partition_nodes per subgraph, clamped to
   // a sane range (at least one partition per parallel unit so batching can
@@ -149,8 +147,6 @@ void apply(const TunedConfig& tuned, EngineConfig& cfg) {
   cfg.inter_batch_threads = tuned.inter_batch_threads;
   cfg.mode = tuned.mode;
   cfg.cache_budget_bytes = tuned.cache_budget_bytes;
-  cfg.model.fused_epilogue = tuned.fuse_epilogue;
-  cfg.model.activation = tuned.activation;
 }
 
 }  // namespace qgtc::core

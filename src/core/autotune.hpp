@@ -55,13 +55,6 @@ struct TunedConfig {
   /// (node/request budgets sized to the tuned batch, stage staffing from the
   /// same worker split as the pipeline knobs).
   ServingPolicy serving;
-  /// Fused quantized epilogue: requantize/activate/re-pack inside the tile
-  /// flush. Default-on for tuned runs — bit-identical to the unfused path
-  /// and strictly less memory traffic (one int32 sweep saved per stage).
-  bool fuse_epilogue = true;
-  /// Hidden-layer activation the epilogue applies (mirrors the model config;
-  /// kept here so a tuned run records the full scenario).
-  tcsim::Activation activation = tcsim::Activation::kRelu;
   /// Estimated bytes of the fully-materialised epoch (what precomputed mode
   /// would hold resident).
   i64 epoch_bytes_estimate = 0;
@@ -85,7 +78,8 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
                                     TuneObjective objective =
                                         TuneObjective::kThroughput);
 
-/// Applies a tuned config onto an EngineConfig.
+/// Applies a tuned config onto an EngineConfig's engine knobs (partitions,
+/// batch, workers, run mode, cache budget). It writes no `cfg.model` field.
 void apply(const TunedConfig& tuned, EngineConfig& cfg);
 
 }  // namespace qgtc::core

@@ -29,10 +29,6 @@ struct GnnConfig {
   ReuseMode reuse = ReuseMode::kCrossTile;
   bool fused_epilogue = true;
 
-  /// Hidden-layer activation, executed inside the fused epilogue (or the
-  /// bit-identical standalone requantization when fused_epilogue is off).
-  tcsim::Activation activation = tcsim::Activation::kRelu;
-
   /// Per-layer bit-width selection at calibration: each requantizing stage
   /// (and each cached weight tensor) stores only the planes its calibrated
   /// value range needs, up to feat_bits/weight_bits. Exact on the

@@ -49,30 +49,6 @@ u64 requant_inplace(MatrixI32& m, const EpiloguePlan& p) {
   return tcsim::apply_epilogue_span(m.data(), m.size(), spec);
 }
 
-/// fp32 mirror of a stage's activation. relu/identity are exact
-/// counterparts of the quantized epilogue; relu6/hardswish use the same
-/// quantized-domain constants and are reference-only approximations.
-void activate_fp32(MatrixF& m, tcsim::Activation act) {
-  switch (act) {
-    case tcsim::Activation::kIdentity:
-      break;
-    case tcsim::Activation::kRelu:
-      baselines::relu_inplace(m);
-      break;
-    case tcsim::Activation::kRelu6:
-      for (i64 i = 0; i < m.size(); ++i) {
-        m.data()[i] = std::clamp(m.data()[i], 0.0f, 6.0f);
-      }
-      break;
-    case tcsim::Activation::kHardswish:
-      for (i64 i = 0; i < m.size(); ++i) {
-        const float v = m.data()[i];
-        m.data()[i] = v * std::clamp(v + 3.0f, 0.0f, 6.0f) / 6.0f;
-      }
-      break;
-  }
-}
-
 }  // namespace
 
 QgtcModel QgtcModel::create(const GnnConfig& cfg, u64 seed) {
@@ -99,19 +75,19 @@ void QgtcModel::build_plan() {
     const int w = op == StageOp::kUpdate ? weight++ : -1;
     stages_.push_back({op, w, {0, cfg_.feat_bits, act, cfg_.fused_epilogue}});
   };
-  // Aggregations never activate (the paper's GCN/GIN layers put the
-  // nonlinearity on the update); the last layer's update stays linear for
-  // the logits, except the first gin_mlp GEMM, which activates on every layer.
+  // Aggregations never activate (the paper's GCN/GIN layers put the ReLU on
+  // the update); the last layer's update stays linear for the logits, except
+  // the first gin_mlp GEMM, which applies ReLU on every layer.
   constexpr auto kAgg = StageOp::kAggregate, kUpd = StageOp::kUpdate;
   constexpr auto kIdentity = tcsim::Activation::kIdentity;
+  constexpr auto kRelu = tcsim::Activation::kRelu;
   for (int l = 0; l < cfg_.num_layers; ++l) {
-    const tcsim::Activation act =
-        l + 1 == cfg_.num_layers ? kIdentity : cfg_.activation;
+    const tcsim::Activation act = l + 1 == cfg_.num_layers ? kIdentity : kRelu;
     if (gcn) {
       add(kAgg, kIdentity);
       add(kUpd, act);
     } else {
-      if (updates_per_layer(cfg_) == 2) add(kUpd, cfg_.activation);
+      if (updates_per_layer(cfg_) == 2) add(kUpd, kRelu);
       add(kUpd, act);
       add(kAgg, kIdentity);
     }
@@ -293,7 +269,8 @@ MatrixF QgtcModel::forward_fp32(const CsrGraph& local, const MatrixF& x) const {
     cur = st.op == StageOp::kAggregate
               ? baselines::spmm_csr(local, cur, /*add_self=*/true)
               : baselines::gemm_f32(cur, fp_weight(st.weight));
-    activate_fp32(cur, st.plan.act);
+    // The fp32 mirror of the stage's activation (exact for ReLU).
+    if (st.plan.act == tcsim::Activation::kRelu) baselines::relu_inplace(cur);
   }
   return cur;
 }

@@ -52,10 +52,6 @@ bool tile_zero_all_planes(const std::vector<const BitMatrix*>& ap, i64 tm,
 /// surviving tiles come from the inline §4.3 OR+ballot test.
 class DensePlanesSource {
  public:
-  /// True when absent tiles are structurally skipped regardless of
-  /// opt.zero_tile_jump (dense planes: no — the inline test gates skipping).
-  static constexpr bool kStructural = false;
-
   explicit DensePlanesSource(std::vector<const BitMatrix*> ap)
       : ap_(std::move(ap)) {
     QGTC_CHECK(ap_.front()->layout() == BitLayout::kRowMajorK,
@@ -103,8 +99,6 @@ class DensePlanesSource {
 /// single-plane (the adjacency is 1-bit).
 class SparseAdjSource {
  public:
-  static constexpr bool kStructural = true;
-
   explicit SparseAdjSource(const TileSparseBitMatrix& a) : a_(&a) {}
 
   [[nodiscard]] i64 tiles_m() const { return a_->tiles_m(); }
@@ -155,9 +149,6 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   QGTC_CHECK(b0.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
   QGTC_CHECK(src.padded_k() == b0.padded_rows(),
              "padded K extents of A and B differ");
-  QGTC_CHECK(!((opt.zero_tile_jump || Src::kStructural) &&
-               opt.op == tcsim::BmmaOp::kXor),
-             "zero-tile jumping is incompatible with the XOR combine");
   QGTC_CHECK(bp.size() <= static_cast<std::size_t>(tcsim::kMaxPanelPlanes),
              "more B planes than a panel job holds");
   for (const BitMatrix* p : bp) {
@@ -179,19 +170,17 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
     return static_cast<u64>(src.survivors(tm, opt, refs));
   };
 
-  // Every panel job shares the planes, strides, shift and combine; per panel
-  // only the schedule, the B column pointers and nb change. B planes are
-  // zero past their K logical rows (StackedBitTensor's padding invariant),
-  // so an AND product with K <= 64 only ever sees the low word of each K
-  // tile.
+  // Every panel job shares the planes, strides and shift; per panel only
+  // the schedule, the B column pointers and nb change. B planes are zero
+  // past their K logical rows (StackedBitTensor's padding invariant), so a
+  // product with K <= 64 only ever sees the low word of each K tile.
   tcsim::PanelJob base;
   base.a_planes = sa;
   base.a_stride = src.a_stride();
   base.b_planes = sb;
   base.b_stride = b0.k_words();
   base.shift = shift;
-  base.use_xor = (opt.op == tcsim::BmmaOp::kXor);
-  base.half_k = !base.use_xor && b0.rows() <= 64;
+  base.half_k = b0.rows() <= 64;
   const auto panel_job = [&](const std::vector<tcsim::SparseTileRef>& refs,
                              i64 tn0, i64 nb) {
     tcsim::PanelJob job = base;

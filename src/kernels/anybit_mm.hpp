@@ -28,8 +28,8 @@ enum class ReuseMode {
 
 /// Fused epilogue applied to each finished 8x8 int32 output tile (§4.5).
 struct FusedEpilogue {
-  /// Elementwise activation (identity / relu / relu6 / hardswish) applied in
-  /// the requantized domain — see tcsim::apply_epilogue for exact semantics.
+  /// Elementwise activation (identity / relu) applied in the requantized
+  /// domain — see tcsim::apply_epilogue for exact semantics.
   tcsim::Activation act = tcsim::Activation::kIdentity;
   /// Per-output-column batch-norm folded to y = x * scale[j] + bias[j]
   /// (Eq. 8 with E/Var/gamma/beta pre-folded by the caller).

@@ -19,9 +19,6 @@ struct BmmOptions {
   /// performed in unsigned arithmetic so overflow wraps (defined behaviour),
   /// exactly like the hardware's uint32 accumulators.
   bool allow_overflow = false;
-  /// Bitwise combine of the 1-bit MMA: kAnd for unsigned bit-composition
-  /// (the QGTC scheme), kXor for +-1 binarized networks (paper §2.3).
-  tcsim::BmmaOp op = tcsim::BmmaOp::kAnd;
   /// Execution context supplying the substrate backend, workspace arena and
   /// counter sink. Null routes to ExecutionContext::default_context().
   const tcsim::ExecutionContext* ctx = nullptr;
@@ -54,7 +51,6 @@ MatrixI32 bmm(const BitMatrix& a, const BitMatrix& b,
 /// accounting matches the dense path *with zero-tile jumping enabled*
 /// exactly. `opt.zero_tile_jump` is ignored — the layout *is* the jump map;
 /// a tile-CSR that stores every tile is the no-jump layout.
-/// The XOR combine is rejected, as with flag-based jumping.
 void bmm_accumulate(const TileSparseBitMatrix& a, const BitMatrix& b,
                     MatrixI32& c, int shift = 0, const BmmOptions& opt = {});
 

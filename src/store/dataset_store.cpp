@@ -81,13 +81,20 @@ DatasetStore DatasetStore::open(const std::string& dir,
     QGTC_CHECK(sh.total_edges == total_directed_edges,
                "CSR shards disagree on edge count: " + path);
 
+    // The num_nodes + 1 offsets must be in the file before any is read.
+    const i64 payload = file.size() - static_cast<i64>(sizeof(ShardHeader));
+    QGTC_CHECK(sh.num_nodes < payload / static_cast<i64>(sizeof(i64)),
+               "CSR shard offsets truncated: " + path);
     const i64* row_ptr =
         reinterpret_cast<const i64*>(file.data() + sizeof(ShardHeader));
+    QGTC_CHECK(row_ptr[0] >= 0 && row_ptr[sh.num_nodes] >= row_ptr[0],
+               "CSR shard has a negative edge count: " + path);
     const i64 shard_edges = row_ptr[sh.num_nodes] - row_ptr[0];
-    const i64 expect = static_cast<i64>(sizeof(ShardHeader)) +
-                       (sh.num_nodes + 1) * static_cast<i64>(sizeof(i64)) +
-                       shard_edges * static_cast<i64>(sizeof(i32));
-    QGTC_CHECK(file.size() == expect, "CSR shard payload size mismatch: " + path);
+    const i64 col_bytes =
+        payload - (sh.num_nodes + 1) * static_cast<i64>(sizeof(i64));
+    QGTC_CHECK(col_bytes % static_cast<i64>(sizeof(i32)) == 0 &&
+                   col_bytes / static_cast<i64>(sizeof(i32)) == shard_edges,
+               "CSR shard payload size mismatch: " + path);
     const i32* col_idx = reinterpret_cast<const i32*>(
         file.data() + sizeof(ShardHeader) +
         static_cast<std::size_t>(sh.num_nodes + 1) * sizeof(i64));

@@ -40,7 +40,7 @@ struct ScalarKernels {
   }
 
   static void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                  int shift, bool use_xor) {
+                  int shift) {
     for (int j = 0; j < kTileN; ++j) {
       u64 b0, b1;
       std::memcpy(&b0, b + j * b_stride, 8);
@@ -49,9 +49,7 @@ struct ScalarKernels {
         const u64 a0 = frag.lanes[static_cast<std::size_t>(i) * 8];
         const u64 a1 = frag.lanes[static_cast<std::size_t>(i) * 8 + 1];
         const u64 cnt =
-            use_xor
-                ? static_cast<u64>(std::popcount(a0 ^ b0) + std::popcount(a1 ^ b1))
-                : static_cast<u64>(std::popcount(a0 & b0) + std::popcount(a1 & b1));
+            static_cast<u64>(std::popcount(a0 & b0) + std::popcount(a1 & b1));
         acc[static_cast<std::size_t>(i) * kTileN + j] += cnt << shift;
       }
     }
@@ -79,12 +77,10 @@ struct Avx512Kernels {
   /// plane, A rows are broadcast straight from memory, and the per-term shift
   /// is one vpsllvq (counts >= 64 give 0, as the uint32 wrap needs).
   static void mma_panel(u32* tiles, const PanelJob& job) {
-    if (job.use_xor) {
-      panel<true>(tiles, job);
-    } else if (job.half_k) {
+    if (job.half_k) {
       half_k_panel(tiles, job);
     } else {
-      panel<false>(tiles, job);
+      panel(tiles, job);
     }
   }
 
@@ -166,7 +162,6 @@ struct Avx512Kernels {
 
   /// c[i][g] lanes 2q and 2q + 1 hold the low and high K-word partial sums
   /// of row i, column 4g + q.
-  template <bool kXor>
   static void panel(u32* tiles, const PanelJob& job) {
     const i64 a_stride = job.a_stride;
     const i64 b_stride = job.b_stride;
@@ -192,11 +187,10 @@ struct Avx512Kernels {
                   0xFFFF, _mm_loadu_si128(
                               reinterpret_cast<const __m128i*>(a + i * a_stride)));
               for (int g = 0; g < 2; ++g) {
-                const __m512i mixed = kXor ? _mm512_xor_si512(av, bc[g])
-                                           : _mm512_and_si512(av, bc[g]);
+                const __m512i both = _mm512_and_si512(av, bc[g]);
                 c[i][g] = _mm512_add_epi64(
                     c[i][g],
-                    _mm512_maskz_sllv_epi64(0xFF, _mm512_popcnt_epi64(mixed), sv));
+                    _mm512_maskz_sllv_epi64(0xFF, _mm512_popcnt_epi64(both), sv));
               }
             }
           }
@@ -244,7 +238,7 @@ struct Avx2Kernels {
   }
 
   static void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                  int shift, bool use_xor) {
+                  int shift) {
     __m256i bc[4];
     for (int p = 0; p < 4; ++p) {
       const __m128i lo = _mm_loadu_si128(
@@ -259,8 +253,7 @@ struct Avx2Kernels {
           &frag.lanes[static_cast<std::size_t>(i) * 8]));
       for (int p = 0; p < 4; ++p) {
         __m256i* slot = reinterpret_cast<__m256i*>(acc + (i * 4 + p) * 4);
-        const __m256i x =
-            use_xor ? _mm256_xor_si256(av, bc[p]) : _mm256_and_si256(av, bc[p]);
+        const __m256i x = _mm256_and_si256(av, bc[p]);
         const __m256i sums = _mm256_sad_epu8(popcount_bytes_256(x), zero);
         _mm256_storeu_si256(
             slot, _mm256_add_epi64(_mm256_loadu_si256(slot),
@@ -349,12 +342,11 @@ namespace {
 // ------------------------------------------------------------------------
 
 /// A panel composed from a kernel set's per-tile ops (load_a + mma, both
-/// inlined, the combine fixed at compile time): each A tile is decoded once
-/// and swept across the panel's output-column tiles and B planes, into u64
-/// lanes local to the call that the set's reduce then narrows into the u32
-/// tiles. Shifts past 63 are clamped, which leaves the low 32 bits zero
+/// inlined): each A tile is decoded once and swept across the panel's
+/// output-column tiles and B planes, into u64 lanes local to the call that
+/// the set's reduce then narrows into the u32 tiles. Shifts past 63 are clamped, which leaves the low 32 bits zero
 /// exactly as the uint32 wrap requires.
-template <typename Kernels, bool kXor>
+template <typename Kernels>
 void panel_by_tiles(u32* tiles, const PanelJob& job) {
   QGTC_CHECK(job.nb <= kPanelWidth, "a panel job covers at most 8 tiles");
   alignas(64) u64 acc[kPanelWidth * Kernels::kLanes];
@@ -369,7 +361,7 @@ void panel_by_tiles(u32* tiles, const PanelJob& job) {
         const i64 b_off = blk * kTileN * job.b_stride + k_off;
         for (int bb = 0; bb < job.b_planes; ++bb) {
           Kernels::mma(acc + blk * Kernels::kLanes, frag, job.b_cols[bb] + b_off,
-                       job.b_stride, std::min(job.shift + ab + bb, 63), kXor);
+                       job.b_stride, std::min(job.shift + ab + bb, 63));
         }
       }
     }
@@ -390,10 +382,8 @@ class BackendImpl final : public SubstrateBackend {
   void mma_panel(u32* tiles, const PanelJob& job) const override {
     if constexpr (requires { Kernels::mma_panel(tiles, job); }) {
       Kernels::mma_panel(tiles, job);
-    } else if (job.use_xor) {
-      panel_by_tiles<Kernels, true>(tiles, job);
     } else {
-      panel_by_tiles<Kernels, false>(tiles, job);
+      panel_by_tiles<Kernels>(tiles, job);
     }
   }
 
@@ -463,19 +453,8 @@ const char* activation_name(Activation a) {
   switch (a) {
     case Activation::kIdentity: return "identity";
     case Activation::kRelu: return "relu";
-    case Activation::kRelu6: return "relu6";
-    case Activation::kHardswish: return "hardswish";
   }
   return "?";
-}
-
-Activation parse_activation(std::string_view name) {
-  if (name == "identity") return Activation::kIdentity;
-  if (name == "relu") return Activation::kRelu;
-  if (name == "relu6") return Activation::kRelu6;
-  if (name == "hardswish") return Activation::kHardswish;
-  throw std::invalid_argument("unknown activation '" + std::string(name) +
-                              "' (expected identity|relu|relu6|hardswish)");
 }
 
 std::vector<BackendKind> all_backends() {

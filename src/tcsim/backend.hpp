@@ -6,7 +6,7 @@
 // 8x8x128 tile contract, so the same kernel code can run on different
 // micro-kernel implementations selected at runtime:
 //
-//   kScalar   the reference path: per-tile u64 AND/XOR + std::popcount,
+//   kScalar   the reference path: per-tile u64 AND + std::popcount,
 //             exactly the semantics of tcsim::dot128. Tests compare every
 //             other path against it.
 //   kBlocked  the best micro-kernel compiled in AND supported by the running
@@ -41,11 +41,9 @@ enum class BackendKind { kScalar = 0, kBlocked = 1 };
 inline constexpr i64 kPanelWidth = 8;
 
 /// Elementwise activation the fused epilogue applies in the requantized
-/// integer domain (after the arithmetic right-shift, before the clamp).
-/// kRelu6 and kHardswish use the quantized-domain constants 3/6 — the
-/// standard integer approximations (hardswish(x) = x * clamp(x+3, 0, 6) / 6
-/// with truncating division).
-enum class Activation { kIdentity = 0, kRelu = 1, kRelu6 = 2, kHardswish = 3 };
+/// integer domain (after the arithmetic right-shift, before the clamp):
+/// identity, or the paper's ReLU (§4.5) on hidden updates.
+enum class Activation { kIdentity = 0, kRelu = 1 };
 
 /// Epilogue parameters for the requantizing flush variants. Applied to each
 /// accumulator value after the uint32-wrap truncation:
@@ -67,20 +65,11 @@ struct EpilogueSpec {
 
 namespace detail {
 
-/// The one per-activation definition, in the i32 domain. Equal to the
-/// textbook i64 form for every i32 input: hardswish(w) = w for w >= 3 (the
-/// gate saturates at 6), and below that only min(w, 3) is multiplied, so the
-/// product never overflows.
+/// The one per-activation definition, in the i32 domain.
 template <Activation A>
 constexpr i32 activate(i32 w) {
   if constexpr (A == Activation::kRelu) {
     return w < 0 ? 0 : w;
-  } else if constexpr (A == Activation::kRelu6) {
-    return w < 0 ? 0 : (w > 6 ? 6 : w);
-  } else if constexpr (A == Activation::kHardswish) {
-    const i32 m = w < 3 ? w : 3;
-    const i32 g = m + 3 < 0 ? 0 : m + 3;
-    return w >= 3 ? w : (m * g) / 6;
   } else {
     return w;
   }
@@ -123,10 +112,6 @@ inline u64 apply_epilogue_span(i32* vals, i64 n, const EpilogueSpec& spec) {
       return detail::epilogue_run<Activation::kIdentity>(vals, n, sh, spec.qmax);
     case Activation::kRelu:
       return detail::epilogue_run<Activation::kRelu>(vals, n, sh, spec.qmax);
-    case Activation::kRelu6:
-      return detail::epilogue_run<Activation::kRelu6>(vals, n, sh, spec.qmax);
-    case Activation::kHardswish:
-      return detail::epilogue_run<Activation::kHardswish>(vals, n, sh, spec.qmax);
   }
   return 0;
 }
@@ -164,14 +149,13 @@ inline constexpr int kMaxPanelPlanes = 32;
 /// 128-bit slice b_cols[bb] + blk * kTileN * b_stride + k_tile * kTileKWords
 /// of its 8 columns, which sit `b_stride` u32 apart. Each (t, ab, bb) product is
 /// weighted << (shift + ab + bb); terms shifted by 32 or more vanish at the
-/// uint32 wrap. `use_xor` selects the +-1 binary network combine
-/// (BmmaOp::kXor) instead of AND.
+/// uint32 wrap.
 ///
 /// `half_k` states that every B column is zero past the first 64 bits of
 /// each K-tile slice (an AND product with K <= 64). Only the low 64-bit word
 /// of each 128-bit slice can then contribute, so a backend may skip the
 /// upper one; results are identical either way, and backends without a
-/// half-K kernel ignore it. Never set with use_xor (XOR of zero is not zero).
+/// half-K kernel ignore it.
 struct PanelJob {
   const SparseTileRef* a_tiles = nullptr;  // n_tiles * a_planes entries
   i64 n_tiles = 0;
@@ -182,7 +166,6 @@ struct PanelJob {
   i64 b_stride = 0;
   i64 nb = 1;
   int shift = 0;
-  bool use_xor = false;
   bool half_k = false;
 };
 
@@ -292,11 +275,8 @@ class SubstrateBackend {
 /// Parse a backend name; throws std::invalid_argument on unknown names.
 [[nodiscard]] BackendKind parse_backend(std::string_view name);
 
-/// Display name ("identity", "relu", "relu6", "hardswish").
+/// Display name ("identity", "relu").
 [[nodiscard]] const char* activation_name(Activation a);
-
-/// Parse an activation name; throws std::invalid_argument on unknown names.
-[[nodiscard]] Activation parse_activation(std::string_view name);
 
 /// All registered kinds, in registry order.
 [[nodiscard]] std::vector<BackendKind> all_backends();

@@ -21,10 +21,6 @@
 
 namespace qgtc::tcsim {
 
-/// Which bitwise combine the `b1` MMA uses. Ampere exposes AND (used by QGTC,
-/// Eq. 7) and XOR (used by +-1 binary networks).
-enum class BmmaOp { kAnd, kXor };
-
 /// A-operand fragment: 8 rows x 128 bits, packed 4 x u32 per row
 /// (row-major along K — the paper's "column-wise compression" layout).
 struct FragmentA {
@@ -97,29 +93,26 @@ inline void load_matrix_sync(FragmentB& frag, const u32* ptr, i64 stride_words) 
   ++thread_counters().frag_loads_b;
 }
 
-/// 128-bit AND+popcount (or XOR+popcount) between one fragment row/column
-/// pair, executed as two u64 lanes.
-inline i32 dot128(const u32* a, const u32* b, BmmaOp op) {
+/// 128-bit AND+popcount (paper Eq. 7) between one fragment row/column pair,
+/// executed as two u64 lanes.
+inline i32 dot128(const u32* a, const u32* b) {
   u64 a0, a1, b0, b1;
   std::memcpy(&a0, a, 8);
   std::memcpy(&a1, a + 2, 8);
   std::memcpy(&b0, b, 8);
   std::memcpy(&b1, b + 2, 8);
-  if (op == BmmaOp::kAnd) {
-    return static_cast<i32>(std::popcount(a0 & b0) + std::popcount(a1 & b1));
-  }
-  return static_cast<i32>(std::popcount(a0 ^ b0) + std::popcount(a1 ^ b1));
+  return static_cast<i32>(std::popcount(a0 & b0) + std::popcount(a1 & b1));
 }
 
 /// D = A (8x128 bits) x B (128x8 bits) + C, the `wmma::bmma_sync` contract.
 inline void bmma_sync(FragmentC& d, const FragmentA& a, const FragmentB& b,
-                      const FragmentC& c, BmmaOp op = BmmaOp::kAnd) {
+                      const FragmentC& c) {
   for (int i = 0; i < kTileM; ++i) {
     const u32* arow = &a.bits[static_cast<std::size_t>(i) * kTileKWords];
     for (int j = 0; j < kTileN; ++j) {
       const u32* bcol = &b.bits[static_cast<std::size_t>(j) * kTileKWords];
       d.acc[static_cast<std::size_t>(i) * kTileN + j] =
-          c.acc[static_cast<std::size_t>(i) * kTileN + j] + dot128(arow, bcol, op);
+          c.acc[static_cast<std::size_t>(i) * kTileN + j] + dot128(arow, bcol);
     }
   }
   ++thread_counters().bmma_ops;

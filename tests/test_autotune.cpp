@@ -64,9 +64,12 @@ TEST(Autotune, ApplyWritesEngineConfig) {
   const DatasetSpec spec = table1_spec("PPI");
   const TunedConfig t = generate_runtime_config(spec, model_for(spec));
   EngineConfig cfg;
+  cfg.model.fused_epilogue = false;
   apply(t, cfg);
   EXPECT_EQ(cfg.num_partitions, t.num_partitions);
   EXPECT_EQ(cfg.batch_size, t.batch_size);
+  // apply writes engine knobs only: the caller's model config survives.
+  EXPECT_FALSE(cfg.model.fused_epilogue);
 }
 
 TEST(Autotune, InvalidProfileThrows) {

@@ -108,25 +108,6 @@ TEST_P(BackendEquivalence, RandomAggregations) {
 
 INSTANTIATE_TEST_SUITE_P(Random, BackendEquivalence, ::testing::Range(0, 10));
 
-TEST(Backends, XorCombineMatchesScalarAcrossBackends) {
-  Rng rng(77);
-  const MatrixI32 a = random_binary(rng, 24, 200, 0.5f);
-  const MatrixI32 b = random_binary(rng, 200, 16, 0.5f);
-  const BitMatrix pa = pack_nonzero(a, BitLayout::kRowMajorK);
-  const BitMatrix pb = pack_nonzero(b, BitLayout::kColMajorK);
-
-  std::vector<MatrixI32> results;
-  for (const auto kind : tcsim::all_backends()) {
-    const tcsim::ExecutionContext ctx(kind);
-    BmmOptions opt;
-    opt.ctx = &ctx;
-    opt.op = tcsim::BmmaOp::kXor;
-    results.push_back(bmm(pa, pb, opt));
-  }
-  ASSERT_GE(results.size(), 2u);
-  for (const MatrixI32& r : results) EXPECT_EQ(r, results.front());
-}
-
 /// An A operand packed with PadPolicy::kOperand128 holds pad128(M) rows, but
 /// a product has only pad8(M) / 8 row blocks: every sweep must stay inside a
 /// pad8(M)-row accumulator and count the same ops as the cross-bit path.

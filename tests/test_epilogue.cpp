@@ -1,7 +1,7 @@
 // Fused quantized epilogue tests: the requantize/activate/re-pack sequence
 // executed inside the tile flush must be bit-identical to the unfused
 // reference (int32 sweep + standalone requantization) across every backend,
-// epoch mode, activation and bit-width — and must actually
+// epoch mode, activation (identity, ReLU) and bit-width — and must actually
 // avoid the int32 intermediate (counter > 0 fused, == 0 unfused).
 #include <gtest/gtest.h>
 
@@ -22,8 +22,7 @@ using tcsim::Activation;
 using tcsim::apply_epilogue;
 using tcsim::EpilogueSpec;
 
-const Activation kActs[] = {Activation::kIdentity, Activation::kRelu,
-                            Activation::kRelu6, Activation::kHardswish};
+const Activation kActs[] = {Activation::kIdentity, Activation::kRelu};
 
 MatrixI32 random_codes(Rng& rng, i64 rows, i64 cols, int bits) {
   MatrixI32 m(rows, cols);
@@ -39,15 +38,7 @@ TEST(Epilogue, ApplySemantics) {
   EXPECT_EQ(apply_epilogue(40, {Activation::kIdentity, 2, -1}), 10);
   EXPECT_EQ(apply_epilogue(-8, {Activation::kIdentity, 2, -1}), -2);
   EXPECT_EQ(apply_epilogue(-8, {Activation::kRelu, 2, -1}), 0);
-  EXPECT_EQ(apply_epilogue(40, {Activation::kRelu6, 2, -1}), 6);
-  EXPECT_EQ(apply_epilogue(5, {Activation::kRelu6, 0, -1}), 5);
-  // hardswish(x) = x * clamp(x+3, 0, 6) / 6, truncating division.
-  EXPECT_EQ(apply_epilogue(-4, {Activation::kHardswish, 0, -1}), 0);
-  EXPECT_EQ(apply_epilogue(-2, {Activation::kHardswish, 0, -1}), 0);  // -2*1/6
-  EXPECT_EQ(apply_epilogue(-1, {Activation::kHardswish, 0, -1}), 0);  // -2/6
-  EXPECT_EQ(apply_epilogue(1, {Activation::kHardswish, 0, -1}), 0);   // 4/6
-  EXPECT_EQ(apply_epilogue(2, {Activation::kHardswish, 0, -1}), 1);   // 10/6
-  EXPECT_EQ(apply_epilogue(9, {Activation::kHardswish, 0, -1}), 9);   // linear
+  EXPECT_EQ(apply_epilogue(40, {Activation::kRelu, 2, -1}), 10);
   // Clamp to [0, qmax] last.
   EXPECT_EQ(apply_epilogue(300, {Activation::kIdentity, 3, 15}), 15);
   EXPECT_EQ(apply_epilogue(40, {Activation::kIdentity, 2, 15}), 10);
@@ -69,12 +60,6 @@ i32 reference_epilogue_i64(i32 v, const EpilogueSpec& spec) {
     case Activation::kRelu:
       w = std::max<i64>(w, 0);
       break;
-    case Activation::kRelu6:
-      w = std::clamp<i64>(w, 0, 6);
-      break;
-    case Activation::kHardswish:
-      w = w * std::clamp<i64>(w + 3, 0, 6) / 6;
-      break;
   }
   if (spec.qmax >= 0) w = std::clamp<i64>(w, 0, spec.qmax);
   return static_cast<i32>(w);
@@ -82,7 +67,7 @@ i32 reference_epilogue_i64(i32 v, const EpilogueSpec& spec) {
 
 // apply_epilogue_tile (the vectorized per-tile loop) equals apply_epilogue
 // element by element, and both equal the i64 form, over the i32 extremes,
-// small values around every activation's knees, every rshift a calibration
+// small values around ReLU's knee, every rshift a calibration
 // can produce and qmax from "no clamp" to INT32_MAX. The returned count is
 // the number of values the clamp pulled down to qmax.
 TEST(Epilogue, TileMatchesScalar) {
@@ -177,10 +162,8 @@ TEST(Epilogue, ScatterMatchesPerElementReference) {
 }
 
 TEST(Epilogue, ActivationNames) {
-  for (const Activation a : kActs) {
-    EXPECT_EQ(tcsim::parse_activation(tcsim::activation_name(a)), a);
-  }
-  EXPECT_THROW((void)tcsim::parse_activation("gelu"), std::invalid_argument);
+  EXPECT_STREQ(tcsim::activation_name(Activation::kIdentity), "identity");
+  EXPECT_STREQ(tcsim::activation_name(Activation::kRelu), "relu");
 }
 
 // flush_planes (the plane-writer epilogue) vs the manual reference — an
@@ -230,45 +213,39 @@ TEST(Epilogue, FusedBitMatchesManualAcrossBackends) {
 }
 
 // The saturation counter: with rshift = 0 and no activation, the fused
-// to-bit flush clamps exactly the raw products above qmax. Ragged edge
-// tiles under the XOR combine (whose padding rows hold nonzero values)
-// check that padding never counts; the BN case (identity fold) checks that
-// the staged path counts the same.
+// to-bit flush clamps exactly the raw products above qmax, ragged edge
+// tiles included; the BN case (identity fold) checks that the staged path
+// counts the same.
 TEST(Epilogue, SaturationCountsValuesAboveQmax) {
   Rng rng(109);
   const MatrixI32 a = random_codes(rng, 21, 140, 2);
   const MatrixI32 b = random_codes(rng, 140, 11, 2);
   const auto pa = StackedBitTensor::decompose(a, 2, BitLayout::kRowMajorK);
   const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
-  for (const auto op : {tcsim::BmmaOp::kAnd, tcsim::BmmaOp::kXor}) {
-    BmmOptions raw_opt;
-    raw_opt.op = op;
-    const MatrixI32 raw = bitmm_to_int(pa, pb, raw_opt);
-    for (const int out_bits : {1, 8}) {
-      const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
-      u64 above = 0;
-      for (i64 i = 0; i < raw.size(); ++i) above += raw.data()[i] > qmax ? 1 : 0;
-      ASSERT_GT(above, 0u);
-      for (const auto kind : tcsim::all_backends()) {
-        for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
-          for (const bool bn : {false, true}) {
-            FusedEpilogue epi;
-            if (bn) {
-              epi.use_bn = true;
-              epi.bn_scale.assign(static_cast<std::size_t>(raw.cols()), 1.0f);
-              epi.bn_bias.assign(static_cast<std::size_t>(raw.cols()), 0.0f);
-            }
-            tcsim::ExecutionContext ctx(kind);
-            BmmOptions opt = raw_opt;
-            opt.ctx = &ctx;
-            (void)bitmm_fused_bit(pa, pb, out_bits, epi, opt,
-                                  PadPolicy::kTile8, layout);
-            EXPECT_EQ(ctx.counters().saturated, above)
-                << tcsim::backend_name(kind) << "/" << out_bits << " bits"
-                << (layout == BitLayout::kRowMajorK ? "/row" : "/col")
-                << (op == tcsim::BmmaOp::kXor ? "/xor" : "/and")
-                << (bn ? "/bn" : "");
+  const MatrixI32 raw = bitmm_to_int(pa, pb);
+  for (const int out_bits : {1, 8}) {
+    const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
+    u64 above = 0;
+    for (i64 i = 0; i < raw.size(); ++i) above += raw.data()[i] > qmax ? 1 : 0;
+    ASSERT_GT(above, 0u);
+    for (const auto kind : tcsim::all_backends()) {
+      for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+        for (const bool bn : {false, true}) {
+          FusedEpilogue epi;
+          if (bn) {
+            epi.use_bn = true;
+            epi.bn_scale.assign(static_cast<std::size_t>(raw.cols()), 1.0f);
+            epi.bn_bias.assign(static_cast<std::size_t>(raw.cols()), 0.0f);
           }
+          tcsim::ExecutionContext ctx(kind);
+          BmmOptions opt;
+          opt.ctx = &ctx;
+          (void)bitmm_fused_bit(pa, pb, out_bits, epi, opt, PadPolicy::kTile8,
+                                layout);
+          EXPECT_EQ(ctx.counters().saturated, above)
+              << tcsim::backend_name(kind) << "/" << out_bits << " bits"
+              << (layout == BitLayout::kRowMajorK ? "/row" : "/col")
+              << (bn ? "/bn" : "");
         }
       }
     }
@@ -317,7 +294,7 @@ struct ModelFixture {
     feats = gather_rows(ds.features, batches[0].nodes);
   }
 
-  gnn::GnnConfig config(gnn::ModelKind kind, int bits, Activation act) const {
+  gnn::GnnConfig config(gnn::ModelKind kind, int bits) const {
     gnn::GnnConfig cfg;
     cfg.kind = kind;
     cfg.num_layers = 3;
@@ -326,7 +303,6 @@ struct ModelFixture {
     cfg.out_dim = 4;
     cfg.feat_bits = bits;
     cfg.weight_bits = bits;
-    cfg.activation = act;
     return cfg;
   }
 };
@@ -357,7 +333,7 @@ TEST(Epilogue, ModelParityAcrossBackends) {
   for (const auto kind : tcsim::all_backends()) {
     for (const auto mk :
          {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
-      gnn::GnnConfig fused_cfg = f.config(mk, 4, Activation::kRelu);
+      gnn::GnnConfig fused_cfg = f.config(mk, 4);
       fused_cfg.fused_epilogue = true;
       gnn::GnnConfig unfused_cfg = fused_cfg;
       unfused_cfg.fused_epilogue = false;
@@ -375,40 +351,34 @@ TEST(Epilogue, ModelParityAcrossBackends) {
   }
 }
 
-TEST(Epilogue, ModelParityAcrossActivationsAndBits) {
+TEST(Epilogue, ModelParityAcrossBits) {
   const ModelFixture f;
-  for (const Activation act :
-       {Activation::kRelu, Activation::kRelu6, Activation::kHardswish}) {
-    for (const int bits : {1, 2, 4}) {
-      gnn::GnnConfig fused_cfg =
-          f.config(gnn::ModelKind::kClusterGCN, bits, act);
-      fused_cfg.fused_epilogue = true;
-      gnn::GnnConfig unfused_cfg = fused_cfg;
-      unfused_cfg.fused_epilogue = false;
-      const auto kind = tcsim::default_backend();
-      const ModelRun fused = run_model(f, fused_cfg, kind);
-      const ModelRun unfused = run_model(f, unfused_cfg, kind);
-      const std::string tag =
-          std::string(tcsim::activation_name(act)) + "/" + std::to_string(bits);
-      EXPECT_EQ(fused.logits, unfused.logits) << tag;
-      EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
-      EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped) << tag;
-    }
+  for (const int bits : {1, 2, 4}) {
+    gnn::GnnConfig fused_cfg = f.config(gnn::ModelKind::kClusterGCN, bits);
+    fused_cfg.fused_epilogue = true;
+    gnn::GnnConfig unfused_cfg = fused_cfg;
+    unfused_cfg.fused_epilogue = false;
+    const auto kind = tcsim::default_backend();
+    const ModelRun fused = run_model(f, fused_cfg, kind);
+    const ModelRun unfused = run_model(f, unfused_cfg, kind);
+    const std::string tag = std::to_string(bits) + " bits";
+    EXPECT_EQ(fused.logits, unfused.logits) << tag;
+    EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
+    EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped) << tag;
   }
 }
 
-// The rewrite pass: every requantizing stage is planned fused with the
-// config's activation; final-layer stages stay identity (full-precision
+// The rewrite pass: every requantizing stage is planned fused, hidden
+// updates with ReLU; final-layer stages stay identity (full-precision
 // logits for softmax).
 TEST(Epilogue, RewritePassPlansStages) {
   const ModelFixture f;
-  gnn::GnnConfig cfg = f.config(gnn::ModelKind::kClusterGCN, 4,
-                                Activation::kRelu6);
+  gnn::GnnConfig cfg = f.config(gnn::ModelKind::kClusterGCN, 4);
   gnn::QgtcModel m = gnn::QgtcModel::create(cfg, 7);
   // GCN, 3 layers: agg+update fused on layers 0..n-2, agg only on the last.
   EXPECT_EQ(m.fused_stage_count(), 5);
   EXPECT_EQ(m.agg_plan(0).act, Activation::kIdentity);  // agg never activates
-  EXPECT_EQ(m.upd_plan(0).act, Activation::kRelu6);
+  EXPECT_EQ(m.upd_plan(0).act, Activation::kRelu);
   EXPECT_EQ(m.upd_plan(2).act, Activation::kIdentity);  // logits layer
   cfg.fused_epilogue = false;
   EXPECT_EQ(gnn::QgtcModel::create(cfg, 7).fused_stage_count(), 0);
@@ -419,8 +389,7 @@ TEST(Epilogue, RewritePassPlansStages) {
 // config.
 TEST(Epilogue, PerLayerBitsExactOnCalibrationBatch) {
   const ModelFixture f;
-  gnn::GnnConfig on_cfg = f.config(gnn::ModelKind::kClusterGCN, 6,
-                                   Activation::kRelu);
+  gnn::GnnConfig on_cfg = f.config(gnn::ModelKind::kClusterGCN, 6);
   on_cfg.per_layer_bits = true;
   gnn::GnnConfig off_cfg = on_cfg;
   off_cfg.per_layer_bits = false;

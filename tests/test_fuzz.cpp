@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "gnn/binary_gnn.hpp"
 #include "kernels/anybit_mm.hpp"
 
 namespace qgtc {
@@ -94,19 +93,6 @@ TEST_P(PipelineFuzz, AggregationModesAndJumpAgree) {
   // Structural jumping over the tile-CSR form of the same adjacency.
   EXPECT_EQ(aggregate_1bit(tiles, px, ReuseMode::kCrossBit), expect);
   EXPECT_EQ(aggregate_1bit(tiles, px, ReuseMode::kCrossTile), expect);
-}
-
-TEST_P(PipelineFuzz, BinaryXnorMatchesReference) {
-  Rng rng(static_cast<u64>(GetParam()) * 31337 + 3);
-  const i64 m = rng.next_in(1, 60);
-  const i64 k = rng.next_in(1, 280);
-  const i64 n = rng.next_in(1, 30);
-  MatrixI32 a(m, k), b(k, n);
-  for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_bool(0.5f) ? 1 : -1;
-  for (i64 i = 0; i < b.size(); ++i) b.data()[i] = rng.next_bool(0.5f) ? 1 : -1;
-  const BitMatrix pa = gnn::pack_pm1(a, BitLayout::kRowMajorK);
-  const BitMatrix pb = gnn::pack_pm1(b, BitLayout::kColMajorK);
-  EXPECT_EQ(gnn::xnor_mm_pm1(pa, pb, k), matmul_reference(a, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Rounds, PipelineFuzz, ::testing::Range(0, 16));

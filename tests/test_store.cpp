@@ -154,6 +154,17 @@ TEST(DatasetStore, RejectsEndiannessMismatch) {
   EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
 }
 
+TEST(DatasetStore, RejectsTruncatedCsrShard) {
+  // The header is intact but only one of the shard's num_nodes + 1 row
+  // offsets is left: open must reject the file before reading past it.
+  const Dataset ds = small_dataset();
+  TempStoreDir dir("truncshard");
+  write_sharded(dir.path, ds);
+  fs::resize_file(dir.path + "/" + store::shard_filename(0),
+                  sizeof(store::ShardHeader) + 8);
+  EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
+}
+
 TEST(DatasetStore, RejectsMissingDirectory) {
   EXPECT_THROW(store::DatasetStore::open("qgtc_test_store_never_written"),
                std::invalid_argument);

@@ -21,13 +21,13 @@ void random_block(Rng& rng, u32* ptr, i64 stride, double density = 0.5) {
   }
 }
 
-int naive_dot(const u32* a, const u32* b, BmmaOp op) {
+int naive_dot(const u32* a, const u32* b) {
   int acc = 0;
   for (int w = 0; w < kTileKWords; ++w) {
     for (int bit = 0; bit < 32; ++bit) {
       const int av = (a[w] >> bit) & 1;
       const int bv = (b[w] >> bit) & 1;
-      acc += op == BmmaOp::kAnd ? (av & bv) : (av ^ bv);
+      acc += av & bv;
     }
   }
   return acc;
@@ -39,8 +39,7 @@ TEST(Tcsim, Dot128MatchesNaive) {
     u32 a[4], b[4];
     for (auto& w : a) w = static_cast<u32>(rng.next_u64());
     for (auto& w : b) w = static_cast<u32>(rng.next_u64());
-    EXPECT_EQ(dot128(a, b, BmmaOp::kAnd), naive_dot(a, b, BmmaOp::kAnd));
-    EXPECT_EQ(dot128(a, b, BmmaOp::kXor), naive_dot(a, b, BmmaOp::kXor));
+    EXPECT_EQ(dot128(a, b), naive_dot(a, b));
   }
 }
 
@@ -62,7 +61,7 @@ TEST(Tcsim, BmmaMatchesNaiveTile) {
     for (int j = 0; j < kTileN; ++j) {
       const int expect =
           5 + naive_dot(&abuf[static_cast<std::size_t>(i * kTileKWords)],
-                        &bbuf[static_cast<std::size_t>(j * kTileKWords)], BmmaOp::kAnd);
+                        &bbuf[static_cast<std::size_t>(j * kTileKWords)]);
       EXPECT_EQ(d.acc[static_cast<std::size_t>(i * kTileN + j)], expect);
     }
   }
@@ -126,21 +125,6 @@ TEST(Tcsim, ResetCountersZeroes) {
   const Counters c = snapshot_counters();
   EXPECT_EQ(c.bmma_ops, 0u);
   EXPECT_EQ(c.frag_loads_a, 0u);
-}
-
-TEST(Tcsim, XorSemantics) {
-  // XOR mode: all-ones vs all-zeros disagree everywhere -> popcount 128.
-  std::vector<u32> ones(kTileM * kTileKWords, 0xffffffffu);
-  std::vector<u32> zeros(kTileN * kTileKWords, 0u);
-  FragmentA a;
-  FragmentB b;
-  load_matrix_sync(a, ones.data(), kTileKWords);
-  load_matrix_sync(b, zeros.data(), kTileKWords);
-  FragmentC c, d;
-  bmma_sync(d, a, b, c, BmmaOp::kXor);
-  for (const i32 v : d.acc) EXPECT_EQ(v, 128);
-  bmma_sync(d, a, b, c, BmmaOp::kAnd);
-  for (const i32 v : d.acc) EXPECT_EQ(v, 0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Cross-checks every substrate backend's tile ops (mma_panel, then the
 // shared flush — the path the kernels actually run) against the semantic
 // reference tcsim::bmma_sync, including shift weighting, uint32 wrap at
-// extreme shifts, XOR mode, strided operands, strided flush, whole
+// extreme shifts, strided operands, strided flush, whole
 // multi-plane panels of several K tiles and output-column tiles, half-K
 // (K <= 64) panel jobs, and the assign contract (every tile of the panel
 // written, zeros for an empty schedule, nothing past the panel).
@@ -36,13 +36,13 @@ TilePair random_tiles(u64 seed, i64 stride = kTileKWords) {
   return t;
 }
 
-std::array<i32, 64> reference_tile(const TilePair& t, tcsim::BmmaOp op) {
+std::array<i32, 64> reference_tile(const TilePair& t) {
   tcsim::FragmentA fa;
   tcsim::FragmentB fb;
   tcsim::FragmentC fc, out;
   tcsim::load_matrix_sync(fa, t.a.data(), t.stride);
   tcsim::load_matrix_sync(fb, t.b.data(), t.stride);
-  tcsim::bmma_sync(out, fa, fb, fc, op);
+  tcsim::bmma_sync(out, fa, fb, fc);
   std::array<i32, 64> r{};
   std::copy(out.acc.begin(), out.acc.end(), r.begin());
   return r;
@@ -51,7 +51,7 @@ std::array<i32, 64> reference_tile(const TilePair& t, tcsim::BmmaOp op) {
 /// A panel job of one 8x8x128 tile op: A tile `ref`, B tile `b`, both with
 /// rows/columns `stride` u32 apart.
 tcsim::PanelJob single_tile_job(const tcsim::SparseTileRef& ref, const u32* b,
-                                i64 stride, int shift, bool use_xor) {
+                                i64 stride, int shift) {
   tcsim::PanelJob job;
   job.a_tiles = &ref;
   job.n_tiles = 1;
@@ -59,23 +59,22 @@ tcsim::PanelJob single_tile_job(const tcsim::SparseTileRef& ref, const u32* b,
   job.b_cols[0] = b;
   job.b_stride = stride;
   job.shift = shift;
-  job.use_xor = use_xor;
   return job;
 }
 
 /// One single-tile panel into `tile` (a u32[64]).
 void run_tile_op(const tcsim::SubstrateBackend& be, u32* tile, const TilePair& t,
-                 int shift, bool use_xor) {
+                 int shift) {
   const tcsim::SparseTileRef ref{t.a.data(), 0};
-  be.mma_panel(tile, single_tile_job(ref, t.b.data(), t.stride, shift, use_xor));
+  be.mma_panel(tile, single_tile_job(ref, t.b.data(), t.stride, shift));
 }
 
 /// One backend tile op: one single-tile panel, flushed into `out`.
 std::array<i32, 64> backend_tile(const tcsim::SubstrateBackend& be,
-                                 const TilePair& t, int shift, bool use_xor,
+                                 const TilePair& t, int shift,
                                  i32 out_fill = 0) {
   alignas(64) u32 tile[kTileM * kTileN];
-  run_tile_op(be, tile, t, shift, use_xor);
+  run_tile_op(be, tile, t, shift);
   std::array<i32, 64> out;
   out.fill(out_fill);
   tcsim::flush(out.data(), kTileN, tile);
@@ -89,18 +88,7 @@ TEST_P(TileOpsAllBackends, MatchesWmmaAnd) {
   const auto& be = tcsim::backend(GetParam());
   for (u64 seed = 0; seed < 8; ++seed) {
     const TilePair t = random_tiles(seed);
-    EXPECT_EQ(backend_tile(be, t, 0, false),
-              reference_tile(t, tcsim::BmmaOp::kAnd))
-        << be.name() << " seed " << seed;
-  }
-}
-
-TEST_P(TileOpsAllBackends, MatchesWmmaXor) {
-  const auto& be = tcsim::backend(GetParam());
-  for (u64 seed = 100; seed < 106; ++seed) {
-    const TilePair t = random_tiles(seed);
-    EXPECT_EQ(backend_tile(be, t, 0, true),
-              reference_tile(t, tcsim::BmmaOp::kXor))
+    EXPECT_EQ(backend_tile(be, t, 0), reference_tile(t))
         << be.name() << " seed " << seed;
   }
 }
@@ -108,8 +96,8 @@ TEST_P(TileOpsAllBackends, MatchesWmmaXor) {
 TEST_P(TileOpsAllBackends, ShiftWeighting) {
   const auto& be = tcsim::backend(GetParam());
   const TilePair t = random_tiles(7);
-  const auto base = reference_tile(t, tcsim::BmmaOp::kAnd);
-  const auto got = backend_tile(be, t, /*shift=*/5, false);
+  const auto base = reference_tile(t);
+  const auto got = backend_tile(be, t, /*shift=*/5);
   for (int e = 0; e < 64; ++e) {
     EXPECT_EQ(got[static_cast<std::size_t>(e)],
               base[static_cast<std::size_t>(e)] << 5);
@@ -119,8 +107,8 @@ TEST_P(TileOpsAllBackends, ShiftWeighting) {
 TEST_P(TileOpsAllBackends, FlushAddsIntoExisting) {
   const auto& be = tcsim::backend(GetParam());
   const TilePair t = random_tiles(9);
-  const auto base = reference_tile(t, tcsim::BmmaOp::kAnd);
-  const auto got = backend_tile(be, t, 0, false, /*out_fill=*/10);
+  const auto base = reference_tile(t);
+  const auto got = backend_tile(be, t, 0, /*out_fill=*/10);
   for (int e = 0; e < 64; ++e) {
     EXPECT_EQ(got[static_cast<std::size_t>(e)],
               base[static_cast<std::size_t>(e)] + 10);
@@ -135,7 +123,7 @@ TEST_P(TileOpsAllBackends, ExtremeShiftContributesZeroMod32) {
   for (const int shift : {32, 40, 60, 63}) {
     alignas(64) u32 tile[kTileM * kTileN];
     std::fill(std::begin(tile), std::end(tile), 0xDEADBEEFu);
-    run_tile_op(be, tile, t, shift, false);
+    run_tile_op(be, tile, t, shift);
     for (const u32 v : tile) EXPECT_EQ(v, 0u) << be.name() << " shift " << shift;
   }
 }
@@ -145,7 +133,7 @@ TEST_P(TileOpsAllBackends, StridedTiles) {
   // own 4 words per line.
   const auto& be = tcsim::backend(GetParam());
   const TilePair wide = random_tiles(11, /*stride=*/9);
-  const auto got = backend_tile(be, wide, 0, false);
+  const auto got = backend_tile(be, wide, 0);
 
   TilePair tight = wide;
   tight.stride = kTileKWords;
@@ -159,7 +147,7 @@ TEST_P(TileOpsAllBackends, StridedTiles) {
           wide.b[static_cast<std::size_t>(r * wide.stride + w)];
     }
   }
-  EXPECT_EQ(got, backend_tile(be, tight, 0, false));
+  EXPECT_EQ(got, backend_tile(be, tight, 0));
 }
 
 TEST_P(TileOpsAllBackends, StridedFlush) {
@@ -167,10 +155,10 @@ TEST_P(TileOpsAllBackends, StridedFlush) {
   // 8x8 window (the kernels flush straight into padded C rows).
   const auto& be = tcsim::backend(GetParam());
   const TilePair t = random_tiles(12);
-  const auto base = reference_tile(t, tcsim::BmmaOp::kAnd);
+  const auto base = reference_tile(t);
 
   alignas(64) u32 tile[kTileM * kTileN];
-  run_tile_op(be, tile, t, 0, false);
+  run_tile_op(be, tile, t, 0);
 
   const i64 out_stride = 13;
   std::vector<i32> out(static_cast<std::size_t>(kTileM * out_stride), -7);
@@ -198,7 +186,7 @@ struct PanelCase {
   int a_planes, b_planes;
   i64 nb, n_tiles;
   int shift;
-  bool use_xor, dense;
+  bool dense;
 };
 
 struct PanelOperands {
@@ -246,7 +234,6 @@ void zero_upper_k_words(PanelOperands& o) {
 std::array<u32, 64> panel_reference(const PanelCase& c, const PanelOperands& o,
                                     i64 blk) {
   std::array<u32, 64> ref{};
-  const auto op = c.use_xor ? tcsim::BmmaOp::kXor : tcsim::BmmaOp::kAnd;
   for (i64 t = 0; t < c.n_tiles; ++t) {
     for (int ab = 0; ab < c.a_planes; ++ab) {
       const tcsim::SparseTileRef& r =
@@ -260,7 +247,7 @@ std::array<u32, 64> panel_reference(const PanelCase& c, const PanelOperands& o,
         tcsim::FragmentB fb;
         tcsim::FragmentC zero, out;
         tcsim::load_matrix_sync(fb, b, o.b_stride);
-        tcsim::bmma_sync(out, fa, fb, zero, op);
+        tcsim::bmma_sync(out, fa, fb, zero);
         const int s = c.shift + ab + bb;
         if (s >= 32) continue;
         for (int e = 0; e < 64; ++e) {
@@ -287,7 +274,6 @@ tcsim::PanelJob panel_job(const PanelCase& c, const PanelOperands& o) {
   job.b_stride = o.b_stride;
   job.nb = c.nb;
   job.shift = c.shift;
-  job.use_xor = c.use_xor;
   return job;
 }
 
@@ -323,12 +309,12 @@ std::string panel_where(const tcsim::SubstrateBackend& be, const PanelCase& c) {
   return std::string(be.name()) + " sa=" + std::to_string(c.a_planes) +
          " sb=" + std::to_string(c.b_planes) + " nb=" + std::to_string(c.nb) +
          " tiles=" + std::to_string(c.n_tiles) +
-         " shift=" + std::to_string(c.shift) + (c.use_xor ? " xor" : " and") +
+         " shift=" + std::to_string(c.shift) +
          (c.dense ? " dense" : " csr");
 }
 
 TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
-  // Every (planes, nb, n_tiles, shift, combine, A layout) combination.
+  // Every (planes, nb, n_tiles, shift, A layout) combination.
   const auto& be = tcsim::backend(GetParam());
   u64 seed = 1000;
   for (const int sa : {1, 3, 8}) {
@@ -336,13 +322,11 @@ TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
       for (const i64 nb : {1, 5, 8}) {
         for (const i64 n_tiles : {0, 1, 7}) {
           for (const int shift : {0, 31, 60}) {
-            for (const bool use_xor : {false, true}) {
-              for (const bool dense : {false, true}) {
-                const PanelCase c{sa, sb, nb, n_tiles, shift, use_xor, dense};
-                const PanelOperands o = panel_operands(c, ++seed);
-                ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
-                    be, c, o, panel_job(c, o), seed, panel_where(be, c)));
-              }
+            for (const bool dense : {false, true}) {
+              const PanelCase c{sa, sb, nb, n_tiles, shift, dense};
+              const PanelOperands o = panel_operands(c, ++seed);
+              ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
+                  be, c, o, panel_job(c, o), seed, panel_where(be, c)));
             }
           }
         }
@@ -364,7 +348,7 @@ TEST(TileOps, HalfKPanelMatchesReference) {
           for (const i64 n_tiles : {1, 2}) {
             for (const int shift : {0, 31, 60}) {
               const bool dense = seed % 2 == 0;
-              const PanelCase c{sa, sb, nb, n_tiles, shift, false, dense};
+              const PanelCase c{sa, sb, nb, n_tiles, shift, dense};
               PanelOperands o = panel_operands(c, ++seed);
               zero_upper_k_words(o);
               tcsim::PanelJob job = panel_job(c, o);
@@ -393,7 +377,7 @@ TEST(TileOps, PanelAssignsEveryTile) {
       for (const i64 nb : {1, 3}) {
         for (const i64 n_tiles : {0, 1, 7}) {
           for (const int sa : {1, 3}) {
-            const PanelCase c{sa, 4, nb, n_tiles, 2, false, seed % 2 == 0};
+            const PanelCase c{sa, 4, nb, n_tiles, 2, seed % 2 == 0};
             PanelOperands o = panel_operands(c, ++seed);
             if (half_k) zero_upper_k_words(o);
             tcsim::PanelJob job = panel_job(c, o);

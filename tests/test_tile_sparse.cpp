@@ -235,18 +235,6 @@ TEST_P(TileSparseEquivalence, SparseAggregationBitIdenticalAllBackends) {
 
 INSTANTIATE_TEST_SUITE_P(Random, TileSparseEquivalence, ::testing::Range(0, 8));
 
-TEST(TileSparse, XorCombineRejected) {
-  Rng rng(5);
-  const MatrixI32 adj = random_block_diagonal(rng, 32, 16, 0.4f, 0.0f);
-  const MatrixI32 b = random_codes(rng, 32, 8, 1);
-  const TileSparseBitMatrix sa = TileSparseBitMatrix::from_bit_matrix(
-      pack_nonzero(adj, BitLayout::kRowMajorK));
-  const BitMatrix pb = pack_nonzero(b, BitLayout::kColMajorK);
-  BmmOptions opt;
-  opt.op = tcsim::BmmaOp::kXor;
-  EXPECT_THROW((void)bmm(sa, pb, opt), std::invalid_argument);
-}
-
 TEST(TileSparse, ApiSparseBitMM2IntMatchesDense) {
   Rng rng(23);
   const MatrixI32 adj = random_block_diagonal(rng, 60, 24, 0.3f, 0.0f);
