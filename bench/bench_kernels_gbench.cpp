@@ -179,6 +179,35 @@ void BM_FlushPlanes(benchmark::State& state) {
 }
 BENCHMARK(BM_FlushPlanes);
 
+/// tcsim::flush_planes_panel on one 8-tile panel: the same 4-bit identity
+/// drain as BM_FlushPlanes, but a whole kRowMajorK panel per call into
+/// planes with a real line stride (k_words = 4, as for 100 columns) — the
+/// drain every GCN aggregation stage runs per mma_panel call. Reports
+/// seconds per 8x8 tile.
+void BM_FlushPanel(benchmark::State& state) {
+  constexpr int kBits = 4;
+  constexpr i64 kLineStride = 4;
+  const i64 nb = tcsim::kPanelWidth;
+  const tcsim::EpilogueSpec spec{tcsim::Activation::kIdentity, 3, (1 << kBits) - 1};
+  const std::vector<u32> src = random_tiles(19, kDrainTiles);
+  std::vector<u32> words(kBits * kTileM * kLineStride, 0);
+  u32* planes[kBits];
+  for (int b = 0; b < kBits; ++b) planes[b] = words.data() + b * kTileM * kLineStride;
+  const tcsim::PlaneSink sink{planes, kLineStride, 0, kBits, kTileM, nb * kTileN, false};
+  const std::size_t panels = kDrainTiles / static_cast<std::size_t>(nb);
+  std::size_t p = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tcsim::flush_planes_panel(
+        sink, src.data() + p * static_cast<std::size_t>(nb * kTileM * kTileN), nb, spec));
+    benchmark::ClobberMemory();
+    p = (p + 1) % panels;
+  }
+  state.counters["s_per_tile"] = benchmark::Counter(
+      static_cast<double>(nb),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FlushPanel);
+
 /// One core's fp32 FMA peak — the other half of the peak probe: independent
 /// FMA chains at the widest vector width compiled in (AVX-512, AVX2+FMA or
 /// scalar std::fma). Reports fp32 MAC/s (one MAC per FMA lane).

@@ -131,11 +131,12 @@ class SparseAdjSource {
 /// sweep, and each row block's survivors become a SparseTileRef schedule.
 /// Each panel is one SubstrateBackend::mma_panel call, which writes its
 /// output tiles as wrapped u32[8][8], every term weighted << (shift + ab +
-/// bb). `consume(tm, tn, tile)` receives one finished tile and drains it
-/// through a flush — a wrapping add, the epilogue or the plane writer —
-/// while it is still hot, so no intermediate i32 matrix is staged in the
-/// sweep itself. It returns the tile's saturated-value count; the sweep
-/// returns their sum. Scratch comes from the per-thread workspace arena.
+/// bb). `consume(tm, tn0, nb, tiles)` receives one finished panel, its
+/// nb tiles of row block tm from output-column tile tn0 on, once per
+/// mma_panel call, and drains it — a wrapping add, the epilogue or the plane
+/// writer — while it is still hot, so no intermediate i32 matrix is staged
+/// in the sweep itself. It returns the panel's saturated-value count; the
+/// sweep returns their sum. Scratch comes from the per-thread workspace arena.
 ///
 /// `parallel_over_n` selects the parallel axis: row-tile blocks when the
 /// consumer writes row-owned data (int32 rows / kRowMajorK planes), and
@@ -217,7 +218,7 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
         const tcsim::PanelJob job =
             panel_job(k_lists[static_cast<std::size_t>(tm)], tn, 1);
         be.mma_panel(tile, job);
-        sat += consume(tm, tn, tile);
+        sat += consume(tm, tn, 1, tile);
         const u64 kt = static_cast<u64>(job.n_tiles);
         delta.bmma_ops += kt * plane_pairs;
         delta.frag_loads_a += kt * static_cast<u64>(sa);
@@ -246,9 +247,7 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
       for (i64 tn0 = 0; tn0 < tiles_n; tn0 += tcsim::kPanelWidth, ++panels) {
         const i64 nb = std::min<i64>(tcsim::kPanelWidth, tiles_n - tn0);
         be.mma_panel(tiles, panel_job(refs, tn0, nb));
-        for (i64 b = 0; b < nb; ++b) {
-          sat += consume(tm, tn0 + b, tiles + b * kTileM * kTileN);
-        }
+        sat += consume(tm, tn0, nb, tiles);
       }
       const u64 kt = static_cast<u64>(refs.size()) / static_cast<u64>(sa);
       delta.bmma_ops = kt * plane_pairs * static_cast<u64>(tiles_n);
@@ -268,9 +267,12 @@ template <typename Src>
 void accumulate_into(const Src& src, const BitMatrix& b, MatrixI32& c,
                      int shift, const BmmOptions& opt) {
   fused_tile_sweep(src, {&b}, opt, shift, /*parallel_over_n=*/false,
-                   [&](i64 tm, i64 tn, const u32* tile) {
-                     tcsim::flush(c.data() + tm * kTileM * c.cols() + tn * kTileN,
-                                  c.cols(), tile);
+                   [&](i64 tm, i64 tn0, i64 nb, const u32* tiles) {
+                     i32* out = c.data() + tm * kTileM * c.cols() + tn0 * kTileN;
+                     for (i64 b = 0; b < nb; ++b) {
+                       tcsim::flush(out + b * kTileN, c.cols(),
+                                    tiles + b * kTileM * kTileN);
+                     }
                      return u64{0};
                    });
 }
@@ -325,6 +327,14 @@ inline void drain_int_tile(i32* out, i64 m, i64 n, i64 tm, i64 tn,
   }
 }
 
+/// drain_int_tile over the nb tiles of one finished panel.
+void drain_int_panel(i32* out, i64 m, i64 n, i64 tm, i64 tn0, i64 nb,
+                     const u32* tiles, const FusedEpilogue& epi) {
+  for (i64 b = 0; b < nb; ++b) {
+    drain_int_tile(out, m, n, tm, tn0 + b, tiles + b * kTileM * kTileN, epi);
+  }
+}
+
 }  // namespace
 
 void bmm_accumulate(const BitMatrix& a, const BitMatrix& b, MatrixI32& c,
@@ -373,8 +383,8 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
   check_bn(epi, n);
   fused_tile_sweep(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b), opt,
                    /*shift=*/0, /*parallel_over_n=*/false,
-                   [&](i64 tm, i64 tn, const u32* tile) {
-                     drain_int_tile(out.data(), m, n, tm, tn, tile, epi);
+                   [&](i64 tm, i64 tn0, i64 nb, const u32* tiles) {
+                     drain_int_panel(out.data(), m, n, tm, tn0, nb, tiles, epi);
                      return u64{0};
                    });
 }
@@ -401,54 +411,82 @@ StackedBitTensor fused_bit_output(const Src& src,
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const i64 line_stride = out.plane(0).k_words();
 
+  // One finished tile through the per-tile drains: kColMajorK outputs and
+  // BN folds.
+  const auto drain_tile = [&](i64 tm, i64 tn, const u32* tile) {
+    // Requantize + scatter the 8x8 tile straight from the panel's output:
+    // one word OR per (line, plane) — an 8-bit lane always sits inside one
+    // u32 word because tile extents divide the 32-bit packing.
+    const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
+    const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
+    u32* planes[32];
+    tcsim::PlaneSink sink;
+    if (out_layout == BitLayout::kRowMajorK) {
+      // Line = output row; 8 column bits land in word (tn*8)/32 at
+      // offset (tn%4)*8.
+      const i64 word = (tn * kTileN) / kWordBits;
+      for (int b = 0; b < out_bits; ++b) {
+        planes[b] = out.plane(b).row_words(tm * kTileM) + word;
+      }
+      sink = {planes,    line_stride,
+              static_cast<int>((tn * kTileN) % kWordBits),
+              out_bits,  rows_here,
+              cols_here, /*transpose=*/false};
+    } else {
+      // Line = output column; 8 row bits land in word (tm*8)/32 at
+      // offset (tm%4)*8.
+      const i64 word = (tm * kTileM) / kWordBits;
+      for (int b = 0; b < out_bits; ++b) {
+        planes[b] = out.plane(b).col_words(tn * kTileN) + word;
+      }
+      sink = {planes,    line_stride,
+              static_cast<int>((tm * kTileM) % kWordBits),
+              out_bits,  cols_here,
+              rows_here, /*transpose=*/true};
+    }
+    if (!epi.use_bn) return tcsim::flush_planes(sink, tile, spec);
+    // BN tiles stage through one stack tile: raw drain, fp32 fold (the
+    // padding is zeroed so it never counts as saturated), then the shared
+    // tile epilogue + scatter.
+    alignas(64) i32 q[kTileM * kTileN];
+    tcsim::flush_epilogue(q, kTileN, tile, tcsim::EpilogueSpec{});
+    for (i64 k = 0; k < kTileM * kTileN; ++k) {
+      const i64 i = k / kTileN, j = k % kTileN;
+      q[k] = i < rows_here && j < cols_here ? apply_bn(q[k], tn * kTileN + j, epi)
+                                            : 0;
+    }
+    const u64 sat = tcsim::apply_epilogue_tile(q, spec);
+    tcsim::scatter_planes(sink, q);
+    return sat;
+  };
+
   const bool parallel_over_n = (out_layout == BitLayout::kColMajorK);
   const u64 saturated = fused_tile_sweep(
       src, bp, opt, /*shift=*/0, parallel_over_n,
-      [&](i64 tm, i64 tn, const u32* tile) {
-        // Requantize + scatter the 8x8 tile straight from the panel's
-        // output: one word OR per (line, plane) — an 8-bit lane always sits
-        // inside one u32 word because tile extents divide the 32-bit packing.
-        const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
-        const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
-        u32* planes[32];
-        tcsim::PlaneSink sink;
-        if (out_layout == BitLayout::kRowMajorK) {
-          // Line = output row; 8 column bits land in word (tn*8)/32 at
-          // offset (tn%4)*8.
-          const i64 word = (tn * kTileN) / kWordBits;
+      [&](i64 tm, i64 tn0, i64 nb, const u32* tiles) {
+        if (out_layout == BitLayout::kRowMajorK && !epi.use_bn) {
+          // Row-parallel sweep: tn0 is a multiple of kPanelWidth, so the
+          // panel starts a 64-bit line word, and this thread owns row block
+          // tm, so the panel drain may store whole line words.
+          u32* planes[32];
+          const i64 word = (tn0 * kTileN) / kWordBits;
           for (int b = 0; b < out_bits; ++b) {
             planes[b] = out.plane(b).row_words(tm * kTileM) + word;
           }
-          sink = {planes,    line_stride,
-                  static_cast<int>((tn * kTileN) % kWordBits),
-                  out_bits,  rows_here,
-                  cols_here, /*transpose=*/false};
-        } else {
-          // Line = output column; 8 row bits land in word (tm*8)/32 at
-          // offset (tm%4)*8.
-          const i64 word = (tm * kTileM) / kWordBits;
-          for (int b = 0; b < out_bits; ++b) {
-            planes[b] = out.plane(b).col_words(tn * kTileN) + word;
-          }
-          sink = {planes,    line_stride,
-                  static_cast<int>((tm * kTileM) % kWordBits),
-                  out_bits,  cols_here,
-                  rows_here, /*transpose=*/true};
+          const tcsim::PlaneSink sink{
+              planes,
+              line_stride,
+              /*shift=*/0,
+              out_bits,
+              std::min<i64>(kTileM, m - tm * kTileM),
+              std::min<i64>(nb * kTileN, n - tn0 * kTileN),
+              /*transpose=*/false};
+          return tcsim::flush_planes_panel(sink, tiles, nb, spec);
         }
-        if (!epi.use_bn) return tcsim::flush_planes(sink, tile, spec);
-        // BN tiles stage through one stack tile: raw drain, fp32 fold (the
-        // padding is zeroed so it never counts as saturated), then the
-        // shared tile epilogue + scatter.
-        alignas(64) i32 q[kTileM * kTileN];
-        tcsim::flush_epilogue(q, kTileN, tile, tcsim::EpilogueSpec{});
-        for (i64 k = 0; k < kTileM * kTileN; ++k) {
-          const i64 i = k / kTileN, j = k % kTileN;
-          q[k] = i < rows_here && j < cols_here
-                     ? apply_bn(q[k], tn * kTileN + j, epi)
-                     : 0;
+        u64 sat = 0;
+        for (i64 b = 0; b < nb; ++b) {
+          sat += drain_tile(tm, tn0 + b, tiles + b * kTileM * kTileN);
         }
-        const u64 sat = tcsim::apply_epilogue_tile(q, spec);
-        tcsim::scatter_planes(sink, q);
         return sat;
       });
 
@@ -511,9 +549,9 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
   // 1-bit A plane (the stored tiles only, for the tile-CSR source).
   fused_tile_sweep(src, plane_ptrs(x), opt, /*shift=*/0,
                    /*parallel_over_n=*/false,
-                   [&](i64 tm, i64 tn, const u32* tile) {
-                     drain_int_tile(out.data(), m, n, tm, tn, tile,
-                                    FusedEpilogue{});
+                   [&](i64 tm, i64 tn0, i64 nb, const u32* tiles) {
+                     drain_int_panel(out.data(), m, n, tm, tn0, nb, tiles,
+                                     FusedEpilogue{});
                      return u64{0};
                    });
 }

@@ -13,6 +13,13 @@
 #include <immintrin.h>
 #endif
 
+// The byte-domain drain: tiles narrowed to bytes (vpackusdw/vpackuswb, BW),
+// reordered or 8x8-transposed by one vpermb (VBMI), and one plane mask per
+// vptestmb (BW).
+#if defined(__AVX512BW__) && defined(__AVX512VBMI__)
+#define QGTC_BYTE_DRAIN 1
+#endif
+
 namespace qgtc::tcsim {
 namespace {
 
@@ -275,17 +282,110 @@ struct Avx2Kernels {
 
 #endif  // AVX2
 
+#if defined(QGTC_BYTE_DRAIN)
+
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+/// Byte `g` of the 64 lanes of v[0..3] (v[q] lane l is value 16q + l), in
+/// the order two vpackusdw and one vpackuswb leave them: 128-bit lane L of
+/// the result holds values 4L .. 4L + 3 of v[0], v[1], v[2], v[3] in turn.
+/// Values must lie in [0, 2^31); `wide` (more than 8 planes) masks each
+/// byte out first, since the packs saturate.
+inline __m512i packed_bytes(const __m512i v[4], int g, bool wide) {
+  const __m128i sh = _mm_cvtsi32_si128(8 * g);
+  const __m512i low = _mm512_set1_epi32(0xFF);
+  __m512i x[4];
+  for (int q = 0; q < 4; ++q) {
+    x[q] = g == 0 ? v[q] : _mm512_maskz_srl_epi32(kAll16, v[q], sh);
+    if (wide) x[q] = _mm512_and_si512(x[q], low);
+  }
+  return _mm512_packus_epi16(_mm512_packus_epi32(x[0], x[1]),
+                             _mm512_packus_epi32(x[2], x[3]));
+}
+
+/// Where packed_bytes leaves value k.
+constexpr int packed_pos(int k) {
+  return 16 * ((k % 16) / 4) + 4 * (k / 16) + k % 4;
+}
+
+/// vpermb indices from packed_bytes' order: to value order (byte k is value
+/// k), or to the 8x8 transpose of an 8x8 tile (byte 8j + i is value 8i + j).
+struct BytePerm {
+  alignas(64) unsigned char idx[64];
+};
+constexpr BytePerm byte_perm(bool transpose) {
+  BytePerm p{};
+  for (int k = 0; k < 64; ++k) {
+    const int value = transpose ? 8 * (k % 8) + k / 8 : k;
+    p.idx[k] = static_cast<unsigned char>(packed_pos(value));
+  }
+  return p;
+}
+constexpr BytePerm kValueOrder = byte_perm(false);
+constexpr BytePerm kTransposed = byte_perm(true);
+
+/// Byte `g` of every value of v[0..3], permuted by `perm`.
+inline __m512i bytes_in(const BytePerm& perm, const __m512i v[4], int g, bool wide) {
+  return _mm512_maskz_permutexvar_epi8(~__mmask64{0}, _mm512_load_si512(perm.idx),
+                                       packed_bytes(v, g, wide));
+}
+
+/// Lanes [0, n) of a 64-lane mask, for n in [0, 64].
+constexpr u64 first_lanes(i64 n) { return n >= 64 ? ~u64{0} : (u64{1} << n) - 1; }
+
+/// flush_planes_panel's byte path, activation fixed at compile time. Row i's
+/// 64 panel columns sit in four vectors (tiles 2q and 2q + 1, row i), loaded
+/// zero-masked to the valid lanes, so padding is 0 and never saturates. The
+/// shared epilogue runs in registers (shift, activation, clamp high then
+/// low), then each 8-plane group narrows to bytes once and every plane's
+/// line word is one vptestmb and one 64-bit store.
+template <Activation A>
+u64 panel_rows(const PlaneSink& s, const u32* tiles, i64 lanes,
+               const EpilogueSpec& spec) {
+  const u64 valid = first_lanes(lanes);
+  const bool wide = s.out_bits > 8;
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i qv = _mm512_set1_epi32(spec.qmax);
+  const __m128i sh = _mm_cvtsi32_si128(std::min(spec.rshift, 31));
+  const i64 vectors = (lanes + 15) / 16;  // the rest hold only padding
+  __m512i saturated = zero;  // per-lane clamp counts
+  for (i64 i = 0; i < s.lines; ++i) {
+    __m512i w[4] = {zero, zero, zero, zero};
+    for (int q = 0; q < vectors; ++q) {
+      const u32* row = tiles + 2 * q * kTileM * kTileN + i * kTileN;
+      const auto k = static_cast<__mmask16>(valid >> (16 * q));
+      // Lanes 8..15 read tile 2q + 1's row, 64 values past lane 0's.
+      __m512i v = _mm512_maskz_loadu_epi32(k & 0xFF, row);
+      v = _mm512_mask_loadu_epi32(v, k & 0xFF00, row + kTileM * kTileN - kTileN);
+      v = _mm512_maskz_sra_epi32(kAll16, v, sh);
+      if constexpr (A == Activation::kRelu) v = _mm512_maskz_max_epi32(kAll16, v, zero);
+      saturated = _mm512_mask_sub_epi32(saturated, _mm512_cmpgt_epi32_mask(v, qv),
+                                        saturated, _mm512_set1_epi32(-1));
+      v = _mm512_maskz_min_epi32(kAll16, v, qv);
+      w[q] = _mm512_maskz_max_epi32(kAll16, v, zero);
+    }
+    for (int g = 0; 8 * g < s.out_bits; ++g) {
+      const __m512i bytes = bytes_in(kValueOrder, w, g, wide);
+      const int b_end = std::min(s.out_bits, 8 * g + 8);
+      for (int b = 8 * g; b < b_end; ++b) {
+        const u64 line = _mm512_test_epi8_mask(
+            bytes, _mm512_set1_epi8(static_cast<char>(1 << (b - 8 * g))));
+        std::memcpy(s.planes[b] + i * s.line_stride, &line, sizeof line);
+      }
+    }
+  }
+  alignas(64) i32 counts[16];
+  _mm512_store_si512(counts, saturated);
+  u64 total = 0;
+  for (const i32 c : counts) total += static_cast<u64>(c);
+  return total;
+}
+
+#else
+
 /// One plane's 64-bit mask of an 8x8 tile: bit 8i+j is bit `b` of q[i*8+j].
 inline u64 plane_mask(const i32* q, int b) {
-#if defined(__AVX512F__)
-  const __m512i bit = _mm512_set1_epi32(static_cast<i32>(u32{1} << b));
-  u64 m = 0;
-  for (int v = 0; v < 4; ++v) {
-    const __m512i x = _mm512_loadu_si512(q + 16 * v);
-    m |= static_cast<u64>(_mm512_test_epi32_mask(x, bit)) << (16 * v);
-  }
-  return m;
-#elif defined(__AVX2__)
+#if defined(__AVX2__)
   // Move bit b into each lane's sign bit, then one movemask per row.
   const __m128i count = _mm_cvtsi32_si128(31 - b);
   u64 m = 0;
@@ -317,22 +417,72 @@ constexpr u64 transpose8x8(u64 x) {
   return x;
 }
 
+#endif  // QGTC_BYTE_DRAIN
+
+/// ORs plane mask `m` (bit 8l + k = line l, lane k) into its sink lines.
+inline void or_lines(const PlaneSink& s, int b, u64 m) {
+  u32* plane = s.planes[b];
+  for (i64 l = 0; l < s.lines; ++l) {
+    plane[l * s.line_stride] |= (static_cast<u32>(m >> (8 * l)) & 0xFFu) << s.shift;
+  }
+}
+
 }  // namespace
 
 void scatter_planes(const PlaneSink& s, const i32* q) {
   // Lanes past `s.lanes` are cleared in every line's byte.
   const u64 lane_mask = 0x0101010101010101ULL * ((u64{1} << s.lanes) - 1);
+#if defined(QGTC_BYTE_DRAIN)
+  __m512i v[4];
+  for (int k = 0; k < 4; ++k) v[k] = _mm512_loadu_si512(q + 16 * k);
+  const BytePerm& to_lines = s.transpose ? kTransposed : kValueOrder;
+  for (int g = 0; 8 * g < s.out_bits; ++g) {
+    const __m512i bytes = bytes_in(to_lines, v, g, s.out_bits > 8);
+    const int b_end = std::min(s.out_bits, 8 * g + 8);
+    for (int b = 8 * g; b < b_end; ++b) {
+      const u64 m = _mm512_test_epi8_mask(
+                        bytes, _mm512_set1_epi8(static_cast<char>(1 << (b - 8 * g)))) &
+                    lane_mask;
+      if (m != 0) or_lines(s, b, m);
+    }
+  }
+#else
   for (int b = 0; b < s.out_bits; ++b) {
     u64 m = plane_mask(q, b);
     if (s.transpose) m = transpose8x8(m);
     m &= lane_mask;
-    if (m == 0) continue;
-    u32* plane = s.planes[b];
-    for (i64 l = 0; l < s.lines; ++l) {
-      plane[l * s.line_stride] |= (static_cast<u32>(m >> (8 * l)) & 0xFFu)
-                                  << s.shift;
-    }
+    if (m != 0) or_lines(s, b, m);
   }
+#endif
+}
+
+u64 flush_planes_panel(const PlaneSink& s, const u32* tiles, i64 nb,
+                       const EpilogueSpec& spec) {
+  const i64 lanes = std::clamp<i64>(s.lanes, 0, nb * kTileN);
+#if defined(QGTC_BYTE_DRAIN)
+  switch (spec.act) {
+    case Activation::kIdentity:
+      return panel_rows<Activation::kIdentity>(s, tiles, lanes, spec);
+    case Activation::kRelu:
+      return panel_rows<Activation::kRelu>(s, tiles, lanes, spec);
+  }
+  return 0;
+#else
+  // Tile blk's 8 columns sit in word (8 blk) / 32 at bit offset (8 blk) % 32.
+  u64 saturated = 0;
+  for (i64 blk = 0; blk * kTileN < lanes; ++blk) {
+    u32* planes[kMaxPanelPlanes];
+    for (int b = 0; b < s.out_bits; ++b) {
+      planes[b] = s.planes[b] + blk * kTileN / kWordBits;
+    }
+    const PlaneSink tile{planes, s.line_stride,
+                         static_cast<int>(blk * kTileN % kWordBits), s.out_bits,
+                         s.lines, std::min<i64>(kTileN, lanes - blk * kTileN),
+                         /*transpose=*/false};
+    saturated += flush_planes(tile, tiles + blk * kTileM * kTileN, spec);
+  }
+  return saturated;
+#endif
 }
 
 namespace {

@@ -178,6 +178,7 @@ struct PanelJob {
 /// output row and a lane an output column (kRowMajorK planes); with
 /// `transpose == true` the roles swap (kColMajorK). `lines`/`lanes` bound
 /// the logically valid region (<= 8 each) so edge tiles skip padding.
+/// flush_planes_panel reads the same fields for a whole panel (see there).
 struct PlaneSink {
   u32* const* planes;
   i64 line_stride;
@@ -192,7 +193,10 @@ struct PlaneSink {
 /// [0, 2^out_bits)) into packed bit planes — one word OR per (line, plane).
 /// Per plane it builds one 64-bit mask (bit 8i+j = that bit of q[i*8+j]),
 /// transposes it for transpose sinks and masks it to `lines` x `lanes`.
-/// Shared by flush_planes and the BN staging path.
+/// With AVX-512 BW + VBMI the masks come from the byte domain: the tile is
+/// narrowed to 64 bytes once per 8 planes, transposed with one vpermb and
+/// each plane's mask is one vptestmb. Shared by flush_planes and the BN
+/// staging path.
 void scatter_planes(const PlaneSink& s, const i32* q);
 
 /// out[8x8, rows `out_stride` i32 apart] += tile (a row-major u32[64] that
@@ -243,6 +247,22 @@ inline u64 flush_planes(const PlaneSink& sink, const u32* tile,
   scatter_planes(sink, vals);
   return saturated;
 }
+
+/// Panel drain for kRowMajorK outputs: requantize the `nb` finished tiles of
+/// one panel (tile `blk` at tiles[blk * 64 .. +64), as mma_panel wrote them)
+/// and write the panel's rows into packed planes. `sink.planes[b]` points at
+/// the word of plane `b` that holds the panel's first row and first column,
+/// which starts a 64-bit line word inside the row (the panel's first column
+/// is a multiple of 64, so `sink.shift` is 0, and kRowMajorK rows are padded
+/// to 128 bits); `sink.lines` counts the valid rows and
+/// `sink.lanes` the panel's valid columns (at most 8 * nb; none past them
+/// are read). With AVX-512 BW + VBMI each valid row's 64-bit line word is
+/// *stored*, once per plane: the planes must be zero there and no other
+/// thread may write those rows. Other builds run flush_planes per tile.
+/// Either way padding rows and lanes stay zero. `spec.qmax` must be >= 0.
+/// Returns how many valid values were clamped at `spec.qmax`.
+u64 flush_planes_panel(const PlaneSink& sink, const u32* tiles, i64 nb,
+                       const EpilogueSpec& spec);
 
 /// A substrate micro-kernel implementation. Stateless and shared across
 /// threads: all mutable state lives in caller-provided scratch (the

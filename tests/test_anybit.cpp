@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "kernels/anybit_mm.hpp"
@@ -276,6 +277,83 @@ TEST(AnyBit, FusedMatchesAcrossKBoundary) {
         const char* side = layout == BitLayout::kRowMajorK ? " row" : " col";
         EXPECT_EQ(out.compose(), requant) << where << side;
         EXPECT_EQ(bit_ctx.counters().saturated, saturated) << where << side;
+      }
+    }
+  }
+}
+
+/// The packed words of every plane, padding included.
+std::vector<std::vector<u32>> plane_words(const StackedBitTensor& t) {
+  std::vector<std::vector<u32>> w;
+  for (int b = 0; b < t.bits(); ++b) {
+    const BitMatrix& p = t.plane(b);
+    w.emplace_back(p.data(), p.data() + p.bytes() / static_cast<i64>(sizeof(u32)));
+  }
+  return w;
+}
+
+TEST(AnyBit, FusedBitRaggedPanels) {
+  // 100 output columns are 13 column tiles: one full 8-tile panel and one
+  // of 5 whose last 64-bit line word is part valid; 21 rows end in a ragged
+  // row block. The fused planes must equal the unfused int32 product
+  // followed by apply_epilogue and decompose word for word, padding
+  // included, with the same saturated count, on every backend and layout.
+  const i64 m = 21, k = 140, n = 100;
+  Rng rng(911);
+  const MatrixI32 a = random_codes(rng, m, k, 3);
+  const MatrixI32 x = random_codes(rng, k, n, 3);
+  MatrixI32 adj(m, k);
+  for (i64 i = 0; i < adj.size(); ++i) adj.data()[i] = rng.next_bool(0.6f) ? 1 : 0;
+  const auto pa = StackedBitTensor::decompose(a, 3, BitLayout::kRowMajorK);
+  const auto px = StackedBitTensor::decompose(x, 3, BitLayout::kColMajorK);
+  const BitMatrix p_adj = pack_nonzero(adj, BitLayout::kRowMajorK);
+  const TileSparseBitMatrix sparse_adj = TileSparseBitMatrix::from_bit_matrix(p_adj);
+
+  for (const bool aggregate : {false, true}) {
+    const MatrixI32 raw = aggregate ? matmul_reference(adj, x) : matmul_reference(a, x);
+    i32 mx = 0;
+    for (i64 i = 0; i < raw.size(); ++i) mx = std::max(mx, raw.data()[i]);
+    for (const int out_bits : {1, 4, 8}) {
+      // One bit short of the calibrated shift, so the clamp fires.
+      FusedEpilogue epi;
+      epi.act = tcsim::Activation::kRelu;
+      epi.rshift = std::max(calibrate_rshift(mx, out_bits) - 1, 0);
+      const tcsim::EpilogueSpec spec{epi.act, epi.rshift,
+                                     static_cast<i32>((u32{1} << out_bits) - 1)};
+      const tcsim::EpilogueSpec unclamped{epi.act, epi.rshift, -1};
+      MatrixI32 requant(m, n);
+      u64 saturated = 0;
+      for (i64 i = 0; i < raw.size(); ++i) {
+        requant.data()[i] = tcsim::apply_epilogue(raw.data()[i], spec);
+        saturated += tcsim::apply_epilogue(raw.data()[i], unclamped) > spec.qmax;
+      }
+      ASSERT_GT(saturated, 0u) << out_bits;
+      for (const auto kind : tcsim::all_backends()) {
+        for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+          if (aggregate && layout == BitLayout::kColMajorK) continue;
+          const std::string where =
+              std::string(tcsim::backend_name(kind)) + (aggregate ? " aggregate" : " bitmm") +
+              (layout == BitLayout::kRowMajorK ? " row " : " col ") +
+              std::to_string(out_bits) + " bits";
+          const auto expect = plane_words(
+              StackedBitTensor::decompose(requant, out_bits, layout, PadPolicy::kTile8));
+          for (const bool sparse : {false, true}) {
+            if (sparse && !aggregate) continue;
+            const tcsim::ExecutionContext ctx(kind);
+            BmmOptions opt;
+            opt.ctx = &ctx;
+            const StackedBitTensor out =
+                !aggregate ? bitmm_fused_bit(pa, px, out_bits, epi, opt,
+                                             PadPolicy::kTile8, layout)
+                : sparse   ? aggregate_fused_bit(sparse_adj, px, out_bits, epi, opt,
+                                                 PadPolicy::kTile8)
+                           : aggregate_fused_bit(p_adj, px, out_bits, epi, opt,
+                                                 PadPolicy::kTile8);
+            EXPECT_EQ(plane_words(out), expect) << where << (sparse ? " sparse" : "");
+            EXPECT_EQ(ctx.counters().saturated, saturated)
+                << where << (sparse ? " sparse" : "");
+          }
+        }
       }
     }
   }

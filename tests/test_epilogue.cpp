@@ -161,6 +161,137 @@ TEST(Epilogue, ScatterMatchesPerElementReference) {
   }
 }
 
+/// Planes for the drain parity test: `bits` planes of 9 lines, `kDrainStride`
+/// words apart, the drained region starting at word kDrainWord of line 0.
+constexpr i64 kDrainStride = 5;
+constexpr i64 kDrainWord = 2;
+
+/// Element-wise reference of a panel drain: nb tiles (tile blk at
+/// tiles[blk * 64]) requantized with apply_epilogue one value at a time and
+/// set bit by bit. Row-major: tile blk holds output columns 8 blk .. +7 of
+/// rows 0..7 and a line is a row; transposed: it holds output rows
+/// 8 blk .. +7 of columns 0..7 and a line is a column. Only the rows x cols
+/// region counts. Returns the values the clamp pulled down.
+u64 reference_drain(const std::vector<u32>& tiles, i64 nb, i64 rows, i64 cols,
+                    const EpilogueSpec& spec, bool transpose, int bits,
+                    std::vector<u32>& planes) {
+  const EpilogueSpec unclamped{spec.act, spec.rshift, -1};
+  u64 saturated = 0;
+  for (i64 blk = 0; blk < nb; ++blk) {
+    for (i64 i = 0; i < kTileM; ++i) {
+      for (i64 j = 0; j < kTileN; ++j) {
+        const i64 r = transpose ? blk * kTileM + i : i;
+        const i64 c = transpose ? j : blk * kTileN + j;
+        if (r >= rows || c >= cols) continue;
+        const auto v = static_cast<i32>(tiles[static_cast<std::size_t>(
+            blk * kTileM * kTileN + i * kTileN + j)]);
+        saturated += apply_epilogue(v, unclamped) > spec.qmax ? 1 : 0;
+        const i32 w = apply_epilogue(v, spec);
+        const i64 line = transpose ? c : r;
+        const i64 pos = transpose ? r : c;
+        for (int b = 0; b < bits; ++b) {
+          planes[static_cast<std::size_t>((b * 9 + line) * kDrainStride + kDrainWord +
+                                          pos / kWordBits)] |=
+              static_cast<u32>((w >> b) & 1) << (pos % kWordBits);
+        }
+      }
+    }
+  }
+  return saturated;
+}
+
+// The drains the fused to-bit outputs run, against the element-wise
+// reference on zeroed planes surrounded by sentinel words: the kRowMajorK
+// panel drain (flush_planes_panel), and per-tile flush_planes in both
+// orientations (the transposed one is the kColMajorK drain, both go through
+// scatter_planes). Panels of 1-8 tiles, 1-8 valid lines, full and ragged
+// valid extents, plane counts past one byte, both activations, shifts 0, 3
+// and 31, and inputs that are wrapped negatives or above qmax. Planes and
+// the saturated count must match, and no word outside the drained lines'
+// 64-bit line word may change.
+TEST(Epilogue, PanelDrainMatchesPerTileFlush) {
+  Rng rng(113);
+  for (const int bits : {1, 2, 4, 7, 8, 16, 31}) {
+    const i32 qmax = static_cast<i32>((u32{1} << bits) - 1);
+    std::vector<u32> sentinel(static_cast<std::size_t>(bits * 9 * kDrainStride));
+    for (u32& w : sentinel) w = static_cast<u32>(rng.next_u64()) | 1u;
+    for (const Activation act : kActs) {
+      for (const int rshift : {0, 3, 31}) {
+        const EpilogueSpec spec{act, rshift, qmax};
+        for (i64 nb = 1; nb <= tcsim::kPanelWidth; ++nb) {
+          std::vector<u32> tiles(static_cast<std::size_t>(nb * kTileM * kTileN));
+          for (u32& v : tiles) {
+            // Wrapped negatives and values near or far above qmax << rshift.
+            const u64 kind = rng.next_below(3);
+            v = kind == 0 ? static_cast<u32>(rng.next_u64())
+                : kind == 1
+                    ? static_cast<u32>(rng.next_below(u64{1} << std::min(bits + rshift + 1, 31)))
+                    : static_cast<u32>(-static_cast<i32>(rng.next_below(1000)));
+          }
+          for (i64 lines = 1; lines <= kTileM; ++lines) {
+            for (const i64 extent : {nb * kTileN, nb * kTileN - 3, nb * kTileN - 7}) {
+              if (extent <= 0) continue;
+              const std::string tag =
+                  std::to_string(bits) + " bits " + tcsim::activation_name(act) +
+                  " rshift " + std::to_string(rshift) + " nb " + std::to_string(nb) +
+                  " lines " + std::to_string(lines) + " extent " + std::to_string(extent);
+              // The valid lines' line words start zero; every other word is
+              // a sentinel.
+              std::vector<u32> zeroed = sentinel;
+              for (int b = 0; b < bits; ++b) {
+                for (i64 l = 0; l < lines; ++l) {
+                  for (i64 w = 0; w < 2; ++w) {
+                    zeroed[static_cast<std::size_t>((b * 9 + l) * kDrainStride +
+                                                    kDrainWord + w)] = 0;
+                  }
+                }
+              }
+              const auto planes_of = [&](std::vector<u32>& buf, i64 blk) {
+                std::vector<u32*> p(static_cast<std::size_t>(bits));
+                for (int b = 0; b < bits; ++b) {
+                  p[static_cast<std::size_t>(b)] = buf.data() + b * 9 * kDrainStride +
+                                                   kDrainWord + blk * kTileN / kWordBits;
+                }
+                return p;
+              };
+              for (const bool transpose : {false, true}) {
+                // Row-major: `lines` rows x `extent` columns. Transposed:
+                // `extent` rows x `lines` columns.
+                const i64 rows = transpose ? extent : lines;
+                const i64 cols = transpose ? lines : extent;
+                std::vector<u32> want = zeroed;
+                const u64 want_sat =
+                    reference_drain(tiles, nb, rows, cols, spec, transpose, bits, want);
+                std::vector<u32> per_tile = zeroed;
+                u64 per_tile_sat = 0;
+                for (i64 blk = 0; blk < nb; ++blk) {
+                  const i64 left = extent - blk * kTileN;
+                  if (left <= 0) continue;
+                  std::vector<u32*> p = planes_of(per_tile, blk);
+                  per_tile_sat += tcsim::flush_planes(
+                      {p.data(), kDrainStride, static_cast<int>(blk * kTileN % kWordBits),
+                       bits, lines, std::min<i64>(kTileN, left), transpose},
+                      tiles.data() + blk * kTileM * kTileN, spec);
+                }
+                EXPECT_EQ(per_tile, want) << tag << " transpose " << transpose;
+                EXPECT_EQ(per_tile_sat, want_sat) << tag << " transpose " << transpose;
+                if (transpose) continue;
+                std::vector<u32> panel = zeroed;
+                std::vector<u32*> p = planes_of(panel, 0);
+                const u64 panel_sat = tcsim::flush_planes_panel(
+                    {p.data(), kDrainStride, 0, bits, lines, extent, false},
+                    tiles.data(), nb, spec);
+                EXPECT_EQ(panel, want) << tag;
+                EXPECT_EQ(panel_sat, want_sat) << tag;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Epilogue, ActivationNames) {
   EXPECT_STREQ(tcsim::activation_name(Activation::kIdentity), "identity");
   EXPECT_STREQ(tcsim::activation_name(Activation::kRelu), "relu");
