@@ -5,10 +5,15 @@
 // bit-identical logits, the identical tile schedule, and a positive
 // int32-bytes-avoided count (the intermediates it never materialised).
 //
+// Both modes run on one OpenMP thread, each on its own engine, for three
+// single-epoch rounds in alternating order; each mode's best epoch is
+// compared, so a busy neighbour on a shared host hits both modes alike.
+//
 // Exit status is the regression gate: non-zero when logits/counters diverge,
 // when no int32 bytes were avoided, or when the fused path is slower beyond
 // noise.
 #include "bench_util.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace qgtc::bench {
 namespace {
@@ -22,12 +27,13 @@ struct ModeResult {
   std::vector<MatrixI32> logits;
 };
 
-ModeResult run_mode(const Dataset& ds, core::EngineConfig cfg, bool fused,
-                    int rounds) {
-  cfg.model.fused_epilogue = fused;
-  core::QgtcEngine engine(ds, cfg);
+/// Timed rounds per mode (one epoch each).
+constexpr int kRounds = 3;
+
+/// One epoch of `engine`.
+ModeResult run_epoch(core::QgtcEngine& engine) {
   ModeResult r;
-  const auto stats = engine.run_quantized(rounds, &r.logits);
+  const auto stats = engine.run_quantized(1, &r.logits);
   r.seconds = stats.forward_seconds;
   r.bmma_ops = stats.bmma_ops;
   r.tiles_jumped = stats.tiles_jumped;
@@ -43,7 +49,8 @@ int run(int argc, char** argv) {
 
   const DatasetSpec spec = table1_spec("Proteins", products_scale());
   const Dataset ds = generate_dataset(spec);
-  const int rounds = quick() ? 1 : 3;
+  // One thread: the gate compares two code paths, not two thread teams.
+  set_num_threads(1);
   // Quick smoke runs carry more timer noise on a loaded CI host; tolerate
   // more apparent slowdown before failing there.
   const double tolerance = quick() ? 1.35 : 1.10;
@@ -52,7 +59,8 @@ int run(int argc, char** argv) {
 
   JsonReport json("epilogue", argc, argv);
   json.meta("workload", "fig7ab_gcn_gin/" + spec.name);
-  json.meta("rounds", static_cast<double>(rounds));
+  json.meta("rounds", static_cast<double>(kRounds));
+  json.meta("omp_threads", 1.0);
   json.meta("tolerance", tolerance);
 
   core::TablePrinter table({"model", "batch", "unfused ms", "fused ms",
@@ -74,8 +82,21 @@ int run(int argc, char** argv) {
       cfg.num_partitions = quick() ? 256 : 1500;
       cfg.batch_size = batch;
 
-      const ModeResult unfused = run_mode(ds, cfg, /*fused=*/false, rounds);
-      const ModeResult fused = run_mode(ds, cfg, /*fused=*/true, rounds);
+      cfg.model.fused_epilogue = false;
+      core::QgtcEngine unfused_engine(ds, cfg);
+      cfg.model.fused_epilogue = true;
+      core::QgtcEngine fused_engine(ds, cfg);
+      ModeResult unfused, fused;
+      const auto keep_best = [](ModeResult& best, ModeResult r) {
+        if (best.logits.empty() || r.seconds < best.seconds) best = std::move(r);
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        const bool fused_first = round % 2 == 1;
+        ModeResult first = run_epoch(fused_first ? fused_engine : unfused_engine);
+        ModeResult second = run_epoch(fused_first ? unfused_engine : fused_engine);
+        keep_best(fused_first ? fused : unfused, std::move(first));
+        keep_best(fused_first ? unfused : fused, std::move(second));
+      }
 
       const bool parity = fused.logits == unfused.logits &&
                           fused.bmma_ops == unfused.bmma_ops &&

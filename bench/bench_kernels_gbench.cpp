@@ -208,6 +208,35 @@ void BM_FlushPanel(benchmark::State& state) {
 }
 BENCHMARK(BM_FlushPanel);
 
+/// tcsim::flush_planes_panel on one 8-tile column band: the same 4-bit
+/// identity drain as BM_FlushPanel, but a kColMajorK band (8 row blocks of
+/// one output-column tile, 8 valid columns) into column lines of 128 rows
+/// (k_words = 4) — the drain every GIN update stage runs per 8 row blocks.
+/// Reports seconds per 8x8 tile.
+void BM_FlushColumns(benchmark::State& state) {
+  constexpr int kBits = 4;
+  constexpr i64 kLineStride = 4;
+  const i64 nb = tcsim::kPanelWidth;
+  const tcsim::EpilogueSpec spec{tcsim::Activation::kIdentity, 3, (1 << kBits) - 1};
+  const std::vector<u32> src = random_tiles(19, kDrainTiles);
+  std::vector<u32> words(kBits * kTileN * kLineStride, 0);
+  u32* planes[kBits];
+  for (int b = 0; b < kBits; ++b) planes[b] = words.data() + b * kTileN * kLineStride;
+  const tcsim::PlaneSink sink{planes, kLineStride, 0, kBits, kTileN, nb * kTileM, true};
+  const std::size_t bands = kDrainTiles / static_cast<std::size_t>(nb);
+  std::size_t p = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tcsim::flush_planes_panel(
+        sink, src.data() + p * static_cast<std::size_t>(nb * kTileM * kTileN), nb, spec));
+    benchmark::ClobberMemory();
+    p = (p + 1) % bands;
+  }
+  state.counters["s_per_tile"] = benchmark::Counter(
+      static_cast<double>(nb),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FlushColumns);
+
 /// One core's fp32 FMA peak — the other half of the peak probe: independent
 /// FMA chains at the widest vector width compiled in (AVX-512, AVX2+FMA or
 /// scalar std::fma). Reports fp32 MAC/s (one MAC per FMA lane).

@@ -1,7 +1,5 @@
 #include "kernels/anybit_mm.hpp"
 
-#include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -74,20 +72,15 @@ class DensePlanesSource {
   [[nodiscard]] i64 survivor_bound(i64) const { return tiles_k() * planes(); }
 
   /// Appends row block tm's surviving tiles, plane-minor (one ref per plane
-  /// per surviving K tile); returns the jump count.
-  i64 survivors(i64 tm, const BmmOptions& opt,
-                std::vector<tcsim::SparseTileRef>& refs) const {
-    i64 jumped = 0;
+  /// per surviving K tile); every K tile it leaves out was jumped.
+  void survivors(i64 tm, const BmmOptions& opt,
+                 std::vector<tcsim::SparseTileRef>& refs) const {
     for (i64 tk = 0; tk < tiles_k(); ++tk) {
-      if (opt.zero_tile_jump && tile_zero_all_planes(ap_, tm, tk)) {
-        ++jumped;
-        continue;
-      }
+      if (opt.zero_tile_jump && tile_zero_all_planes(ap_, tm, tk)) continue;
       for (const BitMatrix* p : ap_) {
         refs.push_back({p->row_words(tm * kTileM) + tk * kTileKWords, tk});
       }
     }
-    return jumped;
   }
 
  private:
@@ -111,12 +104,11 @@ class SparseAdjSource {
   /// Exact: the tile-CSR already stores each row's schedule length.
   [[nodiscard]] i64 survivor_bound(i64 tm) const { return a_->row_nnz(tm); }
 
-  i64 survivors(i64 tm, const BmmOptions&,
-                std::vector<tcsim::SparseTileRef>& refs) const {
+  void survivors(i64 tm, const BmmOptions&,
+                 std::vector<tcsim::SparseTileRef>& refs) const {
     for (i64 t = a_->row_begin(tm); t < a_->row_end(tm); ++t) {
       refs.push_back({a_->tile_words(t), a_->tile_col(t)});
     }
-    return a_->tiles_k() - a_->row_nnz(tm);
   }
 
  private:
@@ -129,23 +121,30 @@ class SparseAdjSource {
 /// The A operand comes through a tile source (dense planes or the tile-CSR
 /// adjacency), so flag-based and structural zero-tile jumping share this one
 /// sweep, and each row block's survivors become a SparseTileRef schedule.
-/// Each panel is one SubstrateBackend::mma_panel call, which writes its
-/// output tiles as wrapped u32[8][8], every term weighted << (shift + ab +
-/// bb). `consume(tm, tn0, nb, tiles)` receives one finished panel, its
-/// nb tiles of row block tm from output-column tile tn0 on, once per
-/// mma_panel call, and drains it — a wrapping add, the epilogue or the plane
-/// writer — while it is still hot, so no intermediate i32 matrix is staged
-/// in the sweep itself. It returns the panel's saturated-value count; the
-/// sweep returns their sum. Scratch comes from the per-thread workspace arena.
+/// Each mma_panel call writes its output tiles as wrapped u32[8][8], every
+/// term weighted << (shift + ab + bb). `consume(tm, tn, nb, tiles)` receives
+/// one finished panel of nb tiles while it is still hot and drains it — a
+/// wrapping add, the epilogue or the plane writer — so no intermediate i32
+/// matrix is staged in the sweep itself. It returns the panel's
+/// saturated-value count.
 ///
-/// `parallel_over_n` selects the parallel axis: row-tile blocks when the
-/// consumer writes row-owned data (int32 rows / kRowMajorK planes), and
-/// column-tile blocks when it writes column-owned data (kColMajorK planes),
-/// so plane words are never shared between threads.
+/// `parallel_over_n` selects the parallel axis and with it the panel shape:
+///  * false: row blocks are parallel, for consumers that write row-owned data
+///    (int32 rows / kRowMajorK planes). A panel is one mma_panel call: the
+///    nb tiles of row block tm from output-column tile tn on.
+///  * true: output-column tiles are parallel, for kColMajorK planes. Each
+///    mma_panel call is one tile, and a panel is a column band: the nb tiles
+///    of column tile tn from row block tm on, tm a multiple of kPanelWidth.
+/// Either way plane words are never shared between threads.
+///
+/// The sweep's counters are noted once, from the calling thread: workers
+/// write per-row-block (per-column-tile) counts into the caller's workspace
+/// arena, and the caller sums them after the loop. A row block's schedule
+/// holds kt of its tiles_k K tiles, so it jumped tiles_k - kt.
 template <typename Src, typename Consume>
-u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
-                     const BmmOptions& opt, int shift, bool parallel_over_n,
-                     Consume&& consume) {
+void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
+                      const BmmOptions& opt, int shift, bool parallel_over_n,
+                      Consume&& consume) {
   const BitMatrix& b0 = *bp.front();
   QGTC_CHECK(b0.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
   QGTC_CHECK(src.padded_k() == b0.padded_rows(),
@@ -160,15 +159,14 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   const tcsim::SubstrateBackend& be = ctx.backend();
   const i64 tiles_m = src.tiles_m();
   const i64 tiles_n = b0.padded_cols() / kTileN;
-  const int sa = src.planes();
-  const int sb = static_cast<int>(bp.size());
-  const u64 plane_pairs = static_cast<u64>(sa) * static_cast<u64>(sb);
+  const auto sa = static_cast<u64>(src.planes());
+  const auto sb = static_cast<u64>(bp.size());
 
   // Row block tm's surviving tiles, appended to `refs`, become its sparse
-  // schedule, shared across the N sweep. Returns the jump count.
+  // schedule, shared across the N sweep.
   const auto build_schedule = [&](i64 tm, std::vector<tcsim::SparseTileRef>& refs) {
     refs.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
-    return static_cast<u64>(src.survivors(tm, opt, refs));
+    src.survivors(tm, opt, refs);
   };
 
   // Every panel job shares the planes, strides and shift; per panel only
@@ -176,9 +174,9 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   // past their K logical rows (StackedBitTensor's padding invariant), so a
   // product with K <= 64 only ever sees the low word of each K tile.
   tcsim::PanelJob base;
-  base.a_planes = sa;
+  base.a_planes = static_cast<int>(sa);
   base.a_stride = src.a_stride();
-  base.b_planes = sb;
+  base.b_planes = static_cast<int>(sb);
   base.b_stride = b0.k_words();
   base.shift = shift;
   base.half_k = b0.rows() <= 64;
@@ -186,48 +184,46 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
                              i64 tn0, i64 nb) {
     tcsim::PanelJob job = base;
     job.a_tiles = refs.data();
-    job.n_tiles = static_cast<i64>(refs.size()) / sa;
-    for (int bb = 0; bb < sb; ++bb) {
-      job.b_cols[bb] = bp[static_cast<std::size_t>(bb)]->col_words(tn0 * kTileN);
+    job.n_tiles = static_cast<i64>(refs.size() / sa);
+    for (std::size_t bb = 0; bb < sb; ++bb) {
+      job.b_cols[bb] = bp[bb]->col_words(tn0 * kTileN);
     }
     job.nb = nb;
     return job;
   };
 
-  std::atomic<u64> saturated{0};
+  // Surviving K tiles summed over row blocks, and the mma_panel calls each
+  // row block takes; every call loads the block's kt tiles of each A plane.
+  u64 kt_sum = 0;
+  u64 calls_per_block = 0;
+  u64 saturated = 0;
   if (parallel_over_n) {
-    // ColMajorK consumers: parallel over output-column tiles, so every
-    // schedule is built first, in the calling thread's arena, and then read
-    // by all threads. These products are small (few column tiles), so each
-    // panel is one (tm, tn) tile.
+    // Every schedule is built first, in the calling thread's arena, and then
+    // read by all threads. Each thread owns column tile tn and walks every
+    // row block, one tile per mma_panel call, into slot tm % kPanelWidth of
+    // its band; a full band (and the last, partial one) goes to the consumer.
     const std::span<std::vector<tcsim::SparseTileRef>> k_lists =
         ctx.workspace().k_lists(tiles_m);
-    std::atomic<u64> jumped{0};
     parallel_for(0, tiles_m, [&](i64 tm) {
-      const u64 j = build_schedule(tm, k_lists[static_cast<std::size_t>(tm)]);
-      if (j > 0) jumped.fetch_add(j, std::memory_order_relaxed);
+      build_schedule(tm, k_lists[static_cast<std::size_t>(tm)]);
     });
-    tcsim::Counters jumps;
-    jumps.tiles_jumped = jumped.load(std::memory_order_relaxed);
-    ctx.note(jumps);
+    for (const auto& refs : k_lists) kt_sum += refs.size() / sa;
+    const std::span<u64> sat_of = ctx.workspace().sweep_counts(tiles_n);
     parallel_for_dynamic(0, tiles_n, /*chunk=*/1, [&](i64 tn) {
-      u32* tile = ctx.workspace().acc_tiles(1);
-      tcsim::Counters delta;
+      u32* band = ctx.workspace().acc_tiles(tcsim::kPanelWidth);
       u64 sat = 0;
       for (i64 tm = 0; tm < tiles_m; ++tm) {
-        const tcsim::PanelJob job =
-            panel_job(k_lists[static_cast<std::size_t>(tm)], tn, 1);
-        be.mma_panel(tile, job);
-        sat += consume(tm, tn, 1, tile);
-        const u64 kt = static_cast<u64>(job.n_tiles);
-        delta.bmma_ops += kt * plane_pairs;
-        delta.frag_loads_a += kt * static_cast<u64>(sa);
-        delta.frag_loads_b += kt * plane_pairs;
+        const i64 slot = tm % tcsim::kPanelWidth;
+        be.mma_panel(band + slot * kTileM * kTileN,
+                     panel_job(k_lists[static_cast<std::size_t>(tm)], tn, 1));
+        if (slot == tcsim::kPanelWidth - 1 || tm == tiles_m - 1) {
+          sat += consume(tm - slot, tn, slot + 1, band);
+        }
       }
-      // Bulk substrate accounting: one context note per column-tile sweep.
-      ctx.note(delta);
-      if (sat > 0) saturated.fetch_add(sat, std::memory_order_relaxed);
+      sat_of[static_cast<std::size_t>(tn)] = sat;
     });
+    for (const u64 sat : sat_of) saturated += sat;
+    calls_per_block = static_cast<u64>(tiles_n);
   } else {
     // Cross-tile reduction (§4.4), panel form: the thread that runs a row
     // block builds its schedule in its own arena (so no schedule moves
@@ -236,29 +232,36 @@ u64 fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
     // both realises the paper's O(1)-loads claim and amortises
     // per-output-tile bookkeeping over the whole K reduction. Dynamic
     // schedule because zero-tile jumping makes per-block work data-dependent.
+    const std::span<u64> counts = ctx.workspace().sweep_counts(2 * tiles_m);
     parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
       tcsim::Workspace& ws = ctx.workspace();
       std::vector<tcsim::SparseTileRef>& refs = ws.k_lists(1).front();
-      tcsim::Counters delta;
-      delta.tiles_jumped = build_schedule(tm, refs);
+      build_schedule(tm, refs);
       u32* tiles = ws.acc_tiles(tcsim::kPanelWidth);
       u64 sat = 0;
-      i64 panels = 0;
-      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += tcsim::kPanelWidth, ++panels) {
+      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += tcsim::kPanelWidth) {
         const i64 nb = std::min<i64>(tcsim::kPanelWidth, tiles_n - tn0);
         be.mma_panel(tiles, panel_job(refs, tn0, nb));
         sat += consume(tm, tn0, nb, tiles);
       }
-      const u64 kt = static_cast<u64>(refs.size()) / static_cast<u64>(sa);
-      delta.bmma_ops = kt * plane_pairs * static_cast<u64>(tiles_n);
-      delta.frag_loads_a = static_cast<u64>(panels) * kt * static_cast<u64>(sa);
-      delta.frag_loads_b = delta.bmma_ops;
-      // Bulk substrate accounting: one context note per row block.
-      ctx.note(delta);
-      if (sat > 0) saturated.fetch_add(sat, std::memory_order_relaxed);
+      counts[static_cast<std::size_t>(tm)] = refs.size() / sa;
+      counts[static_cast<std::size_t>(tiles_m + tm)] = sat;
     });
+    for (i64 tm = 0; tm < tiles_m; ++tm) {
+      kt_sum += counts[static_cast<std::size_t>(tm)];
+      saturated += counts[static_cast<std::size_t>(tiles_m + tm)];
+    }
+    calls_per_block = static_cast<u64>(ceil_div(tiles_n, tcsim::kPanelWidth));
   }
-  return saturated.load(std::memory_order_relaxed);
+
+  // Bulk substrate accounting: one context note per sweep.
+  tcsim::Counters total;
+  total.bmma_ops = kt_sum * sa * sb * static_cast<u64>(tiles_n);
+  total.frag_loads_a = kt_sum * calls_per_block * sa;
+  total.frag_loads_b = total.bmma_ops;
+  total.tiles_jumped = static_cast<u64>(tiles_m * src.tiles_k()) - kt_sum;
+  total.saturated = saturated;
+  ctx.note(total);
 }
 
 /// C (+)= (A x B) << shift through the one sweep: each finished tile is
@@ -408,46 +411,30 @@ StackedBitTensor fused_bit_output(const Src& src,
       StackedBitTensor::zeros(m, n, out_bits, out_layout, out_pad);
   const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
   const tcsim::EpilogueSpec spec{epi.act, epi.rshift, qmax};
-  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const i64 line_stride = out.plane(0).k_words();
+  const bool row_major = out_layout == BitLayout::kRowMajorK;
 
-  // One finished tile through the per-tile drains: kColMajorK outputs and
-  // BN folds.
-  const auto drain_tile = [&](i64 tm, i64 tn, const u32* tile) {
-    // Requantize + scatter the 8x8 tile straight from the panel's output:
-    // one word OR per (line, plane) — an 8-bit lane always sits inside one
-    // u32 word because tile extents divide the 32-bit packing.
+  // A line is an output row (kRowMajorK) or column (kColMajorK). Fills
+  // planes[b] with the word of plane b that holds lane `lane0` of line
+  // `line0`; returns that lane's bit offset in the word.
+  const auto line_words = [&](i64 line0, i64 lane0, u32** planes) {
+    for (int b = 0; b < out_bits; ++b) {
+      BitMatrix& p = out.plane(b);
+      planes[b] = (row_major ? p.row_words(line0) : p.col_words(line0)) +
+                  lane0 / kWordBits;
+    }
+    return static_cast<int>(lane0 % kWordBits);
+  };
+
+  // BN tiles stage through one stack tile: raw drain, fp32 fold (the padding
+  // is zeroed so it never counts as saturated), then the shared tile
+  // epilogue and scatter, one word OR per (line, plane).
+  const auto drain_bn_tile = [&](i64 tm, i64 tn, const u32* tile) {
     const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
     const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
     u32* planes[32];
-    tcsim::PlaneSink sink;
-    if (out_layout == BitLayout::kRowMajorK) {
-      // Line = output row; 8 column bits land in word (tn*8)/32 at
-      // offset (tn%4)*8.
-      const i64 word = (tn * kTileN) / kWordBits;
-      for (int b = 0; b < out_bits; ++b) {
-        planes[b] = out.plane(b).row_words(tm * kTileM) + word;
-      }
-      sink = {planes,    line_stride,
-              static_cast<int>((tn * kTileN) % kWordBits),
-              out_bits,  rows_here,
-              cols_here, /*transpose=*/false};
-    } else {
-      // Line = output column; 8 row bits land in word (tm*8)/32 at
-      // offset (tm%4)*8.
-      const i64 word = (tm * kTileM) / kWordBits;
-      for (int b = 0; b < out_bits; ++b) {
-        planes[b] = out.plane(b).col_words(tn * kTileN) + word;
-      }
-      sink = {planes,    line_stride,
-              static_cast<int>((tm * kTileM) % kWordBits),
-              out_bits,  cols_here,
-              rows_here, /*transpose=*/true};
-    }
-    if (!epi.use_bn) return tcsim::flush_planes(sink, tile, spec);
-    // BN tiles stage through one stack tile: raw drain, fp32 fold (the
-    // padding is zeroed so it never counts as saturated), then the shared
-    // tile epilogue + scatter.
+    const int shift = row_major ? line_words(tm * kTileM, tn * kTileN, planes)
+                                : line_words(tn * kTileN, tm * kTileM, planes);
     alignas(64) i32 q[kTileM * kTileN];
     tcsim::flush_epilogue(q, kTileN, tile, tcsim::EpilogueSpec{});
     for (i64 k = 0; k < kTileM * kTileN; ++k) {
@@ -456,48 +443,47 @@ StackedBitTensor fused_bit_output(const Src& src,
                                             : 0;
     }
     const u64 sat = tcsim::apply_epilogue_tile(q, spec);
-    tcsim::scatter_planes(sink, q);
+    tcsim::scatter_planes({planes, line_stride, shift, out_bits,
+                           row_major ? rows_here : cols_here,
+                           row_major ? cols_here : rows_here, !row_major},
+                          q);
     return sat;
   };
 
-  const bool parallel_over_n = (out_layout == BitLayout::kColMajorK);
-  const u64 saturated = fused_tile_sweep(
-      src, bp, opt, /*shift=*/0, parallel_over_n,
-      [&](i64 tm, i64 tn0, i64 nb, const u32* tiles) {
-        if (out_layout == BitLayout::kRowMajorK && !epi.use_bn) {
-          // Row-parallel sweep: tn0 is a multiple of kPanelWidth, so the
-          // panel starts a 64-bit line word, and this thread owns row block
-          // tm, so the panel drain may store whole line words.
-          u32* planes[32];
-          const i64 word = (tn0 * kTileN) / kWordBits;
-          for (int b = 0; b < out_bits; ++b) {
-            planes[b] = out.plane(b).row_words(tm * kTileM) + word;
+  fused_tile_sweep(
+      src, bp, opt, /*shift=*/0, /*parallel_over_n=*/!row_major,
+      [&](i64 tm, i64 tn, i64 nb, const u32* tiles) {
+        if (epi.use_bn) {
+          u64 sat = 0;
+          for (i64 b = 0; b < nb; ++b) {
+            sat += drain_bn_tile(row_major ? tm : tm + b, row_major ? tn + b : tn,
+                                 tiles + b * kTileM * kTileN);
           }
-          const tcsim::PlaneSink sink{
-              planes,
-              line_stride,
-              /*shift=*/0,
-              out_bits,
-              std::min<i64>(kTileM, m - tm * kTileM),
-              std::min<i64>(nb * kTileN, n - tn0 * kTileN),
-              /*transpose=*/false};
-          return tcsim::flush_planes_panel(sink, tiles, nb, spec);
+          return sat;
         }
-        u64 sat = 0;
-        for (i64 b = 0; b < nb; ++b) {
-          sat += drain_tile(tm, tn0 + b, tiles + b * kTileM * kTileN);
-        }
-        return sat;
+        // The panel starts a 64-bit line word: a row panel's first column
+        // and a column band's first row are multiples of 8 tiles. The sweep
+        // gives this thread the whole panel's lines (row block tm, or column
+        // tile tn), so the drain may store whole line words.
+        const i64 line0 = row_major ? tm * kTileM : tn * kTileN;
+        const i64 lane0 = row_major ? tn * kTileN : tm * kTileM;
+        u32* planes[32];
+        line_words(line0, lane0, planes);
+        const i64 lines = std::min<i64>(kTileM, (row_major ? m : n) - line0);
+        const i64 lanes = std::min<i64>(nb * kTileN, (row_major ? n : m) - lane0);
+        return tcsim::flush_planes_panel(
+            {planes, line_stride, /*shift=*/0, out_bits, lines, lanes,
+             /*transpose=*/!row_major},
+            tiles, nb, spec);
       });
 
   // The whole epilogue ran tile-local: the m x n int32 activation matrix the
   // unfused path would have materialised (plus re-read for requantize and
-  // decompose) never existed. Both counts are noted once per sweep.
+  // decompose) never existed.
   tcsim::Counters epilogue;
   epilogue.int32_bytes_avoided =
       static_cast<u64>(m) * static_cast<u64>(n) * sizeof(i32);
-  epilogue.saturated = saturated;
-  ctx.note(epilogue);
+  resolve_ctx(opt).note(epilogue);
   return out;
 }
 

@@ -19,13 +19,23 @@ inline void set_num_threads(int n) { omp_set_num_threads(n); }
 /// saves; such loops run serially in the calling thread.
 inline constexpr i64 kSerialCutoff = 16;
 
+/// True when a parallel region opened here would get a team of one: the
+/// thread count is 1, or the nesting limit is reached (every kernel inside a
+/// compute worker of an OpenMP team of two or more, see core/pipeline.hpp).
+/// The loops below then run in the calling thread and open no region.
+inline bool team_of_one() {
+  return omp_get_max_threads() == 1 ||
+         omp_get_active_level() >= omp_get_max_active_levels();
+}
+
 /// Statically-scheduled parallel loop over [begin, end). Use when iterations
-/// have uniform cost (dense tile sweeps). Small ranges run serially — the
-/// batched-GNN pipeline issues thousands of small kernels per epoch and
-/// region-spawn overhead would dominate (same reason GPU kernels fuse).
+/// have uniform cost (dense tile sweeps). Small ranges and teams of one run
+/// serially in the caller — the batched-GNN pipeline launches thousands of
+/// small kernels per epoch and region-spawn overhead would dominate (same
+/// reason GPU kernels fuse).
 template <typename Fn>
 void parallel_for(i64 begin, i64 end, Fn&& fn) {
-  if (end - begin < kSerialCutoff) {
+  if (end - begin < kSerialCutoff || team_of_one()) {
     for (i64 i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -38,12 +48,12 @@ void parallel_for(i64 begin, i64 end, Fn&& fn) {
 /// The chunk is the unit of scheduled work: workers grab one chunk of
 /// `chunk` consecutive iterations at a time, and the serial cutoff counts
 /// chunks (too few chunks cannot amortise a region spawn, however many raw
-/// iterations they contain).
+/// iterations they contain). Teams of one run serially too.
 template <typename Fn>
 void parallel_for_dynamic(i64 begin, i64 end, i64 chunk, Fn&& fn) {
   if (chunk < 1) chunk = 1;
   const i64 chunks = ceil_div(end - begin, chunk);
-  if (chunks < kSerialCutoff) {
+  if (chunks < kSerialCutoff || team_of_one()) {
     for (i64 i = begin; i < end; ++i) fn(i);
     return;
   }

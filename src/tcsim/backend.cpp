@@ -333,12 +333,45 @@ inline __m512i bytes_in(const BytePerm& perm, const __m512i v[4], int g, bool wi
 /// Lanes [0, n) of a 64-lane mask, for n in [0, 64].
 constexpr u64 first_lanes(i64 n) { return n >= 64 ? ~u64{0} : (u64{1} << n) - 1; }
 
-/// flush_planes_panel's byte path, activation fixed at compile time. Row i's
-/// 64 panel columns sit in four vectors (tiles 2q and 2q + 1, row i), loaded
-/// zero-masked to the valid lanes, so padding is 0 and never saturates. The
-/// shared epilogue runs in registers (shift, activation, clamp high then
-/// low), then each 8-plane group narrows to bytes once and every plane's
-/// line word is one vptestmb and one 64-bit store.
+/// The shared epilogue on 16 lanes in registers, activation fixed at compile
+/// time: shift, activation, clamp high then low. Adds 1 to `saturated` in
+/// each lane clamped at qmax; zero lanes never count.
+template <Activation A>
+inline __m512i requantize16(__m512i v, __m128i sh, __m512i qv, __m512i& saturated) {
+  const __m512i zero = _mm512_setzero_si512();
+  v = _mm512_maskz_sra_epi32(kAll16, v, sh);
+  if constexpr (A == Activation::kRelu) v = _mm512_maskz_max_epi32(kAll16, v, zero);
+  saturated = _mm512_mask_sub_epi32(saturated, _mm512_cmpgt_epi32_mask(v, qv),
+                                    saturated, _mm512_set1_epi32(-1));
+  v = _mm512_maskz_min_epi32(kAll16, v, qv);
+  return _mm512_maskz_max_epi32(kAll16, v, zero);
+}
+
+/// Sum of requantize16's per-lane clamp counts.
+inline u64 lane_sum(__m512i counts) {
+  alignas(64) i32 c[16];
+  _mm512_store_si512(c, counts);
+  u64 total = 0;
+  for (const i32 x : c) total += static_cast<u64>(x);
+  return total;
+}
+
+/// Stores plane b's line word, bit k = bit (b - 8 g) of byte k of `bytes`
+/// (byte group g), for every plane b of group g.
+inline void store_lines(const PlaneSink& s, i64 line, const __m512i bytes, int g) {
+  const int b_end = std::min(s.out_bits, 8 * g + 8);
+  for (int b = 8 * g; b < b_end; ++b) {
+    const u64 word = _mm512_test_epi8_mask(
+        bytes, _mm512_set1_epi8(static_cast<char>(1 << (b - 8 * g))));
+    std::memcpy(s.planes[b] + line * s.line_stride, &word, sizeof word);
+  }
+}
+
+/// flush_planes_panel's byte path for a row panel. Row i's 64 panel columns
+/// sit in four vectors (tiles 2q and 2q + 1, row i), loaded zero-masked to
+/// the valid lanes, so padding is 0 and never saturates. After the epilogue
+/// each 8-plane group narrows to bytes once, and every plane's line word is
+/// one vptestmb and one 64-bit store.
 template <Activation A>
 u64 panel_rows(const PlaneSink& s, const u32* tiles, i64 lanes,
                const EpilogueSpec& spec) {
@@ -348,7 +381,7 @@ u64 panel_rows(const PlaneSink& s, const u32* tiles, i64 lanes,
   const __m512i qv = _mm512_set1_epi32(spec.qmax);
   const __m128i sh = _mm_cvtsi32_si128(std::min(spec.rshift, 31));
   const i64 vectors = (lanes + 15) / 16;  // the rest hold only padding
-  __m512i saturated = zero;  // per-lane clamp counts
+  __m512i saturated = zero;
   for (i64 i = 0; i < s.lines; ++i) {
     __m512i w[4] = {zero, zero, zero, zero};
     for (int q = 0; q < vectors; ++q) {
@@ -357,28 +390,88 @@ u64 panel_rows(const PlaneSink& s, const u32* tiles, i64 lanes,
       // Lanes 8..15 read tile 2q + 1's row, 64 values past lane 0's.
       __m512i v = _mm512_maskz_loadu_epi32(k & 0xFF, row);
       v = _mm512_mask_loadu_epi32(v, k & 0xFF00, row + kTileM * kTileN - kTileN);
-      v = _mm512_maskz_sra_epi32(kAll16, v, sh);
-      if constexpr (A == Activation::kRelu) v = _mm512_maskz_max_epi32(kAll16, v, zero);
-      saturated = _mm512_mask_sub_epi32(saturated, _mm512_cmpgt_epi32_mask(v, qv),
-                                        saturated, _mm512_set1_epi32(-1));
-      v = _mm512_maskz_min_epi32(kAll16, v, qv);
-      w[q] = _mm512_maskz_max_epi32(kAll16, v, zero);
+      w[q] = requantize16<A>(v, sh, qv, saturated);
     }
     for (int g = 0; 8 * g < s.out_bits; ++g) {
-      const __m512i bytes = bytes_in(kValueOrder, w, g, wide);
-      const int b_end = std::min(s.out_bits, 8 * g + 8);
-      for (int b = 8 * g; b < b_end; ++b) {
-        const u64 line = _mm512_test_epi8_mask(
-            bytes, _mm512_set1_epi8(static_cast<char>(1 << (b - 8 * g))));
-        std::memcpy(s.planes[b] + i * s.line_stride, &line, sizeof line);
-      }
+      store_lines(s, i, bytes_in(kValueOrder, w, g, wide), g);
     }
   }
-  alignas(64) i32 counts[16];
-  _mm512_store_si512(counts, saturated);
-  u64 total = 0;
-  for (const i32 c : counts) total += static_cast<u64>(c);
-  return total;
+  return lane_sum(saturated);
+}
+
+/// vpermt2q indices of one transpose round at distance d: for the vector
+/// pair (a, b) = (x[t], x[t + d]), `lo` gathers a's lanes l with bit d clear
+/// and b's lanes l - d, `hi` a's lanes l + d and b's lanes l with bit d set.
+struct LaneSwap {
+  alignas(64) i64 lo[8];
+  alignas(64) i64 hi[8];
+};
+constexpr LaneSwap lane_swap(int d) {
+  LaneSwap p{};
+  for (int l = 0; l < 8; ++l) {
+    p.lo[l] = (l & d) != 0 ? 8 + l - d : l;
+    p.hi[l] = (l & d) != 0 ? 8 + l : l + d;
+  }
+  return p;
+}
+constexpr LaneSwap kLaneSwap[3] = {lane_swap(1), lane_swap(2), lane_swap(4)};
+
+/// Transposes the 8x8 matrix of u64 lanes in x[0..7] (lane l of x[t] swaps
+/// with lane t of x[l]): three rounds of 2x2 block swaps at distance 1, 2
+/// and 4, two vpermt2q per pair of vectors.
+inline void transpose_lanes(__m512i x[8]) {
+  for (int r = 0; r < 3; ++r) {
+    const int d = 1 << r;
+    const __m512i lo = _mm512_load_si512(kLaneSwap[r].lo);
+    const __m512i hi = _mm512_load_si512(kLaneSwap[r].hi);
+    for (int t = 0; t < 8; ++t) {
+      if ((t & d) != 0) continue;
+      const __m512i a = x[t];
+      x[t] = _mm512_maskz_permutex2var_epi64(0xFF, a, lo, x[t + d]);
+      x[t + d] = _mm512_maskz_permutex2var_epi64(0xFF, a, hi, x[t + d]);
+    }
+  }
+}
+
+/// flush_planes_panel's byte path for a column band: tile t holds rows
+/// 8t .. 8t + 7 of the s.lines valid columns. Each tile is loaded zero-masked
+/// to its valid rows and columns, requantized in registers and narrowed to
+/// bytes in transposed order, so 64-bit lane j holds column j's 8 rows of
+/// the tile. An 8x8 transpose of those lanes across the band's tiles leaves
+/// column j's 64 band rows in one vector, and every plane's line word is one
+/// vptestmb and one 64-bit store. Byte groups past the first (more than 8
+/// planes) run the epilogue again and count nothing the second time.
+template <Activation A>
+u64 panel_columns(const PlaneSink& s, const u32* tiles, i64 lanes,
+                  const EpilogueSpec& spec) {
+  const u64 valid_cols = 0x0101010101010101ULL * first_lanes(s.lines);
+  const bool wide = s.out_bits > 8;
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i qv = _mm512_set1_epi32(spec.qmax);
+  const __m128i sh = _mm_cvtsi32_si128(std::min(spec.rshift, 31));
+  __m512i saturated = zero;
+  for (int g = 0; 8 * g < s.out_bits; ++g) {
+    __m512i uncounted = zero;
+    __m512i x[8];
+    for (int t = 0; t < 8; ++t) {
+      const i64 rows = std::min<i64>(lanes - 8 * t, kTileM);
+      if (rows <= 0) {  // past the band's last tile
+        x[t] = zero;
+        continue;
+      }
+      const u64 valid = first_lanes(8 * rows) & valid_cols;
+      __m512i w[4];
+      for (int q = 0; q < 4; ++q) {
+        const __m512i v = _mm512_maskz_loadu_epi32(
+            static_cast<__mmask16>(valid >> (16 * q)), tiles + t * kTileM * kTileN + 16 * q);
+        w[q] = requantize16<A>(v, sh, qv, g == 0 ? saturated : uncounted);
+      }
+      x[t] = bytes_in(kTransposed, w, g, wide);
+    }
+    transpose_lanes(x);
+    for (i64 j = 0; j < s.lines; ++j) store_lines(s, j, x[j], g);
+  }
+  return lane_sum(saturated);
 }
 
 #else
@@ -462,13 +555,16 @@ u64 flush_planes_panel(const PlaneSink& s, const u32* tiles, i64 nb,
 #if defined(QGTC_BYTE_DRAIN)
   switch (spec.act) {
     case Activation::kIdentity:
-      return panel_rows<Activation::kIdentity>(s, tiles, lanes, spec);
+      return s.transpose ? panel_columns<Activation::kIdentity>(s, tiles, lanes, spec)
+                         : panel_rows<Activation::kIdentity>(s, tiles, lanes, spec);
     case Activation::kRelu:
-      return panel_rows<Activation::kRelu>(s, tiles, lanes, spec);
+      return s.transpose ? panel_columns<Activation::kRelu>(s, tiles, lanes, spec)
+                         : panel_rows<Activation::kRelu>(s, tiles, lanes, spec);
   }
   return 0;
 #else
-  // Tile blk's 8 columns sit in word (8 blk) / 32 at bit offset (8 blk) % 32.
+  // Tile blk's 8 lanes (the panel's columns 8 blk .. +7, or the band's rows)
+  // sit in word (8 blk) / 32 at bit offset (8 blk) % 32 of every line.
   u64 saturated = 0;
   for (i64 blk = 0; blk * kTileN < lanes; ++blk) {
     u32* planes[kMaxPanelPlanes];
@@ -478,7 +574,7 @@ u64 flush_planes_panel(const PlaneSink& s, const u32* tiles, i64 nb,
     const PlaneSink tile{planes, s.line_stride,
                          static_cast<int>(blk * kTileN % kWordBits), s.out_bits,
                          s.lines, std::min<i64>(kTileN, lanes - blk * kTileN),
-                         /*transpose=*/false};
+                         s.transpose};
     saturated += flush_planes(tile, tiles + blk * kTileM * kTileN, spec);
   }
   return saturated;

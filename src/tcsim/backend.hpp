@@ -37,7 +37,8 @@ namespace qgtc::tcsim {
 enum class BackendKind { kScalar = 0, kBlocked = 1 };
 
 /// Output-column tiles per panel job: the §4.4 cross-tile blocking factor
-/// every kernel sweep uses, on every backend.
+/// every kernel sweep uses, on every backend. Also the row blocks per column
+/// band that a kColMajorK output drains at once (one 64-bit line word).
 inline constexpr i64 kPanelWidth = 8;
 
 /// Elementwise activation the fused epilogue applies in the requantized
@@ -178,7 +179,8 @@ struct PanelJob {
 /// output row and a lane an output column (kRowMajorK planes); with
 /// `transpose == true` the roles swap (kColMajorK). `lines`/`lanes` bound
 /// the logically valid region (<= 8 each) so edge tiles skip padding.
-/// flush_planes_panel reads the same fields for a whole panel (see there).
+/// flush_planes_panel reads the same fields for a whole panel or column band
+/// (see there).
 struct PlaneSink {
   u32* const* planes;
   i64 line_stride;
@@ -248,18 +250,23 @@ inline u64 flush_planes(const PlaneSink& sink, const u32* tile,
   return saturated;
 }
 
-/// Panel drain for kRowMajorK outputs: requantize the `nb` finished tiles of
-/// one panel (tile `blk` at tiles[blk * 64 .. +64), as mma_panel wrote them)
-/// and write the panel's rows into packed planes. `sink.planes[b]` points at
-/// the word of plane `b` that holds the panel's first row and first column,
-/// which starts a 64-bit line word inside the row (the panel's first column
-/// is a multiple of 64, so `sink.shift` is 0, and kRowMajorK rows are padded
-/// to 128 bits); `sink.lines` counts the valid rows and
-/// `sink.lanes` the panel's valid columns (at most 8 * nb; none past them
-/// are read). With AVX-512 BW + VBMI each valid row's 64-bit line word is
+/// Panel drain: requantize the `nb` finished tiles of one panel (tile `blk`
+/// at tiles[blk * 64 .. +64), as mma_panel wrote them) and write its lines
+/// into packed planes. `sink.planes[b]` points at the word of plane `b` that
+/// holds the panel's first line and first lane, which starts a 64-bit line
+/// word (`sink.shift` is 0: the panel's first lane is a multiple of 64, and
+/// lines are padded to 128 bits).
+///  * Row panel (`sink.transpose` false, kRowMajorK outputs): tile blk holds
+///    columns 8 blk .. +7 of 8 rows; `sink.lines` counts the valid rows and
+///    `sink.lanes` the valid columns.
+///  * Column band (`sink.transpose` true, kColMajorK outputs): tile blk holds
+///    rows 8 blk .. +7 of 8 columns; `sink.lines` counts the valid columns
+///    and `sink.lanes` the valid rows.
+/// `lines` is at most 8 and `lanes` at most 8 * nb; nothing past them is
+/// read. With AVX-512 BW + VBMI each valid line's 64-bit line word is
 /// *stored*, once per plane: the planes must be zero there and no other
-/// thread may write those rows. Other builds run flush_planes per tile.
-/// Either way padding rows and lanes stay zero. `spec.qmax` must be >= 0.
+/// thread may write those lines. Other builds run flush_planes per tile.
+/// Either way padding lines and lanes stay zero. `spec.qmax` must be >= 0.
 /// Returns how many valid values were clamped at `spec.qmax`.
 u64 flush_planes_panel(const PlaneSink& sink, const u32* tiles, i64 nb,
                        const EpilogueSpec& spec);

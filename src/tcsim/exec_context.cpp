@@ -33,9 +33,16 @@ u32* Workspace::acc_tiles(i64 n) {
   return acc_tiles_.data();
 }
 
+std::span<u64> Workspace::sweep_counts(i64 n) {
+  const auto count = static_cast<std::size_t>(n);
+  if (sweep_counts_.size() < count) sweep_counts_.resize(count);
+  return {sweep_counts_.data(), count};
+}
+
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
-                  acc_tiles_.size() * sizeof(u32);
+                  acc_tiles_.size() * sizeof(u32) +
+                  sweep_counts_.size() * sizeof(u64);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }

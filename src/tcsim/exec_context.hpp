@@ -5,8 +5,8 @@
 //
 //   * the SubstrateBackend that executes 8x8x128 tile ops,
 //   * access to the per-thread workspace arena (padded accumulators,
-//     surviving-K-tile lists, output tiles — reused across calls instead of
-//     heap-allocated per kernel),
+//     surviving-K-tile lists, output tiles, per-sweep counts — reused
+//     across calls instead of heap-allocated per kernel),
 //   * a counter sink: either this context's private counter block (engine
 //     worker contexts, so per-batch-stream accounting merges
 //     deterministically) or the process-wide per-thread tcsim counters
@@ -53,6 +53,12 @@ class Workspace {
   /// (what SubstrateBackend::mma_panel writes).
   u32* acc_tiles(i64 n);
 
+  /// Uninitialised room for `n` per-sweep counts: a tile sweep's workers
+  /// each write the slots of the row blocks or column tiles they ran, and
+  /// the calling thread sums them after the loop, so the sum needs no
+  /// atomics and does not depend on the team.
+  std::span<u64> sweep_counts(i64 n);
+
   /// Bytes currently retained by this thread's arena.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
@@ -61,6 +67,7 @@ class Workspace {
   std::vector<MatrixI32> int32_scratch_;
   std::vector<std::vector<SparseTileRef>> k_lists_;
   AlignedVector<u32> acc_tiles_;
+  std::vector<u64> sweep_counts_;
 };
 
 /// This OS thread's arena (created on first use, lives for the thread).
@@ -87,7 +94,7 @@ class ExecutionContext {
   /// The calling thread's workspace arena.
   [[nodiscard]] Workspace& workspace() const { return thread_workspace(); }
 
-  /// Bulk substrate accounting (one note per kernel row-block). Thread-safe.
+  /// Bulk substrate accounting (one note per tile sweep). Thread-safe.
   void note(const Counters& delta) const;
 
   /// Counters attributed to this context (private mode) or the global

@@ -359,6 +359,70 @@ TEST(AnyBit, FusedBitRaggedPanels) {
   }
 }
 
+TEST(AnyBit, FusedBitColumnBands) {
+  // 150 output rows are 19 row blocks: column bands of 8, 8 and 3 tiles, the
+  // last one ragged (rows 144..149). 21 columns end in a ragged column tile.
+  // Row blocks 2, 9 and 18 of A are all zero, so the update-side zero-tile
+  // flag test jumps them. The kColMajorK planes must equal the int32 product
+  // followed by apply_epilogue and decompose word for word, padding
+  // included, with the same saturated count, on every backend.
+  const i64 m = 150, k = 300, n = 21;
+  const int s = 3, t = 2;
+  Rng rng(937);
+  MatrixI32 a = random_codes(rng, m, k, s);
+  for (const i64 zero_block : {2, 9, 18}) {
+    for (i64 r = zero_block * kTileM; r < std::min(m, (zero_block + 1) * kTileM); ++r) {
+      for (i64 c = 0; c < k; ++c) a(r, c) = 0;
+    }
+  }
+  const MatrixI32 x = random_codes(rng, k, n, t);
+  const auto pa = StackedBitTensor::decompose(a, s, BitLayout::kRowMajorK);
+  const auto px = StackedBitTensor::decompose(x, t, BitLayout::kColMajorK);
+  const MatrixI32 raw = matmul_reference(a, x);
+  i32 mx = 0;
+  for (i64 i = 0; i < raw.size(); ++i) mx = std::max(mx, raw.data()[i]);
+  for (const int out_bits : {1, 4, 8}) {
+    FusedEpilogue epi;
+    epi.act = tcsim::Activation::kRelu;
+    epi.rshift = std::max(calibrate_rshift(mx, out_bits) - 1, 0);
+    const tcsim::EpilogueSpec spec{epi.act, epi.rshift,
+                                   static_cast<i32>((u32{1} << out_bits) - 1)};
+    const tcsim::EpilogueSpec unclamped{epi.act, epi.rshift, -1};
+    MatrixI32 requant(m, n);
+    u64 saturated = 0;
+    for (i64 i = 0; i < raw.size(); ++i) {
+      requant.data()[i] = tcsim::apply_epilogue(raw.data()[i], spec);
+      saturated += tcsim::apply_epilogue(raw.data()[i], unclamped) > spec.qmax;
+    }
+    ASSERT_GT(saturated, 0u) << out_bits;
+    const auto expect = plane_words(StackedBitTensor::decompose(
+        requant, out_bits, BitLayout::kColMajorK, PadPolicy::kTile8));
+    for (const auto kind : tcsim::all_backends()) {
+      const std::string where =
+          std::string(tcsim::backend_name(kind)) + " " + std::to_string(out_bits) + " bits";
+      BmmOptions opt;
+      opt.zero_tile_jump = true;
+      const tcsim::ExecutionContext int_ctx(kind);
+      opt.ctx = &int_ctx;
+      EXPECT_EQ(bitmm_to_int(pa, px, opt), raw) << where;
+      const tcsim::ExecutionContext ctx(kind);
+      opt.ctx = &ctx;
+      const StackedBitTensor out =
+          bitmm_fused_bit(pa, px, out_bits, epi, opt, PadPolicy::kTile8,
+                          BitLayout::kColMajorK);
+      EXPECT_EQ(plane_words(out), expect) << where;
+      const tcsim::Counters got = ctx.counters();
+      const tcsim::Counters want = int_ctx.counters();
+      EXPECT_EQ(got.saturated, saturated) << where;
+      EXPECT_EQ(got.bmma_ops, want.bmma_ops) << where;
+      // 3 zero row blocks x 3 K tiles. bitmm_to_int sweeps each of the s x t
+      // plane pairs on its own, so it counts every jump once per pair.
+      EXPECT_EQ(got.tiles_jumped, 9u) << where;
+      EXPECT_EQ(got.tiles_jumped * s * t, want.tiles_jumped) << where;
+    }
+  }
+}
+
 /// THE core property (paper §3.1): for random (s, t) bit pairs, the composed
 /// product equals the exact integer GEMM of the quantized codes.
 class AnyBitComposition

@@ -4,9 +4,11 @@
 // invariant to inter_batch_threads, and the fixed parallel_for_dynamic must
 // visit each iteration exactly once for any chunk size.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <string>
+#include <tuple>
 
 #include "api/session.hpp"
 #include "common/rng.hpp"
@@ -248,6 +250,75 @@ TEST(Backends, EngineOutputsIdenticalAcrossBackendsAndThreads) {
                                                 nullptr, &ctx),
                 want)
           << tcsim::backend_name(kind);
+    }
+  }
+}
+
+/// Every Counters field, for one comparison.
+auto counter_fields(const tcsim::Counters& c) {
+  return std::make_tuple(c.bmma_ops, c.frag_loads_a, c.frag_loads_b, c.frag_stores,
+                         c.tiles_jumped, c.int32_bytes_avoided, c.saturated);
+}
+
+// A fused sweep notes its counters once, from sums the calling thread makes
+// after the loop, so no count may depend on the team that ran it: one
+// thread, four, or a nested call inside a team of two (whose loops run in
+// the caller without opening a region). Both sweep axes run: the
+// row-parallel kRowMajorK output and the column-parallel kColMajorK one,
+// each with more than kSerialCutoff row blocks and column tiles, zero-tile
+// jumps and clamped values.
+TEST(Backends, SweepCountersIndependentOfTeam) {
+  const i64 m = 200, k = 300, n = 136;
+  Rng rng(41);
+  MatrixI32 a = random_codes(rng, m, k, 3);
+  for (const i64 zero_block : {0, 7, 8, 24}) {
+    for (i64 r = zero_block * kTileM; r < std::min(m, (zero_block + 1) * kTileM); ++r) {
+      for (i64 c = 0; c < k; ++c) a(r, c) = 0;
+    }
+  }
+  const MatrixI32 b = random_codes(rng, k, n, 2);
+  const auto pa = StackedBitTensor::decompose(a, 3, BitLayout::kRowMajorK);
+  const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
+  FusedEpilogue epi;
+  epi.act = tcsim::Activation::kRelu;
+  epi.rshift = 6;
+  const int out_bits = 4;
+
+  struct Run {
+    tcsim::Counters counters;
+    MatrixI32 out;
+  };
+  const auto sweep = [&](BitLayout layout) {
+    const tcsim::ExecutionContext ctx(tcsim::BackendKind::kBlocked);
+    BmmOptions opt;
+    opt.ctx = &ctx;
+    opt.zero_tile_jump = true;
+    Run r;
+    r.out = bitmm_fused_bit(pa, pb, out_bits, epi, opt, PadPolicy::kTile8, layout)
+                .compose();
+    r.counters = ctx.counters();
+    return r;
+  };
+
+  const int saved = omp_get_max_threads();
+  for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+    const std::string where = layout == BitLayout::kRowMajorK ? "row" : "col";
+    omp_set_num_threads(1);
+    const Run serial = sweep(layout);
+    EXPECT_GT(serial.counters.tiles_jumped, 0u) << where;
+    EXPECT_GT(serial.counters.saturated, 0u) << where;
+    omp_set_num_threads(4);
+    const Run four = sweep(layout);
+    Run nested[2];
+#pragma omp parallel num_threads(2)
+    nested[omp_get_thread_num()] = sweep(layout);
+    omp_set_num_threads(saved);
+    EXPECT_EQ(counter_fields(four.counters), counter_fields(serial.counters)) << where;
+    EXPECT_EQ(four.out, serial.out) << where;
+    for (const Run& r : nested) {
+      EXPECT_EQ(counter_fields(r.counters), counter_fields(serial.counters))
+          << where << " nested";
+      EXPECT_EQ(r.out, serial.out) << where << " nested";
     }
   }
 }

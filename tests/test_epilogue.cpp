@@ -200,17 +200,18 @@ u64 reference_drain(const std::vector<u32>& tiles, i64 nb, i64 rows, i64 cols,
   return saturated;
 }
 
-// The drains the fused to-bit outputs run, against the element-wise
-// reference on zeroed planes surrounded by sentinel words: the kRowMajorK
-// panel drain (flush_planes_panel), and per-tile flush_planes in both
-// orientations (the transposed one is the kColMajorK drain, both go through
-// scatter_planes). Panels of 1-8 tiles, 1-8 valid lines, full and ragged
-// valid extents, plane counts past one byte, both activations, shifts 0, 3
-// and 31, and inputs that are wrapped negatives or above qmax. Planes and
-// the saturated count must match, and no word outside the drained lines'
-// 64-bit line word may change.
-TEST(Epilogue, PanelDrainMatchesPerTileFlush) {
-  Rng rng(113);
+/// One panel drain orientation against the element-wise reference on zeroed
+/// planes surrounded by sentinel words: flush_planes_panel and per-tile
+/// flush_planes over panels of 1-8 tiles, 1-8 valid lines, full and ragged
+/// valid extents, plane counts past one byte, both activations, shifts 0, 3
+/// and 31, and inputs that are wrapped negatives or above qmax. Planes and
+/// the saturated count must match, and no word outside the drained lines'
+/// 64-bit line word may change. Row panels (`transpose` false, the
+/// kRowMajorK drain): a line is a row and tile blk holds columns 8 blk .. +7.
+/// Column bands (the kColMajorK drain): a line is a column and tile blk
+/// holds rows 8 blk .. +7, so `extent` counts rows and `lines` columns.
+void check_panel_drain(bool transpose, u64 seed) {
+  Rng rng(seed);
   for (const int bits : {1, 2, 4, 7, 8, 16, 31}) {
     const i32 qmax = static_cast<i32>((u32{1} << bits) - 1);
     std::vector<u32> sentinel(static_cast<std::size_t>(bits * 9 * kDrainStride));
@@ -254,36 +255,31 @@ TEST(Epilogue, PanelDrainMatchesPerTileFlush) {
                 }
                 return p;
               };
-              for (const bool transpose : {false, true}) {
-                // Row-major: `lines` rows x `extent` columns. Transposed:
-                // `extent` rows x `lines` columns.
-                const i64 rows = transpose ? extent : lines;
-                const i64 cols = transpose ? lines : extent;
-                std::vector<u32> want = zeroed;
-                const u64 want_sat =
-                    reference_drain(tiles, nb, rows, cols, spec, transpose, bits, want);
-                std::vector<u32> per_tile = zeroed;
-                u64 per_tile_sat = 0;
-                for (i64 blk = 0; blk < nb; ++blk) {
-                  const i64 left = extent - blk * kTileN;
-                  if (left <= 0) continue;
-                  std::vector<u32*> p = planes_of(per_tile, blk);
-                  per_tile_sat += tcsim::flush_planes(
-                      {p.data(), kDrainStride, static_cast<int>(blk * kTileN % kWordBits),
-                       bits, lines, std::min<i64>(kTileN, left), transpose},
-                      tiles.data() + blk * kTileM * kTileN, spec);
-                }
-                EXPECT_EQ(per_tile, want) << tag << " transpose " << transpose;
-                EXPECT_EQ(per_tile_sat, want_sat) << tag << " transpose " << transpose;
-                if (transpose) continue;
-                std::vector<u32> panel = zeroed;
-                std::vector<u32*> p = planes_of(panel, 0);
-                const u64 panel_sat = tcsim::flush_planes_panel(
-                    {p.data(), kDrainStride, 0, bits, lines, extent, false},
-                    tiles.data(), nb, spec);
-                EXPECT_EQ(panel, want) << tag;
-                EXPECT_EQ(panel_sat, want_sat) << tag;
+              const i64 rows = transpose ? extent : lines;
+              const i64 cols = transpose ? lines : extent;
+              std::vector<u32> want = zeroed;
+              const u64 want_sat =
+                  reference_drain(tiles, nb, rows, cols, spec, transpose, bits, want);
+              std::vector<u32> per_tile = zeroed;
+              u64 per_tile_sat = 0;
+              for (i64 blk = 0; blk < nb; ++blk) {
+                const i64 left = extent - blk * kTileN;
+                if (left <= 0) continue;
+                std::vector<u32*> p = planes_of(per_tile, blk);
+                per_tile_sat += tcsim::flush_planes(
+                    {p.data(), kDrainStride, static_cast<int>(blk * kTileN % kWordBits),
+                     bits, lines, std::min<i64>(kTileN, left), transpose},
+                    tiles.data() + blk * kTileM * kTileN, spec);
               }
+              EXPECT_EQ(per_tile, want) << tag;
+              EXPECT_EQ(per_tile_sat, want_sat) << tag;
+              std::vector<u32> panel = zeroed;
+              std::vector<u32*> p = planes_of(panel, 0);
+              const u64 panel_sat = tcsim::flush_planes_panel(
+                  {p.data(), kDrainStride, 0, bits, lines, extent, transpose},
+                  tiles.data(), nb, spec);
+              EXPECT_EQ(panel, per_tile) << tag;
+              EXPECT_EQ(panel_sat, per_tile_sat) << tag;
             }
           }
         }
@@ -291,6 +287,13 @@ TEST(Epilogue, PanelDrainMatchesPerTileFlush) {
     }
   }
 }
+
+// The kRowMajorK panel drain and per-tile flush_planes (row panels).
+TEST(Epilogue, PanelDrainMatchesPerTileFlush) { check_panel_drain(false, 113); }
+
+// The kColMajorK column-band drain and per-tile transposed flush_planes
+// (column bands of 1-8 tiles with ragged last rows, 1-8 valid columns).
+TEST(Epilogue, ColumnPanelDrainMatchesPerTileFlush) { check_panel_drain(true, 127); }
 
 TEST(Epilogue, ActivationNames) {
   EXPECT_STREQ(tcsim::activation_name(Activation::kIdentity), "identity");
