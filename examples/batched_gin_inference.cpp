@@ -6,7 +6,7 @@
 // Build & run:  ./build/examples/batched_gin_inference
 #include <iostream>
 
-#include "api/session.hpp"
+#include "api/bit_tensor_api.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/stats.hpp"
@@ -47,22 +47,24 @@ int main() {
   std::cout << "\nGIN updates before aggregating (paper §6.1), which raises the\n"
                "computation-to-communication ratio and widens QGTC's margin.\n";
 
-  // Under the hood each GIN layer is one session.mm_bit call: an
-  // any-bitwidth MM whose epilogue requantizes straight back into packed
-  // codes. An api::Session is the per-worker handle for exactly that —
-  // here one update step of a 64-node batch, counted in isolation.
+  // Under the hood each GIN layer is one bitMM2Bit call: an any-bitwidth MM
+  // whose epilogue requantizes straight back into packed codes. An
+  // ExecutionContext passed as opt.ctx is the per-worker handle for exactly
+  // that — here one update step of a 64-node batch, counted in isolation.
   Rng rng(7);
   MatrixF h(64, 64), w(64, 64);
   for (i64 i = 0; i < h.size(); ++i) h.data()[i] = rng.next_float(0.0f, 1.0f);
   for (i64 i = 0; i < w.size(); ++i) w.data()[i] = rng.next_float(-0.5f, 0.5f);
-  api::Session session;
+  const tcsim::ExecutionContext ctx(tcsim::default_backend());
+  BmmOptions opt;
+  opt.ctx = &ctx;
   const auto hq = api::BitTensor::to_bit(h, 4, api::BitTensor::Side::kLeft);
   const auto wq = api::BitTensor::to_bit(w, 4, api::BitTensor::Side::kRight);
-  const auto next = session.mm_bit(
-      hq, wq, api::MmOut{/*bits=*/4, tcsim::Activation::kRelu});
-  std::cout << "\nOne GIN update via api::Session: " << next.rows() << "x"
+  const auto next =
+      api::bitMM2Bit(hq, wq, /*bit_c=*/4, opt, tcsim::Activation::kRelu);
+  std::cout << "\nOne GIN update via bitMM2Bit: " << next.rows() << "x"
             << next.cols() << " @ " << next.bits() << "-bit, "
-            << session.counters().bmma_ops << " tile BMMAs on "
-            << tcsim::backend_name(session.backend()) << ".\n";
+            << ctx.counters().bmma_ops << " tile BMMAs on "
+            << tcsim::backend_name(ctx.backend_kind()) << ".\n";
   return 0;
 }

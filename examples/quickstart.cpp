@@ -1,19 +1,17 @@
 // Quickstart: the 60-second tour of the QGTC public API.
 //
 //   1. Quantize fp32 tensors into bit-Tensors (paper §5's Tensor.to_bit).
-//   2. Open an api::Session — the per-stream handle that owns the execution
-//      context — and multiply with session.mm_int / session.mm_bit
-//      (any-bitwidth, tensor-core substrate underneath).
+//   2. Multiply with bitMM2Int / bitMM2Bit (any-bitwidth, tensor-core
+//      substrate underneath) on an ExecutionContext passed as opt.ctx — the
+//      per-stream handle that pins a backend and keeps private counters.
 //   3. Decode results with to_val / to_float.
 //
-// The old free functions bitMM2Int / bitMM2Bit still work (they delegate to
-// a process-wide default session); a Session per stream/worker is how a
-// caller pins a backend and private counters.
+// With no opt.ctx the calls run on the process-wide default context.
 //
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
 
-#include "api/session.hpp"
+#include "api/bit_tensor_api.hpp"
 #include "common/rng.hpp"
 
 int main() {
@@ -33,26 +31,28 @@ int main() {
   std::cout << "W: " << wq.rows() << "x" << wq.cols() << " @ " << wq.bits()
             << " bits\n";
 
-  // One session per stream/worker: it pins the backend and keeps private
+  // One context per stream/worker: it pins the backend and keeps private
   // substrate counters, like a CUDA stream plus its profiler slot.
-  api::Session session;
+  const tcsim::ExecutionContext ctx(tcsim::default_backend());
+  BmmOptions opt;
+  opt.ctx = &ctx;
 
   // Any-bitwidth MM with int32 output: 3-bit x 2-bit composed from six
   // 1-bit tensor-core BMMs (paper §3.1).
-  const MatrixI32 c = session.mm_int(xq, wq);
-  std::cout << "session.mm_int -> int32 " << c.rows() << "x" << c.cols()
+  const MatrixI32 c = api::bitMM2Int(xq, wq, opt);
+  std::cout << "bitMM2Int -> int32 " << c.rows() << "x" << c.cols()
             << ", C[0,0] = " << c(0, 0) << "\n";
 
   // Same MM but requantized to 4 bits in the fused epilogue, ready to chain
   // into the next layer without leaving the packed domain (paper §4.5).
-  const auto c4 = session.mm_bit(xq, wq, api::MmOut{/*bits=*/4});
-  std::cout << "session.mm_bit -> " << c4.bits() << "-bit codes, C4[0,0] = "
+  const auto c4 = api::bitMM2Bit(xq, wq, /*bit_c=*/4, opt);
+  std::cout << "bitMM2Bit -> " << c4.bits() << "-bit codes, C4[0,0] = "
             << c4.to_val()(0, 0) << "\n";
 
-  // The session counted every 1-bit tile op it issued: 3x2 bit planes for
-  // mm_int plus the mm_bit pass, nothing from other threads.
-  std::cout << "session counters: " << session.counters().bmma_ops
-            << " tile BMMAs on " << tcsim::backend_name(session.backend())
+  // The context counted every 1-bit tile op it ran: 3x2 bit planes for
+  // bitMM2Int plus the bitMM2Bit pass, nothing from other threads.
+  std::cout << "context counters: " << ctx.counters().bmma_ops
+            << " tile BMMAs on " << tcsim::backend_name(ctx.backend_kind())
             << "\n";
 
   // Round-trip check: quantized codes decode to the fp32 neighbourhood.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "api/session.hpp"
-
 namespace qgtc::api {
 
 namespace {
@@ -47,10 +45,8 @@ MatrixF BitTensor::to_float() const {
   return dequantize_matrix(planes_.compose(), qparams_);
 }
 
-namespace detail {
-
-MatrixI32 mm_int(const BitTensor& a, const BitTensor& b,
-                 const BmmOptions& opt) {
+MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
+                    const BmmOptions& opt) {
   QGTC_CHECK(a.planes().layout() == BitLayout::kRowMajorK,
              "bitMM2Int: A must be a left-side BitTensor");
   QGTC_CHECK(b.planes().layout() == BitLayout::kColMajorK,
@@ -58,8 +54,8 @@ MatrixI32 mm_int(const BitTensor& a, const BitTensor& b,
   return bitmm_to_int(a.planes(), b.planes(), opt);
 }
 
-MatrixI32 mm_int(const TileSparseBitMatrix& a, const BitTensor& b,
-                 const BmmOptions& opt) {
+MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
+                    const BmmOptions& opt) {
   QGTC_CHECK(b.planes().layout() == BitLayout::kColMajorK,
              "bitMM2Int: B must be a right-side BitTensor");
   // The sparse operand is 1-bit by construction; cross-tile reduction keeps
@@ -67,8 +63,8 @@ MatrixI32 mm_int(const TileSparseBitMatrix& a, const BitTensor& b,
   return aggregate_1bit(a, b.planes(), ReuseMode::kCrossTile, opt);
 }
 
-BitTensor mm_bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                 tcsim::Activation act, const BmmOptions& opt) {
+BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
+                    const BmmOptions& opt, tcsim::Activation act) {
   QGTC_CHECK(a.planes().layout() == BitLayout::kRowMajorK,
              "bitMM2Bit: A must be a left-side BitTensor");
   QGTC_CHECK(b.planes().layout() == BitLayout::kColMajorK,
@@ -85,29 +81,6 @@ BitTensor mm_bit(const BitTensor& a, const BitTensor& b, int bit_c,
                                          opt, PadPolicy::kTile8,
                                          BitLayout::kRowMajorK);
   return BitTensor::from_planes(std::move(out));
-}
-
-}  // namespace detail
-
-// The free functions route through the default Session unless the caller
-// pinned a context via opt.ctx (legacy escape hatch, unchanged semantics).
-
-MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
-                    const BmmOptions& opt) {
-  if (opt.ctx != nullptr) return detail::mm_int(a, b, opt);
-  return Session::default_session().mm_int(a, b, opt);
-}
-
-MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
-                    const BmmOptions& opt) {
-  if (opt.ctx != nullptr) return detail::mm_int(a, b, opt);
-  return Session::default_session().mm_int(a, b, opt);
-}
-
-BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                    const BmmOptions& opt, tcsim::Activation act) {
-  if (opt.ctx != nullptr) return detail::mm_bit(a, b, bit_c, act, opt);
-  return Session::default_session().mm_bit(a, b, MmOut{bit_c, act}, opt);
 }
 
 }  // namespace qgtc::api

@@ -5,6 +5,9 @@
 //
 //   bitMM2Int(C, A, B, bit_A, bit_B)        -> int32 Tensor output
 //   bitMM2Bit(C, A, B, bit_A, bit_B, bit_C) -> quantized bit-Tensor output
+//
+// A caller that wants its own backend or counters holds a
+// tcsim::ExecutionContext and passes it as BmmOptions::ctx.
 #pragma once
 
 #include "bittensor/stacked.hpp"
@@ -49,21 +52,9 @@ class BitTensor {
   bool from_float_ = false;
 };
 
-namespace detail {
-/// Validation + kernel dispatch shared by the free functions and
-/// api::Session (which pins its own context before delegating here).
-MatrixI32 mm_int(const BitTensor& a, const BitTensor& b,
-                 const BmmOptions& opt);
-MatrixI32 mm_int(const TileSparseBitMatrix& a, const BitTensor& b,
-                 const BmmOptions& opt);
-BitTensor mm_bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                 tcsim::Activation act, const BmmOptions& opt);
-}  // namespace detail
-
 /// bitMM2Int: C = A x B with int32 output (quantized-code arithmetic).
-/// Thin wrapper over the default api::Session (callers wanting a pinned
-/// backend / private counters construct their own Session — see
-/// api/session.hpp).
+/// Runs on `opt.ctx` (backend and counter sink); null is the default
+/// context.
 MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
                     const BmmOptions& opt = {});
 

@@ -38,10 +38,6 @@ MatrixF gemm_f32(const MatrixF& a, const MatrixF& b) {
   return c;
 }
 
-MatrixF dense_aggregate_f32(const MatrixF& a_dense, const MatrixF& x) {
-  return gemm_f32(a_dense, x);
-}
-
 void relu_inplace(MatrixF& m) {
   parallel_for(0, m.size(), [&](i64 i) {
     if (m.data()[i] < 0.0f) m.data()[i] = 0.0f;

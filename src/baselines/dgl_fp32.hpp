@@ -16,10 +16,6 @@ MatrixF spmm_csr(const CsrGraph& local, const MatrixF& x, bool add_self = true);
 /// Dense fp32 GEMM, OpenMP-parallel, i-k-j loop order (vectorisable inner j).
 MatrixF gemm_f32(const MatrixF& a, const MatrixF& b);
 
-/// Dense fp32 aggregation (Y = A_dense x X) for studies that want the dense
-/// CUDA-core-style data path.
-MatrixF dense_aggregate_f32(const MatrixF& a_dense, const MatrixF& x);
-
 void relu_inplace(MatrixF& m);
 
 }  // namespace qgtc::baselines

@@ -80,8 +80,6 @@ class BitMatrix {
   [[nodiscard]] const u32* data() const { return data_.data(); }
   [[nodiscard]] u32* data() { return data_.data(); }
 
-  void clear_all() { std::fill(data_.begin(), data_.end(), 0u); }
-
  private:
   i64 rows_ = 0, cols_ = 0;
   i64 padded_rows_ = 0, padded_cols_ = 0;

@@ -13,7 +13,6 @@ class Timer {
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

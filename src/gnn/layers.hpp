@@ -49,8 +49,7 @@ struct GnnConfig {
   }
 };
 
-/// Per-layer fp32 master weights (in_dim x out_dim, no bias: the integer
-/// pipeline folds affine terms through the BN epilogue when needed).
+/// Per-layer fp32 master weights (in_dim x out_dim, no bias).
 /// `w2` (out_dim x out_dim) is present only for MLP updates (gin_mlp).
 struct LayerWeights {
   MatrixF w;

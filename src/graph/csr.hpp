@@ -94,8 +94,6 @@ class CsrView {
             static_cast<std::size_t>(s.row_ptr[local + 1] - s.row_ptr[local])};
   }
 
-  [[nodiscard]] std::size_t num_segments() const { return segments_.size(); }
-
  private:
   [[nodiscard]] const Segment& segment_of(i64 v) const {
     const std::size_t si = std::min(

@@ -1,7 +1,6 @@
 #include "kernels/anybit_mm.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <span>
 
@@ -280,50 +279,25 @@ void accumulate_into(const Src& src, const BitMatrix& b, MatrixI32& c,
                    });
 }
 
-/// Checks that a batch-norm fold, when enabled, has one scale and one bias
-/// per output column.
-void check_bn(const FusedEpilogue& epi, i64 n) {
-  QGTC_CHECK(!epi.use_bn || (static_cast<i64>(epi.bn_scale.size()) == n &&
-                             static_cast<i64>(epi.bn_bias.size()) == n),
-             "use_bn needs bn_scale and bn_bias of one entry per output column");
-}
-
-/// Applies the per-column batch-norm fold (Eq. 8) to one raw accumulator
-/// value (check_bn validated the vectors). The activation itself runs in
-/// tcsim::apply_epilogue_tile.
-inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
-  const auto c = static_cast<std::size_t>(col);
-  return static_cast<i32>(
-      std::lround(static_cast<float>(v) * epi.bn_scale[c] + epi.bn_bias[c]));
-}
-
 /// Drains one finished output tile into a row-major i32 matrix of logical
-/// extent m x n. Interior tiles (full 8x8, no BN) flush straight into the
-/// output with the fused epilogue; edge and BN tiles stage through one stack
-/// tile. Assigns every covered element. Never clamps (qmax < 0), so there is
-/// no saturated count to return.
+/// extent m x n. Interior tiles (full 8x8) flush straight into the output
+/// with the fused epilogue; edge tiles stage through one stack tile. Assigns
+/// every covered element. Never clamps (qmax < 0), so there is no saturated
+/// count to return.
 inline void drain_int_tile(i32* out, i64 m, i64 n, i64 tm, i64 tn,
                            const u32* tile, const FusedEpilogue& epi) {
   // The int path applies the activation but never requantizes (rshift/clamp
   // stay with the to-bit path), matching the historical epilogue contract.
   const tcsim::EpilogueSpec spec{epi.act, 0, -1};
   const i64 r0 = tm * kTileM, c0 = tn * kTileN;
-  if (!epi.use_bn && r0 + kTileM <= m && c0 + kTileN <= n) {
+  if (r0 + kTileM <= m && c0 + kTileN <= n) {
     tcsim::flush_epilogue(out + r0 * n + c0, n, tile, spec);
     return;
   }
   const i64 rows_here = std::min<i64>(kTileM, m - r0);
   const i64 cols_here = std::min<i64>(kTileN, n - c0);
   alignas(64) i32 tmp[kTileM * kTileN];
-  tcsim::flush_epilogue(tmp, kTileN, tile, epi.use_bn ? tcsim::EpilogueSpec{} : spec);
-  if (epi.use_bn) {
-    for (i64 i = 0; i < rows_here; ++i) {
-      for (i64 j = 0; j < cols_here; ++j) {
-        tmp[i * kTileN + j] = apply_bn(tmp[i * kTileN + j], c0 + j, epi);
-      }
-    }
-    tcsim::apply_epilogue_tile(tmp, spec);
-  }
+  tcsim::flush_epilogue(tmp, kTileN, tile, spec);
   for (i64 i = 0; i < rows_here; ++i) {
     std::memcpy(out + (r0 + i) * n + c0, tmp + i * kTileN,
                 static_cast<std::size_t>(cols_here) * sizeof(i32));
@@ -383,7 +357,6 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
              "bitmm_fused_int_into: output shape mismatch");
   if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
   const i64 m = a.rows(), n = b.cols();
-  check_bn(epi, n);
   fused_tile_sweep(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b), opt,
                    /*shift=*/0, /*parallel_over_n=*/false,
                    [&](i64 tm, i64 tn0, i64 nb, const u32* tiles) {
@@ -404,7 +377,6 @@ StackedBitTensor fused_bit_output(const Src& src,
                                   const FusedEpilogue& epi,
                                   const BmmOptions& opt, PadPolicy out_pad,
                                   BitLayout out_layout) {
-  check_bn(epi, n);
   // Build output planes directly; bit-decomposition never materialises an
   // int32 matrix in "global memory" (§4.5).
   StackedBitTensor out =
@@ -414,61 +386,22 @@ StackedBitTensor fused_bit_output(const Src& src,
   const i64 line_stride = out.plane(0).k_words();
   const bool row_major = out_layout == BitLayout::kRowMajorK;
 
-  // A line is an output row (kRowMajorK) or column (kColMajorK). Fills
-  // planes[b] with the word of plane b that holds lane `lane0` of line
-  // `line0`; returns that lane's bit offset in the word.
-  const auto line_words = [&](i64 line0, i64 lane0, u32** planes) {
-    for (int b = 0; b < out_bits; ++b) {
-      BitMatrix& p = out.plane(b);
-      planes[b] = (row_major ? p.row_words(line0) : p.col_words(line0)) +
-                  lane0 / kWordBits;
-    }
-    return static_cast<int>(lane0 % kWordBits);
-  };
-
-  // BN tiles stage through one stack tile: raw drain, fp32 fold (the padding
-  // is zeroed so it never counts as saturated), then the shared tile
-  // epilogue and scatter, one word OR per (line, plane).
-  const auto drain_bn_tile = [&](i64 tm, i64 tn, const u32* tile) {
-    const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
-    const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
-    u32* planes[32];
-    const int shift = row_major ? line_words(tm * kTileM, tn * kTileN, planes)
-                                : line_words(tn * kTileN, tm * kTileM, planes);
-    alignas(64) i32 q[kTileM * kTileN];
-    tcsim::flush_epilogue(q, kTileN, tile, tcsim::EpilogueSpec{});
-    for (i64 k = 0; k < kTileM * kTileN; ++k) {
-      const i64 i = k / kTileN, j = k % kTileN;
-      q[k] = i < rows_here && j < cols_here ? apply_bn(q[k], tn * kTileN + j, epi)
-                                            : 0;
-    }
-    const u64 sat = tcsim::apply_epilogue_tile(q, spec);
-    tcsim::scatter_planes({planes, line_stride, shift, out_bits,
-                           row_major ? rows_here : cols_here,
-                           row_major ? cols_here : rows_here, !row_major},
-                          q);
-    return sat;
-  };
-
   fused_tile_sweep(
       src, bp, opt, /*shift=*/0, /*parallel_over_n=*/!row_major,
       [&](i64 tm, i64 tn, i64 nb, const u32* tiles) {
-        if (epi.use_bn) {
-          u64 sat = 0;
-          for (i64 b = 0; b < nb; ++b) {
-            sat += drain_bn_tile(row_major ? tm : tm + b, row_major ? tn + b : tn,
-                                 tiles + b * kTileM * kTileN);
-          }
-          return sat;
-        }
-        // The panel starts a 64-bit line word: a row panel's first column
-        // and a column band's first row are multiples of 8 tiles. The sweep
-        // gives this thread the whole panel's lines (row block tm, or column
-        // tile tn), so the drain may store whole line words.
+        // A line is an output row (kRowMajorK) or column (kColMajorK). The
+        // panel starts a 64-bit line word: a row panel's first column and a
+        // column band's first row are multiples of 8 tiles. The sweep gives
+        // this thread the whole panel's lines (row block tm, or column tile
+        // tn), so the drain may store whole line words.
         const i64 line0 = row_major ? tm * kTileM : tn * kTileN;
         const i64 lane0 = row_major ? tn * kTileN : tm * kTileM;
         u32* planes[32];
-        line_words(line0, lane0, planes);
+        for (int b = 0; b < out_bits; ++b) {
+          BitMatrix& p = out.plane(b);
+          planes[b] = (row_major ? p.row_words(line0) : p.col_words(line0)) +
+                      lane0 / kWordBits;
+        }
         const i64 lines = std::min<i64>(kTileM, (row_major ? m : n) - line0);
         const i64 lanes = std::min<i64>(nb * kTileN, (row_major ? n : m) - lane0);
         return tcsim::flush_planes_panel(

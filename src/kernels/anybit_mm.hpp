@@ -4,7 +4,7 @@
 //
 //  * non-zero tile reuse (§4.4): cross-tile reduction keeps a loaded A tile
 //    resident while sweeping every bit-plane of the other operand;
-//  * inter-layer kernel fusion (§4.5): ReLU / batch-norm / requantization +
+//  * inter-layer kernel fusion (§4.5): ReLU / requantization +
 //    bit-decomposition run inside the GEMM epilogue so hidden layers hand
 //    packed low-bit planes straight to the next layer.
 //
@@ -12,8 +12,6 @@
 // caller's ExecutionContext (BmmOptions::ctx; null = process default) and
 // draws scratch from that context's per-thread workspace arena.
 #pragma once
-
-#include <vector>
 
 #include "bittensor/stacked.hpp"
 #include "kernels/bmm.hpp"
@@ -31,11 +29,6 @@ struct FusedEpilogue {
   /// Elementwise activation (identity / relu) applied in the requantized
   /// domain — see tcsim::apply_epilogue for exact semantics.
   tcsim::Activation act = tcsim::Activation::kIdentity;
-  /// Per-output-column batch-norm folded to y = x * scale[j] + bias[j]
-  /// (Eq. 8 with E/Var/gamma/beta pre-folded by the caller).
-  bool use_bn = false;
-  std::vector<float> bn_scale;
-  std::vector<float> bn_bias;
   /// Requantization right-shift used by the to-bit output path:
   /// out = clamp(acc >> rshift, 0, 2^out_bits - 1). Calibrated per layer.
   int rshift = 0;
@@ -48,7 +41,7 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
                        const BmmOptions& opt = {});
 
 /// Fused single-pass variant of bitMM2Int: per output tile, all bit-plane
-/// pairs and K tiles are reduced locally, then the epilogue (ReLU/BN) runs
+/// pairs and K tiles are reduced locally, then the epilogue (ReLU) runs
 /// before the single store. This is the production path for output layers.
 MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
                           const FusedEpilogue& epi = {},

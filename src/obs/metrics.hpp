@@ -121,13 +121,7 @@ struct StageBreakdown {
     busy_seconds += o.busy_seconds;
     stall_seconds += o.stall_seconds;
     return *this;
-  }
-  /// Stall share of the stage's total accounted time (0 when idle).
-  [[nodiscard]] double stall_fraction() const {
-    const double total = busy_seconds + stall_seconds;
-    return total > 0 ? stall_seconds / total : 0.0;
-  }
-};
+  }};
 
 /// Process-wide named-instrument registry. Lookup is mutex-guarded and
 /// returns stable references; recording through a resolved reference is

@@ -65,13 +65,4 @@ void parallel_for_dynamic(i64 begin, i64 end, i64 chunk, Fn&& fn) {
   }
 }
 
-/// Parallel sum-reduction of fn(i) over [begin, end).
-template <typename Fn>
-double parallel_reduce_sum(i64 begin, i64 end, Fn&& fn) {
-  double acc = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : acc)
-  for (i64 i = begin; i < end; ++i) acc += fn(i);
-  return acc;
-}
-
 }  // namespace qgtc

@@ -474,7 +474,7 @@ u64 panel_columns(const PlaneSink& s, const u32* tiles, i64 lanes,
   return lane_sum(saturated);
 }
 
-#else
+#endif  // QGTC_BYTE_DRAIN
 
 /// One plane's 64-bit mask of an 8x8 tile: bit 8i+j is bit `b` of q[i*8+j].
 inline u64 plane_mask(const i32* q, int b) {
@@ -510,8 +510,6 @@ constexpr u64 transpose8x8(u64 x) {
   return x;
 }
 
-#endif  // QGTC_BYTE_DRAIN
-
 /// ORs plane mask `m` (bit 8l + k = line l, lane k) into its sink lines.
 inline void or_lines(const PlaneSink& s, int b, u64 m) {
   u32* plane = s.planes[b];
@@ -525,28 +523,12 @@ inline void or_lines(const PlaneSink& s, int b, u64 m) {
 void scatter_planes(const PlaneSink& s, const i32* q) {
   // Lanes past `s.lanes` are cleared in every line's byte.
   const u64 lane_mask = 0x0101010101010101ULL * ((u64{1} << s.lanes) - 1);
-#if defined(QGTC_BYTE_DRAIN)
-  __m512i v[4];
-  for (int k = 0; k < 4; ++k) v[k] = _mm512_loadu_si512(q + 16 * k);
-  const BytePerm& to_lines = s.transpose ? kTransposed : kValueOrder;
-  for (int g = 0; 8 * g < s.out_bits; ++g) {
-    const __m512i bytes = bytes_in(to_lines, v, g, s.out_bits > 8);
-    const int b_end = std::min(s.out_bits, 8 * g + 8);
-    for (int b = 8 * g; b < b_end; ++b) {
-      const u64 m = _mm512_test_epi8_mask(
-                        bytes, _mm512_set1_epi8(static_cast<char>(1 << (b - 8 * g)))) &
-                    lane_mask;
-      if (m != 0) or_lines(s, b, m);
-    }
-  }
-#else
   for (int b = 0; b < s.out_bits; ++b) {
     u64 m = plane_mask(q, b);
     if (s.transpose) m = transpose8x8(m);
     m &= lane_mask;
     if (m != 0) or_lines(s, b, m);
   }
-#endif
 }
 
 u64 flush_planes_panel(const PlaneSink& s, const u32* tiles, i64 nb,

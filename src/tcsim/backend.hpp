@@ -194,11 +194,8 @@ struct PlaneSink {
 /// Scatter a requantized 8x8 tile (`q`, row-major i32[64], values already in
 /// [0, 2^out_bits)) into packed bit planes — one word OR per (line, plane).
 /// Per plane it builds one 64-bit mask (bit 8i+j = that bit of q[i*8+j]),
-/// transposes it for transpose sinks and masks it to `lines` x `lanes`.
-/// With AVX-512 BW + VBMI the masks come from the byte domain: the tile is
-/// narrowed to 64 bytes once per 8 planes, transposed with one vpermb and
-/// each plane's mask is one vptestmb. Shared by flush_planes and the BN
-/// staging path.
+/// transposes it for transpose sinks and masks it to `lines` x `lanes`
+/// (one AVX2 movemask per row where compiled in, else a scalar loop).
 void scatter_planes(const PlaneSink& s, const i32* q);
 
 /// out[8x8, rows `out_stride` i32 apart] += tile (a row-major u32[64] that

@@ -55,56 +55,43 @@ Workspace& thread_workspace() {
   return ws;
 }
 
-ExecutionContext::ExecutionContext()
-    : backend_(&qgtc::tcsim::backend(default_backend())), private_(false) {}
+namespace {
+
+/// Counters' fields in declaration order: slot i of a context's block.
+constexpr u64 Counters::*kFields[] = {
+    &Counters::bmma_ops,     &Counters::frag_loads_a,
+    &Counters::frag_loads_b, &Counters::frag_stores,
+    &Counters::tiles_jumped, &Counters::int32_bytes_avoided,
+    &Counters::saturated};
+static_assert(std::size(kFields) == sizeof(Counters) / sizeof(u64),
+              "every Counters field needs a slot");
+
+}  // namespace
 
 ExecutionContext::ExecutionContext(BackendKind kind, bool private_counters)
-    : backend_(&qgtc::tcsim::backend(kind)), private_(private_counters) {}
+    : backend_(&qgtc::tcsim::backend(kind)),
+      sink_(private_counters ? &own_ : &default_context().own_) {}
 
 void ExecutionContext::note(const Counters& delta) const {
-  if (!private_) {
-    thread_counters() += delta;
-    return;
+  for (std::size_t i = 0; i < sink_->size(); ++i) {
+    (*sink_)[i].fetch_add(delta.*kFields[i], std::memory_order_relaxed);
   }
-  bmma_ops_.fetch_add(delta.bmma_ops, std::memory_order_relaxed);
-  frag_loads_a_.fetch_add(delta.frag_loads_a, std::memory_order_relaxed);
-  frag_loads_b_.fetch_add(delta.frag_loads_b, std::memory_order_relaxed);
-  frag_stores_.fetch_add(delta.frag_stores, std::memory_order_relaxed);
-  tiles_jumped_.fetch_add(delta.tiles_jumped, std::memory_order_relaxed);
-  int32_bytes_avoided_.fetch_add(delta.int32_bytes_avoided,
-                                 std::memory_order_relaxed);
-  saturated_.fetch_add(delta.saturated, std::memory_order_relaxed);
 }
 
 Counters ExecutionContext::counters() const {
-  if (!private_) return snapshot_counters();
   Counters c;
-  c.bmma_ops = bmma_ops_.load(std::memory_order_relaxed);
-  c.frag_loads_a = frag_loads_a_.load(std::memory_order_relaxed);
-  c.frag_loads_b = frag_loads_b_.load(std::memory_order_relaxed);
-  c.frag_stores = frag_stores_.load(std::memory_order_relaxed);
-  c.tiles_jumped = tiles_jumped_.load(std::memory_order_relaxed);
-  c.int32_bytes_avoided = int32_bytes_avoided_.load(std::memory_order_relaxed);
-  c.saturated = saturated_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < sink_->size(); ++i) {
+    c.*kFields[i] = (*sink_)[i].load(std::memory_order_relaxed);
+  }
   return c;
 }
 
 void ExecutionContext::reset_counters() {
-  if (!private_) {
-    qgtc::tcsim::reset_counters();
-    return;
-  }
-  bmma_ops_.store(0, std::memory_order_relaxed);
-  frag_loads_a_.store(0, std::memory_order_relaxed);
-  frag_loads_b_.store(0, std::memory_order_relaxed);
-  frag_stores_.store(0, std::memory_order_relaxed);
-  tiles_jumped_.store(0, std::memory_order_relaxed);
-  int32_bytes_avoided_.store(0, std::memory_order_relaxed);
-  saturated_.store(0, std::memory_order_relaxed);
+  for (auto& slot : *sink_) slot.store(0, std::memory_order_relaxed);
 }
 
 const ExecutionContext& ExecutionContext::default_context() {
-  static const ExecutionContext ctx;
+  static const ExecutionContext ctx(default_backend());
   return ctx;
 }
 

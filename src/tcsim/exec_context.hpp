@@ -7,25 +7,49 @@
 //   * access to the per-thread workspace arena (padded accumulators,
 //     surviving-K-tile lists, output tiles, per-sweep counts — reused
 //     across calls instead of heap-allocated per kernel),
-//   * a counter sink: either this context's private counter block (engine
-//     worker contexts, so per-batch-stream accounting merges
-//     deterministically) or the process-wide per-thread tcsim counters
-//     (the default context — unchanged legacy semantics).
+//   * a counter sink: one atomic Counters block, either the context's own
+//     (engine and serving worker contexts, so per-batch-stream accounting
+//     merges deterministically) or the default context's, which is one
+//     block for the whole process.
 //
 // Contexts are cheap, immovable, and safe to share across threads: counter
 // notes are atomic, the backend is a stateless singleton, and workspaces are
 // keyed by OS thread, not by context.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <span>
 #include <vector>
 
 #include "common/matrix.hpp"
 #include "tcsim/backend.hpp"
-#include "tcsim/wmma.hpp"
 
 namespace qgtc::tcsim {
+
+/// Substrate counters (mirrors what a profiler would report from the
+/// hardware unit): what a context has counted, or one note's delta.
+struct Counters {
+  u64 bmma_ops = 0;        // number of 8x8x128 MMA tile operations executed
+  u64 frag_loads_a = 0;    // A-fragment loads from memory
+  u64 frag_loads_b = 0;    // B-fragment loads from memory
+  u64 frag_stores = 0;     // accumulator stores
+  u64 tiles_jumped = 0;    // tiles skipped by zero-tile jumping
+  u64 int32_bytes_avoided = 0;  // int32 intermediate bytes fused epilogues
+                                // never materialised
+  u64 saturated = 0;  // requantized values the epilogue clamped at qmax
+
+  Counters& operator+=(const Counters& o) {
+    bmma_ops += o.bmma_ops;
+    frag_loads_a += o.frag_loads_a;
+    frag_loads_b += o.frag_loads_b;
+    frag_stores += o.frag_stores;
+    tiles_jumped += o.tiles_jumped;
+    int32_bytes_avoided += o.int32_bytes_avoided;
+    saturated += o.saturated;
+    return *this;
+  }
+};
 
 /// Per-OS-thread scratch arena. Each named slot is a single-checkout buffer:
 /// a kernel checks it out, uses it within the call, and the next call on the
@@ -75,13 +99,9 @@ Workspace& thread_workspace();
 
 class ExecutionContext {
  public:
-  /// Default context: process default backend, counters routed to the global
-  /// per-thread tcsim counter registry (legacy snapshot semantics).
-  ExecutionContext();
-
   /// Context with an explicit backend. With `private_counters` (the engine's
   /// per-worker mode) substrate accounting lands in this context's own
-  /// atomic counter block instead of the global registry.
+  /// atomic counter block; without, in the default context's block.
   explicit ExecutionContext(BackendKind kind, bool private_counters = true);
 
   ExecutionContext(const ExecutionContext&) = delete;
@@ -89,7 +109,6 @@ class ExecutionContext {
 
   [[nodiscard]] const SubstrateBackend& backend() const { return *backend_; }
   [[nodiscard]] BackendKind backend_kind() const { return backend_->kind(); }
-  [[nodiscard]] bool has_private_counters() const { return private_; }
 
   /// The calling thread's workspace arena.
   [[nodiscard]] Workspace& workspace() const { return thread_workspace(); }
@@ -97,26 +116,23 @@ class ExecutionContext {
   /// Bulk substrate accounting (one note per tile sweep). Thread-safe.
   void note(const Counters& delta) const;
 
-  /// Counters attributed to this context (private mode) or the global
-  /// all-thread snapshot (default mode).
+  /// Counters noted into this context's block since its last reset.
   [[nodiscard]] Counters counters() const;
 
-  /// Zero this context's counters (private mode) or the global registry.
+  /// Zero this context's counter block.
   void reset_counters();
 
-  /// The process-wide default context (used when kernel callers pass none).
+  /// The process-wide default context (used when kernel callers pass none):
+  /// the process default backend and the process's shared counter block.
   static const ExecutionContext& default_context();
 
  private:
+  /// One atomic per Counters field, in declaration order.
+  using Block = std::array<std::atomic<u64>, sizeof(Counters) / sizeof(u64)>;
+
   const SubstrateBackend* backend_;
-  bool private_;
-  mutable std::atomic<u64> bmma_ops_{0};
-  mutable std::atomic<u64> frag_loads_a_{0};
-  mutable std::atomic<u64> frag_loads_b_{0};
-  mutable std::atomic<u64> frag_stores_{0};
-  mutable std::atomic<u64> tiles_jumped_{0};
-  mutable std::atomic<u64> int32_bytes_avoided_{0};
-  mutable std::atomic<u64> saturated_{0};
+  mutable Block own_{};
+  Block* sink_;  // own_, or the default context's own_
 };
 
 }  // namespace qgtc::tcsim

@@ -8,9 +8,9 @@
 // driven by them.
 //
 // The paper used the hardware unit; we execute the same contract on CPU
-// words (see DESIGN.md substitution table). Per-thread operation counters
-// let tests and benches verify optimisation claims (e.g. zero-tile jumping
-// really skips tile ops).
+// words (see DESIGN.md substitution table). These reference ops count into
+// the default ExecutionContext's counters, which let tests and benches
+// verify optimisation claims (e.g. zero-tile jumping really skips tile ops).
 #pragma once
 
 #include <array>
@@ -18,6 +18,7 @@
 #include <cstring>
 
 #include "common/defs.hpp"
+#include "tcsim/exec_context.hpp"
 
 namespace qgtc::tcsim {
 
@@ -40,39 +41,6 @@ struct FragmentC {
   void fill(i32 v) { acc.fill(v); }
 };
 
-/// Per-thread substrate counters (mirrors what a profiler would report from
-/// the hardware unit). Aggregated by `Counters::snapshot_all()`.
-struct Counters {
-  u64 bmma_ops = 0;        // number of 8x8x128 MMA tile operations executed
-  u64 frag_loads_a = 0;    // A-fragment loads from memory
-  u64 frag_loads_b = 0;    // B-fragment loads from memory
-  u64 frag_stores = 0;     // accumulator stores
-  u64 tiles_jumped = 0;    // tiles skipped by zero-tile jumping
-  u64 int32_bytes_avoided = 0;  // int32 intermediate bytes fused epilogues
-                                // never materialised
-  u64 saturated = 0;  // requantized values the epilogue clamped at qmax
-
-  Counters& operator+=(const Counters& o) {
-    bmma_ops += o.bmma_ops;
-    frag_loads_a += o.frag_loads_a;
-    frag_loads_b += o.frag_loads_b;
-    frag_stores += o.frag_stores;
-    tiles_jumped += o.tiles_jumped;
-    int32_bytes_avoided += o.int32_bytes_avoided;
-    saturated += o.saturated;
-    return *this;
-  }
-};
-
-/// Mutable reference to this thread's counter block.
-Counters& thread_counters();
-
-/// Sum of all threads' counters since the last `reset_counters()`.
-Counters snapshot_counters();
-
-/// Zero every thread's counters.
-void reset_counters();
-
 /// Load an A fragment: 8 consecutive rows starting at `ptr`, each row
 /// `stride_words` u32 apart; 4 words (128 bits) per row are consumed.
 inline void load_matrix_sync(FragmentA& frag, const u32* ptr, i64 stride_words) {
@@ -80,7 +48,7 @@ inline void load_matrix_sync(FragmentA& frag, const u32* ptr, i64 stride_words) 
     std::memcpy(&frag.bits[static_cast<std::size_t>(r) * kTileKWords],
                 ptr + r * stride_words, kTileKWords * sizeof(u32));
   }
-  ++thread_counters().frag_loads_a;
+  ExecutionContext::default_context().note({.frag_loads_a = 1});
 }
 
 /// Load a B fragment: 8 consecutive K-packed columns starting at `ptr`, each
@@ -90,7 +58,7 @@ inline void load_matrix_sync(FragmentB& frag, const u32* ptr, i64 stride_words) 
     std::memcpy(&frag.bits[static_cast<std::size_t>(c) * kTileKWords],
                 ptr + c * stride_words, kTileKWords * sizeof(u32));
   }
-  ++thread_counters().frag_loads_b;
+  ExecutionContext::default_context().note({.frag_loads_b = 1});
 }
 
 /// 128-bit AND+popcount (paper Eq. 7) between one fragment row/column pair,
@@ -115,7 +83,7 @@ inline void bmma_sync(FragmentC& d, const FragmentA& a, const FragmentB& b,
           c.acc[static_cast<std::size_t>(i) * kTileN + j] + dot128(arow, bcol);
     }
   }
-  ++thread_counters().bmma_ops;
+  ExecutionContext::default_context().note({.bmma_ops = 1});
 }
 
 /// Store an accumulator fragment to row-major int32 memory with `stride`
@@ -125,7 +93,7 @@ inline void store_matrix_sync(i32* ptr, const FragmentC& frag, i64 stride) {
     std::memcpy(ptr + r * stride, &frag.acc[static_cast<std::size_t>(r) * kTileN],
                 kTileN * sizeof(i32));
   }
-  ++thread_counters().frag_stores;
+  ExecutionContext::default_context().note({.frag_stores = 1});
 }
 
 /// The zero-tile test from paper §4.3: OR-reduce each row's 4 words (the

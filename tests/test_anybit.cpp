@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -58,57 +57,6 @@ TEST(AnyBit, FusedIntMatchesUnfused) {
   const auto pa = StackedBitTensor::decompose(a, 3, BitLayout::kRowMajorK);
   const auto pb = StackedBitTensor::decompose(b, 5, BitLayout::kColMajorK);
   EXPECT_EQ(bitmm_fused_int(pa, pb), bitmm_to_int(pa, pb));
-}
-
-TEST(AnyBit, FusedReluEpilogue) {
-  // With BN folding producing negatives, ReLU must clamp them.
-  Rng rng(43);
-  const MatrixI32 a = random_codes(rng, 10, 130, 2);
-  const MatrixI32 b = random_codes(rng, 130, 6, 2);
-  const auto pa = StackedBitTensor::decompose(a, 2, BitLayout::kRowMajorK);
-  const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
-  FusedEpilogue epi;
-  epi.use_bn = true;
-  epi.act = tcsim::Activation::kRelu;
-  epi.bn_scale.assign(6, 1.0f);
-  epi.bn_bias.assign(6, -50.0f);  // push small accumulators negative
-  const MatrixI32 c = bitmm_fused_int(pa, pb, epi);
-  const MatrixI32 raw = bitmm_to_int(pa, pb);
-  for (i64 i = 0; i < c.rows(); ++i) {
-    for (i64 j = 0; j < c.cols(); ++j) {
-      const i32 expect = std::max(0, raw(i, j) - 50);
-      EXPECT_EQ(c(i, j), expect);
-    }
-  }
-}
-
-TEST(AnyBit, BatchNormSizesMustMatchOutputColumns) {
-  // A bn_scale or bn_bias that is not one entry per output column throws at
-  // the entry of both fused outputs, instead of reading past bn_bias or
-  // silently skipping the fold on the columns past bn_scale.
-  Rng rng(45);
-  const MatrixI32 a = random_codes(rng, 10, 130, 2);
-  const MatrixI32 b = random_codes(rng, 130, 6, 2);
-  const auto pa = StackedBitTensor::decompose(a, 2, BitLayout::kRowMajorK);
-  const auto pb = StackedBitTensor::decompose(b, 2, BitLayout::kColMajorK);
-  const auto bn = [](std::size_t scale, std::size_t bias) {
-    FusedEpilogue epi;
-    epi.use_bn = true;
-    epi.bn_scale.assign(scale, 1.0f);
-    epi.bn_bias.assign(bias, 0.0f);
-    return epi;
-  };
-  for (const auto& [scale, bias] :
-       {std::pair<std::size_t, std::size_t>{6, 5}, {5, 6}, {5, 5}, {7, 7}, {0, 0}}) {
-    const FusedEpilogue epi = bn(scale, bias);
-    EXPECT_THROW((void)bitmm_fused_int(pa, pb, epi), std::invalid_argument)
-        << scale << "/" << bias;
-    EXPECT_THROW((void)bitmm_fused_bit(pa, pb, 4, epi), std::invalid_argument)
-        << scale << "/" << bias;
-  }
-  const FusedEpilogue ok = bn(6, 6);
-  EXPECT_EQ(bitmm_fused_int(pa, pb, ok), bitmm_to_int(pa, pb));
-  EXPECT_NO_THROW((void)bitmm_fused_bit(pa, pb, 4, ok));
 }
 
 TEST(AnyBit, FusedBitMatchesManualRequant) {
@@ -184,13 +132,13 @@ TEST(AnyBit, CrossTileReusesFragments) {
   const BitMatrix pa = pack_nonzero(adj, BitLayout::kRowMajorK);
   const auto px = StackedBitTensor::decompose(x, 8, BitLayout::kColMajorK);
 
-  tcsim::reset_counters();
+  const auto& global = tcsim::ExecutionContext::default_context();
+  const u64 loads0 = global.counters().frag_loads_a;
   (void)aggregate_1bit(pa, px, ReuseMode::kCrossBit);
-  const u64 loads_cross_bit = tcsim::snapshot_counters().frag_loads_a;
-
-  tcsim::reset_counters();
+  const u64 loads1 = global.counters().frag_loads_a;
   (void)aggregate_1bit(pa, px, ReuseMode::kCrossTile);
-  const u64 loads_cross_tile = tcsim::snapshot_counters().frag_loads_a;
+  const u64 loads_cross_bit = loads1 - loads0;
+  const u64 loads_cross_tile = global.counters().frag_loads_a - loads1;
 
   EXPECT_EQ(loads_cross_bit, 8 * loads_cross_tile);
 }

@@ -10,7 +10,7 @@
 #include <string>
 #include <tuple>
 
-#include "api/session.hpp"
+#include "api/bit_tensor_api.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "kernels/anybit_mm.hpp"
@@ -159,17 +159,18 @@ TEST(Backends, PrivateCountersIsolatedFromGlobal) {
                               /*private_counters=*/true);
   BmmOptions opt;
   opt.ctx = &ctx;
-  tcsim::reset_counters();
+  const auto& global = tcsim::ExecutionContext::default_context();
+  const u64 global_before = global.counters().bmma_ops;
   (void)bmm(pa, pb, opt);
-  EXPECT_EQ(tcsim::snapshot_counters().bmma_ops, 0u)
-      << "private-context work leaked into the global registry";
+  EXPECT_EQ(global.counters().bmma_ops, global_before)
+      << "private-context work leaked into the default context";
   const tcsim::Counters c = ctx.counters();
   EXPECT_EQ(c.bmma_ops, 2u);  // 2 row tiles x 1 col tile x 1 K tile
   ctx.reset_counters();
   EXPECT_EQ(ctx.counters().bmma_ops, 0u);
 }
 
-TEST(Backends, ApiSessionRoutesCounters) {
+TEST(Backends, ApiCtxRoutesCounters) {
   Rng rng(6);
   MatrixF a(12, 100), b(100, 8);
   for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
@@ -177,9 +178,19 @@ TEST(Backends, ApiSessionRoutesCounters) {
   const auto ta = api::BitTensor::to_bit(a, 4, api::BitTensor::Side::kLeft);
   const auto tb = api::BitTensor::to_bit(b, 4, api::BitTensor::Side::kRight);
 
-  const api::Session session(tcsim::BackendKind::kBlocked);
-  const MatrixI32 got = session.mm_int(ta, tb);
-  EXPECT_GT(session.counters().bmma_ops, 0u);
+  // With opt.ctx set, every API product counts into that context alone.
+  const tcsim::ExecutionContext ctx(tcsim::BackendKind::kBlocked);
+  BmmOptions opt;
+  opt.ctx = &ctx;
+  const auto& global = tcsim::ExecutionContext::default_context();
+  const u64 global_before = global.counters().bmma_ops;
+  const MatrixI32 got = api::bitMM2Int(ta, tb, opt);
+  const u64 int_ops = ctx.counters().bmma_ops;
+  EXPECT_GT(int_ops, 0u);
+  (void)api::bitMM2Bit(ta, tb, 4, opt);
+  EXPECT_GT(ctx.counters().bmma_ops, int_ops);
+  EXPECT_EQ(global.counters().bmma_ops, global_before)
+      << "ctx-pinned API work leaked into the default context";
   EXPECT_EQ(got, api::bitMM2Int(ta, tb));
 }
 

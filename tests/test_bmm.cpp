@@ -68,11 +68,12 @@ TEST(Bmm, ZeroTileJumpSkipsWork) {
   BmmOptions jump;
   jump.zero_tile_jump = true;
 
-  tcsim::reset_counters();
+  const auto& global = tcsim::ExecutionContext::default_context();
+  const tcsim::Counters before = global.counters();
   const MatrixI32 c = bmm(pa, pb, jump);
-  const auto counters = tcsim::snapshot_counters();
-  EXPECT_EQ(counters.bmma_ops, 0u);
-  EXPECT_EQ(counters.tiles_jumped, (64 / 8) * (256 / 128));
+  const tcsim::Counters after = global.counters();
+  EXPECT_EQ(after.bmma_ops - before.bmma_ops, 0u);
+  EXPECT_EQ(after.tiles_jumped - before.tiles_jumped, (64 / 8) * (256 / 128));
   for (i64 i = 0; i < c.size(); ++i) EXPECT_EQ(c.data()[i], 0);
 }
 

@@ -3,8 +3,8 @@
 // substrate counters — to the same batch membership run through the offline
 // epoch path, across every backend), per-request failure
 // isolation, concurrent-client hammering with a clean mid-flight shutdown
-// (ASan/TSan surface), ego-graph expansion semantics, and the api::Session
-// counter-accounting parity with the context-pinned free functions.
+// (ASan/TSan surface), ego-graph expansion semantics, and the API free
+// functions' counting into the default context.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/session.hpp"
+#include "api/bit_tensor_api.hpp"
 #include "common/rng.hpp"
 #include "core/serving.hpp"
 
@@ -291,45 +291,11 @@ TEST(ServingConcurrency, HammeringClientsAndMidFlightStopStayClean) {
   EXPECT_GT(completed.load(), 0);
 }
 
-// ------------------------------------------------- api::Session parity
+// ------------------------------------------------- API default context
 
-// A Session and the free functions with opt.ctx pinned to an equivalent
-// private context must agree on results and on counter accounting.
-TEST(SessionApi, MatchesCtxPinnedFreeFunctionsIncludingCounters) {
-  Rng rng(23);
-  MatrixF a(32, 48), b(48, 24);
-  for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
-  for (i64 i = 0; i < b.size(); ++i) b.data()[i] = rng.next_float(-1.f, 1.f);
-  const auto ta = api::BitTensor::to_bit(a, 3, api::BitTensor::Side::kLeft);
-  const auto tb = api::BitTensor::to_bit(b, 3, api::BitTensor::Side::kRight);
-
-  for (const auto backend : tcsim::all_backends()) {
-    const api::Session session(backend);
-    const tcsim::ExecutionContext ctx(backend, /*private_counters=*/true);
-    BmmOptions pinned;
-    pinned.ctx = &ctx;
-
-    // mm_int: identical result, identical private-counter accounting.
-    const MatrixI32 via_session = session.mm_int(ta, tb);
-    const MatrixI32 via_free_fn = api::bitMM2Int(ta, tb, pinned);
-    EXPECT_EQ(via_session, via_free_fn);
-    EXPECT_EQ(session.counters().bmma_ops, ctx.counters().bmma_ops);
-    EXPECT_EQ(session.counters().frag_loads_a, ctx.counters().frag_loads_a);
-    EXPECT_EQ(session.counters().frag_stores, ctx.counters().frag_stores);
-
-    // mm_bit: the MmOut{bits, act} spelling against the positional one.
-    const api::BitTensor s_bit = session.mm_bit(
-        ta, tb, api::MmOut{4, tcsim::Activation::kRelu});
-    const api::BitTensor f_bit =
-        api::bitMM2Bit(ta, tb, 4, pinned, tcsim::Activation::kRelu);
-    EXPECT_EQ(s_bit.to_val(), f_bit.to_val());
-    EXPECT_EQ(session.counters().bmma_ops, ctx.counters().bmma_ops);
-  }
-}
-
-TEST(SessionApi, FreeFunctionsRouteThroughDefaultSession) {
-  // The plain free functions must keep their legacy global-counter
-  // semantics while delegating through Session::default_session().
+TEST(Api, FreeFunctionsCountIntoDefaultContext) {
+  // With no opt.ctx the free functions run on the default context and count
+  // into its block.
   Rng rng(29);
   MatrixF a(16, 32), b(32, 8);
   for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
@@ -337,14 +303,19 @@ TEST(SessionApi, FreeFunctionsRouteThroughDefaultSession) {
   const auto ta = api::BitTensor::to_bit(a, 2, api::BitTensor::Side::kLeft);
   const auto tb = api::BitTensor::to_bit(b, 2, api::BitTensor::Side::kRight);
 
-  EXPECT_FALSE(api::Session::default_session().context().has_private_counters());
-  tcsim::reset_counters();
-  const MatrixI32 free_fn = api::bitMM2Int(ta, tb);
-  const auto after = tcsim::snapshot_counters();
-  EXPECT_GT(after.bmma_ops, 0u);  // accounted globally, as before
+  const auto& global = tcsim::ExecutionContext::default_context();
+  const tcsim::ExecutionContext ctx(global.backend_kind());
+  BmmOptions pinned;
+  pinned.ctx = &ctx;
+  const MatrixI32 via_ctx = api::bitMM2Int(ta, tb, pinned);
+  const u64 ops = ctx.counters().bmma_ops;
+  ASSERT_GT(ops, 0u);
 
-  const api::Session session(tcsim::default_backend());
-  EXPECT_EQ(free_fn, session.mm_int(ta, tb));
+  const u64 before = global.counters().bmma_ops;
+  EXPECT_EQ(api::bitMM2Int(ta, tb), via_ctx);
+  EXPECT_EQ(global.counters().bmma_ops - before, ops);
+  (void)api::bitMM2Bit(ta, tb, 4);
+  EXPECT_EQ(global.counters().bmma_ops - before, 2 * ops);
 }
 
 }  // namespace

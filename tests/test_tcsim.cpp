@@ -2,7 +2,10 @@
 // fragment load/store round-trips, the zero-tile ballot test, and counters.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/rng.hpp"
+#include "kernels/bmm.hpp"
 #include "tcsim/wmma.hpp"
 
 namespace qgtc::tcsim {
@@ -101,8 +104,8 @@ TEST(Tcsim, TileIsZeroRespectsStride) {
 }
 
 TEST(Tcsim, CountersTrackOps) {
-  reset_counters();
-  const Counters before = snapshot_counters();
+  const ExecutionContext& global = ExecutionContext::default_context();
+  const Counters before = global.counters();
   FragmentA a;
   FragmentB b;
   FragmentC c;
@@ -111,20 +114,48 @@ TEST(Tcsim, CountersTrackOps) {
   load_matrix_sync(b, buf.data(), kTileKWords);
   bmma_sync(c, a, b, c);
   bmma_sync(c, a, b, c);
-  const Counters after = snapshot_counters();
+  const Counters after = global.counters();
   EXPECT_EQ(after.frag_loads_a - before.frag_loads_a, 1u);
   EXPECT_EQ(after.frag_loads_b - before.frag_loads_b, 1u);
   EXPECT_EQ(after.bmma_ops - before.bmma_ops, 2u);
 }
 
 TEST(Tcsim, ResetCountersZeroes) {
+  // A context without private counters shares the default context's block,
+  // so resetting it zeroes what the default context reads.
   FragmentA a;
   std::vector<u32> buf(kTileM * kTileKWords, 0);
   load_matrix_sync(a, buf.data(), kTileKWords);
-  reset_counters();
-  const Counters c = snapshot_counters();
+  ExecutionContext shared(default_backend(), /*private_counters=*/false);
+  EXPECT_GT(shared.counters().frag_loads_a, 0u);
+  shared.reset_counters();
+  const Counters c = ExecutionContext::default_context().counters();
   EXPECT_EQ(c.bmma_ops, 0u);
   EXPECT_EQ(c.frag_loads_a, 0u);
+}
+
+// Threads that have exited still count: two short-lived threads run on the
+// default context one after the other (the second typically reuses the
+// first's thread-local storage), and the default context must read the sum
+// of their tile ops, each counted once.
+TEST(Tcsim, DefaultContextCountsExitedThreads) {
+  Rng rng(17);
+  const auto packed = [&](i64 rows, i64 cols, BitLayout layout) {
+    MatrixI32 m(rows, cols);
+    for (i64 i = 0; i < m.size(); ++i) m.data()[i] = rng.next_bool(0.5f) ? 1 : 0;
+    return pack_nonzero(m, layout);
+  };
+  const BitMatrix a_small = packed(16, 128, BitLayout::kRowMajorK);
+  const BitMatrix a_large = packed(48, 128, BitLayout::kRowMajorK);
+  const BitMatrix b = packed(128, 8, BitLayout::kColMajorK);
+
+  const ExecutionContext& global = ExecutionContext::default_context();
+  const u64 before = global.counters().bmma_ops;
+  for (const BitMatrix* a : {&a_small, &a_large}) {
+    std::thread([&] { (void)bmm(*a, b); }).join();
+  }
+  // 2 + 6 row tiles x 1 column tile x 1 K tile.
+  EXPECT_EQ(global.counters().bmma_ops - before, 8u);
 }
 
 }  // namespace
