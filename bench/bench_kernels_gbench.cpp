@@ -58,21 +58,27 @@ BENCHMARK(BM_Bmm1Bit)->Args({1024, 64})->Args({2048, 64})->Args({4096, 128});
 ///   0 = GIN update, K = 128 (8 x 8 planes, one K tile, 8 output-column tiles);
 ///   1 = GCN aggregate (1 x 4 planes, 8 K tiles, 2 output-column tiles);
 ///   2, 3 = GIN update with K <= 64 (8 x 8 planes, one K tile whose B words
-///          past bit 64 are zero, half_k set), 1 and 8 output-column tiles —
-///          the shape the end-to-end GIN and GCN updates run.
-/// Reports seconds per 8x8x128 bmma op and 1-bit MAC/s (8192 per bmma op,
-/// padding included).
+///          past bit 64 are zero, its ref live = 1), 1 and 8 output-column
+///          tiles — the shape the end-to-end GIN and GCN updates run;
+///   4 = GCN aggregate whose tiles mix dead halves as the artist batches'
+///       tile-CSRs do (about 37% low half dead, 37% high half dead, 26%
+///       full): of every 8 tiles 3 are live = 1, 3 live = 2 and 2 live = 3,
+///       each dead half zero in A.
+/// B is packed (tcsim::pack_b) before the timed loop, as a sweep packs it
+/// once for all its row blocks. Reports seconds per padded 8x8x128 bmma op
+/// and 1-bit MAC/s (8192 per bmma op, padding and dead halves included).
 void BM_MmaPanel(benchmark::State& state) {
   const auto& be = tcsim::backend(
       tcsim::all_backends()[static_cast<std::size_t>(state.range(0))]);
   const int shape = static_cast<int>(state.range(1));
-  const bool gin = shape != 1;
-  const bool half_k = shape >= 2;
+  const bool gin = shape == 0 || shape == 2 || shape == 3;
+  const bool half_k = shape == 2 || shape == 3;
   const int sa = gin ? 8 : 1;
   const int sb = gin ? 8 : 4;
   const i64 k_tiles = gin ? 1 : 8;
   const i64 nb = shape == 2 ? 1 : (gin ? 8 : 2);
   const i64 b_stride = k_tiles * kTileKWords;
+  constexpr int kArtistLive[8] = {1, 2, 3, 1, 2, 1, 2, 3};
 
   Rng rng(13);
   std::vector<u32> a(static_cast<std::size_t>(k_tiles * sa * kTileM * kTileKWords));
@@ -85,22 +91,28 @@ void BM_MmaPanel(benchmark::State& state) {
   }
   std::vector<tcsim::SparseTileRef> refs;
   for (i64 t = 0; t < k_tiles; ++t) {
+    const int live = shape == 4 ? kArtistLive[t % 8] : half_k ? 1 : 3;
     for (int ab = 0; ab < sa; ++ab) {
-      refs.push_back({a.data() + (t * sa + ab) * kTileM * kTileKWords, t});
+      u32* tile = a.data() + (t * sa + ab) * kTileM * kTileKWords;
+      for (std::size_t w = 0; w < kTileM * kTileKWords; ++w) {
+        if (shape == 4 && ((live >> (w % kTileKWords / 2)) & 1) == 0) tile[w] = 0;
+      }
+      refs.push_back({tile, t, live});
     }
   }
+  std::vector<const u32*> cols;
+  for (int bb = 0; bb < sb; ++bb) cols.push_back(b.data() + bb * nb * kTileN * b_stride);
+  std::vector<u64> packed(static_cast<std::size_t>(nb * k_tiles * sb * tcsim::kSliceWords));
+  tcsim::pack_b(packed.data(), cols.data(), sb, b_stride, nb, k_tiles);
   tcsim::PanelJob job;
   job.a_tiles = refs.data();
   job.n_tiles = k_tiles;
   job.a_planes = sa;
   job.a_stride = kTileKWords;
-  for (int bb = 0; bb < sb; ++bb) {
-    job.b_cols[bb] = b.data() + bb * nb * kTileN * b_stride;
-  }
+  job.b = packed.data();
   job.b_planes = sb;
-  job.b_stride = b_stride;
+  job.b_tiles_k = k_tiles;
   job.nb = nb;
-  job.half_k = half_k;
 
   std::vector<u32> tiles(static_cast<std::size_t>(nb * kTileM * kTileN));
   for (auto _ : state) {
@@ -115,13 +127,14 @@ void BM_MmaPanel(benchmark::State& state) {
       ops * 8192.0, benchmark::Counter::kIsIterationInvariantRate);
   static const char* const kShapes[] = {" gin_update", " gcn_aggregate",
                                         " gin_update_k64_nb1",
-                                        " gin_update_k64_nb8"};
+                                        " gin_update_k64_nb8",
+                                        " gcn_aggregate_artist_halves"};
   state.SetLabel(std::string(be.name()) + kShapes[shape]);
 }
 BENCHMARK(BM_MmaPanel)
     ->ArgsProduct({benchmark::CreateDenseRange(
                        0, static_cast<int>(tcsim::all_backends().size()) - 1, 1),
-                   {0, 1, 2, 3}});
+                   {0, 1, 2, 3, 4}});
 
 /// Random wrapped u32 output tiles, the drain benches' input: `n` tiles of
 /// 64 values spread over [-2^15, 2^15) as i32, so every epilogue both

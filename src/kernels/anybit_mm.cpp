@@ -33,18 +33,6 @@ std::vector<const BitMatrix*> plane_ptrs(const StackedBitTensor& t) {
   return p;
 }
 
-/// True when the 8x128 tile (tm, tk) is zero in every A plane.
-bool tile_zero_all_planes(const std::vector<const BitMatrix*>& ap, i64 tm,
-                          i64 tk) {
-  for (const BitMatrix* p : ap) {
-    if (!tcsim::tile_is_zero(p->row_words(tm * kTileM) + tk * kTileKWords,
-                             p->k_words())) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Dense A-side tile source: one or more kRowMajorK bit planes whose
 /// surviving tiles come from the inline §4.3 OR+ballot test.
 class DensePlanesSource {
@@ -71,13 +59,26 @@ class DensePlanesSource {
   [[nodiscard]] i64 survivor_bound(i64) const { return tiles_k() * planes(); }
 
   /// Appends row block tm's surviving tiles, plane-minor (one ref per plane
-  /// per surviving K tile); every K tile it leaves out was jumped.
+  /// per surviving K tile); every K tile it leaves out was jumped. With
+  /// zero_tile_jump the §4.3 OR test runs over every plane, split into the
+  /// two 64-bit K halves: a tile zero in all planes is jumped, and a half
+  /// zero in all planes is marked dead. Without it every tile survives with
+  /// both halves live, untested.
   void survivors(i64 tm, const BmmOptions& opt,
                  std::vector<tcsim::SparseTileRef>& refs) const {
     for (i64 tk = 0; tk < tiles_k(); ++tk) {
-      if (opt.zero_tile_jump && tile_zero_all_planes(ap_, tm, tk)) continue;
+      const i64 off = tk * kTileKWords;
+      int live = 3;
+      if (opt.zero_tile_jump) {
+        live = 0;
+        for (const BitMatrix* p : ap_) {
+          live |= tcsim::tile_live_halves(p->row_words(tm * kTileM) + off, a_stride());
+          if (live == 3) break;
+        }
+        if (live == 0) continue;
+      }
       for (const BitMatrix* p : ap_) {
-        refs.push_back({p->row_words(tm * kTileM) + tk * kTileKWords, tk});
+        refs.push_back({p->row_words(tm * kTileM) + off, tk, live});
       }
     }
   }
@@ -103,10 +104,13 @@ class SparseAdjSource {
   /// Exact: the tile-CSR already stores each row's schedule length.
   [[nodiscard]] i64 survivor_bound(i64 tm) const { return a_->row_nnz(tm); }
 
+  /// Appends row block tm's stored tiles, each with the K halves its 8 rows
+  /// use.
   void survivors(i64 tm, const BmmOptions&,
                  std::vector<tcsim::SparseTileRef>& refs) const {
     for (i64 t = a_->row_begin(tm); t < a_->row_end(tm); ++t) {
-      refs.push_back({a_->tile_words(t), a_->tile_col(t)});
+      refs.push_back({a_->tile_words(t), a_->tile_col(t),
+                      tcsim::tile_live_halves(a_->tile_words(t), kTileKWords)});
     }
   }
 
@@ -149,7 +153,7 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   QGTC_CHECK(src.padded_k() == b0.padded_rows(),
              "padded K extents of A and B differ");
   QGTC_CHECK(bp.size() <= static_cast<std::size_t>(tcsim::kMaxPanelPlanes),
-             "more B planes than a panel job holds");
+             "more B planes than a sweep packs");
   for (const BitMatrix* p : bp) {
     QGTC_CHECK(p->k_words() == b0.k_words(), "B planes must share one stride");
   }
@@ -162,31 +166,42 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   const auto sb = static_cast<u64>(bp.size());
 
   // Row block tm's surviving tiles, appended to `refs`, become its sparse
-  // schedule, shared across the N sweep.
+  // schedule, shared across the N sweep. B planes are zero past their K
+  // logical rows (StackedBitTensor's padding invariant), so the high 64-bit
+  // half of every K tile from hi_dead on is dead, whatever A holds there.
+  const i64 hi_dead = std::max<i64>(0, ceil_div(b0.rows() - 64, kTileK));
   const auto build_schedule = [&](i64 tm, std::vector<tcsim::SparseTileRef>& refs) {
     refs.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
     src.survivors(tm, opt, refs);
+    for (tcsim::SparseTileRef& r : refs) {
+      if (r.k_tile >= hi_dead) r.live &= 1;
+    }
   };
 
+  // B is packed once, in the calling thread's arena, and only read after
+  // that: every row block reuses the slices of the K tiles it stores.
+  const i64 tiles_k = src.tiles_k();
+  const i64 slices_per_tn = tiles_k * static_cast<i64>(sb) * tcsim::kSliceWords;
+  u64* packed_b = ctx.workspace().b_slices(tiles_n * slices_per_tn);
+  const u32* b_cols[tcsim::kMaxPanelPlanes];
+  for (std::size_t bb = 0; bb < sb; ++bb) b_cols[bb] = bp[bb]->col_words(0);
+  tcsim::pack_b(packed_b, b_cols, static_cast<int>(sb), b0.k_words(), tiles_n,
+                tiles_k);
+
   // Every panel job shares the planes, strides and shift; per panel only
-  // the schedule, the B column pointers and nb change. B planes are zero
-  // past their K logical rows (StackedBitTensor's padding invariant), so a
-  // product with K <= 64 only ever sees the low word of each K tile.
+  // the schedule, the first B slice and nb change.
   tcsim::PanelJob base;
   base.a_planes = static_cast<int>(sa);
   base.a_stride = src.a_stride();
   base.b_planes = static_cast<int>(sb);
-  base.b_stride = b0.k_words();
+  base.b_tiles_k = tiles_k;
   base.shift = shift;
-  base.half_k = b0.rows() <= 64;
   const auto panel_job = [&](const std::vector<tcsim::SparseTileRef>& refs,
                              i64 tn0, i64 nb) {
     tcsim::PanelJob job = base;
     job.a_tiles = refs.data();
     job.n_tiles = static_cast<i64>(refs.size() / sa);
-    for (std::size_t bb = 0; bb < sb; ++bb) {
-      job.b_cols[bb] = bp[bb]->col_words(tn0 * kTileN);
-    }
+    job.b = packed_b + tn0 * slices_per_tn;
     job.nb = nb;
     return job;
   };

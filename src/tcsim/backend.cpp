@@ -13,6 +13,12 @@
 #include <immintrin.h>
 #endif
 
+// The AVX-512 panel: vpopcntq on 64-bit lanes and the exact 52-bit multiply
+// that weights each plane pair.
+#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__) && defined(__AVX512IFMA__)
+#define QGTC_AVX512_PANEL 1
+#endif
+
 // The byte-domain drain: tiles narrowed to bytes (vpackusdw/vpackuswb, BW),
 // reordered or 8x8-transposed by one vpermb (VBMI), and one plane mask per
 // vptestmb (BW).
@@ -46,12 +52,11 @@ struct ScalarKernels {
     }
   }
 
-  static void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                  int shift) {
+  /// `b` is one packed B slice (kSliceWords).
+  static void mma(u64* acc, const AFragment& frag, const u64* b, int shift) {
     for (int j = 0; j < kTileN; ++j) {
-      u64 b0, b1;
-      std::memcpy(&b0, b + j * b_stride, 8);
-      std::memcpy(&b1, b + j * b_stride + 2, 8);
+      const u64 b0 = b[j];
+      const u64 b1 = b[kTileN + j];
       for (int i = 0; i < kTileM; ++i) {
         const u64 a0 = frag.lanes[static_cast<std::size_t>(i) * 8];
         const u64 a1 = frag.lanes[static_cast<std::size_t>(i) * 8 + 1];
@@ -68,152 +73,61 @@ struct ScalarKernels {
   }
 };
 
-#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
+#if defined(QGTC_AVX512_PANEL)
 
-/// AVX-512 VPOPCNTDQ: one 512-bit vector holds four B columns (4 x 128-bit
-/// lanes). Both panels keep every output tile's accumulators in registers,
-/// starting at zero, and narrow them into the u32 tile once at its end.
-/// Intrinsics whose plain form hands GCC an undefined merge source
-/// (broadcast_i32x4, sllv, unpack, permutexvar, cvtepi64_epi32) are spelled
-/// in their zero-masked form with every lane kept: the same instruction,
-/// without the placeholder that -Wmaybe-uninitialized flags.
+/// AVX-512 VPOPCNTDQ + IFMA. The unit of work is a live 64-bit K half of a
+/// surviving tile: one vector of a packed B slice holds that half of all 8
+/// columns, so an output row's 8 columns cost one embedded-broadcast AND,
+/// one vpopcntq and one vpmadd52luq per plane pair, and a half the schedule
+/// marks dead costs nothing. The multiplier 2^(shift + ab + bb) is below
+/// 2^32 (larger terms vanish at the uint32 wrap and are skipped), so each
+/// product is at most 64 * 2^31 < 2^52: the 52-bit multiply is exact and
+/// the u64 sum wraps as the scalar set's does.
 struct Avx512Kernels {
-  /// The whole panel in one pass per output tile: its 16 accumulator vectors
-  /// stay in registers across the K-tile x B-plane x A-plane reduction, each
-  /// B tile is decoded once per (K tile, B plane) and reused for every A
-  /// plane, A rows are broadcast straight from memory, and the per-term shift
-  /// is one vpsllvq (counts >= 64 give 0, as the uint32 wrap needs).
+  /// Each output tile's 8 row accumulators (lane j: column j) stay in
+  /// registers, starting at zero, across the K-tile x half x A-plane x
+  /// B-plane reduction, and are narrowed into the u32 tile once at its end.
+  /// A words are broadcast straight from memory. cvtepi64_epi32 is spelled
+  /// in its zero-masked form with every lane kept: the same instruction,
+  /// without the undefined merge source that -Wmaybe-uninitialized flags.
   static void mma_panel(u32* tiles, const PanelJob& job) {
-    if (job.half_k) {
-      half_k_panel(tiles, job);
-    } else {
-      panel(tiles, job);
-    }
-  }
-
-  /// Row i of a tile: 8 u64 column sums, in column order, narrowed to u32.
-  static void store_row(u32* tile, int i, __m512i cols) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tile + i * kTileN),
-                        _mm512_maskz_cvtepi64_epi32(0xFF, cols));
-  }
-
-  /// The K <= 64 sibling of panel(): one vector holds the low 64-bit K word
-  /// of all 8 B columns, so one output row's 8 columns cost one broadcast
-  /// AND, one vpopcntq and one add (8 vectors per 8x8x128 op instead of 16).
-  /// Every B plane of a K tile is decoded up front, and each row sums its
-  /// plane pairs by level L = ab + bb with Horner's rule (double once per
-  /// level, add each pair's popcount) and adds them into a per-row total.
-  /// The job shift is applied once per row at the end of the tile; the sum
-  /// is exact mod 2^64, so the uint32 wrap is unchanged.
-  static void half_k_panel(u32* tiles, const PanelJob& job) {
-    const int levels = job.a_planes + job.b_planes - 1;
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i sv = _mm512_set1_epi64(job.shift);
-    // Lane j takes bq lane 2 * (j % 4) + j / 4: back to column order.
-    const __m512i col_order = _mm512_set_epi64(7, 5, 3, 1, 6, 4, 2, 0);
+    const i64 slices_per_k = job.b_planes * kSliceWords;
     for (i64 blk = 0; blk < job.nb; ++blk) {
-      __m512i total[kTileM];
-      for (int i = 0; i < kTileM; ++i) total[i] = zero;
-      const i64 blk_off = blk * kTileN * job.b_stride;
+      __m512i acc[kTileM];
+      for (int i = 0; i < kTileM; ++i) acc[i] = _mm512_setzero_si512();
       for (i64 t = 0; t < job.n_tiles; ++t) {
         const SparseTileRef* at = job.a_tiles + t * job.a_planes;
-        const i64 b_off = blk_off + at->k_tile * kTileKWords;
-        // bq[bb] lane p holds the low K word of column 4 * (p % 2) + p / 2.
-        __m512i bq[kMaxPanelPlanes];
-        for (int bb = 0; bb < job.b_planes; ++bb) {
-          __m512i bc[2];
-          load_b(bc, job.b_cols[bb] + b_off, job.b_stride);
-          bq[bb] = _mm512_maskz_unpacklo_epi64(0xFF, bc[0], bc[1]);
-        }
-        __m512i sum[kTileM];  // row i's 8 columns, in bq's lane order
-        for (int i = 0; i < kTileM; ++i) sum[i] = zero;
-        for (int lvl = levels - 1; lvl >= 0; --lvl) {
-          for (int i = 0; i < kTileM; ++i) sum[i] = _mm512_add_epi64(sum[i], sum[i]);
-          const int ab_end = std::min(lvl, job.a_planes - 1);
-          for (int ab = std::max(0, lvl - job.b_planes + 1); ab <= ab_end; ++ab) {
-            const u32* a = at[ab].a;
-            const __m512i bv = bq[lvl - ab];
-            for (int i = 0; i < kTileM; ++i) {
-              u64 aw;
-              std::memcpy(&aw, a + i * job.a_stride, sizeof aw);
-              sum[i] = _mm512_add_epi64(
-                  sum[i], _mm512_popcnt_epi64(_mm512_and_epi64(
-                              _mm512_set1_epi64(static_cast<long long>(aw)), bv)));
-            }
-          }
-        }
-        for (int i = 0; i < kTileM; ++i) total[i] = _mm512_add_epi64(total[i], sum[i]);
-      }
-      for (int i = 0; i < kTileM; ++i) {
-        store_row(tiles + blk * kTileM * kTileN, i,
-                  _mm512_maskz_permutexvar_epi64(
-                      0xFF, col_order, _mm512_maskz_sllv_epi64(0xFF, total[i], sv)));
-      }
-    }
-  }
-
-  /// The 128-bit K slices of 8 B columns (`b_stride` u32 apart): bc[g]
-  /// holds columns 4g .. 4g + 3, one per 128-bit lane.
-  static void load_b(__m512i bc[2], const u32* b, i64 b_stride) {
-    for (int g = 0; g < 2; ++g) {
-      const auto col = [&](int j) {
-        return _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + (4 * g + j) * b_stride));
-      };
-      __m512i v = _mm512_zextsi128_si512(col(0));
-      v = _mm512_inserti32x4(v, col(1), 1);
-      v = _mm512_inserti32x4(v, col(2), 2);
-      bc[g] = _mm512_inserti32x4(v, col(3), 3);
-    }
-  }
-
-  /// c[i][g] lanes 2q and 2q + 1 hold the low and high K-word partial sums
-  /// of row i, column 4g + q.
-  static void panel(u32* tiles, const PanelJob& job) {
-    const i64 a_stride = job.a_stride;
-    const i64 b_stride = job.b_stride;
-    const __m512i lo_words = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-    const __m512i hi_words = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
-    for (i64 blk = 0; blk < job.nb; ++blk) {
-      __m512i c[kTileM][2];
-      for (int i = 0; i < kTileM; ++i) {
-        c[i][0] = c[i][1] = _mm512_setzero_si512();
-      }
-      const i64 blk_off = blk * kTileN * b_stride;
-      for (i64 t = 0; t < job.n_tiles; ++t) {
-        const SparseTileRef* at = job.a_tiles + t * job.a_planes;
-        const i64 b_off = blk_off + at->k_tile * kTileKWords;
-        for (int bb = 0; bb < job.b_planes; ++bb) {
-          __m512i bc[2];
-          load_b(bc, job.b_cols[bb] + b_off, b_stride);
+        const u64* b = job.b + (blk * job.b_tiles_k + at->k_tile) * slices_per_k;
+        for (int h = 0; h < 2; ++h) {
+          if (((at->live >> h) & 1) == 0) continue;
           for (int ab = 0; ab < job.a_planes; ++ab) {
-            const u32* a = at[ab].a;
-            const __m512i sv = _mm512_set1_epi64(job.shift + ab + bb);
-            for (int i = 0; i < kTileM; ++i) {
-              const __m512i av = _mm512_maskz_broadcast_i32x4(
-                  0xFFFF, _mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(a + i * a_stride)));
-              for (int g = 0; g < 2; ++g) {
-                const __m512i both = _mm512_and_si512(av, bc[g]);
-                c[i][g] = _mm512_add_epi64(
-                    c[i][g],
-                    _mm512_maskz_sllv_epi64(0xFF, _mm512_popcnt_epi64(both), sv));
+            const u32* a = at[ab].a + 2 * h;
+            for (int bb = 0; bb < job.b_planes && job.shift + ab + bb < 32; ++bb) {
+              const __m512i weight = _mm512_set1_epi64(i64{1} << (job.shift + ab + bb));
+              const __m512i bv = _mm512_loadu_si512(b + bb * kSliceWords + h * kTileN);
+              for (int i = 0; i < kTileM; ++i) {
+                u64 aw;
+                std::memcpy(&aw, a + i * job.a_stride, sizeof aw);
+                acc[i] = _mm512_madd52lo_epu64(
+                    acc[i],
+                    _mm512_popcnt_epi64(_mm512_and_epi64(
+                        _mm512_set1_epi64(static_cast<long long>(aw)), bv)),
+                    weight);
               }
             }
           }
         }
       }
       for (int i = 0; i < kTileM; ++i) {
-        store_row(tiles + blk * kTileM * kTileN, i,
-                  _mm512_add_epi64(
-                      _mm512_permutex2var_epi64(c[i][0], lo_words, c[i][1]),
-                      _mm512_permutex2var_epi64(c[i][0], hi_words, c[i][1])));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(tiles + (blk * kTileM + i) * kTileN),
+            _mm512_maskz_cvtepi64_epi32(0xFF, acc[i]));
       }
     }
   }
 };
 
-#endif  // AVX512VPOPCNTDQ
+#endif  // QGTC_AVX512_PANEL
 
 #if defined(__AVX2__)
 
@@ -244,15 +158,16 @@ struct Avx2Kernels {
     }
   }
 
-  static void mma(u64* acc, const AFragment& frag, const u32* b, i64 b_stride,
-                  int shift) {
+  /// `b` is one packed B slice; bc[p] holds columns 2p and 2p + 1, each as
+  /// its (low, high) K-half pair, the layout of the broadcast A row.
+  static void mma(u64* acc, const AFragment& frag, const u64* b, int shift) {
     __m256i bc[4];
     for (int p = 0; p < 4; ++p) {
-      const __m128i lo = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + (2 * p) * b_stride));
-      const __m128i hi = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + (2 * p + 1) * b_stride));
-      bc[p] = _mm256_set_m128i(hi, lo);
+      const __m128i lo =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 2 * p));
+      const __m128i hi =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + kTileN + 2 * p));
+      bc[p] = _mm256_set_m128i(_mm_unpackhi_epi64(lo, hi), _mm_unpacklo_epi64(lo, hi));
     }
     const __m256i zero = _mm256_setzero_si256();
     for (int i = 0; i < kTileM; ++i) {
@@ -520,6 +435,22 @@ inline void or_lines(const PlaneSink& s, int b, u64 m) {
 
 }  // namespace
 
+void pack_b(u64* out, const u32* const* cols, int planes, i64 col_stride,
+            i64 tiles_n, i64 tiles_k) {
+  for (i64 tn = 0; tn < tiles_n; ++tn) {
+    for (i64 k = 0; k < tiles_k; ++k) {
+      for (int bb = 0; bb < planes; ++bb) {
+        const u32* col = cols[bb] + tn * kTileN * col_stride + k * kTileKWords;
+        for (int j = 0; j < kTileN; ++j) {
+          std::memcpy(out + j, col + j * col_stride, sizeof(u64));
+          std::memcpy(out + kTileN + j, col + j * col_stride + 2, sizeof(u64));
+        }
+        out += kSliceWords;
+      }
+    }
+  }
+}
+
 void scatter_planes(const PlaneSink& s, const i32* q) {
   // Lanes past `s.lanes` are cleared in every line's byte.
   const u64 lane_mask = 0x0101010101010101ULL * ((u64{1} << s.lanes) - 1);
@@ -572,8 +503,10 @@ namespace {
 /// A panel composed from a kernel set's per-tile ops (load_a + mma, both
 /// inlined): each A tile is decoded once and swept across the panel's
 /// output-column tiles and B planes, into u64 lanes local to the call that
-/// the set's reduce then narrows into the u32 tiles. Shifts past 63 are clamped, which leaves the low 32 bits zero
-/// exactly as the uint32 wrap requires.
+/// the set's reduce then narrows into the u32 tiles. Shifts past 63 are
+/// clamped, which leaves the low 32 bits zero exactly as the uint32 wrap
+/// requires. Live masks are ignored: a dead half is zero, so the full 128-bit
+/// op gives the same sum.
 template <typename Kernels>
 void panel_by_tiles(u32* tiles, const PanelJob& job) {
   QGTC_CHECK(job.nb <= kPanelWidth, "a panel job covers at most 8 tiles");
@@ -582,14 +515,14 @@ void panel_by_tiles(u32* tiles, const PanelJob& job) {
   AFragment frag;
   for (i64 t = 0; t < job.n_tiles; ++t) {
     const SparseTileRef* at = job.a_tiles + t * job.a_planes;
-    const i64 k_off = at->k_tile * kTileKWords;
     for (int ab = 0; ab < job.a_planes; ++ab) {
       Kernels::load_a(frag, at[ab].a, job.a_stride);
       for (i64 blk = 0; blk < job.nb; ++blk) {
-        const i64 b_off = blk * kTileN * job.b_stride + k_off;
+        const u64* b = job.b + (blk * job.b_tiles_k + at->k_tile) * job.b_planes *
+                                   kSliceWords;
         for (int bb = 0; bb < job.b_planes; ++bb) {
-          Kernels::mma(acc + blk * Kernels::kLanes, frag, job.b_cols[bb] + b_off,
-                       job.b_stride, std::min(job.shift + ab + bb, 63));
+          Kernels::mma(acc + blk * Kernels::kLanes, frag, b + bb * kSliceWords,
+                       std::min(job.shift + ab + bb, 63));
         }
       }
     }
@@ -622,9 +555,10 @@ class BackendImpl final : public SubstrateBackend {
 
 /// True when the vector micro-kernels compiled in are usable on this CPU.
 bool runtime_simd_ok() {
-#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
+#if defined(QGTC_AVX512_PANEL)
   return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512vpopcntdq");
+         __builtin_cpu_supports("avx512vpopcntdq") &&
+         __builtin_cpu_supports("avx512ifma");
 #elif defined(__AVX2__)
   return __builtin_cpu_supports("avx2");
 #else
@@ -635,7 +569,7 @@ bool runtime_simd_ok() {
 /// kBlocked: the best kernel set compiled in and supported by this CPU, or
 /// the scalar set when there is none.
 const SubstrateBackend& blocked_backend() {
-#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
+#if defined(QGTC_AVX512_PANEL)
   if (runtime_simd_ok()) {
     static const BackendImpl<Avx512Kernels> be{BackendKind::kBlocked,
                                                "blocked(avx512)"};

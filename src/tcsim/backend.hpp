@@ -10,9 +10,9 @@
 //             exactly the semantics of tcsim::dot128. Tests compare every
 //             other path against it.
 //   kBlocked  the best micro-kernel compiled in AND supported by the running
-//             CPU (AVX-512 VPOPCNTDQ, else AVX2 nibble-LUT; the scalar set
-//             when neither is available). This is the default production
-//             backend.
+//             CPU (AVX-512 VPOPCNTDQ + IFMA, else AVX2 nibble-LUT; the
+//             scalar set when neither is available). This is the default
+//             production backend.
 //
 // Both sweep panels of kPanelWidth output-column tiles (§4.4's cross-tile
 // reuse, generalised to every MM in the stack).
@@ -130,44 +130,57 @@ inline u64 apply_epilogue_tile(i32* vals, const EpilogueSpec& spec) {
 
 /// One entry of a sparse A-tile schedule: the stored tile's first word (its
 /// 8 rows sit `a_stride` u32 apart) plus the K-tile index that selects the
-/// matching 128-bit slice of every B column. Both the tile-CSR layout (tiles
+/// matching packed B slices. Both the tile-CSR layout (tiles
 /// stored contiguously, stride kTileKWords) and the dense layout (tiles in
 /// place, stride k_words) describe their surviving tiles this way, so
 /// flag-based and structural zero-tile jumping execute one schedule format.
+/// Bit h of `live` set means words 2h and 2h + 1 of the tile's rows may be
+/// nonzero in the product: a clear bit promises that the 64-bit K half h
+/// of the A tile (in every plane) or of the matching B slices is zero, so a
+/// backend may skip it. The default of 3 is always safe.
 struct SparseTileRef {
   const u32* a;
   i64 k_tile;
+  int live = 3;
 };
 
-/// Bound on the B bit-planes one panel job carries (the column-pointer array).
+/// Bound on the bit-planes of one sweep operand: the B planes a sweep packs
+/// and the output planes a drain writes.
 inline constexpr int kMaxPanelPlanes = 32;
+
+/// u64 words of one packed B slice: the 8 columns of one output-column tile
+/// in one K tile of one plane, split into the two 64-bit K halves. Word
+/// h * kTileN + j is column j's half h (its K bits 64h .. 64h + 63).
+inline constexpr i64 kSliceWords = 2 * kTileN;
+
+/// Packs `planes` B planes for panel jobs, once per tile sweep, so no job
+/// re-reads B's strided columns. `cols[bb]` points at plane bb's first
+/// column, and columns sit `col_stride` u32 apart. Slice (tn, k, bb) — the
+/// columns of output-column tile tn in K tile k — lands at
+/// out + ((tn * tiles_k + k) * planes + bb) * kSliceWords.
+void pack_b(u64* out, const u32* const* cols, int planes, i64 col_stride,
+            i64 tiles_n, i64 tiles_k);
 
 /// One backend call's worth of work: a row block's surviving A tiles swept
 /// across `nb` (at most kPanelWidth) consecutive output-column tiles and
 /// every B bit-plane (the §4.4 cross-tile reduction). Entry (t, ab) of the A
 /// schedule is `a_tiles[t * a_planes + ab]` (plane-minor; every plane of tile
-/// t shares its k_tile). Output-column tile `blk` of B plane `bb` reads the
-/// 128-bit slice b_cols[bb] + blk * kTileN * b_stride + k_tile * kTileKWords
-/// of its 8 columns, which sit `b_stride` u32 apart. Each (t, ab, bb) product is
-/// weighted << (shift + ab + bb); terms shifted by 32 or more vanish at the
-/// uint32 wrap.
-///
-/// `half_k` states that every B column is zero past the first 64 bits of
-/// each K-tile slice (an AND product with K <= 64). Only the low 64-bit word
-/// of each 128-bit slice can then contribute, so a backend may skip the
-/// upper one; results are identical either way, and backends without a
-/// half-K kernel ignore it.
+/// t shares its k_tile and live mask, and backends read the first plane's).
+/// B comes packed (pack_b) from the panel's first output-column tile on:
+/// tile `blk` of plane `bb` in K tile k is the slice at
+/// b + ((blk * b_tiles_k + k) * b_planes + bb) * kSliceWords. Each
+/// (t, ab, bb) product is weighted << (shift + ab + bb); terms shifted by 32
+/// or more vanish at the uint32 wrap.
 struct PanelJob {
   const SparseTileRef* a_tiles = nullptr;  // n_tiles * a_planes entries
   i64 n_tiles = 0;
   int a_planes = 1;
   i64 a_stride = 0;  // u32 between the 8 rows of every A tile
-  const u32* b_cols[kMaxPanelPlanes] = {};
+  const u64* b = nullptr;
   int b_planes = 1;
-  i64 b_stride = 0;
+  i64 b_tiles_k = 1;
   i64 nb = 1;
   int shift = 0;
-  bool half_k = false;
 };
 
 /// Destination descriptor for flush_planes: where one 8x8 output tile's

@@ -39,10 +39,16 @@ std::span<u64> Workspace::sweep_counts(i64 n) {
   return {sweep_counts_.data(), count};
 }
 
+u64* Workspace::b_slices(i64 n) {
+  const auto count = static_cast<std::size_t>(n);
+  if (b_slices_.size() < count) b_slices_.resize(count);
+  return b_slices_.data();
+}
+
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
                   acc_tiles_.size() * sizeof(u32) +
-                  sweep_counts_.size() * sizeof(u64);
+                  (sweep_counts_.size() + b_slices_.size()) * sizeof(u64);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }

@@ -83,6 +83,11 @@ class Workspace {
   /// atomics and does not depend on the team.
   std::span<u64> sweep_counts(i64 n);
 
+  /// Uninitialised, 64-byte-aligned room for `n` u64: a tile sweep's B
+  /// operand, packed once by the calling thread (tcsim::pack_b) and then
+  /// only read by every worker of the sweep.
+  u64* b_slices(i64 n);
+
   /// Bytes currently retained by this thread's arena.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
@@ -92,6 +97,7 @@ class Workspace {
   std::vector<std::vector<SparseTileRef>> k_lists_;
   AlignedVector<u32> acc_tiles_;
   std::vector<u64> sweep_counts_;
+  AlignedVector<u64> b_slices_;
 };
 
 /// This OS thread's arena (created on first use, lives for the thread).

@@ -96,18 +96,25 @@ inline void store_matrix_sync(i32* ptr, const FragmentC& frag, i64 stride) {
   ExecutionContext::default_context().note({.frag_stores = 1});
 }
 
-/// The zero-tile test from paper §4.3: OR-reduce each row's 4 words (the
-/// uint4_v load + bitwise OR), then ballot across the 8 rows. Returns true
-/// when the whole 8x128 tile is zero. Operates directly on memory so callers
-/// can skip the fragment load entirely.
-inline bool tile_is_zero(const u32* ptr, i64 stride_words) {
-  u32 ballot = 0;
+/// The zero-tile test from paper §4.3, split at bit 64: OR-reduce each
+/// row's words (the uint4_v load + bitwise OR) across the 8 rows, the low
+/// two and the high two apart. Bit h of the result is set when words 2h and
+/// 2h + 1 (the tile's 64-bit K half h) hold a set bit in some row; 0 means
+/// the whole 8x128 tile is zero. Operates directly on memory so callers can
+/// skip the fragment load entirely. Feeds SparseTileRef::live.
+inline int tile_live_halves(const u32* ptr, i64 stride_words) {
+  u32 lo = 0, hi = 0;
   for (int r = 0; r < kTileM; ++r) {
     const u32* row = ptr + r * stride_words;
-    const u32 v = row[0] | row[1] | row[2] | row[3];
-    ballot |= static_cast<u32>(v != 0) << r;
+    lo |= row[0] | row[1];
+    hi |= row[2] | row[3];
   }
-  return ballot == 0;
+  return (lo != 0 ? 1 : 0) | (hi != 0 ? 2 : 0);
+}
+
+/// True when the whole 8x128 tile is zero.
+inline bool tile_is_zero(const u32* ptr, i64 stride_words) {
+  return tile_live_halves(ptr, stride_words) == 0;
 }
 
 }  // namespace qgtc::tcsim

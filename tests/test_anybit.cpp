@@ -371,6 +371,176 @@ TEST(AnyBit, FusedBitColumnBands) {
   }
 }
 
+/// The int32 product `raw` through `spec`, and how many values it clamped.
+std::pair<MatrixI32, u64> requantized(const MatrixI32& raw,
+                                      const tcsim::EpilogueSpec& spec) {
+  const tcsim::EpilogueSpec unclamped{spec.act, spec.rshift, -1};
+  MatrixI32 q(raw.rows(), raw.cols());
+  u64 saturated = 0;
+  for (i64 i = 0; i < raw.size(); ++i) {
+    q.data()[i] = tcsim::apply_epilogue(raw.data()[i], spec);
+    saturated += tcsim::apply_epilogue(raw.data()[i], unclamped) > spec.qmax;
+  }
+  return {std::move(q), saturated};
+}
+
+/// 8 x 128 tiles of `a` that hold a nonzero code: the schedule length every
+/// sweep counts bmma_ops and tiles_jumped from, whatever halves it skips.
+u64 nonzero_code_tiles(const MatrixI32& a) {
+  u64 n = 0;
+  for (i64 tm = 0; tm < ceil_div(a.rows(), kTileM); ++tm) {
+    for (i64 tk = 0; tk < ceil_div(a.cols(), kTileK); ++tk) {
+      bool any = false;
+      for (i64 r = tm * kTileM; r < std::min(a.rows(), (tm + 1) * kTileM); ++r) {
+        for (i64 c = tk * kTileK; c < std::min(a.cols(), (tk + 1) * kTileK); ++c) {
+          any = any || a(r, c) != 0;
+        }
+      }
+      n += any ? 1 : 0;
+    }
+  }
+  return n;
+}
+
+TEST(AnyBit, DeadHalvesSkipOnlyZeroWork) {
+  // A tile whose low or high 64-bit K half is zero in every A plane, or
+  // past K in B, runs only its live half. The output words and saturated
+  // count must equal the int32 product followed by apply_epilogue on every
+  // backend, and bmma_ops and tiles_jumped must count the schedule's tiles
+  // as they did before halves were skipped.
+  const i64 n = 70;  // one full 8-tile panel and a ragged one
+  const int out_bits = 4;
+  const auto spec_for = [&](const MatrixI32& raw) {
+    i32 mx = 0;
+    for (i64 i = 0; i < raw.size(); ++i) mx = std::max(mx, raw.data()[i]);
+    // One bit short of the calibrated shift, so the clamp fires.
+    return tcsim::EpilogueSpec{tcsim::Activation::kRelu,
+                               std::max(calibrate_rshift(mx, out_bits) - 1, 0),
+                               (1 << out_bits) - 1};
+  };
+
+  {
+    // Tile-CSR aggregation: 5 row blocks x 3 K tiles (K = 300, so K tile 2
+    // holds 44 columns) with hand-placed low-only, high-only and full tiles.
+    // Row block 2 stores none.
+    const i64 m = 40, k = 300;
+    const int t = 4;
+    Rng rng(951);
+    MatrixI32 adj(m, k, 0);
+    struct Placed {
+      i64 tm, tk;
+      int halves;  // bit h: 64-bit K half h holds edges
+    };
+    const Placed placed[] = {{0, 0, 1}, {0, 1, 2}, {1, 0, 3}, {3, 2, 1},
+                             {4, 0, 2}, {4, 1, 3}, {4, 2, 1}};
+    for (const Placed& p : placed) {
+      for (int h = 0; h < 2; ++h) {
+        if (((p.halves >> h) & 1) == 0) continue;
+        const i64 c0 = p.tk * kTileK + 64 * h;
+        adj(p.tm * kTileM + h, c0) = 1;
+        for (i64 r = p.tm * kTileM; r < (p.tm + 1) * kTileM; ++r) {
+          for (i64 c = c0; c < std::min(c0 + 64, k); ++c) {
+            if (rng.next_bool(0.3f)) adj(r, c) = 1;
+          }
+        }
+      }
+    }
+    const MatrixI32 x = random_codes(rng, k, n, t);
+    const BitMatrix p_adj = pack_nonzero(adj, BitLayout::kRowMajorK);
+    const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(p_adj);
+    ASSERT_EQ(sparse.nnz_tiles(), 7);
+    const auto px = StackedBitTensor::decompose(x, t, BitLayout::kColMajorK);
+    const MatrixI32 raw = matmul_reference(adj, x);
+    const tcsim::EpilogueSpec spec = spec_for(raw);
+    const auto [requant, saturated] = requantized(raw, spec);
+    ASSERT_GT(saturated, 0u);
+    const auto expect = plane_words(StackedBitTensor::decompose(
+        requant, out_bits, BitLayout::kRowMajorK, PadPolicy::kTile8));
+    const u64 tiles_n = static_cast<u64>(px.plane(0).padded_cols() / kTileN);
+    FusedEpilogue epi;
+    epi.act = spec.act;
+    epi.rshift = spec.rshift;
+    for (const auto kind : tcsim::all_backends()) {
+      for (const bool csr : {true, false}) {
+        const std::string where =
+            std::string(tcsim::backend_name(kind)) + (csr ? " tile-CSR" : " dense");
+        const tcsim::ExecutionContext int_ctx(kind);
+        BmmOptions opt;
+        opt.zero_tile_jump = true;
+        opt.ctx = &int_ctx;
+        EXPECT_EQ(csr ? aggregate_1bit(sparse, px, ReuseMode::kCrossTile, opt)
+                      : aggregate_1bit(p_adj, px, ReuseMode::kCrossTile, opt),
+                  raw)
+            << where;
+        const tcsim::ExecutionContext ctx(kind);
+        opt.ctx = &ctx;
+        const StackedBitTensor out =
+            csr ? aggregate_fused_bit(sparse, px, out_bits, epi, opt, PadPolicy::kTile8)
+                : aggregate_fused_bit(p_adj, px, out_bits, epi, opt, PadPolicy::kTile8);
+        EXPECT_EQ(plane_words(out), expect) << where;
+        for (const tcsim::Counters& c : {int_ctx.counters(), ctx.counters()}) {
+          EXPECT_EQ(c.bmma_ops, 7 * static_cast<u64>(t) * tiles_n) << where;
+          EXPECT_EQ(c.tiles_jumped, 5u * 3u - 7u) << where;
+        }
+        EXPECT_EQ(ctx.counters().saturated, saturated) << where;
+      }
+    }
+  }
+
+  // Dense any-bit update on either side of each K-half boundary. In every
+  // (row block, 64-column chunk) of A the codes are zero, even (plane 0
+  // zero, the others not), or unrestricted, so a half is dead in all planes,
+  // dead in some, or live.
+  const i64 m = 40;
+  const int s = 3, t = 2;
+  for (const i64 k : {64, 65, 100, 128, 129, 192}) {
+    Rng rng(static_cast<u64>(960 + k));
+    MatrixI32 a = random_codes(rng, m, k, s);
+    for (i64 r = 0; r < m; ++r) {
+      for (i64 c = 0; c < k; ++c) {
+        const i64 mode = (r / kTileM + c / 64) % 3;
+        if (mode == 0) a(r, c) = 0;
+        if (mode == 1) a(r, c) &= ~1;
+      }
+    }
+    const MatrixI32 b = random_codes(rng, k, n, t);
+    const auto pa = StackedBitTensor::decompose(a, s, BitLayout::kRowMajorK);
+    const auto pb = StackedBitTensor::decompose(b, t, BitLayout::kColMajorK);
+    const MatrixI32 raw = matmul_reference(a, b);
+    const tcsim::EpilogueSpec spec = spec_for(raw);
+    const auto [requant, saturated] = requantized(raw, spec);
+    ASSERT_GT(saturated, 0u) << "K=" << k;
+    const u64 kt = nonzero_code_tiles(a);
+    const u64 tiles_m = static_cast<u64>(pad8(m) / kTileM);
+    const u64 tiles_k = static_cast<u64>(pad128(k) / kTileK);
+    const u64 tiles_n = static_cast<u64>(pb.plane(0).padded_cols() / kTileN);
+    FusedEpilogue epi;
+    epi.act = spec.act;
+    epi.rshift = spec.rshift;
+    for (const auto kind : tcsim::all_backends()) {
+      for (const auto layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+        const std::string where = std::string(tcsim::backend_name(kind)) +
+                                  " K=" + std::to_string(k) +
+                                  (layout == BitLayout::kRowMajorK ? " row" : " col");
+        const tcsim::ExecutionContext ctx(kind);
+        BmmOptions opt;
+        opt.zero_tile_jump = true;
+        opt.ctx = &ctx;
+        const StackedBitTensor out =
+            bitmm_fused_bit(pa, pb, out_bits, epi, opt, PadPolicy::kTile8, layout);
+        EXPECT_EQ(plane_words(out),
+                  plane_words(StackedBitTensor::decompose(requant, out_bits, layout,
+                                                          PadPolicy::kTile8)))
+            << where;
+        const tcsim::Counters c = ctx.counters();
+        EXPECT_EQ(c.saturated, saturated) << where;
+        EXPECT_EQ(c.bmma_ops, kt * s * t * tiles_n) << where;
+        EXPECT_EQ(c.tiles_jumped, tiles_m * tiles_k - kt) << where;
+      }
+    }
+  }
+}
+
 /// THE core property (paper §3.1): for random (s, t) bit pairs, the composed
 /// product equals the exact integer GEMM of the quantized codes.
 class AnyBitComposition

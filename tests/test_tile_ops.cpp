@@ -1,10 +1,12 @@
 // Cross-checks every substrate backend's tile ops (mma_panel, then the
 // shared flush — the path the kernels actually run) against the semantic
 // reference tcsim::bmma_sync, including shift weighting, uint32 wrap at
-// extreme shifts, strided operands, strided flush, whole
-// multi-plane panels of several K tiles and output-column tiles, half-K
-// (K <= 64) panel jobs, and the assign contract (every tile of the panel
-// written, zeros for an empty schedule, nothing past the panel).
+// extreme shifts, strided operands (B through tcsim::pack_b), strided
+// flush, whole
+// multi-plane panels of several K tiles and output-column tiles, live-half
+// masks (a 64-bit K half the schedule marks dead), and the assign contract
+// (every tile of the panel written, zeros for an empty schedule, nothing
+// past the panel).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,25 +50,21 @@ std::array<i32, 64> reference_tile(const TilePair& t) {
   return r;
 }
 
-/// A panel job of one 8x8x128 tile op: A tile `ref`, B tile `b`, both with
-/// rows/columns `stride` u32 apart.
-tcsim::PanelJob single_tile_job(const tcsim::SparseTileRef& ref, const u32* b,
-                                i64 stride, int shift) {
-  tcsim::PanelJob job;
-  job.a_tiles = &ref;
-  job.n_tiles = 1;
-  job.a_stride = stride;
-  job.b_cols[0] = b;
-  job.b_stride = stride;
-  job.shift = shift;
-  return job;
-}
-
-/// One single-tile panel into `tile` (a u32[64]).
+/// One single-tile panel into `tile` (a u32[64]): A tile and B tile both
+/// with rows/columns `t.stride` u32 apart, B packed into one slice.
 void run_tile_op(const tcsim::SubstrateBackend& be, u32* tile, const TilePair& t,
                  int shift) {
   const tcsim::SparseTileRef ref{t.a.data(), 0};
-  be.mma_panel(tile, single_tile_job(ref, t.b.data(), t.stride, shift));
+  u64 slice[tcsim::kSliceWords];
+  const u32* b = t.b.data();
+  tcsim::pack_b(slice, &b, 1, t.stride, 1, 1);
+  tcsim::PanelJob job;
+  job.a_tiles = &ref;
+  job.n_tiles = 1;
+  job.a_stride = t.stride;
+  job.b = slice;
+  job.shift = shift;
+  be.mma_panel(tile, job);
 }
 
 /// One backend tile op: one single-tile panel, flushed into `out`.
@@ -194,6 +192,7 @@ struct PanelOperands {
   std::vector<u32> b;  // b_planes x (nb * 8 columns) x b_stride
   std::vector<tcsim::SparseTileRef> refs;
   i64 a_stride, b_stride;
+  std::vector<u64> packed_b;  // b through tcsim::pack_b, filled by panel_job
 };
 
 PanelOperands panel_operands(const PanelCase& c, u64 seed) {
@@ -219,12 +218,32 @@ PanelOperands panel_operands(const PanelCase& c, u64 seed) {
   return o;
 }
 
-/// B words 2-3 of every K-tile slice set to zero: a K <= 64 B operand, the
-/// precondition of a half_k job.
-void zero_upper_k_words(PanelOperands& o) {
-  for (std::size_t w = 0; w < o.b.size(); ++w) {
-    const i64 k_word = static_cast<i64>(w) % o.b_stride;
-    if (k_word % kTileKWords >= 2) o.b[w] = 0;
+/// Gives schedule tile t the live mask `live` (in every plane's ref) and
+/// zeroes each half it declares dead: in every A plane, or, for a dead high
+/// half with `in_b`, in tile t's K slice of every B column and plane (as B's
+/// padding past K does). With `partial`, a live tile instead has half t % 2
+/// zeroed in all A planes but the last, which must not make it dead.
+void set_live(PanelOperands& o, const PanelCase& c, i64 t, int live, bool in_b,
+              bool partial = false) {
+  for (int ab = 0; ab < c.a_planes; ++ab) {
+    tcsim::SparseTileRef& r = o.refs[static_cast<std::size_t>(t * c.a_planes + ab)];
+    r.live = live;
+    u32* tile = o.a.data() + (r.a - o.a.data());
+    for (int h = 0; h < 2; ++h) {
+      const bool dead = ((live >> h) & 1) == 0 && !(h == 1 && in_b);
+      const bool some_planes = partial && live == 3 && h == t % 2 && ab + 1 < c.a_planes;
+      if (!dead && !some_planes) continue;
+      for (int i = 0; i < kTileM; ++i) {
+        tile[i * o.a_stride + 2 * h] = tile[i * o.a_stride + 2 * h + 1] = 0;
+      }
+    }
+  }
+  if (in_b && (live & 2) == 0) {
+    const i64 k = o.refs[static_cast<std::size_t>(t * c.a_planes)].k_tile;
+    for (i64 col = 0; col < c.b_planes * c.nb * kTileN; ++col) {
+      u32* slice = o.b.data() + col * o.b_stride + k * kTileKWords;
+      slice[2] = slice[3] = 0;
+    }
   }
 }
 
@@ -260,18 +279,24 @@ std::array<u32, 64> panel_reference(const PanelCase& c, const PanelOperands& o,
   return ref;
 }
 
-/// The panel job over `o` that `c` describes.
-tcsim::PanelJob panel_job(const PanelCase& c, const PanelOperands& o) {
+/// The panel job over `o` that `c` describes, B packed as of this call.
+tcsim::PanelJob panel_job(const PanelCase& c, PanelOperands& o) {
+  std::vector<const u32*> cols;
+  for (int bb = 0; bb < c.b_planes; ++bb) {
+    cols.push_back(o.b.data() + bb * c.nb * kTileN * o.b_stride);
+  }
+  o.packed_b.resize(static_cast<std::size_t>(c.nb * kPanelKTiles * c.b_planes *
+                                             tcsim::kSliceWords));
+  tcsim::pack_b(o.packed_b.data(), cols.data(), c.b_planes, o.b_stride, c.nb,
+                kPanelKTiles);
   tcsim::PanelJob job;
   job.a_tiles = o.refs.data();
   job.n_tiles = c.n_tiles;
   job.a_planes = c.a_planes;
   job.a_stride = o.a_stride;
-  for (int bb = 0; bb < c.b_planes; ++bb) {
-    job.b_cols[bb] = o.b.data() + bb * c.nb * kTileN * o.b_stride;
-  }
+  job.b = o.packed_b.data();
   job.b_planes = c.b_planes;
-  job.b_stride = o.b_stride;
+  job.b_tiles_k = kPanelKTiles;
   job.nb = c.nb;
   job.shift = c.shift;
   return job;
@@ -324,9 +349,10 @@ TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
           for (const int shift : {0, 31, 60}) {
             for (const bool dense : {false, true}) {
               const PanelCase c{sa, sb, nb, n_tiles, shift, dense};
-              const PanelOperands o = panel_operands(c, ++seed);
-              ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
-                  be, c, o, panel_job(c, o), seed, panel_where(be, c)));
+              PanelOperands o = panel_operands(c, ++seed);
+              const tcsim::PanelJob job = panel_job(c, o);
+              ASSERT_NO_FATAL_FAILURE(
+                  expect_panel_matches(be, c, o, job, seed, panel_where(be, c)));
             }
           }
         }
@@ -335,26 +361,30 @@ TEST_P(TileOpsAllBackends, PanelMatchesPerTileReference) {
   }
 }
 
-TEST(TileOps, HalfKPanelMatchesReference) {
-  // half_k jobs on every backend: B words 2-3 of every K-tile slice are zero
-  // (K <= 64) while A words 2-3 stay random, so only B's zero padding may be
-  // relied on. Two-tile schedules cover accumulation across K tiles.
+TEST(TileOps, LiveHalvesMatchReference) {
+  // Schedules that mix live masks 1, 2 and 3 on every backend. Each dead
+  // half is zero in every A plane, or (high halves only, as past K) in B,
+  // and some live tiles hold a half that is zero in all A planes but one.
+  // The scalar reference ignores the masks; every backend must match it.
   for (const tcsim::BackendKind kind : tcsim::all_backends()) {
     const auto& be = tcsim::backend(kind);
     u64 seed = 5000;
     for (const int sa : {1, 3, 8, 17}) {
       for (const int sb : {1, 3, 8, 17}) {
         for (const i64 nb : {1, 5, 8}) {
-          for (const i64 n_tiles : {1, 2}) {
+          for (const i64 n_tiles : {1, 2, 5}) {
             for (const int shift : {0, 31, 60}) {
               const bool dense = seed % 2 == 0;
               const PanelCase c{sa, sb, nb, n_tiles, shift, dense};
               PanelOperands o = panel_operands(c, ++seed);
-              zero_upper_k_words(o);
-              tcsim::PanelJob job = panel_job(c, o);
-              job.half_k = true;
+              for (i64 t = 0; t < n_tiles; ++t) {
+                const int live = static_cast<int>((seed + static_cast<u64>(t)) % 3) + 1;
+                set_live(o, c, t, live, /*in_b=*/(seed + static_cast<u64>(t)) % 4 == 0,
+                         /*partial=*/true);
+              }
+              const tcsim::PanelJob job = panel_job(c, o);
               ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
-                  be, c, o, job, seed, panel_where(be, c) + " half_k"));
+                  be, c, o, job, seed, panel_where(be, c) + " mixed live"));
             }
           }
         }
@@ -364,27 +394,27 @@ TEST(TileOps, HalfKPanelMatchesReference) {
 }
 
 TEST(TileOps, PanelAssignsEveryTile) {
-  // The assign contract on every backend, full and half-K: a tile buffer of
-  // 8 (the widest panel) tiles full of garbage, a panel narrower than that,
-  // and schedules of 0, 1 and 7 K tiles. Each of the nb tiles must equal the
-  // reference — zeros for the empty schedule, which aggregation rows with no
-  // stored tile produce — and every word past them must keep its garbage.
+  // The assign contract on every backend, for every live mask: a tile
+  // buffer of 8 (the widest panel) tiles full of garbage, a panel narrower
+  // than that, and schedules of 0, 1 and 7 K tiles. Each of the nb tiles
+  // must equal the reference — zeros for the empty schedule, which
+  // aggregation rows with no stored tile produce, and for a schedule whose
+  // every half is dead — and every word past them must keep its garbage.
   constexpr i64 kBufferTiles = 8;
   for (const tcsim::BackendKind kind : tcsim::all_backends()) {
     const auto& be = tcsim::backend(kind);
     u64 seed = 9000;
-    for (const bool half_k : {false, true}) {
+    for (const int live : {3, 1, 2, 0}) {
       for (const i64 nb : {1, 3}) {
         for (const i64 n_tiles : {0, 1, 7}) {
           for (const int sa : {1, 3}) {
             const PanelCase c{sa, 4, nb, n_tiles, 2, seed % 2 == 0};
             PanelOperands o = panel_operands(c, ++seed);
-            if (half_k) zero_upper_k_words(o);
-            tcsim::PanelJob job = panel_job(c, o);
-            job.half_k = half_k;
+            for (i64 t = 0; t < n_tiles; ++t) set_live(o, c, t, live, seed % 3 == 0);
+            const tcsim::PanelJob job = panel_job(c, o);
             ASSERT_NO_FATAL_FAILURE(expect_panel_matches(
                 be, c, o, job, seed,
-                panel_where(be, c) + (half_k ? " half_k" : " full"), kBufferTiles));
+                panel_where(be, c) + " live=" + std::to_string(live), kBufferTiles));
           }
         }
       }
