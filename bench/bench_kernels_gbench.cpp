@@ -17,6 +17,8 @@
 #include "baselines/int8_gemm.hpp"
 #include "bittensor/stacked.hpp"
 #include "common/rng.hpp"
+#include "graph/batching.hpp"
+#include "graph/generator.hpp"
 #include "kernels/anybit_mm.hpp"
 #include "tcsim/backend.hpp"
 
@@ -393,6 +395,45 @@ void BM_BitDecompose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitDecompose)->Arg(2)->Arg(8);
+
+/// The artist stand-in cut as `stream_ooc` cuts it (1500 partitions, 16
+/// per batch: 93 batches), with its partition-local lists. Built once, on
+/// first use, outside every timed loop.
+struct ArtistBatches {
+  Dataset ds;
+  std::vector<SubgraphBatch> batches;
+  PartitionAdjacency lists;
+};
+const ArtistBatches& artist_batches() {
+  static const ArtistBatches a = [] {
+    ArtistBatches r;
+    r.ds = generate_dataset(table1_spec("artist"));
+    r.batches = make_batches(partition_graph(r.ds.graph, 1500), 16);
+    r.lists = build_partition_adjacency(r.ds.graph, r.batches);
+    return r;
+  }();
+  return a;
+}
+
+/// One streaming epoch's tile-CSR builds: every artist batch, assembled by
+/// walking the CSR (`walker`) or from the partition-local lists
+/// (`partition`).
+void BM_BatchTiles(benchmark::State& state, bool from_lists) {
+  const ArtistBatches& a = artist_batches();
+  for (auto _ : state) {
+    i64 nnz = 0;
+    for (const SubgraphBatch& b : a.batches) {
+      nnz += (from_lists ? build_batch_adjacency_tiles(a.lists, b)
+                         : build_batch_adjacency_tiles(a.ds.graph, b))
+                 .nnz_tiles();
+    }
+    benchmark::DoNotOptimize(nnz);
+  }
+  state.counters["batches"] = static_cast<double>(a.batches.size());
+}
+BENCHMARK_CAPTURE(BM_BatchTiles, walker, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BatchTiles, partition, true)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -86,13 +86,32 @@ void QgtcEngine::init() {
 QgtcEngine::BatchRef QgtcEngine::prepare_batch(i64 i, bool build_fp32_csr,
                                                bool* cache_hit) const {
   QGTC_CHECK(i >= 0 && i < num_batches(), "batch index out of range");
-  return prepare_subgraph(batches_[static_cast<std::size_t>(i)],
-                          build_fp32_csr, cache_hit);
+  // A precomputed engine prepares each batch once, at set-up, so lists
+  // could not pay for themselves there.
+  return prepare(batches_[static_cast<std::size_t>(i)],
+                 cfg_.mode.streaming() ? &partition_lists() : nullptr,
+                 build_fp32_csr, cache_hit);
+}
+
+const PartitionAdjacency& QgtcEngine::partition_lists() const {
+  std::call_once(lists_once_, [this] {
+    QGTC_SPAN("engine", "build_partition_adjacency");
+    lists_ = build_partition_adjacency(graph_, batches_);
+    lists_bytes_.store(lists_.bytes(), std::memory_order_release);
+  });
+  return lists_;
 }
 
 QgtcEngine::BatchRef QgtcEngine::prepare_subgraph(const SubgraphBatch& batch,
                                                   bool build_fp32_csr,
                                                   bool* cache_hit) const {
+  return prepare(batch, /*lists=*/nullptr, build_fp32_csr, cache_hit);
+}
+
+QgtcEngine::BatchRef QgtcEngine::prepare(const SubgraphBatch& batch,
+                                         const PartitionAdjacency* lists,
+                                         bool build_fp32_csr,
+                                         bool* cache_hit) const {
   if (cache_hit != nullptr) *cache_hit = false;
   const u32 needs =
       store::kCapPlanes | (build_fp32_csr ? store::kCapFp32Csr : 0u);
@@ -103,8 +122,9 @@ QgtcEngine::BatchRef QgtcEngine::prepare_subgraph(const SubgraphBatch& batch,
     }
   }
   auto bd = std::make_shared<BatchData>();
-  static_cast<PreparedBatch&>(*bd) = prepare_batch_data(
-      graph_, features_, batch, /*add_self_loops=*/true, build_fp32_csr);
+  static_cast<PreparedBatch&>(*bd) =
+      prepare_batch_data(graph_, features_, batch, /*add_self_loops=*/true,
+                         build_fp32_csr, lists);
   bd->x_planes = model_.prepare_input(bd->features);
   prepare_bytes_read_.fetch_add(
       batch.size() * spec_.feature_dim * static_cast<i64>(sizeof(float)),
@@ -402,7 +422,7 @@ double QgtcEngine::nonzero_tile_ratio() const {
   };
   if (cfg_.mode.streaming()) {
     for (const SubgraphBatch& b : batches_) {
-      census(build_batch_adjacency_tiles(graph_, b,
+      census(build_batch_adjacency_tiles(partition_lists(), b,
                                          /*add_self_loops=*/true));
     }
   } else {

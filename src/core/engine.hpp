@@ -17,7 +17,9 @@
 // * **Streaming** (`RunMode::streaming_pipeline`): prepare builds each batch
 //   lazily and ship packs it, so peak memory is O(pipeline_depth) batches
 //   and the PCIe model is charged inline on the timed path, with overlap
-//   accounting (`exposed_transfer_seconds`).
+//   accounting (`exposed_transfer_seconds`). Epoch batches assemble their
+//   tile-CSR from partition-local lists built once, on the first
+//   `prepare_batch` call, so epochs never read the CSR.
 //
 // Logits, `bmma_ops`, `tiles_jumped` and `nodes` are bit-identical across
 // the two modes on every backend. Every batch adjacency is a tile-CSR of its
@@ -26,6 +28,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -205,6 +208,7 @@ class QgtcEngine {
   EngineStats transfer_accounting() const;
 
   /// Zero-tile census across every batch adjacency (Figure 8's metric).
+  /// Streaming engines take it from the partition-local lists.
   [[nodiscard]] double nonzero_tile_ratio() const;
 
   /// Per-batch prepared data: the graph-side `PreparedBatch` plus the
@@ -229,9 +233,10 @@ class QgtcEngine {
   /// allocation; eviction never invalidates a consumer.
   using BatchRef = std::shared_ptr<const BatchData>;
 
-  /// Builds batch `i`'s complete data from the global CSR + features — the
-  /// single prepare entry point both modes run (precomputed at construction,
-  /// streaming inside the pipeline's prepare stage). `build_fp32_csr=false`
+  /// Builds batch `i`'s complete data — the single prepare entry point both
+  /// modes run (precomputed at construction, from the global CSR; streaming
+  /// inside the pipeline's prepare stage, from the partition-local lists,
+  /// which the first call builds). `build_fp32_csr=false`
   /// skips the fp32-only local CSR; the quantized streaming pipeline and
   /// the transfer accounting never read it.
   /// Consults the BatchCache first when a budget is configured;
@@ -262,6 +267,12 @@ class QgtcEngine {
   [[nodiscard]] i64 prepare_bytes_read() const {
     return prepare_bytes_read_.load(std::memory_order_relaxed);
   }
+  /// Resident bytes of the partition-local lists: 0 until a streaming
+  /// engine's first `prepare_batch` or `nonzero_tile_ratio` call, and always
+  /// 0 for precomputed engines and the serving layer's engine.
+  [[nodiscard]] i64 partition_lists_bytes() const {
+    return lists_bytes_.load(std::memory_order_acquire);
+  }
   /// Total mmap'd store bytes backing this engine (0 in-core).
   [[nodiscard]] i64 mapped_bytes() const {
     return dstore_ != nullptr ? dstore_->mapped_bytes() : 0;
@@ -280,6 +291,14 @@ class QgtcEngine {
  private:
   void init();
 
+  /// The epoch batches' partition-local adjacency, built on first use.
+  const PartitionAdjacency& partition_lists() const;
+
+  /// The one prepare path behind prepare_batch and prepare_subgraph: cache
+  /// lookup, then prepare_batch_data (tiles from `lists`, else the CSR).
+  BatchRef prepare(const SubgraphBatch& batch, const PartitionAdjacency* lists,
+                   bool build_fp32_csr, bool* cache_hit) const;
+
   /// Stamps the timed-section cache/store deltas into `stats`.
   void stamp_cache_stats(EngineStats& stats,
                          const store::BatchCacheStats& before, i64 bytes_before,
@@ -293,6 +312,10 @@ class QgtcEngine {
   gnn::QgtcModel model_;
   std::vector<SubgraphBatch> batches_;
   std::vector<BatchRef> data_;  // precomputed mode only
+  // Streaming mode only; see partition_lists().
+  mutable std::once_flag lists_once_;
+  mutable PartitionAdjacency lists_;
+  mutable std::atomic<i64> lists_bytes_{0};
   /// Keyed by membership + this fingerprint (quantization config).
   u64 cache_fingerprint_ = 0;
   mutable store::BatchCache<BatchData> cache_;

@@ -97,28 +97,33 @@ void for_each_batch_edge(const CsrView& g, const SubgraphBatch& batch,
   }
 }
 
-}  // namespace
-
-BitMatrix build_batch_adjacency(const CsrView& g, const SubgraphBatch& batch,
-                                bool add_self_loops) {
-  BitMatrix adj(batch.size(), batch.size(), BitLayout::kRowMajorK,
-                PadPolicy::kTile8);
-  for_each_batch_edge(g, batch, add_self_loops,
-                      [&](i64 u, i64 v) { adj.set(u, v, true); });
-  return adj;
+/// Applies fn(local_u, local_v) for every edge of the batch from
+/// partition-local lists, in the walker's order: member index m of the
+/// partition at [lo, hi) is local id lo + m, so no CSR entry is read.
+template <typename Fn>
+void for_each_list_edge(const PartitionAdjacency& lists,
+                        const SubgraphBatch& batch, bool add_self_loops,
+                        Fn&& fn) {
+  for (i64 p = 0; p < batch.num_parts(); ++p) {
+    const i64 lo = batch.part_bounds[static_cast<std::size_t>(p)];
+    const i64 hi = batch.part_bounds[static_cast<std::size_t>(p) + 1];
+    for (i64 lu = lo; lu < hi; ++lu) {
+      if (add_self_loops) fn(lu, lu);
+      const i32 u = batch.nodes[static_cast<std::size_t>(lu)];
+      for (const i32 m : lists.neighbors(u)) fn(lu, lo + m);
+    }
+  }
 }
 
-TileSparseBitMatrix build_batch_adjacency_tiles(const CsrView& g,
-                                                const SubgraphBatch& batch,
-                                                bool add_self_loops) {
-  const i64 n = batch.size();
+/// The tile-CSR of an n x n batch adjacency from any edge source that calls
+/// its sink with rows in ascending order. A row block's touched K tiles
+/// accumulate in per-tile scratch slots and flush (sorted) into the
+/// tile-CSR when the source leaves the block. Only touched tiles ever
+/// allocate scratch.
+template <typename EdgeSource>
+TileSparseBitMatrix assemble_tiles(i64 n, EdgeSource&& for_each_edge) {
   TileSparseBitMatrix adj(n, n);
   const i64 tiles_k = adj.tiles_k();
-
-  // Streaming row-tile build: the edge walker visits rows in ascending
-  // order, so a row block's touched K tiles accumulate in per-tile scratch
-  // slots and flush (sorted) into the tile-CSR when the walker leaves the
-  // block. Only touched tiles ever allocate scratch.
   std::vector<i32> slot_of(static_cast<std::size_t>(tiles_k), -1);
   std::vector<i64> touched;
   std::vector<u32> scratch;  // touched.size() * kTileWords words
@@ -139,7 +144,7 @@ TileSparseBitMatrix build_batch_adjacency_tiles(const CsrView& g,
     touched.clear();
   };
 
-  for_each_batch_edge(g, batch, add_self_loops, [&](i64 u, i64 v) {
+  for_each_edge([&](i64 u, i64 v) {
     const i64 tm = u / kTileM;
     if (tm != open_tm) {
       flush(open_tm);
@@ -168,6 +173,75 @@ TileSparseBitMatrix build_batch_adjacency_tiles(const CsrView& g,
   flush(open_tm);
   adj.finalize();
   return adj;
+}
+
+}  // namespace
+
+BitMatrix build_batch_adjacency(const CsrView& g, const SubgraphBatch& batch,
+                                bool add_self_loops) {
+  BitMatrix adj(batch.size(), batch.size(), BitLayout::kRowMajorK,
+                PadPolicy::kTile8);
+  for_each_batch_edge(g, batch, add_self_loops,
+                      [&](i64 u, i64 v) { adj.set(u, v, true); });
+  return adj;
+}
+
+TileSparseBitMatrix build_batch_adjacency_tiles(const CsrView& g,
+                                                const SubgraphBatch& batch,
+                                                bool add_self_loops) {
+  return assemble_tiles(batch.size(), [&](auto&& sink) {
+    for_each_batch_edge(g, batch, add_self_loops, sink);
+  });
+}
+
+PartitionAdjacency build_partition_adjacency(
+    const CsrView& g, const std::vector<SubgraphBatch>& batches) {
+  // One packed lookup per node: (partition << 32) | member index. A node in
+  // no batch keeps kNone and gets an empty list.
+  constexpr u64 kNone = ~u64{0};
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<u64> slot(n, kNone);
+  u64 part = 0;
+  for (const SubgraphBatch& b : batches) {
+    for (i64 p = 0; p < b.num_parts(); ++p, ++part) {
+      const i64 lo = b.part_bounds[static_cast<std::size_t>(p)];
+      const i64 hi = b.part_bounds[static_cast<std::size_t>(p) + 1];
+      for (i64 i = lo; i < hi; ++i) {
+        slot[static_cast<std::size_t>(b.nodes[static_cast<std::size_t>(i)])] =
+            part << 32 | static_cast<u64>(i - lo);
+      }
+    }
+  }
+  PartitionAdjacency lists;
+  lists.offsets.assign(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (slot[u] != kNone) {
+      const u64 pu = slot[u] >> 32;
+      const auto nbrs = g.neighbors(static_cast<i64>(u));
+      // Branch-free compaction: always store, advance only on a keeper.
+      std::size_t k = lists.members.size();
+      lists.members.resize(k + nbrs.size());
+      for (const i32 v : nbrs) {
+        const u64 sv = slot[static_cast<std::size_t>(v)];
+        lists.members[k] = static_cast<i32>(static_cast<u32>(sv));
+        k += (sv >> 32) == pu;
+      }
+      lists.members.resize(k);
+      QGTC_CHECK(k <= static_cast<std::size_t>(INT32_MAX),
+                 "partition-local adjacency exceeds 2^31 edges");
+    }
+    lists.offsets[u + 1] = static_cast<i32>(lists.members.size());
+  }
+  lists.members.shrink_to_fit();
+  return lists;
+}
+
+TileSparseBitMatrix build_batch_adjacency_tiles(const PartitionAdjacency& lists,
+                                                const SubgraphBatch& batch,
+                                                bool add_self_loops) {
+  return assemble_tiles(batch.size(), [&](auto&& sink) {
+    for_each_list_edge(lists, batch, add_self_loops, sink);
+  });
 }
 
 CsrGraph build_batch_csr(const CsrView& g, const SubgraphBatch& batch,
@@ -201,11 +275,14 @@ i64 PreparedBatch::prepared_bytes() const {
 PreparedBatch prepare_batch_data(const CsrView& g,
                                  const store::FeatureSource& features,
                                  const SubgraphBatch& batch,
-                                 bool add_self_loops, bool build_fp32_csr) {
+                                 bool add_self_loops, bool build_fp32_csr,
+                                 const PartitionAdjacency* lists) {
   PreparedBatch bd;
   bd.batch = batch;
-  // Straight from the global CSR, never through a dense intermediate.
-  bd.adj_tiles = build_batch_adjacency_tiles(g, batch, add_self_loops);
+  // Never through a dense intermediate.
+  bd.adj_tiles = lists != nullptr
+                     ? build_batch_adjacency_tiles(*lists, batch, add_self_loops)
+                     : build_batch_adjacency_tiles(g, batch, add_self_loops);
   if (build_fp32_csr) bd.local = build_batch_csr(g, batch, add_self_loops);
   bd.features = features.gather(batch.nodes);
   return bd;

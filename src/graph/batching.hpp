@@ -5,6 +5,7 @@
 // gathered node features.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "bittensor/bit_matrix.hpp"
@@ -55,6 +56,38 @@ TileSparseBitMatrix build_batch_adjacency_tiles(const CsrView& g,
                                                 const SubgraphBatch& batch,
                                                 bool add_self_loops = true);
 
+/// The partition-local adjacency of a batch list — Cluster-GCN's
+/// Ā = diag(A₁₁, …, A_cc): for each node, the positions of its
+/// intra-partition neighbours within its partition's member list (the
+/// partition's slice of its batch's `nodes`), in CSR neighbour order. A
+/// batch's adjacency is a fixed set of these blocks, so the tile-CSR of any
+/// batch of the list can be assembled from it without reading the CSR.
+struct PartitionAdjacency {
+  std::vector<i32> offsets;  // num_nodes + 1 prefix offsets into `members`
+  std::vector<i32> members;  // one member index per intra-partition edge
+
+  [[nodiscard]] std::span<const i32> neighbors(i32 v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return {members.data() + offsets[i],
+            static_cast<std::size_t>(offsets[i + 1] - offsets[i])};
+  }
+  [[nodiscard]] i64 bytes() const {
+    return static_cast<i64>((offsets.size() + members.size()) * sizeof(i32));
+  }
+};
+
+/// Builds the partition-local adjacency of `batches` in one node-order pass
+/// over the CSR, with one packed (partition, member index) lookup per edge.
+PartitionAdjacency build_partition_adjacency(
+    const CsrView& g, const std::vector<SubgraphBatch>& batches);
+
+/// The tile-CSR of `batch` assembled from partition-local lists: the same
+/// bytes as the CSR-walking builder above. `batch` must be one of the batches
+/// `lists` was built from.
+TileSparseBitMatrix build_batch_adjacency_tiles(const PartitionAdjacency& lists,
+                                                const SubgraphBatch& batch,
+                                                bool add_self_loops = true);
+
 /// Same adjacency in local CSR form, for the fp32 SpMM baseline. It never
 /// stores self-loops (the SpMM adds the self term), whatever
 /// `add_self_loops` says.
@@ -73,7 +106,7 @@ MatrixF gather_rows(const store::FeatureSource& features,
 /// O(epoch)). The model layer adds its packed input planes on top.
 struct PreparedBatch {
   SubgraphBatch batch;
-  /// Tile-CSR adjacency, built straight from the global CSR.
+  /// Tile-CSR adjacency, built from the global CSR or partition-local lists.
   TileSparseBitMatrix adj_tiles;
   CsrGraph local;     // same adjacency as CSR (fp32 baseline path)
   MatrixF features;   // gathered fp32 features
@@ -89,12 +122,14 @@ struct PreparedBatch {
 /// — both modes see bit-identical batch data by construction.
 /// `build_fp32_csr=false` skips the local CSR (it feeds only the fp32
 /// baseline path; the streaming quantized pipeline never touches it, and
-/// its edge sort is a large share of the prepare cost).
+/// its edge sort is a large share of the prepare cost). With `lists`, the
+/// tile-CSR is assembled from them instead of from the CSR.
 PreparedBatch prepare_batch_data(const CsrView& g,
                                  const store::FeatureSource& features,
                                  const SubgraphBatch& batch,
                                  bool add_self_loops = true,
-                                 bool build_fp32_csr = true);
+                                 bool build_fp32_csr = true,
+                                 const PartitionAdjacency* lists = nullptr);
 
 /// Gathers labels.
 std::vector<i32> gather_labels(const std::vector<i32>& labels,

@@ -156,6 +156,7 @@ TEST(Batching, AdjacencyEqualsBruteForceOracle) {
 
   const auto batches = make_batches(parts, 3);
   ASSERT_EQ(batches.size(), 3u);
+  const PartitionAdjacency lists = build_partition_adjacency(g, batches);
   for (const auto& b : batches) {
     std::vector<i64> part_of_local(static_cast<std::size_t>(b.size()));
     for (i64 p = 0; p < b.num_parts(); ++p) {
@@ -168,6 +169,8 @@ TEST(Batching, AdjacencyEqualsBruteForceOracle) {
       const BitMatrix dense = build_batch_adjacency(g, b, loops);
       const TileSparseBitMatrix tiles =
           build_batch_adjacency_tiles(g, b, loops);
+      const TileSparseBitMatrix listed =
+          build_batch_adjacency_tiles(lists, b, loops);
       const CsrGraph csr = build_batch_csr(g, b, loops);
       i64 off_diagonal = 0;
       for (i64 u = 0; u < b.size(); ++u) {
@@ -180,6 +183,7 @@ TEST(Batching, AdjacencyEqualsBruteForceOracle) {
                (loops && u == v));
           ASSERT_EQ(dense.get(u, v), want) << "dense " << u << ", " << v;
           ASSERT_EQ(tiles.get(u, v), want) << "tiles " << u << ", " << v;
+          ASSERT_EQ(listed.get(u, v), want) << "lists " << u << ", " << v;
           // The local CSR never stores self-loops: the fp32 SpMM adds them.
           ASSERT_EQ(csr.has_edge(u, v), want && u != v)
               << "csr " << u << ", " << v;

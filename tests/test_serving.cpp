@@ -169,6 +169,9 @@ TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackends) {
     EXPECT_EQ(st.requests_failed, 0);
     EXPECT_EQ(st.batches_dispatched, offline.num_batches());
     EXPECT_GT(st.packed_bytes, 0);
+    // Ego-graph micro-batches and set-up-only preparing keep the CSR walker.
+    EXPECT_EQ(serving.engine().partition_lists_bytes(), 0);
+    EXPECT_EQ(offline.partition_lists_bytes(), 0);
   }
 }
 

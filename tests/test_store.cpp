@@ -10,6 +10,7 @@
 #include <utility>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -229,6 +230,79 @@ TEST(DatasetStore, StoreEngineRunsFp32AndAccounting) {
   EXPECT_EQ(ta.packed_bytes, tb.packed_bytes);
   EXPECT_EQ(ta.dense_bytes, tb.dense_bytes);
   EXPECT_EQ(ta.adj_bytes, tb.adj_bytes);
+}
+
+// ------------------------------------------------------------------------
+// Streaming engines assemble each epoch batch's tile-CSR from partition-local
+// lists built on the first prepare; the bytes must be the CSR walker's.
+
+void expect_same_tiles(const TileSparseBitMatrix& a,
+                       const TileSparseBitMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  ASSERT_EQ(a.nnz_tiles(), b.nnz_tiles());
+  const auto same = [](const u32* x, const u32* y, i64 words) {
+    return std::equal(x, x + words, y);
+  };
+  EXPECT_TRUE(same(a.row_ptr_data(), b.row_ptr_data(), a.tiles_m() + 1));
+  EXPECT_TRUE(same(a.col_idx_data(), b.col_idx_data(), a.nnz_tiles()));
+  EXPECT_TRUE(same(a.payload_data(), b.payload_data(),
+                   a.nnz_tiles() * TileSparseBitMatrix::kTileWords));
+}
+
+TEST(StreamingPrepare, PartitionListTilesEqualWalkerTiles) {
+  struct Case {
+    Dataset ds;
+    i64 partitions, batch_size;
+  };
+  std::vector<Case> cases;
+  cases.push_back({small_dataset(), 16, 4});
+  // 6 partitions of 10 nodes: the partitioner leaves the trailing one
+  // empty, so the engine drops its batch.
+  cases.push_back(
+      {generate_dataset(DatasetSpec{"tiny", 10, 12, 16, 4, 2, 5}), 6, 1});
+  for (const Case& c : cases) {
+    TempStoreDir dir("lists_" + c.ds.spec.name);
+    write_sharded(dir.path, c.ds);
+    const store::DatasetStore st = store::DatasetStore::open(dir.path);
+    core::EngineConfig cfg = small_config();
+    cfg.num_partitions = c.partitions;
+    cfg.batch_size = c.batch_size;
+    core::QgtcEngine precomputed(c.ds, cfg);
+    if (c.ds.spec.num_nodes == 10) {
+      ASSERT_LT(precomputed.num_batches(), c.partitions);
+    }
+    std::vector<MatrixI32> ref;
+    precomputed.run_quantized(1, &ref);
+    for (const bool from_store : {false, true}) {
+      for (const int preparers : {1, 2}) {
+        cfg.mode = core::RunMode::streaming_pipeline(2, preparers);
+        core::QgtcEngine streaming = from_store ? core::QgtcEngine(st, cfg)
+                                                : core::QgtcEngine(c.ds, cfg);
+        const std::string where = c.ds.spec.name +
+                                  (from_store ? " store" : " in-core") +
+                                  " preparers=" + std::to_string(preparers);
+        EXPECT_EQ(streaming.partition_lists_bytes(), 0) << where;
+        // With 2 preparers, the first epoch's race to build the lists.
+        std::vector<MatrixI32> logits;
+        streaming.run_quantized(1, &logits);
+        EXPECT_GT(streaming.partition_lists_bytes(), 0) << where;
+        EXPECT_EQ(logits, ref) << where;
+        for (i64 i = 0; i < streaming.num_batches(); ++i) {
+          const core::QgtcEngine::BatchRef bd =
+              streaming.prepare_batch(i, /*build_fp32_csr=*/false);
+          SCOPED_TRACE(where + " batch " + std::to_string(i));
+          expect_same_tiles(
+              bd->adj_tiles,
+              build_batch_adjacency_tiles(streaming.graph(), bd->batch));
+        }
+        EXPECT_EQ(streaming.nonzero_tile_ratio(),
+                  precomputed.nonzero_tile_ratio())
+            << where;
+      }
+    }
+    EXPECT_EQ(precomputed.partition_lists_bytes(), 0);
+  }
 }
 
 }  // namespace
