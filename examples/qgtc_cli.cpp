@@ -71,10 +71,10 @@ struct Args {
   int fuse_epilogue = -1;   // -1 = unset, 0 = --no-fuse-epilogue, 1 = --fuse-epilogue
   std::string save_path;
   std::string load_path;
-  // Out-of-core store + prepared-batch cache.
+  // Out-of-core store + pinned prepared batches.
   std::string store_path;        // --store DIR: run off a mmap'd store
   std::string write_store_path;  // --write-store DIR: export then continue
-  qgtc::i64 cache_budget_mb = 0; // --cache-budget-mb N: BatchCache budget
+  qgtc::i64 cache_budget_mb = 0; // --cache-budget-mb N: streaming pin budget
   // --serve: online micro-batching server + open-loop Poisson client.
   bool serve = false;
   double qps = 200.0;
@@ -107,8 +107,8 @@ void usage() {
                "--store DIR       run out-of-core off a mmap'd store "
                "directory\n"
                "--write-store DIR export the dataset as a store directory\n"
-               "--cache-budget-mb N  prepared-batch cache budget "
-               "(0 = disabled)\n";
+               "--cache-budget-mb N  MB of prepared batches a streaming "
+               "run may pin (0 = none; not with --serve)\n";
 }
 
 /// Parses the whole of `text` as a number of type T, or throws
@@ -280,6 +280,10 @@ int run(const Args& args) {
     }
     if (args.prepare_threads > 0) policy.prepare_workers = args.prepare_threads;
     if (args.threads > 0) policy.compute_workers = args.threads;
+    // The tuner's pin budget is for epoch batches, which a server does not
+    // have; an explicit --cache-budget-mb reaches ServingEngine, which
+    // rejects it.
+    if (args.cache_budget_mb == 0) cfg.cache_budget_bytes = 0;
     std::cout << "Starting serving engine ("
               << gnn::model_name(cfg.model.kind) << ", " << args.bits
               << "-bit, max " << policy.max_batch_nodes << " nodes / "
@@ -315,13 +319,6 @@ int run(const Args& args) {
     table.add_row({"packed MB shipped",
                    core::TablePrinter::fmt(
                        static_cast<double>(st.packed_bytes) / 1e6, 2)});
-    table.add_row({"resident-reuse batches",
-                   std::to_string(st.resident_reuse_batches)});
-    if (cfg.cache_budget_bytes > 0) {
-      const auto cs = serving.engine().cache_stats();
-      table.add_row({"cache hits/misses",
-                     std::to_string(cs.hits) + "/" + std::to_string(cs.misses)});
-    }
     table.add_row({"tile MMAs", std::to_string(st.bmma_ops)});
     table.add_row({"batcher busy/stall ms", stage_row(st.batcher_stage)});
     table.add_row({"prepare busy/stall ms", stage_row(st.prepare_stage)});
@@ -387,10 +384,9 @@ int run(const Args& args) {
   }
   if (cfg.cache_budget_bytes > 0) {
     const double lookups = static_cast<double>(q.cache_hits + q.cache_misses);
-    table.add_row({"cache hits/misses/evict per epoch",
+    table.add_row({"cache hits/misses per epoch",
                    std::to_string(q.cache_hits) + "/" +
-                       std::to_string(q.cache_misses) + "/" +
-                       std::to_string(q.cache_evictions)});
+                       std::to_string(q.cache_misses)});
     table.add_row({"cache hit ratio (timed epochs)",
                    lookups > 0 ? core::TablePrinter::fmt_pct(
                                      static_cast<double>(q.cache_hits) / lookups, 1)

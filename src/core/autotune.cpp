@@ -123,7 +123,7 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
     t.serving.max_wait_us = 200;
   }
 
-  // Prepared-batch cache budget (cross-epoch reuse). Derived AFTER the
+  // Pin budget for prepared batches (cross-epoch reuse). Derived AFTER the
   // objective override so the footprint reflects the knobs the run will use.
   t.streaming_footprint_estimate =
       (2 * static_cast<i64>(t.mode.pipeline_depth) + t.mode.prepare_threads +
@@ -131,8 +131,7 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
       t.batch_bytes_estimate;
   if (t.mode.streaming()) {
     const i64 leftover = mem_budget - t.streaming_footprint_estimate;
-    // A budget that cannot hold one batch degrades to pass-through — disable
-    // it outright so the engine skips lookups too.
+    // A budget that cannot hold one batch pins nothing — state that as 0.
     t.cache_budget_bytes =
         leftover >= t.batch_bytes_estimate
             ? std::min<i64>(leftover, t.epoch_bytes_estimate)

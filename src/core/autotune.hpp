@@ -61,12 +61,12 @@ struct TunedConfig {
   /// Estimated resident bytes of the streaming in-flight window
   /// (~(2*depth + prepare + compute + 1) batches — see pipeline.hpp).
   i64 streaming_footprint_estimate = 0;
-  /// Prepared-batch cache budget (EngineConfig::cache_budget_bytes): the
+  /// Pin budget for prepared batches (EngineConfig::cache_budget_bytes): the
   /// memory-budget slice left after the streaming footprint, capped at the
-  /// epoch estimate (caching more than one epoch's batches buys nothing).
-  /// Zero — cache disabled — for precomputed runs (the epoch is already
-  /// resident) and for profiles whose leftover budget cannot hold even one
-  /// batch (a smaller cache would thrash, never hit).
+  /// epoch estimate (pinning more than one epoch's batches buys nothing).
+  /// Zero for precomputed runs (the epoch is already resident) and for
+  /// profiles whose leftover budget cannot hold even one batch (such a
+  /// budget pins nothing).
   i64 cache_budget_bytes = 0;
 };
 

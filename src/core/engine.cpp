@@ -34,25 +34,11 @@ void QgtcEngine::init() {
   QGTC_CHECK(cfg_.mode.pipeline_depth >= 1, "pipeline_depth must be >= 1");
   QGTC_CHECK(cfg_.mode.prepare_threads >= 1, "prepare_threads must be >= 1");
 
-  // The cache key's config half: anything that changes what prepare builds
-  // for a given membership. (The cache is per-engine, so this is defensive —
-  // it keeps keys unambiguous if entries ever move between engines.)
-  u64 fp = 0xcbf29ce484222325ull;
-  const auto mix = [&fp](u64 v) {
-    fp ^= v;
-    fp *= 0x100000001b3ull;
-  };
-  mix(cfg_.seed);
-  mix(static_cast<u64>(cfg_.model.feat_bits));
-  mix(static_cast<u64>(cfg_.model.weight_bits));
-  mix(static_cast<u64>(cfg_.model.in_dim));
-  cache_fingerprint_ = fp;
-  cache_.set_budget(cfg_.cache_budget_bytes);
-
   // The epoch batch list: METIS-substitute partitioning, then partition
   // batching.
   batches_ = make_batches(partition_graph(graph_, cfg_.num_partitions, {}),
                           cfg_.batch_size);
+  resident_.resize(batches_.size());
 
   model_ = gnn::QgtcModel::create(cfg_.model, cfg_.seed);
 
@@ -71,26 +57,27 @@ void QgtcEngine::init() {
     }
 
     if (!cfg_.mode.streaming()) {
-      // Precomputed mode materialises the whole epoch up front (untimed
-      // preprocessing), reusing the calibration batch as batch 0. The refs
-      // share ownership with the cache when one is configured.
-      data_.reserve(batches_.size());
-      data_.push_back(std::move(front));
+      // Precomputed mode fills every resident slot up front (untimed
+      // preprocessing), reusing the calibration batch as batch 0.
+      resident_.front() = std::move(front);
       for (i64 i = 1; i < num_batches(); ++i) {
-        data_.push_back(prepare_batch(i));
+        resident_[static_cast<std::size_t>(i)] = prepare_batch(i);
+      }
+      for (const BatchRef& bd : resident_) {
+        resident_bytes_ += bd->prepared_bytes();
       }
     }
   }
 }
 
-QgtcEngine::BatchRef QgtcEngine::prepare_batch(i64 i, bool build_fp32_csr,
-                                               bool* cache_hit) const {
+QgtcEngine::BatchRef QgtcEngine::prepare_batch(i64 i,
+                                               bool build_fp32_csr) const {
   QGTC_CHECK(i >= 0 && i < num_batches(), "batch index out of range");
   // A precomputed engine prepares each batch once, at set-up, so lists
   // could not pay for themselves there.
   return prepare(batches_[static_cast<std::size_t>(i)],
                  cfg_.mode.streaming() ? &partition_lists() : nullptr,
-                 build_fp32_csr, cache_hit);
+                 build_fp32_csr);
 }
 
 const PartitionAdjacency& QgtcEngine::partition_lists() const {
@@ -103,24 +90,13 @@ const PartitionAdjacency& QgtcEngine::partition_lists() const {
 }
 
 QgtcEngine::BatchRef QgtcEngine::prepare_subgraph(const SubgraphBatch& batch,
-                                                  bool build_fp32_csr,
-                                                  bool* cache_hit) const {
-  return prepare(batch, /*lists=*/nullptr, build_fp32_csr, cache_hit);
+                                                  bool build_fp32_csr) const {
+  return prepare(batch, /*lists=*/nullptr, build_fp32_csr);
 }
 
 QgtcEngine::BatchRef QgtcEngine::prepare(const SubgraphBatch& batch,
                                          const PartitionAdjacency* lists,
-                                         bool build_fp32_csr,
-                                         bool* cache_hit) const {
-  if (cache_hit != nullptr) *cache_hit = false;
-  const u32 needs =
-      store::kCapPlanes | (build_fp32_csr ? store::kCapFp32Csr : 0u);
-  if (cache_.enabled()) {
-    if (BatchRef hit = cache_.lookup(batch, cache_fingerprint_, needs)) {
-      if (cache_hit != nullptr) *cache_hit = true;
-      return hit;
-    }
-  }
+                                         bool build_fp32_csr) const {
   auto bd = std::make_shared<BatchData>();
   static_cast<PreparedBatch&>(*bd) =
       prepare_batch_data(graph_, features_, batch, /*add_self_loops=*/true,
@@ -129,23 +105,7 @@ QgtcEngine::BatchRef QgtcEngine::prepare(const SubgraphBatch& batch,
   prepare_bytes_read_.fetch_add(
       batch.size() * spec_.feature_dim * static_cast<i64>(sizeof(float)),
       std::memory_order_relaxed);
-  if (cache_.enabled()) {
-    cache_.insert(batch, cache_fingerprint_, needs, bd->prepared_bytes(), bd);
-  }
   return bd;
-}
-
-void QgtcEngine::stamp_cache_stats(EngineStats& stats,
-                                   const store::BatchCacheStats& before,
-                                   i64 bytes_before, int rounds) const {
-  const store::BatchCacheStats after = cache_.stats();
-  stats.cache_hits = (after.hits - before.hits) / rounds;
-  stats.cache_misses = (after.misses - before.misses) / rounds;
-  stats.cache_evictions = (after.evictions - before.evictions) / rounds;
-  stats.cache_resident_bytes = after.resident_bytes;
-  stats.prepare_bytes_read =
-      (prepare_bytes_read() - bytes_before) / rounds;
-  stats.mapped_bytes = mapped_bytes();
 }
 
 void QgtcEngine::set_execution(tcsim::BackendKind backend,
@@ -191,9 +151,9 @@ void stamp_execution(EngineStats& stats, const EngineConfig& cfg,
 }
 
 /// A pipeline item: a shared ref to one batch's prepared data. `resident`
-/// marks a payload already on the device — a precomputed batch or a
-/// BatchCache hit — which ships nothing and adds no pipeline residency (the
-/// epoch's or the cache's bytes are reported separately).
+/// marks a payload already on the device — a batch taken from the resident
+/// set — which ships nothing and adds no pipeline residency (the resident
+/// set's bytes are reported separately).
 template <typename T>
 struct EpochItem {
   std::shared_ptr<const T> data;
@@ -202,7 +162,7 @@ struct EpochItem {
 
 /// The §6 timing protocol, written once for both forwards: one warm-up
 /// epoch (first-touch allocation, arena growth, staging-slot capacity; with
-/// a cache budget also the fill epoch), then `on_warm()`, then `rounds`
+/// a pin budget also the epoch that pins), then `on_warm()`, then `rounds`
 /// timed epochs on the executor, averaged.
 template <typename T, typename OnWarmFn, typename PrepareFn, typename PackFn,
           typename ForwardFn>
@@ -278,7 +238,7 @@ EngineStats QgtcEngine::run_quantized(int rounds,
   for (int w = 0; w < layout.compute_workers; ++w) {
     ctxs.emplace_back(cfg_.backend, /*private_counters=*/true);
   }
-  store::BatchCacheStats cache0;
+  std::atomic<i64> hits{0}, misses{0};
   i64 bytes0 = 0;
   const transfer::PcieModel pcie;
 
@@ -287,19 +247,33 @@ EngineStats QgtcEngine::run_quantized(int rounds,
       /*on_warm=*/
       [&] {
         for (auto& ctx : ctxs) ctx.reset_counters();
-        cache0 = cache_.stats();
+        hits = 0;
+        misses = 0;
         bytes0 = prepare_bytes_read();
       },
       /*prepare=*/
       [&](i64 i) {
-        EpochItem<BatchData> item;
-        if (cfg_.mode.streaming()) {
-          item.data =
-              prepare_batch(i, /*build_fp32_csr=*/false, &item.resident);
-        } else {
-          item = {data_[static_cast<std::size_t>(i)], /*resident=*/true};
+        // Each index is prepared by one worker per epoch, so slot i has a
+        // single writer and readers only in later epochs.
+        BatchRef& slot = resident_[static_cast<std::size_t>(i)];
+        if (slot != nullptr) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          return EpochItem<BatchData>{slot, /*resident=*/true};
         }
-        return item;
+        misses.fetch_add(1, std::memory_order_relaxed);
+        BatchRef bd = prepare_batch(i, /*build_fp32_csr=*/false);
+        // Pin when it still fits: the reservation is one compare-exchange,
+        // so concurrent preparers never overshoot the budget together.
+        const i64 sz = bd->prepared_bytes();
+        i64 used = resident_bytes_.load(std::memory_order_relaxed);
+        while (used + sz <= cfg_.cache_budget_bytes) {
+          if (resident_bytes_.compare_exchange_weak(
+                  used, used + sz, std::memory_order_relaxed)) {
+            slot = bd;
+            break;
+          }
+        }
+        return EpochItem<BatchData>{std::move(bd)};
       },
       /*pack=*/
       [&](const BatchData& bd, transfer::StagingBuffer& slot) {
@@ -314,14 +288,14 @@ EngineStats QgtcEngine::run_quantized(int rounds,
           (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
         }
       });
-  stamp_cache_stats(stats, cache0, bytes0, rounds);
-  if (!cfg_.mode.streaming()) {
-    // Resident items add nothing to the executor's high-water: the whole
-    // epoch is resident.
-    for (const BatchRef& bd : data_) {
-      stats.peak_prepared_bytes += bd->prepared_bytes();
-    }
-  }
+  stats.cache_hits = hits / rounds;
+  stats.cache_misses = misses / rounds;
+  stats.cache_resident_bytes = resident_bytes_;
+  stats.prepare_bytes_read = (prepare_bytes_read() - bytes0) / rounds;
+  stats.mapped_bytes = mapped_bytes();
+  // Resident items add nothing to the executor's high-water; the resident
+  // set is live throughout.
+  stats.peak_prepared_bytes += stats.cache_resident_bytes;
   tcsim::Counters total;
   for (const auto& ctx : ctxs) total += ctx.counters();
   stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
@@ -337,8 +311,8 @@ EngineStats QgtcEngine::run_fp32(int rounds) {
   // The DGL-substitute baseline rides the same executor and timing protocol
   // as the quantized path, so the comparison stays symmetric: both pay the
   // pipeline's coordination costs, and streaming epochs charge each one's
-  // transfer model inline. It does NOT consult the BatchCache — prepared-
-  // batch reuse is this system's optimisation, not the baseline's.
+  // transfer model inline. A streaming epoch does NOT read pinned batches —
+  // prepared-batch reuse is this system's optimisation, not the baseline's.
   QGTC_CHECK(rounds >= 1, "rounds must be >= 1");
   const PipelineConfig layout = epoch_layout(cfg_, num_batches());
   const transfer::PcieModel pcie;
@@ -348,8 +322,8 @@ EngineStats QgtcEngine::run_fp32(int rounds) {
       /*prepare=*/
       [&](i64 i) {
         if (!cfg_.mode.streaming()) {
-          return EpochItem<PreparedBatch>{data_[static_cast<std::size_t>(i)],
-                                          /*resident=*/true};
+          return EpochItem<PreparedBatch>{
+              resident_[static_cast<std::size_t>(i)], /*resident=*/true};
         }
         const SubgraphBatch& b = batches_[static_cast<std::size_t>(i)];
         auto pb = std::make_shared<PreparedBatch>();
@@ -380,36 +354,31 @@ EngineStats QgtcEngine::transfer_accounting() const {
   EngineStats stats;
   stats.batches = num_batches();
   stats.streaming = cfg_.mode.streaming();
-  const store::BatchCacheStats cache0 = cache_.stats();
   const i64 bytes0 = prepare_bytes_read();
   transfer::PcieModel pcie;
   transfer::StagingBuffer staging;
   // Packed path: 1-bit adjacency + s-bit embedding planes as one compound
   // object, shipping the *prepared* input planes byte-for-byte (the host
   // quantizes and decomposes exactly once, in prepare_batch — nothing is
-  // re-derived here).
-  const auto account = [&](const BatchData& bd) {
-    const auto packed = bd.pack(staging, pcie);
+  // re-derived here). Batches outside the resident set are prepared one at
+  // a time, so a streaming engine's accounting stays inside its memory
+  // budget.
+  for (i64 i = 0; i < num_batches(); ++i) {
+    const BatchRef& slot = resident_[static_cast<std::size_t>(i)];
+    const BatchRef bd =
+        slot != nullptr ? slot : prepare_batch(i, /*build_fp32_csr=*/false);
+    const auto packed = bd->pack(staging, pcie);
     stats.packed_bytes += packed.total_bytes;
     stats.packed_transfer_seconds += packed.modeled_seconds;
     stats.adj_bytes += packed.adjacency_bytes;
 
     const auto dense = transfer::dense_fp32_baseline(
-        bd.batch.size(), spec_.feature_dim, pcie);
+        bd->batch.size(), spec_.feature_dim, pcie);
     stats.dense_bytes += dense.total_bytes;
     stats.dense_transfer_seconds += dense.modeled_seconds;
-  };
-  if (cfg_.mode.streaming()) {
-    // One batch resident at a time — accounting stays inside the streaming
-    // memory budget (the fp32-only CSR is not part of the packed payload).
-    // With a cache budget, batches a prior run inserted are not re-prepared.
-    for (i64 i = 0; i < num_batches(); ++i) {
-      account(*prepare_batch(i, /*build_fp32_csr=*/false));
-    }
-  } else {
-    for (const BatchRef& bd : data_) account(*bd);
   }
-  stamp_cache_stats(stats, cache0, bytes0, /*rounds=*/1);
+  stats.prepare_bytes_read = prepare_bytes_read() - bytes0;
+  stats.mapped_bytes = mapped_bytes();
   return stats;
 }
 
@@ -426,7 +395,7 @@ double QgtcEngine::nonzero_tile_ratio() const {
                                          /*add_self_loops=*/true));
     }
   } else {
-    for (const BatchRef& bd : data_) census(bd->adj_tiles);
+    for (const BatchRef& bd : resident_) census(bd->adj_tiles);
   }
   return total == 0 ? 0.0
                     : static_cast<double>(nonzero) / static_cast<double>(total);

@@ -10,16 +10,19 @@
 //
 // * **Precomputed** (`RunMode::precomputed`): every batch's adjacency tiles,
 //   local CSR, fp32 features and quantized planes are materialised at
-//   construction (untimed preprocessing, O(epoch) resident). Prepare is a
-//   lookup and ship returns `transfer::resident_reuse()`, so the reported
-//   time covers the forward pass only; host->device transfer is accounted
-//   post-hoc via `transfer_accounting()` — the paper's §6 timing protocol.
+//   construction (untimed preprocessing, O(epoch) resident). Prepare takes
+//   the batch's resident slot and ship returns `transfer::resident_reuse()`,
+//   so the reported time covers the forward pass only; host->device
+//   transfer is accounted post-hoc via `transfer_accounting()` — the
+//   paper's §6 timing protocol.
 // * **Streaming** (`RunMode::streaming_pipeline`): prepare builds each batch
 //   lazily and ship packs it, so peak memory is O(pipeline_depth) batches
 //   and the PCIe model is charged inline on the timed path, with overlap
 //   accounting (`exposed_transfer_seconds`). Epoch batches assemble their
 //   tile-CSR from partition-local lists built once, on the first
-//   `prepare_batch` call, so epochs never read the CSR.
+//   `prepare_batch` call, so epochs never read the CSR. With a
+//   `cache_budget_bytes`, a prepared batch that still fits under the budget
+//   is pinned in its resident slot, and warm epochs take it from there.
 //
 // Logits, `bmma_ops`, `tiles_jumped` and `nodes` are bit-identical across
 // the two modes on every backend. Every batch adjacency is a tile-CSR of its
@@ -34,7 +37,6 @@
 #include "core/pipeline.hpp"
 #include "gnn/model.hpp"
 #include "graph/generator.hpp"
-#include "store/batch_cache.hpp"
 #include "store/dataset_store.hpp"
 #include "transfer/packing.hpp"
 
@@ -92,11 +94,12 @@ struct EngineConfig {
   int inter_batch_threads = 1;
   /// Epoch execution discipline (see RunMode).
   RunMode mode;
-  /// Byte budget of the cross-epoch prepared-batch cache consulted at the
-  /// shared prepare entry (prepare_batch / prepare_subgraph). 0 disables
-  /// caching entirely (pure pass-through). Hits skip prepare + pack and ship
-  /// zero bytes (device-resident reuse); results stay bit-identical either
-  /// way because cached entries ARE the prepared data.
+  /// Streaming only: bytes of prepared epoch batches the engine may keep
+  /// pinned in its resident set. A batch is pinned when it is prepared and
+  /// still fits; pinned batches are never evicted, so every warm epoch skips
+  /// prepare + pack for exactly those batches and ships them as zero bytes
+  /// (device-resident reuse). 0 pins nothing. Results stay bit-identical
+  /// either way because a pinned batch IS the prepared data.
   i64 cache_budget_bytes = 0;
 };
 
@@ -133,8 +136,9 @@ struct EngineStats {
   // behind compute on the two-engine replay (see pipeline.hpp). 0 in
   // precomputed mode, where transfers are entirely post-hoc.
   double exposed_transfer_seconds = 0.0;
-  // Peak bytes of simultaneously-live prepared batch data: the whole epoch
-  // in precomputed mode, the O(pipeline_depth) high-water in streaming mode.
+  // Peak bytes of simultaneously-live prepared batch data: the resident set
+  // (the whole epoch in precomputed mode, the pinned batches in streaming
+  // mode) plus the executor's O(pipeline_depth) high-water.
   i64 peak_prepared_bytes = 0;
   // Staging-slot allocation high-water (streaming ship stage).
   i64 staging_capacity_bytes = 0;
@@ -142,13 +146,14 @@ struct EngineStats {
   i64 vm_hwm_bytes = 0;
   // Feature/CSR bytes read from the batch source during the timed epochs'
   // prepare stages (per epoch, averaged over rounds). 0 when every batch
-  // hit the cache or the epoch was precomputed.
+  // was resident (precomputed, or pinned under the budget).
   i64 prepare_bytes_read = 0;
-  // BatchCache activity during the timed epochs (per epoch, averaged over
-  // rounds) plus the cache's resident footprint at the end of the run.
+  // Timed-epoch batches taken from the resident set (hits) vs prepared on
+  // the timed path (misses), per epoch, plus the resident set's bytes at the
+  // end of the run (the whole epoch when precomputed, the pinned batches
+  // when streaming).
   i64 cache_hits = 0;
   i64 cache_misses = 0;
-  i64 cache_evictions = 0;
   i64 cache_resident_bytes = 0;
   // Total mmap'd store bytes (feature chunks + CSR shards); 0 for in-core
   // engines.
@@ -228,9 +233,8 @@ class QgtcEngine {
     }
   };
 
-  /// Shared-ownership handle to immutable prepared batch data. The cache,
-  /// the precomputed epoch store and in-flight pipeline items all share one
-  /// allocation; eviction never invalidates a consumer.
+  /// Shared-ownership handle to immutable prepared batch data. The resident
+  /// set and in-flight pipeline items share one allocation.
   using BatchRef = std::shared_ptr<const BatchData>;
 
   /// Builds batch `i`'s complete data — the single prepare entry point both
@@ -238,11 +242,9 @@ class QgtcEngine {
   /// inside the pipeline's prepare stage, from the partition-local lists,
   /// which the first call builds). `build_fp32_csr=false`
   /// skips the fp32-only local CSR; the quantized streaming pipeline and
-  /// the transfer accounting never read it.
-  /// Consults the BatchCache first when a budget is configured;
-  /// `cache_hit` (optional) reports whether the returned data came from it.
-  [[nodiscard]] BatchRef prepare_batch(i64 i, bool build_fp32_csr = true,
-                                       bool* cache_hit = nullptr) const;
+  /// the transfer accounting never read it. Always builds: it neither reads
+  /// nor fills the resident set.
+  [[nodiscard]] BatchRef prepare_batch(i64 i, bool build_fp32_csr = true) const;
 
   /// Builds complete batch data for an *arbitrary* subgraph batch — the
   /// serving layer's dynamic micro-batches ride the exact same prepare path
@@ -250,20 +252,15 @@ class QgtcEngine {
   /// so a request served online is bit-identical to the same batch
   /// membership run through the offline epoch path.
   [[nodiscard]] BatchRef prepare_subgraph(const SubgraphBatch& batch,
-                                          bool build_fp32_csr = false,
-                                          bool* cache_hit = nullptr) const;
+                                          bool build_fp32_csr = false) const;
 
   /// The global CSR this engine walks (in-core graph or mmap'd store view —
   /// the serving layer's ego-graph expansion traverses either).
   [[nodiscard]] const CsrView& graph() const { return graph_; }
   [[nodiscard]] const DatasetSpec& spec() const { return spec_; }
 
-  /// Cumulative BatchCache activity since construction (both run modes; the
-  /// per-run EngineStats carry the timed-epoch delta instead).
-  [[nodiscard]] store::BatchCacheStats cache_stats() const {
-    return cache_.stats();
-  }
-  /// Cumulative source bytes read by prepare misses since construction.
+  /// Cumulative source bytes read by prepare_batch / prepare_subgraph since
+  /// construction.
   [[nodiscard]] i64 prepare_bytes_read() const {
     return prepare_bytes_read_.load(std::memory_order_relaxed);
   }
@@ -285,7 +282,7 @@ class QgtcEngine {
     QGTC_CHECK(!cfg_.mode.streaming(),
                "batch_data() is precomputed-mode only; streaming engines "
                "never materialise the epoch");
-    return data_;
+    return resident_;
   }
 
  private:
@@ -294,15 +291,11 @@ class QgtcEngine {
   /// The epoch batches' partition-local adjacency, built on first use.
   const PartitionAdjacency& partition_lists() const;
 
-  /// The one prepare path behind prepare_batch and prepare_subgraph: cache
-  /// lookup, then prepare_batch_data (tiles from `lists`, else the CSR).
+  /// The one prepare path behind prepare_batch and prepare_subgraph:
+  /// prepare_batch_data (tiles from `lists`, else the CSR), then the
+  /// quantized input planes.
   BatchRef prepare(const SubgraphBatch& batch, const PartitionAdjacency* lists,
-                   bool build_fp32_csr, bool* cache_hit) const;
-
-  /// Stamps the timed-section cache/store deltas into `stats`.
-  void stamp_cache_stats(EngineStats& stats,
-                         const store::BatchCacheStats& before, i64 bytes_before,
-                         int rounds) const;
+                   bool build_fp32_csr) const;
 
   EngineConfig cfg_;
   const store::DatasetStore* dstore_ = nullptr;  // store-backed engines only
@@ -311,14 +304,15 @@ class QgtcEngine {
   store::FeatureSource features_;
   gnn::QgtcModel model_;
   std::vector<SubgraphBatch> batches_;
-  std::vector<BatchRef> data_;  // precomputed mode only
+  /// One slot per epoch batch: all filled at construction when precomputed,
+  /// pinned by run_quantized's prepare stage up to the budget when
+  /// streaming. A filled slot is never emptied.
+  std::vector<BatchRef> resident_;
+  std::atomic<i64> resident_bytes_{0};
   // Streaming mode only; see partition_lists().
   mutable std::once_flag lists_once_;
   mutable PartitionAdjacency lists_;
   mutable std::atomic<i64> lists_bytes_{0};
-  /// Keyed by membership + this fingerprint (quantization config).
-  u64 cache_fingerprint_ = 0;
-  mutable store::BatchCache<BatchData> cache_;
   mutable std::atomic<i64> prepare_bytes_read_{0};
 };
 

@@ -187,10 +187,6 @@ struct PipelineTotals {
   i64 packed_bytes = 0;
   i64 adj_bytes = 0;
   double wire_seconds = 0;  // total modelled PCIe time
-  // Items whose ship stage reported a device-resident payload
-  // (transfer::resident_reuse(): precomputed batches and BatchCache hits
-  // skip pack + wire).
-  i64 resident_reuse_batches = 0;
 };
 
 /// Live PipelineTotals. Each stage adds its share once per item under one
@@ -207,7 +203,6 @@ class PipelineMeter {
       t_.packed_bytes += shipped->total_bytes;
       t_.adj_bytes += shipped->adjacency_bytes;
       t_.wire_seconds += shipped->modeled_seconds;
-      if (shipped->transfers == 0) ++t_.resident_reuse_batches;
     }
   }
 

@@ -37,9 +37,6 @@ struct ServingEngine::MicroBatch {
   std::vector<Pending> members;
   SubgraphBatch batch;
   QgtcEngine::BatchRef bd;
-  /// True when bd came out of the engine's BatchCache — the ship stage then
-  /// charges resident reuse (zero bytes) instead of packing.
-  bool cached = false;
   MatrixI32 logits;  // the compute stage's output, split per request
 };
 
@@ -64,6 +61,11 @@ void ServingEngine::start(const DataSource& data, EngineConfig cfg) {
              "stage worker counts must be >= 1");
   QGTC_CHECK(policy_.admission_capacity >= 1 && policy_.queue_depth >= 1,
              "queue capacities must be >= 1");
+  // Micro-batches coalesce arbitrary requests, so no membership recurs for
+  // a pinned batch to serve.
+  QGTC_CHECK(cfg.cache_budget_bytes == 0,
+             "ServingEngine pins no prepared batches: cache_budget_bytes "
+             "must be 0");
   // Streaming mode: the engine calibrates off batch 0 but never materialises
   // an offline epoch — the server's batches are the dynamic micro-batches.
   cfg.mode.epoch = RunMode::Epoch::kStreaming;
@@ -138,7 +140,6 @@ ServingStats ServingEngine::stats() const {
   const PipelineTotals t = meter_.snapshot();
   s.packed_bytes = t.packed_bytes;
   s.wire_seconds = t.wire_seconds;
-  s.resident_reuse_batches = t.resident_reuse_batches;
   s.prepare_stage = t.stages.prepare;
   s.ship_stage = t.stages.ship;
   s.compute_stage = t.stages.compute;
@@ -270,23 +271,17 @@ void ServingEngine::pipeline_loop() {
       [&](MicroBatch& mb) {
         // The offline prepare path, verbatim: prepare_batch_data +
         // QgtcModel::prepare_input over the dynamic micro-batch.
-        obs::SpanScope span("prepare", "microbatch",
-                            {{"nodes", mb.batch.size()},
-                             {"requests", static_cast<i64>(mb.members.size())}});
-        mb.bd = engine_->prepare_subgraph(mb.batch, /*build_fp32_csr=*/false,
-                                          &mb.cached);
-        span.arg("cache_hit", mb.cached ? 1 : 0);
+        QGTC_SPAN("prepare", "microbatch",
+                  {{"nodes", mb.batch.size()},
+                   {"requests", static_cast<i64>(mb.members.size())}});
+        mb.bd = engine_->prepare_subgraph(mb.batch, /*build_fp32_csr=*/false);
       },
       /*ship=*/
       [&](MicroBatch& mb, transfer::StagingBuffer& slot) {
         obs::SpanScope span("ship", "microbatch",
                             {{"nodes", mb.batch.size()},
                              {"requests", static_cast<i64>(mb.members.size())}});
-        // A cache hit means the prepared payload is already device-resident:
-        // nothing to pack, nothing on the wire.
-        const transfer::PackedSubgraph packed =
-            mb.cached ? transfer::resident_reuse()
-                      : mb.bd->pack(slot, pcie_);
+        const transfer::PackedSubgraph packed = mb.bd->pack(slot, pcie_);
         span.arg("bytes", packed.total_bytes);
         return packed;
       },

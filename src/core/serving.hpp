@@ -102,9 +102,6 @@ struct ServingStats {
   /// Transfer accounting charged by the ship stage (PCIe model, §4.6).
   i64 packed_bytes = 0;
   double wire_seconds = 0;
-  /// Micro-batches whose prepared payload was a BatchCache hit: the ship
-  /// stage charged zero bytes / zero transfers (transfer::resident_reuse).
-  i64 resident_reuse_batches = 0;
   /// Substrate counters summed over the compute workers' contexts.
   i64 bmma_ops = 0;
   i64 tiles_jumped = 0;
@@ -125,7 +122,9 @@ struct ServingStats {
 
 /// Long-lived serving engine. Construction builds and calibrates the
 /// underlying QgtcEngine (the epoch mode is forced to streaming so no offline
-/// epoch is materialised) and starts the batcher and executor threads; stop()
+/// epoch is materialised; a nonzero `cache_budget_bytes` is rejected, since
+/// there are no epoch batches to pin) and starts the batcher and executor
+/// threads; stop()
 /// drains and joins them (idempotent, also run by the destructor). submit()
 /// is thread-safe.
 class ServingEngine {
@@ -133,7 +132,7 @@ class ServingEngine {
   ServingEngine(const Dataset& dataset, EngineConfig cfg,
                 const ServingPolicy& policy);
   /// Out-of-core variant: serves straight off a mmap'd DatasetStore (which
-  /// must outlive the server). Same pipeline, same cache, same parity.
+  /// must outlive the server). Same pipeline, same parity.
   ServingEngine(const store::DatasetStore& dstore, EngineConfig cfg,
                 const ServingPolicy& policy);
   ~ServingEngine();

@@ -38,9 +38,8 @@ PackedSubgraph dense_fp32_baseline(i64 num_nodes, i64 feature_dim,
                                    const PcieModel& pcie);
 
 /// Accounting for a batch whose prepared payload is already device-resident
-/// (a BatchCache hit — the GPU-resident-reuse substitute, see DESIGN.md):
-/// nothing crosses the wire, no staging copy, zero transfers. The streaming
-/// executor recognises `transfers == 0` and counts the batch as reused.
+/// (a precomputed or pinned batch — the GPU-resident-reuse substitute, see
+/// DESIGN.md): nothing crosses the wire, no staging copy, zero transfers.
 inline PackedSubgraph resident_reuse() {
   PackedSubgraph p;
   p.transfers = 0;

@@ -151,10 +151,10 @@ TEST(Autotune, TunedEngineRuns) {
 }
 
 TEST(Autotune, CacheBudgetFitsInsideDeviceBudget) {
-  // Streaming profiles carve the prepared-batch cache out of what the memory
-  // budget leaves after the pipeline's in-flight window: cache + footprint
-  // must fit inside the budget slice, and never exceed one epoch. The worker
-  // counts follow the host's thread count, so check several.
+  // Streaming profiles carve the pin budget for prepared batches out of what
+  // the memory budget leaves after the pipeline's in-flight window: pinned +
+  // footprint must fit inside the budget slice, and never exceed one epoch.
+  // The worker counts follow the host's thread count, so check several.
   const DatasetSpec spec = table1_spec("ogbn-arxiv");
   DeviceProfile dev;
   dev.memory_bytes = 64 * 1024 * 1024;  // streaming, with room for a cache
@@ -176,8 +176,8 @@ TEST(Autotune, CacheBudgetFitsInsideDeviceBudget) {
 }
 
 TEST(Autotune, TinyBudgetDisablesCache) {
-  // When the leftover budget cannot hold even one batch, the cache would
-  // thrash without ever hitting — the tuner disables it outright.
+  // When the leftover budget cannot hold even one batch, it would pin
+  // nothing — the tuner states that as a zero budget.
   const DatasetSpec spec = table1_spec("ogbn-arxiv");
   DeviceProfile tiny;
   tiny.memory_bytes = 8 * 1024 * 1024;
@@ -191,8 +191,8 @@ TEST(Autotune, TinyBudgetDisablesCache) {
 }
 
 TEST(Autotune, PrecomputedProfilesDisableCache) {
-  // The precomputed epoch is already fully resident; a cache on top would
-  // only duplicate it.
+  // The precomputed epoch is already fully resident; there is nothing left
+  // to pin.
   DatasetSpec small_graph{"tiny", 2000, 10000, 8, 2, 4, 3};
   const TunedConfig t =
       generate_runtime_config(small_graph, model_for(small_graph));

@@ -1,119 +1,17 @@
-// BatchCache tests: LRU/byte-budget mechanics at the unit level, and the
-// engine-level invariant the whole PR hangs on — logits and substrate
-// counters are bit-identical with the cache on vs off, across backends and
-// run modes, including after evictions and under
-// concurrent streaming prepare workers (the TSan surface).
+// Resident-set tests: a streaming engine pins prepared epoch batches up to
+// `cache_budget_bytes` and takes them from their slots in every warm epoch.
+// The invariant everything hangs on — logits and substrate counters are
+// bit-identical to a zero-budget engine — is checked across backends and
+// run modes, at full, partial and too-small budgets, and under concurrent
+// streaming prepare workers (the TSan surface).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "store/batch_cache.hpp"
 
 namespace qgtc {
 namespace {
-
-SubgraphBatch make_batch(i32 first, i32 count) {
-  SubgraphBatch b;
-  for (i32 v = first; v < first + count; ++v) b.nodes.push_back(v);
-  b.part_bounds = {0, count};
-  return b;
-}
-
-std::size_t shard_of(u64 h) { return static_cast<std::size_t>((h >> 56) % 8); }
-
-TEST(BatchCache, ZeroBudgetIsPassThrough) {
-  store::BatchCache<int> cache(0);
-  EXPECT_FALSE(cache.enabled());
-  const SubgraphBatch b = make_batch(0, 4);
-  cache.insert(b, 1, store::kCapPlanes, 16, std::make_shared<const int>(7));
-  EXPECT_EQ(cache.lookup(b, 1, store::kCapPlanes), nullptr);
-  const store::BatchCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 0);
-  EXPECT_EQ(s.misses, 0);  // disabled lookups are not even counted
-  EXPECT_EQ(s.inserts, 0);
-  EXPECT_EQ(s.entries, 0);
-}
-
-TEST(BatchCache, OversizedEntryNeverInserted) {
-  store::BatchCache<int> cache(800);  // shard budget 100
-  const SubgraphBatch b = make_batch(0, 4);
-  cache.insert(b, 1, store::kCapPlanes, 101, std::make_shared<const int>(7));
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.lookup(b, 1, store::kCapPlanes), nullptr);
-  // At the budget boundary it fits.
-  cache.insert(b, 1, store::kCapPlanes, 100, std::make_shared<const int>(7));
-  EXPECT_NE(cache.lookup(b, 1, store::kCapPlanes), nullptr);
-}
-
-TEST(BatchCache, HitRequiresFingerprintAndMembership) {
-  store::BatchCache<int> cache(1 << 20);
-  const SubgraphBatch b = make_batch(0, 4);
-  cache.insert(b, /*fingerprint=*/1, store::kCapPlanes, 16,
-               std::make_shared<const int>(7));
-  const auto hit = cache.lookup(b, 1, store::kCapPlanes);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 7);
-  // Different quantization config -> different fingerprint -> miss.
-  EXPECT_EQ(cache.lookup(b, 2, store::kCapPlanes), nullptr);
-  // Different membership -> miss.
-  EXPECT_EQ(cache.lookup(make_batch(1, 4), 1, store::kCapPlanes), nullptr);
-}
-
-TEST(BatchCache, CapabilityMaskGatesHitsAndUpgradesReplace) {
-  store::BatchCache<int> cache(1 << 20);
-  const SubgraphBatch b = make_batch(0, 4);
-  cache.insert(b, 1, store::kCapPlanes, 16, std::make_shared<const int>(1));
-  // Planes-only entry cannot serve a caller needing the fp32 CSR too.
-  EXPECT_EQ(cache.lookup(b, 1, store::kCapPlanes | store::kCapFp32Csr),
-            nullptr);
-  // The richer rebuild replaces the entry (no duplicate for the same key).
-  cache.insert(b, 1, store::kCapPlanes | store::kCapFp32Csr, 24,
-               std::make_shared<const int>(2));
-  EXPECT_EQ(cache.stats().entries, 1);
-  const auto rich = cache.lookup(b, 1, store::kCapPlanes | store::kCapFp32Csr);
-  ASSERT_NE(rich, nullptr);
-  EXPECT_EQ(*rich, 2);
-  // ...and still covers planes-only callers.
-  EXPECT_NE(cache.lookup(b, 1, store::kCapPlanes), nullptr);
-}
-
-TEST(BatchCache, EvictionThenRehitReturnsFreshValue) {
-  // Craft two batches that land in the SAME shard so the second insert must
-  // evict the first (shard budget fits exactly one entry).
-  const u64 fp = 9;
-  const SubgraphBatch first = make_batch(0, 4);
-  const std::size_t target = shard_of(store::hash_batch_key(first, fp));
-  SubgraphBatch second;
-  for (i32 start = 100; start < 10000; ++start) {
-    second = make_batch(start, 4);
-    if (shard_of(store::hash_batch_key(second, fp)) == target) break;
-  }
-  ASSERT_EQ(shard_of(store::hash_batch_key(second, fp)), target);
-
-  store::BatchCache<int> cache(8 * 150);  // shard budget 150, entries are 100
-  cache.insert(first, fp, store::kCapPlanes, 100,
-               std::make_shared<const int>(1));
-  // A consumer holding the value keeps it alive across the eviction.
-  const auto held = cache.lookup(first, fp, store::kCapPlanes);
-  ASSERT_NE(held, nullptr);
-  cache.insert(second, fp, store::kCapPlanes, 100,
-               std::make_shared<const int>(2));
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(*held, 1);  // shared_ptr ownership survived the eviction
-  // Evicted key misses; re-inserting (the re-prepare) re-hits with the
-  // fresh value.
-  EXPECT_EQ(cache.lookup(first, fp, store::kCapPlanes), nullptr);
-  cache.insert(first, fp, store::kCapPlanes, 100,
-               std::make_shared<const int>(3));
-  const auto rehit = cache.lookup(first, fp, store::kCapPlanes);
-  ASSERT_NE(rehit, nullptr);
-  EXPECT_EQ(*rehit, 3);
-}
-
-// ------------------------------------------------------------------------
-// Engine-level bit-identity: cache on vs off.
 
 Dataset cache_dataset() {
   DatasetSpec spec{"cache-test", 2000, 14000, 16, 4, 16, 77};
@@ -136,7 +34,44 @@ core::EngineConfig cache_config(bool streaming, int bits = 3) {
   return cfg;
 }
 
-TEST(BatchCacheEngine, ParityAcrossBackendsAndModes) {
+/// The 16-batch streaming fixture: many small batches, so a budget between
+/// zero and one epoch pins some of them and not others.
+core::EngineConfig many_batches(core::EngineConfig cfg) {
+  cfg.num_partitions = 32;
+  cfg.batch_size = 2;
+  return cfg;
+}
+
+/// Bytes of one epoch's prepared batches, as a streaming epoch pins them.
+i64 epoch_prepared_bytes(const core::QgtcEngine& engine) {
+  i64 bytes = 0;
+  for (i64 i = 0; i < engine.num_batches(); ++i) {
+    bytes += engine.prepare_batch(i, /*build_fp32_csr=*/false)->prepared_bytes();
+  }
+  return bytes;
+}
+
+/// Runs `rounds` single-epoch runs of `engine` next to a zero-budget twin and
+/// checks every run's logits and counters are bit-identical to the twin's.
+/// Returns each run's stats.
+std::vector<core::EngineStats> runs_match_zero_budget(
+    const Dataset& ds, core::QgtcEngine& engine, int rounds) {
+  core::EngineConfig off_cfg = engine.config();
+  off_cfg.cache_budget_bytes = 0;
+  core::QgtcEngine off(ds, off_cfg);
+  std::vector<core::EngineStats> out;
+  for (int r = 0; r < rounds; ++r) {
+    std::vector<MatrixI32> la, lb;
+    out.push_back(engine.run_quantized(1, &la));
+    const core::EngineStats sb = off.run_quantized(1, &lb);
+    EXPECT_EQ(la, lb) << "run " << r;
+    EXPECT_EQ(out.back().bmma_ops, sb.bmma_ops) << "run " << r;
+    EXPECT_EQ(out.back().tiles_jumped, sb.tiles_jumped) << "run " << r;
+  }
+  return out;
+}
+
+TEST(ResidentSet, ParityAcrossBackendsAndModes) {
   const Dataset ds = cache_dataset();
   for (const auto backend : tcsim::all_backends()) {
     for (const bool streaming : {false, true}) {
@@ -153,93 +88,103 @@ TEST(BatchCacheEngine, ParityAcrossBackendsAndModes) {
                         << " streaming=" << streaming;
       EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
       EXPECT_EQ(sa.tiles_jumped, sb.tiles_jumped);
-      if (streaming) {
-        // Warm epochs (the timed rounds) are all hits: every lookup in the
-        // stats delta hit, and nothing was read from the feature source.
-        EXPECT_EQ(sb.cache_misses, 0);
-        EXPECT_EQ(sb.cache_hits, sb.batches);
-        EXPECT_EQ(sb.prepare_bytes_read, 0);
-      }
+      // Warm epochs take every batch from the resident set (precomputed
+      // engines fill it at construction whatever the budget) and read
+      // nothing from the feature source.
+      EXPECT_EQ(sb.cache_misses, 0);
+      EXPECT_EQ(sb.cache_hits, sb.batches);
+      EXPECT_EQ(sb.prepare_bytes_read, 0);
     }
   }
 }
 
-TEST(BatchCacheEngine, ZeroBudgetEngineNeverTouchesCache) {
+TEST(ResidentSet, OneEpochBudgetHitsEveryBatchInEveryWarmEpoch) {
   const Dataset ds = cache_dataset();
-  core::QgtcEngine engine(ds, cache_config(true));  // budget 0
-  (void)engine.run_quantized(2);
-  const store::BatchCacheStats s = engine.cache_stats();
-  EXPECT_EQ(s.hits + s.misses + s.inserts + s.entries, 0);
-}
-
-TEST(BatchCacheEngine, BudgetSmallerThanOneBatchDegradesToPassThrough) {
-  const Dataset ds = cache_dataset();
-  core::EngineConfig cfg = cache_config(true);
-  cfg.cache_budget_bytes = 8 * 64;  // shard budget 64 bytes < any batch
-  core::QgtcEngine tiny(ds, cfg);
-  core::QgtcEngine off(ds, cache_config(true));
-  std::vector<MatrixI32> la, lb;
-  (void)tiny.run_quantized(2, &la);
-  (void)off.run_quantized(2, &lb);
-  EXPECT_EQ(la, lb);
-  const store::BatchCacheStats s = tiny.cache_stats();
-  EXPECT_EQ(s.inserts, 0);  // every batch was oversized
-  EXPECT_EQ(s.hits, 0);
-  EXPECT_GT(s.misses, 0);
-}
-
-TEST(BatchCacheEngine, EvictionThenRehitKeepsLogitsBitIdentical) {
-  const Dataset ds = cache_dataset();
-  // Many small batches, so several land in each of the cache's shards.
-  const auto many_batches = [](core::EngineConfig cfg) {
-    cfg.num_partitions = 32;
-    cfg.batch_size = 2;  // 16 batches/epoch
-    return cfg;
-  };
-  // Measure the epoch's prepared footprint with an uncapped cache...
-  core::EngineConfig probe_cfg = many_batches(cache_config(true));
-  probe_cfg.cache_budget_bytes = i64{256} << 20;
-  core::QgtcEngine probe(ds, probe_cfg);
-  (void)probe.run_quantized(1);
-  const i64 epoch_bytes = probe.cache_stats().resident_bytes;
+  core::EngineConfig cfg = many_batches(cache_config(true));
+  core::QgtcEngine probe(ds, cfg);
+  ASSERT_EQ(probe.num_batches(), 16);
+  const i64 epoch_bytes = epoch_prepared_bytes(probe);
   ASSERT_GT(epoch_bytes, 0);
 
-  // ...then budget each shard ~1.5 average batches: every batch fits, but a
-  // shard holding two must evict, so warm epochs keep evicting and
-  // re-preparing. Results must not change.
-  core::EngineConfig cfg = many_batches(cache_config(true));
-  cfg.cache_budget_bytes = epoch_bytes * 3 / 4;
+  cfg.cache_budget_bytes = epoch_bytes;
   core::QgtcEngine engine(ds, cfg);
-  core::QgtcEngine off(ds, many_batches(cache_config(true)));
-  std::vector<MatrixI32> la, lb;
-  const core::EngineStats sa = engine.run_quantized(3, &la);
-  const core::EngineStats sb = off.run_quantized(3, &lb);
-  EXPECT_EQ(la, lb);
-  EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
-  const store::BatchCacheStats s = engine.cache_stats();
-  EXPECT_GT(s.evictions, 0);
-  EXPECT_GT(s.misses, 0);  // evicted batches re-prepared
+  for (const core::EngineStats& s : runs_match_zero_budget(ds, engine, 3)) {
+    EXPECT_EQ(s.cache_hits, s.batches);
+    EXPECT_EQ(s.cache_misses, 0);
+    EXPECT_EQ(s.prepare_bytes_read, 0);
+    EXPECT_EQ(s.cache_resident_bytes, epoch_bytes);
+  }
+  // The accounting pass ships the pinned batches without re-preparing them.
+  const core::EngineStats t = engine.transfer_accounting();
+  EXPECT_EQ(t.prepare_bytes_read, 0);
+  EXPECT_EQ(t.packed_bytes, probe.transfer_accounting().packed_bytes);
 }
 
-TEST(BatchCacheEngine, ConcurrentStreamingPrepareWorkersStayBitIdentical) {
-  // Multiple prepare workers race lookup/insert on the shared cache while
-  // compute workers consume the shared_ptr values — the TSan job runs this.
+TEST(ResidentSet, HalfEpochBudgetPinsAFixedSet) {
+  const Dataset ds = cache_dataset();
+  core::EngineConfig cfg = many_batches(cache_config(true));
+  const i64 budget = epoch_prepared_bytes(core::QgtcEngine(ds, cfg)) / 2;
+  cfg.cache_budget_bytes = budget;
+  core::QgtcEngine engine(ds, cfg);
+  const std::vector<core::EngineStats> runs =
+      runs_match_zero_budget(ds, engine, 3);
+  const i64 hits = runs.front().cache_hits;
+  EXPECT_GT(hits, 0);
+  EXPECT_LT(hits, runs.front().batches);
+  for (const core::EngineStats& s : runs) {
+    EXPECT_EQ(s.cache_hits, hits);  // pinned slots are never evicted
+    EXPECT_EQ(s.cache_hits + s.cache_misses, s.batches);
+    EXPECT_GT(s.prepare_bytes_read, 0);
+    EXPECT_GT(s.cache_resident_bytes, 0);
+    EXPECT_LE(s.cache_resident_bytes, budget);
+  }
+}
+
+TEST(ResidentSet, ZeroBudgetPinsNothing) {
+  const Dataset ds = cache_dataset();
+  core::QgtcEngine engine(ds, cache_config(true));  // budget 0
+  const core::EngineStats s = engine.run_quantized(2);
+  EXPECT_EQ(s.cache_hits, 0);
+  EXPECT_EQ(s.cache_misses, s.batches);
+  EXPECT_EQ(s.cache_resident_bytes, 0);
+  EXPECT_GT(s.prepare_bytes_read, 0);
+}
+
+TEST(ResidentSet, BudgetSmallerThanOneBatchPinsNothing) {
   const Dataset ds = cache_dataset();
   core::EngineConfig cfg = cache_config(true);
-  cfg.cache_budget_bytes = i64{256} << 20;
+  cfg.cache_budget_bytes = 512;  // smaller than any batch
+  core::QgtcEngine tiny(ds, cfg);
+  for (const core::EngineStats& s : runs_match_zero_budget(ds, tiny, 2)) {
+    EXPECT_EQ(s.cache_hits, 0);
+    EXPECT_EQ(s.cache_misses, s.batches);
+    EXPECT_EQ(s.cache_resident_bytes, 0);
+  }
+}
+
+TEST(ResidentSet, ConcurrentStreamingPrepareWorkersStayBitIdentical) {
+  // Two prepare workers race to pin under a budget that holds half the
+  // epoch, while two compute workers consume the shared refs — the TSan job
+  // runs this. The reservation must never overshoot the budget, and the set
+  // pinned by the first epoch serves every later one.
+  const Dataset ds = cache_dataset();
+  core::EngineConfig cfg = many_batches(cache_config(true));
   cfg.mode.prepare_threads = 2;
   cfg.inter_batch_threads = 2;
   cfg.mode.pipeline_depth = 2;
-  core::EngineConfig off = cfg;
-  off.cache_budget_bytes = 0;
-  core::QgtcEngine engine_on(ds, cfg);
-  core::QgtcEngine engine_off(ds, off);
-  std::vector<MatrixI32> la, lb;
-  const core::EngineStats sa = engine_on.run_quantized(2, &la);
-  const core::EngineStats sb = engine_off.run_quantized(2, &lb);
-  EXPECT_EQ(la, lb);
-  EXPECT_EQ(sa.bmma_ops, sb.bmma_ops);
-  EXPECT_EQ(sa.tiles_jumped, sb.tiles_jumped);
+  for (const i64 divisor : {1, 2}) {
+    cfg.cache_budget_bytes =
+        epoch_prepared_bytes(core::QgtcEngine(ds, cfg)) / divisor;
+    core::QgtcEngine engine(ds, cfg);
+    const std::vector<core::EngineStats> runs =
+        runs_match_zero_budget(ds, engine, 2);
+    for (const core::EngineStats& s : runs) {
+      EXPECT_EQ(s.cache_hits, runs.front().cache_hits);
+      EXPECT_EQ(s.cache_hits + s.cache_misses, s.batches);
+      EXPECT_LE(s.cache_resident_bytes, cfg.cache_budget_bytes);
+    }
+    if (divisor == 1) EXPECT_EQ(runs.front().cache_hits, runs.front().batches);
+  }
 }
 
 }  // namespace

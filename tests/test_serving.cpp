@@ -10,6 +10,7 @@
 #include <atomic>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -238,6 +239,22 @@ TEST(ServingStats, StageTimesAreLiveBeforeStop) {
   EXPECT_GT(st.compute_stage.busy_seconds, 0.0);
   EXPECT_GT(st.packed_bytes, 0);
   serving.stop();
+}
+
+TEST(ServingFailure, NonzeroPinBudgetIsRejected) {
+  // Micro-batches are not epoch batches, so a server has nothing to pin: a
+  // budget must fail loudly, not be silently ignored.
+  const Dataset ds = serving_dataset();
+  EngineConfig cfg = serving_config();
+  cfg.cache_budget_bytes = i64{1} << 20;
+  try {
+    ServingEngine serving(ds, cfg, ServingPolicy{});
+    FAIL() << "a nonzero cache_budget_bytes was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cache_budget_bytes"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServingFailure, SubmitAfterStopThrows) {
